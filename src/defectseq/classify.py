@@ -7,6 +7,13 @@ dimension count allows (maximality, in the free and in the commuting
 sense), and is the tuple irreducible in the sense that nothing but
 scalars commutes with all entries and their adjoints.
 
+Maximality is read from the defect ladder of ``defect._ladder``, the one
+loop that computes Delta_n: a verdict compares those values with
+``geometric_bound`` or ``commuting_bound`` up to its horizon, and an
+index past the ladder's stabilization point repeats the last value.
+``classify`` runs the ladder once and reads Delta_1 and both maximality
+verdicts from that single run.
+
 Purity is decided by fixed-point iteration with a three-way verdict.
 The iterates X_k = cp^k(I) decrease in the positive semidefinite order,
 so either they fall below the purity threshold (Pure), or they settle
@@ -25,9 +32,9 @@ import numpy as np
 
 from .config import size_cap
 from .defect import (
-    defect_dimension,
-    geometric_bound,
+    _ladder,
     commuting_bound,
+    geometric_bound,
     is_contractive,
     require_contractive,
 )
@@ -36,7 +43,6 @@ from .linalg import (
     DEFAULT_TOL,
     RankTolerance,
     hermitian_norm,
-    hermitize,
     numerical_rank,
     readonly_copy,
 )
@@ -163,29 +169,21 @@ def _default_horizon(d, h, delta_1, bound_fn):
     return n
 
 
-def _maximality(T, horizon, tol, bound_fn):
-    require_contractive(T, tol)
-    h = T.h
-    x = np.eye(T.h, dtype=np.complex128)
-    eye = np.eye(h)
-    deltas = []
+def _maximality(deltas, d, h, horizon, bound_fn):
+    # ``deltas`` yields Delta_1, Delta_2, ... and may end at the
+    # stabilization point; every later index repeats the last value.
+    deltas = iter(deltas)
+    delta = delta_1 = next(deltas)
+    if horizon is None:
+        horizon = _default_horizon(d, h, delta_1, bound_fn)
+    compared = []
     bounds = []
     failed_at = None
-
-    x = apply_cp_map(T, x)
-    delta_1 = numerical_rank(hermitize(eye - x), tol)
-    if horizon is None:
-        horizon = _default_horizon(T.d, h, delta_1, bound_fn)
-    elif horizon < 1:
-        raise ArgumentError("horizon must be at least 1")
-
-    delta = delta_1
     for n in range(1, horizon + 1):
         if n > 1:
-            x = apply_cp_map(T, x)
-            delta = numerical_rank(hermitize(eye - x), tol)
-        bound = bound_fn(T.d, n, delta_1)
-        deltas.append(delta)
+            delta = next(deltas, delta)
+        bound = bound_fn(d, n, delta_1)
+        compared.append(delta)
         bounds.append(bound)
         if delta != bound:
             failed_at = n
@@ -195,10 +193,17 @@ def _maximality(T, horizon, tol, bound_fn):
     return MaximalityVerdict(
         maximal=failed_at is None,
         horizon=horizon,
-        deltas=tuple(deltas),
+        deltas=tuple(compared),
         bounds=tuple(bounds),
         failed_at=failed_at,
     )
+
+
+def _ladder_maximality(T, horizon, tol, bound_fn):
+    if horizon is not None and horizon < 1:
+        raise ArgumentError("horizon must be at least 1")
+    require_contractive(T, tol)
+    return _maximality(_ladder(T, tol), T.d, T.h, horizon, bound_fn)
 
 
 def maximality_noncommutative(T, horizon=None, tol=None):
@@ -214,7 +219,7 @@ def maximality_noncommutative(T, horizon=None, tol=None):
     boolean.
     """
     tol = DEFAULT_TOL if tol is None else tol
-    return _maximality(T, horizon, tol, geometric_bound)
+    return _ladder_maximality(T, horizon, tol, geometric_bound)
 
 
 def maximality_commuting(T, horizon=None, tol=None):
@@ -227,7 +232,7 @@ def maximality_commuting(T, horizon=None, tol=None):
     tol = DEFAULT_TOL if tol is None else tol
     if not is_commuting(T, tol):
         raise ArgumentError("commuting maximality asked of a noncommuting tuple")
-    return _maximality(T, horizon, tol, commuting_bound)
+    return _ladder_maximality(T, horizon, tol, commuting_bound)
 
 
 def is_maximal_noncommutative(T, horizon=None, tol=None):
@@ -326,9 +331,11 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
         )
     verdict = purity(T, max_iter=max_iter, eps_pure=eps_pure,
                      eps_conv=eps_conv, tol=tol)
-    delta_1 = defect_dimension(T, 1, tol)
-    maximal_noncomm = maximality_noncommutative(T, None, tol)
-    maximal_comm = maximality_commuting(T, None, tol) if commuting else None
+    deltas = tuple(_ladder(T, tol))
+    delta_1 = deltas[0]
+    maximal_noncomm = _maximality(deltas, T.d, T.h, None, geometric_bound)
+    maximal_comm = (_maximality(deltas, T.d, T.h, None, commuting_bound)
+                    if commuting else None)
     commutant_dim = commutant_dimension(T, tol)
     irreducible = commutant_dim == 1
     if irreducible and delta_1 > 0 and verdict.status is Purity.NOT_PURE:

@@ -44,8 +44,8 @@ from .errors import (
     TupleFormatError,
 )
 from .linalg import DEFAULT_TOL, RankTolerance
-from .suites import DEFAULT_SAMPLES, DEFAULT_SEED, SUITE_NAMES, run_suite
-from .suites import expand_suite_names, suite_descriptions
+from .suites import DEFAULT_SAMPLES, DEFAULT_SEED, SUITE_NAMES, run_suites
+from .suites import suite_descriptions
 from .tuples import tuple_product
 
 __all__ = ["build_parser", "main"]
@@ -347,9 +347,7 @@ def _suite_payload(res):
 
 def _cmd_verify(args):
     tol = RankTolerance(args.rtol, args.atol)
-    names = expand_suite_names(args.suite)
-    results = [run_suite(name, args.samples, args.seed, tol)
-               for name in names]
+    results = run_suites(args.suite, args.samples, args.seed, tol)
 
     for res in results:
         status = "pass" if res.ok else "FAIL"
@@ -404,6 +402,14 @@ def build_parser():
                         version=f"defectseq {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--rtol", type=float, default=DEFAULT_TOL.rtol,
+                           help=f"relative rank threshold "
+                                f"(default {DEFAULT_TOL.rtol})")
+    tolerance.add_argument("--atol", type=float, default=DEFAULT_TOL.atol,
+                           help=f"absolute rank threshold "
+                                f"(default {DEFAULT_TOL.atol})")
+
     model = sub.add_parser(
         "model", help="construct a model tuple and write it to a tuple file")
     model.add_argument("kind", choices=_MODEL_KINDS)
@@ -442,16 +448,11 @@ def build_parser():
     model.set_defaults(func=_cmd_model)
 
     defect = sub.add_parser(
-        "defect", help="compute the defect sequence of a tuple file")
+        "defect", parents=[tolerance],
+        help="compute the defect sequence of a tuple file")
     defect.add_argument("input", help="tuple file to analyze")
     defect.add_argument("--n-max", type=int, required=True, dest="n_max",
                         help="largest power to compute")
-    defect.add_argument("--rtol", type=float, default=DEFAULT_TOL.rtol,
-                        help=f"relative rank threshold "
-                             f"(default {DEFAULT_TOL.rtol})")
-    defect.add_argument("--atol", type=float, default=DEFAULT_TOL.atol,
-                        help=f"absolute rank threshold "
-                             f"(default {DEFAULT_TOL.atol})")
     defect.add_argument("--report", help="write a JSON report here")
     defect.add_argument("--plot",
                         help="write CSV rows n,delta,bounds for external "
@@ -459,14 +460,9 @@ def build_parser():
     defect.set_defaults(func=_cmd_defect)
 
     cls = sub.add_parser(
-        "classify", help="run the full structural classification")
+        "classify", parents=[tolerance],
+        help="run the full structural classification")
     cls.add_argument("input", help="tuple file to classify")
-    cls.add_argument("--rtol", type=float, default=DEFAULT_TOL.rtol,
-                     help=f"relative rank threshold "
-                          f"(default {DEFAULT_TOL.rtol})")
-    cls.add_argument("--atol", type=float, default=DEFAULT_TOL.atol,
-                     help=f"absolute rank threshold "
-                          f"(default {DEFAULT_TOL.atol})")
     cls.add_argument("--eps-pure", type=float, default=DEFAULT_EPS_PURE,
                      dest="eps_pure",
                      help=f"purity norm threshold (default {DEFAULT_EPS_PURE})")
@@ -484,7 +480,8 @@ def build_parser():
         f"  {name:<16} {desc}"
         for name, desc in suite_descriptions().items())
     verify = sub.add_parser(
-        "verify", help="run property suites over seeded ensembles",
+        "verify", parents=[tolerance],
+        help="run property suites over seeded ensembles",
         epilog="suites:\n" + suite_lines,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     verify.add_argument("--suite", action="append", required=True,
@@ -495,12 +492,6 @@ def build_parser():
                              f"(default {DEFAULT_SAMPLES})")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"master seed (default {DEFAULT_SEED})")
-    verify.add_argument("--rtol", type=float, default=DEFAULT_TOL.rtol,
-                        help=f"relative rank threshold "
-                             f"(default {DEFAULT_TOL.rtol})")
-    verify.add_argument("--atol", type=float, default=DEFAULT_TOL.atol,
-                        help=f"absolute rank threshold "
-                             f"(default {DEFAULT_TOL.atol})")
     verify.add_argument("--report", help="write a JSON report here")
     verify.set_defaults(func=_cmd_verify)
 

@@ -16,7 +16,13 @@ dimension.  Three structural facts shape the interface:
   with its images under all operator words of length below n, which
   gives a second, independent way to build the same space.
 
-``defect_space_via_words`` implements that second construction by
+One private loop, ``_ladder``, iterates X_n = cp^n(I), ranks I - X_n and
+ends the sequence at its stabilization point.  ``defect_sequence`` and
+the maximality verdicts of ``classify`` all read their values from it;
+``defect_operator`` builds a single D_n from ``cp_iterate``, apart from
+the ladder, so the verify suites can check ladder values against it.
+
+``defect_space_via_words`` implements the word-span construction by
 Krylov-style accumulation and exists as a cross-check for
 ``defect_space``; the two must agree on every contractive input and the
 test suite holds them to it.  Defect quantities are always computed by
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -42,7 +49,8 @@ from .linalg import (
     numerical_rank,
     orthonormal_range,
 )
-from .tuples import apply_cp_map, is_commuting, row_operator, tuple_power, tuple_product
+from .tuples import apply_cp_map, cp_iterate, is_commuting, row_operator
+from .tuples import tuple_power, tuple_product
 
 __all__ = [
     "DefectReport",
@@ -70,8 +78,17 @@ CONTRACTIVITY_SLACK = 10.0
 
 
 def contractivity_margin(T):
-    """Smallest eigenvalue of I - cp(I); nonnegative means contractive."""
-    d1 = np.eye(T.h) - apply_cp_map(T, np.eye(T.h, dtype=np.complex128))
+    """Smallest eigenvalue of I - cp(I); nonnegative means contractive.
+
+    Raises ArgumentError when I - cp(I) overflows, because no margin,
+    and so no contractivity verdict, can be read from it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = np.eye(T.h) - apply_cp_map(T, np.eye(T.h, dtype=np.complex128))
+    if not np.isfinite(d1).all():
+        raise ArgumentError(
+            "I - cp(I) is not finite; the tuple's entries are too large"
+        )
     return float(np.linalg.eigvalsh(hermitize(d1))[0])
 
 
@@ -124,10 +141,7 @@ def defect_operator(T, n, tol=None):
         raise ArgumentError("defect index must be at least 1")
     tol = DEFAULT_TOL if tol is None else tol
     require_contractive(T, tol)
-    x = np.eye(T.h, dtype=np.complex128)
-    for _ in range(n):
-        x = apply_cp_map(T, x)
-    return hermitize(np.eye(T.h) - x)
+    return hermitize(np.eye(T.h) - cp_iterate(T, n))
 
 
 def defect_dimension(T, n, tol=None):
@@ -196,6 +210,29 @@ class DefectReport:
             raise ConsistencyError("reached_full claimed without Delta = h")
 
 
+def _ladder(T, tol):
+    """Yield Delta_1, Delta_2, ... of a contractive tuple until they stabilize.
+
+    The one loop that iterates X_n = cp^n(I) and ranks I - X_n.  It ends
+    after the first n with Delta_n = h (the space is full) or
+    Delta_n = Delta_{n-1}; by the stabilization law every later value
+    repeats the last one yielded.  Until then the sequence rises by at
+    least one per step, so it ends within h + 1 steps; that is also the
+    cap, and a ladder that reaches the cap has decreased somewhere.
+    Callers check contractivity first; commutation is never tested here.
+    """
+    eye = np.eye(T.h)
+    x = np.eye(T.h, dtype=np.complex128)
+    previous = None
+    for _ in range(T.h + 1):
+        x = apply_cp_map(T, x)
+        delta = numerical_rank(hermitize(eye - x), tol)
+        yield delta
+        if delta in (T.h, previous):
+            return
+        previous = delta
+
+
 def defect_sequence(T, n_max, tol=None):
     """Compute Delta_1 .. Delta_{n_max} with early termination.
 
@@ -208,43 +245,27 @@ def defect_sequence(T, n_max, tol=None):
         raise ArgumentError("n_max must be at least 1")
     tol = DEFAULT_TOL if tol is None else tol
     require_contractive(T, tol)
-    h = T.h
-    eye = np.eye(h)
-    commuting = is_commuting(T, tol)
-
-    deltas = []
+    deltas = tuple(islice(_ladder(T, tol), n_max))
+    n = len(deltas)
+    reached_full = deltas[-1] == T.h
     stabilized_at = None
-    reached_full = False
-    x = np.eye(h, dtype=np.complex128)
-    for n in range(1, n_max + 1):
-        x = apply_cp_map(T, x)
-        delta = numerical_rank(hermitize(eye - x), tol)
-        deltas.append(delta)
-        if delta == h:
-            reached_full = True
-            stabilized_at = n
-            break
-        if n >= 2 and delta == deltas[-2]:
-            stabilized_at = n - 1
-            break
+    if reached_full:
+        stabilized_at = n
+    elif n >= 2 and deltas[-1] == deltas[-2]:
+        stabilized_at = n - 1
 
-    delta_1 = deltas[0]
-    ns = range(1, len(deltas) + 1)
-    bounds_noncomm = tuple(geometric_bound(T.d, n, delta_1) for n in ns)
-    bound_ok_noncomm = tuple(
-        delta <= bound for delta, bound in zip(deltas, bounds_noncomm)
-    )
-    bounds_comm = None
-    bound_ok_comm = None
-    if commuting:
-        bounds_comm = tuple(commuting_bound(T.d, n, delta_1) for n in ns)
-        bound_ok_comm = tuple(
-            delta <= bound for delta, bound in zip(deltas, bounds_comm)
-        )
+    def bound_columns(bound_fn):
+        bounds = tuple(bound_fn(T.d, k, deltas[0]) for k in range(1, n + 1))
+        return bounds, tuple(a <= b for a, b in zip(deltas, bounds))
+
+    bounds_noncomm, bound_ok_noncomm = bound_columns(geometric_bound)
+    bounds_comm = bound_ok_comm = None
+    if is_commuting(T, tol):
+        bounds_comm, bound_ok_comm = bound_columns(commuting_bound)
     return DefectReport(
         d=T.d,
-        h=h,
-        deltas=tuple(deltas),
+        h=T.h,
+        deltas=deltas,
         stabilized_at=stabilized_at,
         reached_full=reached_full,
         bounds_noncomm=bounds_noncomm,
@@ -419,8 +440,6 @@ def verify_product_bounds(b, c, tol=None):
         raise ArgumentError(
             f"product bound check needs a common space, got {b.h} and {c.h}"
         )
-    require_contractive(b, tol)
-    require_contractive(c, tol)
     delta_b = defect_dimension(b, 1, tol)
     delta_c = defect_dimension(c, 1, tol)
     delta_bc = defect_dimension(tuple_product(b, c), 1, tol)

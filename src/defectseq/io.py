@@ -115,13 +115,18 @@ def read_tuple(path):
     """Load an operator tuple from a JSON file.
 
     Raises TupleFormatError when the content is not a well-formed tuple
-    file; file-system problems surface as the usual OSError family.
+    file, including text that is not UTF-8 and JSON nested deeper than
+    the parser can follow; file-system problems surface as the usual
+    OSError family.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TupleFormatError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise TupleFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise TupleFormatError("JSON nested too deeply to parse") from None
     return payload_to_tuple(payload)
 
 

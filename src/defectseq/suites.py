@@ -17,6 +17,7 @@ triple recorded in the report.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,23 @@ class _Recorder:
             first_failure=self.first_failure,
             notes=tuple(self.notes),
         )
+
+
+def _seeded_samples(samples, seed, salt):
+    # Sample i of every seeded suite draws from default_rng((seed, salt, i)).
+    for i in range(samples):
+        key = (seed, salt, i)
+        yield i, key, np.random.default_rng(key)
+
+
+@contextmanager
+def _consistency_guard(rec, key):
+    # A ConsistencyError inside one sample fails that sample only.
+    try:
+        yield
+    except ConsistencyError as exc:
+        rec.check("no internal consistency violation", False,
+                  seed=key, detail=str(exc))
 
 
 def _draw_random_tuple(rng, d_max=3, h_max=8, rank_max=3):
@@ -348,10 +366,8 @@ def _models_suite(rec, samples, seed, salt, tol):
 
 
 def _monotone_bound_suite(rec, samples, seed, salt, tol):
-    for i in range(samples):
-        key = (seed, salt, i)
-        rng = np.random.default_rng(key)
-        try:
+    for i, key, rng in _seeded_samples(samples, seed, salt):
+        with _consistency_guard(rec, key):
             T = _draw_mixed_tuple(rng, i)
             rep = defect_sequence(T, T.h + 1, tol)
             rec.check("defect dimensions never decrease",
@@ -363,16 +379,11 @@ def _monotone_bound_suite(rec, samples, seed, salt, tol):
                       seed=key, detail=f"{rep.deltas}")
             rec.check("defect dimensions stay within the space",
                       all(delta <= T.h for delta in rep.deltas), seed=key)
-        except ConsistencyError as exc:
-            rec.check("no internal consistency violation", False,
-                      seed=key, detail=str(exc))
 
 
 def _word_span_suite(rec, samples, seed, salt, tol):
-    for i in range(samples):
-        key = (seed, salt, i)
-        rng = np.random.default_rng(key)
-        try:
+    for i, key, rng in _seeded_samples(samples, seed, salt):
+        with _consistency_guard(rec, key):
             d = int(rng.integers(1, 4))
             h = int(rng.integers(2, 7))
             defect_rank = int(rng.integers(1, min(2, h) + 1))
@@ -383,16 +394,11 @@ def _word_span_suite(rec, samples, seed, salt, tol):
                 rec.check(f"defect space equals the word span at step {n}",
                           subspace_equal(direct, spanned, tol), seed=key,
                           detail=f"dims {direct.dim} vs {spanned.dim}")
-        except ConsistencyError as exc:
-            rec.check("no internal consistency violation", False,
-                      seed=key, detail=str(exc))
 
 
 def _stabilization_suite(rec, samples, seed, salt, tol):
-    for i in range(samples):
-        key = (seed, salt, i)
-        rng = np.random.default_rng(key)
-        try:
+    for i, key, rng in _seeded_samples(samples, seed, salt):
+        with _consistency_guard(rec, key):
             T = _draw_mixed_tuple(rng, i)
             rep = defect_sequence(T, T.h + 1, tol)
             found = rec.check("sequence stabilizes within dimension-many steps",
@@ -413,16 +419,11 @@ def _stabilization_suite(rec, samples, seed, salt, tol):
                           seed=key, detail="no stabilization point found")
                 rec.check("no movement recorded past stabilization", False,
                           seed=key, detail="no stabilization point found")
-        except ConsistencyError as exc:
-            rec.check("no internal consistency violation", False,
-                      seed=key, detail=str(exc))
 
 
 def _rank_symmetry_suite(rec, samples, seed, salt, tol):
-    for i in range(samples):
-        key = (seed, salt, i)
-        rng = np.random.default_rng(key)
-        try:
+    for i, key, rng in _seeded_samples(samples, seed, salt):
+        with _consistency_guard(rec, key):
             d = int(rng.integers(1, 4))
             h = int(rng.integers(2, 7))
             defect_rank = int(rng.integers(0, min(3, h) + 1))
@@ -442,16 +443,11 @@ def _rank_symmetry_suite(rec, samples, seed, salt, tol):
             rec.check("right spectrum carries the extra exact ones",
                       verdict.rank_right
                       == verdict.rank_left + (T.d ** n - 1) * T.h, seed=key)
-        except ConsistencyError as exc:
-            rec.check("no internal consistency violation", False,
-                      seed=key, detail=str(exc))
 
 
 def _pure_growth_suite(rec, samples, seed, salt, tol):
-    for i in range(samples):
-        key = (seed, salt, i)
-        rng = np.random.default_rng(key)
-        try:
+    for i, key, rng in _seeded_samples(samples, seed, salt):
+        with _consistency_guard(rec, key):
             family = i % 3
             if family == 0:
                 d = int(rng.integers(2, 4))
@@ -484,9 +480,6 @@ def _pure_growth_suite(rec, samples, seed, salt, tol):
                           detail="purity not established")
                 rec.check("defects rise strictly until the space is full",
                           False, seed=key, detail="purity not established")
-        except ConsistencyError as exc:
-            rec.check("no internal consistency violation", False,
-                      seed=key, detail=str(exc))
 
 
 def _unit_defect_suite(rec, samples, seed, salt, tol):
@@ -495,10 +488,8 @@ def _unit_defect_suite(rec, samples, seed, salt, tol):
         rep = defect_sequence(ladder, h + 1, tol)
         rec.check(f"nilpotent shift on dimension {h} climbs one per step",
                   rep.deltas == tuple(range(1, h + 1)), detail=f"{rep.deltas}")
-    for i in range(samples):
-        key = (seed, salt, i)
-        rng = np.random.default_rng(key)
-        try:
+    for i, key, rng in _seeded_samples(samples, seed, salt):
+        with _consistency_guard(rec, key):
             if i % 2 == 0:
                 L = int(rng.integers(2, 6))
                 T = models.random_coinvariant_compression(1, L, 1, rng)
@@ -527,16 +518,11 @@ def _unit_defect_suite(rec, samples, seed, salt, tol):
             else:
                 rec.check("defect ladder claim vacuous for a degenerate draw",
                           delta_1 == 0, seed=key)
-        except ConsistencyError as exc:
-            rec.check("no internal consistency violation", False,
-                      seed=key, detail=str(exc))
 
 
 def _product_bound_suite(rec, samples, seed, salt, tol):
-    for i in range(samples):
-        key = (seed, salt, i)
-        rng = np.random.default_rng(key)
-        try:
+    for i, key, rng in _seeded_samples(samples, seed, salt):
+        with _consistency_guard(rec, key):
             h = int(rng.integers(2, 7))
             left = models.random_contractive(
                 int(rng.integers(1, 3)), h,
@@ -559,17 +545,12 @@ def _product_bound_suite(rec, samples, seed, salt, tol):
             scale = max(1.0, float(np.linalg.norm(rhs, 2)))
             rec.check("one-step defect identity for products",
                       gap <= 1e-10 * scale, seed=key, detail=f"gap {gap:.3e}")
-        except ConsistencyError as exc:
-            rec.check("no internal consistency violation", False,
-                      seed=key, detail=str(exc))
 
 
 def _reducing_restriction_suite(rec, samples, seed, salt, tol):
     ladders = {}
-    for i in range(samples):
-        key = (seed, salt, i)
-        rng = np.random.default_rng(key)
-        try:
+    for i, key, rng in _seeded_samples(samples, seed, salt):
+        with _consistency_guard(rec, key):
             L = 2 + (i % 2)
             single = models.fock_creation(2, L)
             if L not in ladders:
@@ -592,16 +573,11 @@ def _reducing_restriction_suite(rec, samples, seed, salt, tol):
                       seed=key)
             rec.check("rotated double sum meets the growth bound with equality",
                       is_maximal_noncommutative(T, None, tol), seed=key)
-        except ConsistencyError as exc:
-            rec.check("no internal consistency violation", False,
-                      seed=key, detail=str(exc))
 
 
 def _purity_inheritance_suite(rec, samples, seed, salt, tol):
-    for i in range(samples):
-        key = (seed, salt, i)
-        rng = np.random.default_rng(key)
-        try:
+    for i, key, rng in _seeded_samples(samples, seed, salt):
+        with _consistency_guard(rec, key):
             family = i % 3
             if family == 0:
                 d = int(rng.integers(2, 4))
@@ -639,9 +615,6 @@ def _purity_inheritance_suite(rec, samples, seed, salt, tol):
             rec.check("compression inherits purity",
                       verdict.status is Purity.PURE, seed=key,
                       detail=f"{what}: {verdict.status}")
-        except ConsistencyError as exc:
-            rec.check("no internal consistency violation", False,
-                      seed=key, detail=str(exc))
 
 
 def _irreducible_purity_suite(rec, samples, seed, salt, tol):

@@ -17,10 +17,13 @@ from defectseq.classify import (
     maximality_noncommutative,
     purity,
 )
-from defectseq.errors import ArgumentError, ConsistencyError
+from defectseq.defect import defect_dimension
+from defectseq.errors import ArgumentError, ConsistencyError, ContractivityError
 from defectseq.models import (
     fock_creation,
     pure_nonmaximal_example,
+    random_coinvariant_compression,
+    random_contractive,
     right_creation_compression,
     spherical_shift_sum,
     symmetric_fock_shift,
@@ -111,6 +114,52 @@ class TestMaximality:
     def test_commuting_variant_rejects_free_tuples(self):
         with pytest.raises(ArgumentError):
             maximality_commuting(fock_creation(2, 2))
+
+    def test_horizon_past_stabilization_repeats_the_last_value(self):
+        v = maximality_noncommutative(OperatorTuple((np.eye(3),)), horizon=4)
+        assert v.maximal
+        assert v.horizon == 4
+        assert v.deltas == (0, 0, 0, 0)
+        assert v.bounds == (0, 0, 0, 0)
+
+    def test_horizon_past_a_full_ladder_stops_at_full(self):
+        v = maximality_noncommutative(fock_creation(2, 2), horizon=5)
+        assert v.maximal
+        assert v.horizon == 5
+        assert v.deltas == (1, 3, 7)
+        assert v.bounds == (1, 3, 7)
+
+    def test_horizon_is_checked_before_contractivity(self):
+        big = OperatorTuple((1.5 * np.eye(2),))
+        with pytest.raises(ContractivityError):
+            maximality_noncommutative(big, horizon=1)
+        with pytest.raises(ArgumentError):
+            maximality_noncommutative(big, horizon=0)
+        with pytest.raises(ArgumentError):
+            maximality_commuting(big, horizon=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_classify_reads_the_standalone_verdicts(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 4))
+        r = float(rng.uniform(0.3, 0.8))
+        weights = rng.standard_normal(2)
+        draws = (
+            random_contractive(d, int(rng.integers(2, 7)),
+                               int(rng.integers(0, 3)), rng),
+            random_coinvariant_compression(d, 2, int(rng.integers(1, 3)), rng),
+            pure_nonmaximal_example(d, 2, r),
+            spherical_shift_sum(2, 3, weights / np.linalg.norm(weights),
+                                int(rng.integers(1, 3))),
+        )
+        for T in draws:
+            rep = classify(T)
+            assert rep.delta_1 == defect_dimension(T, 1)
+            assert rep.maximal_noncomm == maximality_noncommutative(T)
+            if rep.commuting:
+                assert rep.maximal_comm == maximality_commuting(T)
+            else:
+                assert rep.maximal_comm is None
 
 
 class TestCommutantAndIrreducibility:

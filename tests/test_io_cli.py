@@ -168,6 +168,31 @@ class TestCliDefect:
         assert main(["defect", str(tmp_path / "missing.json"),
                      "--n-max", "3"]) == 2
 
+    @pytest.mark.parametrize("argv", [["defect", "--n-max", "3"],
+                                      ["classify"]])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000],
+                             ids=["not-utf8", "deeply-nested"])
+    def test_undecodable_input_is_exit_two(self, tmp_path, capsys, argv,
+                                           content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [["defect", "--n-max", "3"],
+                                      ["classify"]])
+    def test_overflowing_tuple_is_exit_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "huge.json"
+        write_tuple(OperatorTuple((1e308 * np.eye(1),)), path)
+        rep = tmp_path / "huge_report.json"
+        assert main([argv[0], str(path), *argv[1:],
+                     "--report", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not rep.exists()
+
 
 class TestCliClassify:
     def test_report_fields(self, tmp_path):
