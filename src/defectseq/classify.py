@@ -33,7 +33,9 @@ import numpy as np
 from .config import size_cap
 from .defect import (
     _ladder,
+    _margin_is_contractive,
     commuting_bound,
+    contractivity_margin,
     geometric_bound,
     is_contractive,
     require_contractive,
@@ -115,11 +117,20 @@ def purity(T, max_iter=DEFAULT_MAX_ITER, eps_pure=DEFAULT_EPS_PURE,
     contractive tuple, which makes the iterates a decreasing chain of
     positive contractions.
     """
-    if max_iter < 1:
-        raise ArgumentError("iteration budget must be at least 1")
+    _check_budget(max_iter)
     tol = DEFAULT_TOL if tol is None else tol
     require_contractive(T, tol)
-    x = np.eye(T.h, dtype=np.complex128)
+    return _purity(T, max_iter, eps_pure, eps_conv)
+
+
+def _check_budget(max_iter):
+    if max_iter < 1:
+        raise ArgumentError("iteration budget must be at least 1")
+
+
+def _purity(T, max_iter, eps_pure, eps_conv):
+    # The iteration of ``purity`` for a tuple already known contractive.
+    x = np.eye(T.h, dtype=T.dtype)
     norm = 1.0
     for k in range(1, max_iter + 1):
         nxt = apply_cp_map(T, x)
@@ -261,7 +272,7 @@ def commutant_dimension(T, tol=None):
         raise SizeCapError(
             f"commutant system needs h^2 = {h * h} unknowns, cap is {cap}"
         )
-    eye = np.eye(h, dtype=np.complex128)
+    eye = np.eye(h, dtype=T.dtype)
     blocks = []
     for op in T.ops:
         for a in (op, op.conj().T):
@@ -282,10 +293,11 @@ def is_irreducible(T, tol=None):
 class ClassificationReport:
     """Aggregate structural verdict for one tuple.
 
-    For a non-contractive input only ``contractive`` and ``commuting``
-    are filled; every analysis field is None because the defect
-    machinery is not defined there.  ``maximal_comm`` is present exactly
-    when the tuple commutes.
+    For a non-contractive input only ``contractive``, ``commuting`` and
+    ``contractivity_margin`` are filled; every analysis field is None
+    because the defect machinery is not defined there.  ``maximal_comm``
+    is present exactly when the tuple commutes.  ``contractivity_margin``
+    is the smallest eigenvalue of I - cp(I) that decided ``contractive``.
     """
 
     contractive: bool
@@ -297,6 +309,7 @@ class ClassificationReport:
     commutant_dim: int | None
     irreducible: bool | None
     tol: RankTolerance
+    contractivity_margin: float | None = None
 
     def __post_init__(self):
         if self.contractive and self.commuting and self.maximal_comm is None:
@@ -315,7 +328,8 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
     not treated as a contradiction.
     """
     tol = DEFAULT_TOL if tol is None else tol
-    contractive = is_contractive(T, tol)
+    margin = contractivity_margin(T)
+    contractive = _margin_is_contractive(margin, tol)
     commuting = is_commuting(T, tol)
     if not contractive:
         return ClassificationReport(
@@ -328,9 +342,10 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
             commutant_dim=None,
             irreducible=None,
             tol=tol,
+            contractivity_margin=margin,
         )
-    verdict = purity(T, max_iter=max_iter, eps_pure=eps_pure,
-                     eps_conv=eps_conv, tol=tol)
+    _check_budget(max_iter)
+    verdict = _purity(T, max_iter, eps_pure, eps_conv)
     deltas = tuple(_ladder(T, tol))
     delta_1 = deltas[0]
     maximal_noncomm = _maximality(deltas, T.d, T.h, None, geometric_bound)
@@ -353,4 +368,5 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
         commutant_dim=commutant_dim,
         irreducible=irreducible,
         tol=tol,
+        contractivity_margin=margin,
     )

@@ -35,7 +35,7 @@ from .classify import (
     classify,
 )
 from .config import VERSION
-from .defect import contractivity_margin, defect_sequence
+from .defect import defect_sequence
 from .errors import (
     ArgumentError,
     ConsistencyError,
@@ -272,7 +272,7 @@ def _cmd_classify(args):
     tol = RankTolerance(args.rtol, args.atol)
     rep = classify(T, tol, max_iter=args.max_iter,
                    eps_pure=args.eps_pure, eps_conv=args.eps_conv)
-    margin = float(contractivity_margin(T))
+    margin = rep.contractivity_margin
 
     payload = {
         "format": "defectseq-report",

@@ -84,7 +84,7 @@ def contractivity_margin(T):
     and so no contractivity verdict, can be read from it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        d1 = np.eye(T.h) - apply_cp_map(T, np.eye(T.h, dtype=np.complex128))
+        d1 = np.eye(T.h) - apply_cp_map(T, np.eye(T.h, dtype=T.dtype))
     if not np.isfinite(d1).all():
         raise ArgumentError(
             "I - cp(I) is not finite; the tuple's entries are too large"
@@ -92,17 +92,21 @@ def contractivity_margin(T):
     return float(np.linalg.eigvalsh(hermitize(d1))[0])
 
 
+def _margin_is_contractive(margin, tol):
+    return margin >= -CONTRACTIVITY_SLACK * tol.rtol
+
+
 def is_contractive(T, tol=None):
     """Whether ``T`` is a row contraction within tolerance."""
     tol = DEFAULT_TOL if tol is None else tol
-    return contractivity_margin(T) >= -CONTRACTIVITY_SLACK * tol.rtol
+    return _margin_is_contractive(contractivity_margin(T), tol)
 
 
 def require_contractive(T, tol=None):
     """Raise ContractivityError unless ``T`` passes ``is_contractive``."""
     tol = DEFAULT_TOL if tol is None else tol
     margin = contractivity_margin(T)
-    if margin < -CONTRACTIVITY_SLACK * tol.rtol:
+    if not _margin_is_contractive(margin, tol):
         raise ContractivityError(
             f"not a row contraction: I - cp(I) has eigenvalue {margin:.3e}"
         )
@@ -222,7 +226,7 @@ def _ladder(T, tol):
     Callers check contractivity first; commutation is never tested here.
     """
     eye = np.eye(T.h)
-    x = np.eye(T.h, dtype=np.complex128)
+    x = np.eye(T.h, dtype=T.dtype)
     previous = None
     for _ in range(T.h + 1):
         x = apply_cp_map(T, x)

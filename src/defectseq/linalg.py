@@ -1,4 +1,4 @@
-"""Dense complex linear algebra with explicit rank tolerances.
+"""Dense linear algebra with explicit rank tolerances.
 
 Everything computed downstream is a rank, a range, or a lattice relation
 between ranges, so this module fixes one thresholding rule and applies
@@ -10,6 +10,15 @@ The defaults (rtol = 1e-9, atol = 1e-12) are deliberately loose.  The
 matrices that arrive here are built from contraction rows and exact
 projections, so genuine singular values sit far above the noise floor
 and the decision is never close on well-posed inputs.
+
+Real input stays real: ``numerical_rank``, ``require_hermitian`` and
+``hermitian_eig`` keep float64 matrices in float64 (so numpy runs the
+real LAPACK kernels) and work in complex128 otherwise;
+``as_operator_matrix`` always returns complex128.  A square input equal
+to its own adjoint, entry for entry, is ranked from the absolute values
+of its eigenvalues, which are its singular values (the route of
+``np.linalg.matrix_rank(hermitian=True)``); every other input is ranked
+from its singular value decomposition.
 
 Subspaces are always carried as matrices with orthonormal columns; the
 lattice operations (join, containment, complement) keep that normal
@@ -88,7 +97,18 @@ def as_operator_matrix(a, name="matrix"):
     The result always has at least one row and one column and only
     finite entries; anything else raises ArgumentError.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    return _checked_matrix(np.asarray(a, dtype=np.complex128), name)
+
+
+def _as_matrix(a, name="matrix"):
+    # Like as_operator_matrix, but real input (bool, integer or float)
+    # becomes float64 instead of complex128.
+    m = np.asarray(a)
+    dtype = np.float64 if m.dtype.kind in "biuf" else np.complex128
+    return _checked_matrix(m.astype(dtype, copy=False), name)
+
+
+def _checked_matrix(m, name):
     if m.ndim != 2:
         raise ArgumentError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -98,9 +118,9 @@ def as_operator_matrix(a, name="matrix"):
     return m
 
 
-def readonly_copy(a):
-    """A C-contiguous complex128 copy with the write flag cleared."""
-    out = np.array(a, dtype=np.complex128, copy=True, order="C")
+def readonly_copy(a, dtype=np.complex128):
+    """A C-contiguous copy of type ``dtype`` with the write flag cleared."""
+    out = np.array(a, dtype=dtype, copy=True, order="C")
     out.setflags(write=False)
     return out
 
@@ -172,8 +192,12 @@ def hermitize(m):
 
 
 def require_hermitian(m, name="matrix"):
-    """Validate that ``m`` is square and Hermitian within HERMITIAN_ATOL."""
-    m = as_operator_matrix(m, name)
+    """Validate that ``m`` is square and Hermitian within HERMITIAN_ATOL.
+
+    Returns the input as a float64 matrix when it is real and as a
+    complex128 matrix otherwise.
+    """
+    m = _as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise ArgumentError(f"{name} must be square, got shape {m.shape}")
     scale = 1.0 + float(np.max(np.abs(m)))
@@ -200,7 +224,8 @@ def hermitian_eig(m):
     w : ndarray
         Real eigenvalues in ascending order.
     q : ndarray
-        Unitary matrix of eigenvectors, one per column, satisfying
+        Unitary matrix of eigenvectors, one per column (real orthogonal
+        for real input), satisfying
         ``m ~ q @ diag(w) @ q*`` to within 1e-9 * (1 + ||m||).
 
     The input is re-symmetrized as (M + M*)/2 before decomposition so
@@ -217,12 +242,17 @@ def hermitian_norm(m):
 
 
 def numerical_rank(m, tol=None):
-    """Number of singular values of ``m`` above the rank cutoff."""
+    """Number of singular values of ``m`` above the rank cutoff.
+
+    An exactly Hermitian input takes its singular values as the absolute
+    values of its eigenvalues; any other input takes them from an SVD.
+    """
     tol = _resolve(tol)
-    m = as_operator_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0:
-        return 0
+    m = _as_matrix(m)
+    if m.shape[0] == m.shape[1] and np.array_equal(m, m.conj().T):
+        s = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
+    else:
+        s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > tol.cutoff(s[0])))
 
 

@@ -1,7 +1,11 @@
 """Operator tuples and the completely positive map they generate.
 
 An operator tuple is a finite sequence T = (T_1, ..., T_d) of h x h
-complex matrices acting on C^h.  The attached completely positive map is
+complex matrices acting on C^h.  A tuple whose entries all have
+imaginary part +0.0 is stored as float64 matrices, any other as
+complex128; the storage type is ``T.dtype``, and the cp map, its
+iterates and word products of a real tuple stay real.  The attached
+completely positive map is
 
     cp(X) = T_1 X T_1* + ... + T_d X T_d*,
 
@@ -62,6 +66,11 @@ class OperatorTuple:
         dimension, with finite entries.
     label : str
         Free-form description used in reports and file metadata.
+
+    The entries are stored as read-only float64 matrices when the
+    imaginary part of every entry is +0.0 bit for bit (real input
+    counts), and as complex128 otherwise; a -0.0 imaginary part keeps
+    the tuple complex, so the tuple file written from it is unchanged.
     """
 
     ops: tuple = field()
@@ -78,12 +87,20 @@ class OperatorTuple:
                 raise ArgumentError(
                     f"operator {i + 1} has shape {m.shape}, expected ({h}, {h})"
                 )
-        object.__setattr__(self, "ops", tuple(readonly_copy(m) for m in mats))
+        if all(_imag_is_plus_zero(m) for m in mats):
+            mats = tuple(m.real for m in mats)
+        object.__setattr__(self, "ops", tuple(
+            readonly_copy(m, mats[0].dtype) for m in mats))
 
     @property
     def d(self):
         """Number of entries in the tuple."""
         return len(self.ops)
+
+    @property
+    def dtype(self):
+        """Storage type of the entries: float64 or complex128."""
+        return self.ops[0].dtype
 
     @property
     def h(self):
@@ -102,6 +119,11 @@ class OperatorTuple:
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"OperatorTuple(d={self.d}, h={self.h}{tag})"
+
+
+def _imag_is_plus_zero(m):
+    # Bitwise test, so a -0.0 imaginary part counts as nonzero.
+    return not m.imag.view(np.uint64).any()
 
 
 def validate_word(word, d):
@@ -137,7 +159,7 @@ def word_apply(T, word):
     matrix order.
     """
     w = validate_word(word, T.d)
-    out = np.eye(T.h, dtype=np.complex128)
+    out = np.eye(T.h, dtype=T.dtype)
     for c in w:
         out = out @ T.ops[c - 1]
     return out
@@ -150,14 +172,15 @@ def apply_cp_map(T, x):
     of T_i x T_i*, re-symmetrized so roundoff cannot break Hermitian
     structure.  Positivity and the unit interval are preserved for
     contractive tuples: 0 <= x <= I implies 0 <= cp(x) <= I up to
-    rounding.
+    rounding.  The result is float64 when ``T`` and ``x`` are both real
+    and complex128 otherwise.
     """
     x = require_hermitian(x, "cp-map argument")
     if x.shape[0] != T.h:
         raise ArgumentError(
             f"cp-map argument has dimension {x.shape[0]}, tuple acts on {T.h}"
         )
-    acc = np.zeros((T.h, T.h), dtype=np.complex128)
+    acc = np.zeros((T.h, T.h), dtype=np.promote_types(T.dtype, x.dtype))
     for op in T.ops:
         acc += op @ x @ op.conj().T
     return hermitize(acc)
@@ -172,7 +195,7 @@ def cp_iterate(T, n):
     """
     if n < 0:
         raise ArgumentError("iteration count must be nonnegative")
-    x = np.eye(T.h, dtype=np.complex128)
+    x = np.eye(T.h, dtype=T.dtype)
     for _ in range(n):
         x = apply_cp_map(T, x)
     return x

@@ -1,5 +1,7 @@
 """Tests for purity iteration, maximality checks, and full classification."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,11 @@ from defectseq.classify import (
     maximality_noncommutative,
     purity,
 )
-from defectseq.defect import defect_dimension
+from defectseq.defect import (
+    contractivity_margin,
+    defect_dimension,
+    defect_sequence,
+)
 from defectseq.errors import ArgumentError, ConsistencyError, ContractivityError
 from defectseq.models import (
     fock_creation,
@@ -229,3 +235,91 @@ class TestClassify:
         with pytest.raises(ConsistencyError):
             ClassificationReport(commuting=False, maximal_comm=max_free,
                                  **base)
+
+
+class TestSingleContractivityCheck:
+    def test_classify_computes_the_margin_once(self, monkeypatch):
+        # The package re-exports the function ``classify`` under the
+        # submodule's name, so the modules come from importlib.
+        classify_module = importlib.import_module("defectseq.classify")
+        defect_module = importlib.import_module("defectseq.defect")
+        original = defect_module.contractivity_margin
+        calls = []
+
+        def counting(T):
+            calls.append(T)
+            return original(T)
+
+        for module in (classify_module, defect_module):
+            monkeypatch.setattr(module, "contractivity_margin", counting)
+        T = spherical_shift_sum(2, 2, (0.6, 0.8), 1)
+        rep = classify(T)
+        assert len(calls) == 1
+        assert rep.contractivity_margin == original(T)
+
+    def test_noncontractive_report_carries_the_margin(self):
+        T = OperatorTuple((1.5 * np.eye(2),))
+        rep = classify(T)
+        assert not rep.contractive
+        assert rep.contractivity_margin == contractivity_margin(T) < 0
+
+
+def real_row_contraction(d, h, defect_rank, seed):
+    """A real row contraction with first defect dimension ``defect_rank``."""
+    rng = np.random.default_rng(seed)
+    w, _ = np.linalg.qr(rng.standard_normal((h, h)))
+    big, _ = np.linalg.qr(rng.standard_normal((d * h, d * h)))
+    sigma = np.concatenate([np.ones(h - defect_rank),
+                            rng.uniform(0.2, 0.9, size=defect_rank)])
+    row = (w * sigma) @ big[:, :h].T
+    return OperatorTuple(tuple(row[:, i * h:(i + 1) * h] for i in range(d)))
+
+
+PHASE_ORACLE_CASES = {
+    "fock": lambda: fock_creation(2, 2),
+    "dshift": lambda: symmetric_fock_shift(2, 3),
+    "pure-nonmax": lambda: pure_nonmaximal_example(3, 2, 0.5),
+    "spherical-sum": lambda: spherical_shift_sum(2, 3, (0.6, 0.8), 2),
+    "real-random-0": lambda: real_row_contraction(2, 6, 1, 0),
+    "real-random-1": lambda: real_row_contraction(3, 5, 2, 1),
+    "real-random-2": lambda: real_row_contraction(2, 7, 3, 2),
+    "real-random-3": lambda: real_row_contraction(1, 4, 2, 3),
+}
+
+
+def _verdict_data(v):
+    if v is None:
+        return None
+    return (v.maximal, v.horizon, v.deltas, v.bounds, v.failed_at)
+
+
+def _integers(T):
+    rep = classify(T)
+    return {
+        "deltas": defect_sequence(T, T.h + 1).deltas,
+        "contractive": rep.contractive,
+        "commuting": rep.commuting,
+        "purity": (rep.purity.status, rep.purity.iterations),
+        "delta_1": rep.delta_1,
+        "maximal_noncomm": _verdict_data(rep.maximal_noncomm),
+        "maximal_comm": _verdict_data(rep.maximal_comm),
+        "commutant_dim": rep.commutant_dim,
+        "irreducible": rep.irreducible,
+    }
+
+
+class TestPhaseOracle:
+    """e^{i theta} T has the cp map and commutant of T but complex storage.
+
+    The complex route is the oracle for the real one: every integer the
+    package reports must agree between the two.
+    """
+
+    @pytest.mark.parametrize("name", sorted(PHASE_ORACLE_CASES))
+    def test_real_and_complex_routes_agree(self, name):
+        T = PHASE_ORACLE_CASES[name]()
+        rotated = OperatorTuple(tuple(np.exp(0.7j) * op for op in T.ops))
+        assert T.dtype == np.float64
+        assert rotated.dtype == np.complex128
+        assert _integers(T) == _integers(rotated)
+        assert purity(T).iterations == purity(rotated).iterations

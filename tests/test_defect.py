@@ -154,6 +154,28 @@ class TestDefectSequence:
         with pytest.raises(ContractivityError):
             defect_sequence(T, 3)
 
+    def test_one_cp_step_and_one_rank_decision_per_ladder_step(self, monkeypatch):
+        # The contractivity check applies the cp map once; the ladder
+        # 1, 3, 7, 15 then takes four steps of one cp map and one rank
+        # decision each, through the module's own bindings.
+        import defectseq.defect as defect
+        calls = {"apply_cp_map": 0, "numerical_rank": 0}
+
+        def counting(name):
+            original = getattr(defect, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(defect, name, counting(name))
+        rep = defect.defect_sequence(fock_creation(2, 3), 5)
+        assert rep.deltas == (1, 3, 7, 15)
+        assert calls == {"apply_cp_map": 5, "numerical_rank": 4}
+
 
 class TestDefectSpaces:
     def test_word_construction_matches_direct_on_models(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from defectseq.errors import ArgumentError
 from defectseq.linalg import (
@@ -102,6 +104,64 @@ class TestNumericalRank:
 
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
+
+    def test_non_hermitian_square_input_keeps_the_svd(self):
+        # A Jordan block has only zero eigenvalues but rank 1.
+        assert numerical_rank(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1
+
+    def test_rectangular_input(self):
+        assert numerical_rank(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])) == 1
+
+
+@st.composite
+def prescribed_spectra(draw):
+    """(eigenvalues, real?, seed) with every |eigenvalue| clear of the cutoff."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    magnitude = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=-15.0, max_value=1.0).map(lambda e: 10.0 ** e),
+    )
+    mags = draw(st.lists(magnitude, min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
+    lam = np.array(mags) * np.array(signs)
+    cutoff = DEFAULT_TOL.cutoff(np.max(np.abs(lam)))
+    assume(np.all(np.abs(np.abs(lam) - cutoff) > 1e-3 * cutoff))
+    return lam, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def hermitian_with_spectrum(lam, real, seed):
+    rng = np.random.default_rng(seed)
+    n = lam.size
+    g = rng.standard_normal((n, n))
+    if not real:
+        g = g + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    return hermitize(q @ np.diag(lam) @ q.conj().T)
+
+
+class TestHermitianRankRoute:
+    """Exactly Hermitian input is ranked from |eigvalsh|; the SVD is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(prescribed_spectra())
+    def test_rank_matches_the_svd_count(self, case):
+        lam, real, seed = case
+        m = hermitian_with_spectrum(lam, real, seed)
+        assert np.array_equal(m, m.conj().T)
+        assert m.dtype == (np.float64 if real else np.complex128)
+        s = np.linalg.svd(m, compute_uv=False)
+        svd_rank = int(np.count_nonzero(s > DEFAULT_TOL.cutoff(s[0])))
+        expected = int(np.count_nonzero(
+            np.abs(lam) > DEFAULT_TOL.cutoff(np.max(np.abs(lam)))))
+        assert numerical_rank(m) == svd_rank == expected
+
+    def test_real_input_stays_real(self):
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert require_hermitian(m).dtype == np.float64
+        w, q = hermitian_eig(m)
+        assert q.dtype == np.float64
+        assert np.allclose(w, [1.0, 3.0])
+        assert require_hermitian(m.astype(np.complex128)).dtype == np.complex128
 
 
 class TestSubspace:

@@ -254,3 +254,67 @@ class TestCommutation:
         up = np.diag(np.ones(2), 1)
         down = up.T
         assert not is_commuting(OperatorTuple((up, down)))
+
+
+class TestStorageType:
+    def test_real_input_is_stored_as_float64(self):
+        T = OperatorTuple((np.eye(2), np.array([[0, 1], [0, 0]])))
+        assert T.dtype == np.float64
+        assert all(op.dtype == np.float64 for op in T.ops)
+
+    def test_complex_input_with_zero_imaginary_parts_is_stored_real(self):
+        T = OperatorTuple((np.array([[0.5 + 0j, -1.0 + 0j], [0j, 0j]]),))
+        assert T.dtype == np.float64
+        assert np.array_equal(T.ops[0], [[0.5, -1.0], [0.0, 0.0]])
+
+    def test_complex_input_is_stored_as_complex128(self):
+        T = OperatorTuple((np.eye(2), np.array([[0.0, 0.5j], [0.0, 0.0]])))
+        assert T.dtype == np.complex128
+        assert all(op.dtype == np.complex128 for op in T.ops)
+
+    def test_negative_zero_imaginary_part_keeps_the_tuple_complex(self):
+        m = np.eye(2, dtype=np.complex128)
+        m[0, 1] = complex(0.0, -0.0)
+        T = OperatorTuple((np.eye(2), m))
+        assert T.dtype == np.complex128
+        assert np.signbit(T.ops[1][0, 1].imag)
+
+    def test_tuple_payload_keeps_the_negative_zero(self):
+        from defectseq.io import tuple_to_payload
+        m = np.eye(2, dtype=np.complex128)
+        m[1, 0] = complex(0.25, -0.0)
+        re, im = tuple_to_payload(OperatorTuple((m,)))["ops"][0][1][0]
+        assert (re, im) == (0.25, 0.0)
+        assert np.signbit(im)
+        real = tuple_to_payload(OperatorTuple((np.eye(2),)))["ops"][0]
+        assert real == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        assert not np.signbit(np.array(real)).any()
+
+    def test_real_tuple_kernels_stay_real(self):
+        rng = np.random.default_rng(4)
+        T = OperatorTuple(tuple(0.4 * rng.standard_normal((3, 3))
+                                for _ in range(2)))
+        assert cp_iterate(T, 2).dtype == np.float64
+        assert apply_cp_map(T, np.eye(3)).dtype == np.float64
+        assert word_apply(T, (1, 2)).dtype == np.float64
+        assert tuple_power(T, 2).dtype == np.float64
+
+    def test_real_tuple_on_complex_argument_gives_complex(self):
+        rng = np.random.default_rng(5)
+        T = OperatorTuple(tuple(0.4 * rng.standard_normal((3, 3))
+                                for _ in range(2)))
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        x = g @ g.conj().T
+        out = apply_cp_map(T, x)
+        assert out.dtype == np.complex128
+        want = sum(op @ x @ op.T for op in T.ops)
+        assert np.allclose(out, want)
+        assert np.abs(out.imag).max() > 0.1
+
+    def test_phase_rotation_has_the_same_cp_map(self):
+        rng = np.random.default_rng(6)
+        T = OperatorTuple(tuple(0.4 * rng.standard_normal((4, 4))
+                                for _ in range(3)))
+        R = OperatorTuple(tuple(np.exp(0.7j) * op for op in T.ops))
+        assert R.dtype == np.complex128
+        assert np.allclose(cp_iterate(R, 3), cp_iterate(T, 3))
