@@ -14,6 +14,15 @@ index past the ladder's stabilization point repeats the last value.
 ``classify`` runs the ladder once and reads Delta_1 and both maximality
 verdicts from that single run.
 
+Irreducibility is read from ``commutant_dimension``, which counts the
+Hermitian matrices commuting with every T_i.  The commutant of the
+*-closed set {T_i, T_i*} is a *-algebra, so that real dimension is its
+complex dimension, and the d constraints [T_i, X] = 0 on a Hermitian X
+imply the d adjoint ones.  The real system that remains costs a
+quarter of the stacked complex system of all 2d constraints, whose
+singular values are exactly sqrt(2) times its own; scaling by sqrt(2)
+before the cutoff keeps the rank decision the same.
+
 Purity is decided by fixed-point iteration with a three-way verdict.
 The iterates X_k = cp^k(I) decrease in the positive semidefinite order,
 so either they fall below the purity threshold (Pure), or they settle
@@ -44,8 +53,8 @@ from .errors import ArgumentError, ConsistencyError, SizeCapError
 from .linalg import (
     DEFAULT_TOL,
     RankTolerance,
+    _count_above,
     hermitian_norm,
-    numerical_rank,
     readonly_copy,
 )
 from .tuples import apply_cp_map, is_commuting
@@ -259,11 +268,24 @@ def is_maximal_commuting(T, horizon=None, tol=None):
 def commutant_dimension(T, tol=None):
     """Dimension of { X : X T_i = T_i X and X T_i* = T_i* X for all i }.
 
-    Vectorizes the 2d commutation constraints into a stacked linear
-    system on h**2 unknowns and counts its numerical nullity.  The
-    identity always commutes, so the result is at least 1.  Refuses
-    spaces with h**2 beyond the size cap; the stacked system holds
-    2 d h**2 rows of h**2 entries.
+    The commutant of the *-closed set {T_i, T_i*} is a *-algebra, so its
+    complex dimension equals the real dimension of its Hermitian part.
+    A Hermitian X commutes with T_i* as soon as it commutes with T_i,
+    since [T_i*, X] = -[T_i, X]*, so only the d constraints [T_i, X] = 0
+    are counted, over the h**2 real coordinates of X = S + iA (S real
+    symmetric, A real antisymmetric) in the orthonormal basis with
+    weights 1 on the diagonal and 1/sqrt(2) off it.  For a float64
+    tuple [T_i, S] is real and [T_i, iA] imaginary, so the system splits
+    into a real symmetric and a real antisymmetric block; a complex
+    tuple gives one real 2 d h**2 x h**2 block, the real and imaginary
+    parts of the system on [S | iA].
+
+    The stacked complex system of all 2d constraints on h**2 complex
+    unknowns has exactly sqrt(2) times these singular values, so they
+    are scaled by sqrt(2) and cut off once over their union: the count
+    applies the rank rule to the same numbers as that system at a
+    quarter of its cost.  The identity always commutes, so the result is
+    at least 1.  Refuses spaces with h**2 beyond the size cap.
     """
     tol = DEFAULT_TOL if tol is None else tol
     h = T.h
@@ -273,14 +295,26 @@ def commutant_dimension(T, tol=None):
             f"commutant system needs h^2 = {h * h} unknowns, cap is {cap}"
         )
     eye = np.eye(h, dtype=T.dtype)
-    blocks = []
-    for op in T.ops:
-        for a in (op, op.conj().T):
-            # Row-major vectorization: vec(A X) = kron(A, I) vec(X) and
-            # vec(X A) = kron(I, A^T) vec(X).
-            blocks.append(np.kron(a, eye) - np.kron(eye, a.T))
-    system = np.vstack(blocks)
-    return h * h - numerical_rank(system, tol)
+    # Row-major vectorization: vec(A X) = kron(A, I) vec(X) and
+    # vec(X A) = kron(I, A^T) vec(X).
+    system = np.vstack([np.kron(op, eye) - np.kron(eye, op.T)
+                        for op in T.ops])
+    # Columns of the basis matrices E_jj, (E_jk + E_kj)/sqrt(2) and
+    # (E_jk - E_kj)/sqrt(2) for j < k.
+    rows, cols = np.triu_indices(h, 1)
+    upper = system[:, rows * h + cols]
+    lower = system[:, cols * h + rows]
+    weight = np.sqrt(0.5)
+    sym = np.hstack([system[:, np.arange(h) * (h + 1)],
+                     weight * (upper + lower)])
+    anti = weight * (upper - lower)
+    if T.dtype == np.float64:
+        blocks = (sym, anti)
+    else:
+        # Real and imaginary parts of [sym | i anti].
+        blocks = (np.block([[sym.real, -anti.imag], [sym.imag, anti.real]]),)
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
+    return h * h - _count_above(np.sqrt(2.0) * s, tol)
 
 
 def is_irreducible(T, tol=None):

@@ -45,6 +45,7 @@ from .linalg import (
     DEFAULT_TOL,
     RankTolerance,
     Subspace,
+    _count_above,
     hermitize,
     numerical_rank,
     orthonormal_range,
@@ -362,13 +363,6 @@ class RankSymmetryVerdict:
                 f"({self.rank_left}, {self.rank_right}), kernels "
                 f"({self.ker_dim}, {self.coker_dim})"
             )
-
-
-def _count_above(values, tol):
-    if values.size == 0:
-        return 0
-    cutoff = tol.cutoff(float(np.max(values)))
-    return int(np.count_nonzero(values > cutoff))
 
 
 def rank_symmetry_check(T, n, tol=None):

@@ -104,7 +104,9 @@ def payload_to_tuple(payload):
     label = meta.get("label", "")
     if not isinstance(label, str):
         label = ""
-    mats = arr[..., 0] + 1j * arr[..., 1]
+    # A complex view of the [re, im] pairs keeps every bit, the sign of a
+    # -0.0 imaginary part included.
+    mats = arr.view(np.complex128)[..., 0]
     try:
         return OperatorTuple(tuple(mats), label=label)
     except ArgumentError as exc:

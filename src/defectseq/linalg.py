@@ -250,10 +250,18 @@ def numerical_rank(m, tol=None):
     tol = _resolve(tol)
     m = _as_matrix(m)
     if m.shape[0] == m.shape[1] and np.array_equal(m, m.conj().T):
-        s = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
+        s = np.abs(np.linalg.eigvalsh(m))
     else:
         s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > tol.cutoff(s[0])))
+    return _count_above(s, tol)
+
+
+def _count_above(values, tol):
+    # The one cutoff rule: how many of ``values`` exceed
+    # tol.cutoff(max(values)); an empty array counts zero.
+    if values.size == 0:
+        return 0
+    return int(np.count_nonzero(values > tol.cutoff(np.max(values))))
 
 
 def orthonormal_range(m, tol=None):
@@ -266,7 +274,7 @@ def orthonormal_range(m, tol=None):
     tol = _resolve(tol)
     m = as_operator_matrix(m)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = int(np.count_nonzero(s > tol.cutoff(s[0]))) if s.size else 0
+    r = _count_above(s, tol)
     return Subspace(m.shape[0], u[:, :r], tol)
 
 

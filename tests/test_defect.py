@@ -1,5 +1,8 @@
 """Unit tests for the defect engine: operators, sequences, bounds."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -175,6 +178,17 @@ class TestDefectSequence:
         rep = defect.defect_sequence(fock_creation(2, 3), 5)
         assert rep.deltas == (1, 3, 7, 15)
         assert calls == {"apply_cp_map": 5, "numerical_rank": 4}
+
+    def test_benchmark_tracer_self_test_passes(self, monkeypatch):
+        # The benchmark marks its runs incorrect when this fixture fails:
+        # the same ladder traced through every module binding, which
+        # must all be restored afterwards.
+        import defectseq.cli  # noqa: F401  (the tracer patches every module)
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracer = importlib.import_module("tracer")
+        passed, observed = tracer.self_test()
+        assert passed, observed
 
 
 class TestDefectSpaces:

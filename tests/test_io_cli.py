@@ -55,6 +55,21 @@ class TestTuplePayload:
         back = read_tuple(path)
         assert all(np.array_equal(x, y) for x, y in zip(T.ops, back.ops))
 
+    def test_negative_zero_imaginary_part_survives(self, tmp_path):
+        # The -0.0 keeps the tuple complex; reading must not clear it.
+        T = OperatorTuple((np.array([[complex(0.25, -0.0), 0.5],
+                                     [0.0, 0.25]]),))
+        assert T.dtype == np.complex128
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        write_tuple(T, first)
+        back = read_tuple(first)
+        assert back.dtype == np.complex128
+        assert np.signbit(back.ops[0][0, 0].imag)
+        assert np.array_equal(back.ops[0].view(np.uint64),
+                              T.ops[0].view(np.uint64))
+        write_tuple(back, second)
+        assert first.read_bytes() == second.read_bytes()
+
     @pytest.mark.parametrize("mangle", [
         lambda p: p.update(format="something-else"),
         lambda p: p.update(version=99),
