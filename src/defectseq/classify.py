@@ -29,7 +29,11 @@ so either they fall below the purity threshold (Pure), or they settle
 at a nonzero fixed point (NotPure, with the limit reported), or the
 iteration budget runs out first (Undecided).  An honest Undecided is
 preferred over a spectral shortcut that the rest of the package could
-not cross-check.
+not cross-check.  Each step decides from exact spectral norms, but takes
+them (two ``eigvalsh`` calls) only when the O(h**2) bounds
+max|A_jj| <= ||A||_2 <= ||A||_F cannot rule out both thresholds; most
+steps of a slow iteration end at the bounds, and the verdict is the one
+the exact norms give.
 """
 
 from __future__ import annotations
@@ -125,8 +129,15 @@ def purity(T, max_iter=DEFAULT_MAX_ITER, eps_pure=DEFAULT_EPS_PURE,
     a genuine fixed point can trigger the NotPure branch.  Requires a
     contractive tuple, which makes the iterates a decreasing chain of
     positive contractions.
+
+    ``eps_pure`` and ``eps_conv`` must be finite and nonnegative (zero is
+    allowed); anything else raises ArgumentError.  A step computes the
+    two spectral norms only when the diagonal and Frobenius bounds on
+    them cannot rule out both tests, and always at step ``max_iter``, so
+    the outcome is that of taking them on every step.
     """
     _check_budget(max_iter)
+    _check_thresholds(eps_pure, eps_conv)
     tol = DEFAULT_TOL if tol is None else tol
     require_contractive(T, tol)
     return _purity(T, max_iter, eps_pure, eps_conv)
@@ -137,18 +148,43 @@ def _check_budget(max_iter):
         raise ArgumentError("iteration budget must be at least 1")
 
 
+def _check_thresholds(eps_pure, eps_conv):
+    for name, eps in (("eps_pure", eps_pure), ("eps_conv", eps_conv)):
+        if not np.isfinite(eps) or eps < 0.0:
+            raise ArgumentError(f"{name} must be nonnegative and finite, got {eps}")
+
+
+# Relative slack on the cheap norm bounds.  It dwarfs the backward error
+# of eigvalsh and the rounding of the Frobenius norm, so a test that the
+# bounds rule out could not have passed in floating point either.
+_BOUND_SLACK = 1e-8
+
+
 def _purity(T, max_iter, eps_pure, eps_conv):
-    # The iteration of ``purity`` for a tuple already known contractive.
+    # The iteration of ``purity`` for a tuple already known contractive
+    # and thresholds already checked.  For Hermitian A,
+    # max|A_jj| <= ||A||_2 <= ||A||_F.  The Pure test cannot pass while
+    # max|diag X_k| exceeds eps_pure, nor the NotPure test while
+    # max|diag(X_{k-1} - X_k)| exceeds eps_conv ||X_k||_F, each up to the
+    # slack.  A step takes the exact norms only when a bound cannot rule
+    # its test out, and always at the last step, whose norm an Undecided
+    # verdict reports.
     x = np.eye(T.h, dtype=T.dtype)
-    norm = 1.0
+    below = 1.0 - _BOUND_SLACK
+    above = 1.0 + _BOUND_SLACK
     for k in range(1, max_iter + 1):
         nxt = apply_cp_map(T, x)
-        norm = hermitian_norm(nxt)
-        if norm <= eps_pure:
-            return PurityVerdict(Purity.PURE, k, norm)
-        step = hermitian_norm(x - nxt)
-        if step <= eps_conv * norm:
-            return PurityVerdict(Purity.NOT_PURE, k, norm, readonly_copy(nxt))
+        diag = nxt.diagonal()
+        may_be_pure = np.abs(diag).max() * below <= eps_pure
+        may_be_fixed = (np.abs(x.diagonal() - diag).max() * below
+                        <= eps_conv * float(np.linalg.norm(nxt)) * above)
+        if may_be_pure or may_be_fixed or k == max_iter:
+            norm = hermitian_norm(nxt)
+            if norm <= eps_pure:
+                return PurityVerdict(Purity.PURE, k, norm)
+            if may_be_fixed and hermitian_norm(x - nxt) <= eps_conv * norm:
+                return PurityVerdict(Purity.NOT_PURE, k, norm,
+                                     readonly_copy(nxt))
         x = nxt
     return PurityVerdict(Purity.UNDECIDED, max_iter, norm)
 
@@ -361,6 +397,7 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
     raises ConsistencyError instead of returning quietly; Undecided is
     not treated as a contradiction.
     """
+    _check_thresholds(eps_pure, eps_conv)
     tol = DEFAULT_TOL if tol is None else tol
     margin = contractivity_margin(T)
     contractive = _margin_is_contractive(margin, tol)

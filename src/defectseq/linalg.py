@@ -195,11 +195,14 @@ def require_hermitian(m, name="matrix"):
     """Validate that ``m`` is square and Hermitian within HERMITIAN_ATOL.
 
     Returns the input as a float64 matrix when it is real and as a
-    complex128 matrix otherwise.
+    complex128 matrix otherwise.  A finite input equal to its adjoint
+    entry for entry is accepted without measuring the deviation.
     """
     m = _as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise ArgumentError(f"{name} must be square, got shape {m.shape}")
+    if np.array_equal(m, m.conj().T):
+        return m
     scale = 1.0 + float(np.max(np.abs(m)))
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > HERMITIAN_ATOL * scale:

@@ -4,8 +4,13 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectseq.classify import (
+    DEFAULT_EPS_CONV,
+    DEFAULT_EPS_PURE,
+    DEFAULT_MAX_ITER,
     ClassificationReport,
     MaximalityVerdict,
     Purity,
@@ -25,6 +30,7 @@ from defectseq.defect import (
     defect_sequence,
 )
 from defectseq.errors import ArgumentError, ConsistencyError, ContractivityError
+from defectseq.linalg import hermitian_norm, readonly_copy
 from defectseq.models import (
     fock_creation,
     pure_nonmaximal_example,
@@ -34,7 +40,7 @@ from defectseq.models import (
     spherical_shift_sum,
     symmetric_fock_shift,
 )
-from defectseq.tuples import OperatorTuple, direct_sum
+from defectseq.tuples import OperatorTuple, apply_cp_map, direct_sum
 
 
 class TestPurity:
@@ -323,3 +329,198 @@ class TestPhaseOracle:
         assert rotated.dtype == np.complex128
         assert _integers(T) == _integers(rotated)
         assert purity(T).iterations == purity(rotated).iterations
+
+
+def reference_purity(T, max_iter=DEFAULT_MAX_ITER, eps_pure=DEFAULT_EPS_PURE,
+                     eps_conv=DEFAULT_EPS_CONV):
+    """The purity iteration with both exact spectral norms on every step.
+
+    ``purity`` takes them only when its cheap bounds cannot rule a test
+    out; the verdict, the iteration count, the residual norm and the
+    limit must come out the same bit for bit.
+    """
+    x = np.eye(T.h, dtype=T.dtype)
+    norm = 1.0
+    for k in range(1, max_iter + 1):
+        nxt = apply_cp_map(T, x)
+        norm = hermitian_norm(nxt)
+        if norm <= eps_pure:
+            return PurityVerdict(Purity.PURE, k, norm)
+        step = hermitian_norm(x - nxt)
+        if step <= eps_conv * norm:
+            return PurityVerdict(Purity.NOT_PURE, k, norm, readonly_copy(nxt))
+        x = nxt
+    return PurityVerdict(Purity.UNDECIDED, max_iter, norm)
+
+
+def exact_steps(T, n):
+    """(||X_k||, ||X_{k-1} - X_k||) for k = 1 .. n, as the oracle takes them."""
+    x = np.eye(T.h, dtype=T.dtype)
+    out = []
+    for _ in range(n):
+        nxt = apply_cp_map(T, x)
+        out.append((hermitian_norm(nxt), hermitian_norm(x - nxt)))
+        x = nxt
+    return out
+
+
+def scaled(T, c):
+    return OperatorTuple(tuple(c * op for op in T.ops))
+
+
+def assert_same_verdict(got, want):
+    assert got.status is want.status
+    assert got.iterations == want.iterations
+    assert got.residual_norm == want.residual_norm
+    if want.limit is None:
+        assert got.limit is None
+    else:
+        assert got.limit.dtype == want.limit.dtype
+        assert np.array_equal(got.limit, want.limit)
+
+
+@st.composite
+def purity_cases(draw):
+    """(tuple, budget, eps_pure, eps_conv) reaching all three verdicts.
+
+    Damped row coisometries decay too slowly for the budget (Undecided),
+    random draws and co-invariant compressions die out (Pure), and
+    spherical sums settle at a projection (NotPure).  Each tuple comes in
+    its own storage or rotated by e^{0.7i} into complex storage.
+    """
+    kind = draw(st.sampled_from(
+        ("random", "real-random", "damped", "coinvariant", "spherical",
+         "pure-nonmax")))
+    d = draw(st.integers(1, 3))
+    h = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "random":
+        T = random_contractive(d, h, draw(st.integers(0, h)), seed)
+    elif kind == "real-random":
+        T = real_row_contraction(d, h, draw(st.integers(0, h)), seed)
+    elif kind == "damped":
+        T = scaled(random_contractive(d, h, 0, seed),
+                   draw(st.floats(0.99, 0.9999)))
+    elif kind == "coinvariant":
+        T = random_coinvariant_compression(max(d, 2), 2,
+                                           draw(st.integers(1, 2)), seed)
+    elif kind == "spherical":
+        w = np.random.default_rng(seed).standard_normal(2)
+        T = spherical_shift_sum(2, draw(st.integers(1, 3)),
+                                w / np.linalg.norm(w), draw(st.integers(1, 3)))
+    else:
+        T = pure_nonmaximal_example(max(d, 2), 2, draw(st.floats(0.1, 0.9)))
+    if draw(st.booleans()):
+        T = scaled(T, np.exp(0.7j))
+    budget = draw(st.integers(1, 300))
+    eps_pure = draw(st.sampled_from((DEFAULT_EPS_PURE, 0.0, 1e-6, 1e-3)))
+    eps_conv = draw(st.sampled_from((DEFAULT_EPS_CONV, 0.0, 1e-8, 1e-4)))
+    return T, budget, eps_pure, eps_conv
+
+
+class TestBoundsFirstPurity:
+    """``purity`` skips the exact norms a cheap bound rules out.
+
+    ``reference_purity`` is the oracle; no skipped test may change the
+    outcome.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(purity_cases())
+    def test_matches_the_exact_loop(self, case):
+        T, budget, eps_pure, eps_conv = case
+        assert_same_verdict(purity(T, budget, eps_pure, eps_conv),
+                            reference_purity(T, budget, eps_pure, eps_conv))
+
+    @pytest.mark.parametrize("make", [
+        lambda: OperatorTuple((np.sqrt(0.9) * np.eye(3),)),
+        lambda: random_contractive(2, 4, 2, 5),
+        lambda: scaled(random_contractive(2, 4, 0, 6), 0.95),
+    ], ids=["scalar", "random", "damped"])
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_purity_threshold_at_an_iterate_norm(self, make, k):
+        # The scalar tuple has max|diag X_k| = ||X_k||: the lower bound is
+        # as tight as it gets, so only the slack keeps the exact test.
+        T = make()
+        norm = exact_steps(T, k)[-1][0]
+        assert norm > 0.0
+        for eps in (np.nextafter(norm, 0.0), norm, np.nextafter(norm, 1.0)):
+            want = reference_purity(T, 40, eps, DEFAULT_EPS_CONV)
+            assert_same_verdict(purity(T, 40, eps, DEFAULT_EPS_CONV), want)
+            assert want.status is Purity.PURE
+            assert (want.iterations > k) == (eps < norm)
+
+    @pytest.mark.parametrize("make", [
+        lambda: OperatorTuple((np.sqrt(0.9) * np.eye(3),)),
+        lambda: spherical_shift_sum(2, 3, (0.6, 0.8), 2),
+        lambda: scaled(random_contractive(2, 4, 0, 6), 0.95),
+    ], ids=["scalar", "spherical", "damped"])
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_convergence_threshold_at_a_step_ratio(self, make, k):
+        T = make()
+        norm, step = exact_steps(T, k)[-1]
+        ratio = step / norm
+        verdicts = []
+        for eps in (np.nextafter(ratio, 0.0), ratio, np.nextafter(ratio, 1.0)):
+            want = reference_purity(T, 40, 0.0, eps)
+            assert_same_verdict(purity(T, 40, 0.0, eps), want)
+            verdicts.append((want.status, want.iterations))
+        # The threshold is met by step k at the latest, so the verdicts
+        # straddle the boundary being tested.
+        assert any(status is Purity.NOT_PURE and it <= k
+                   for status, it in verdicts)
+
+    def test_damped_tuple_takes_the_exact_norm_at_most_twice(self, monkeypatch):
+        classify_module = importlib.import_module("defectseq.classify")
+        counts = {"norm": 0, "cp": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(classify_module, "hermitian_norm",
+                            counted("norm", hermitian_norm))
+        monkeypatch.setattr(classify_module, "apply_cp_map",
+                            counted("cp", apply_cp_map))
+        T = scaled(random_contractive(2, 8, 0, 0), 0.999)
+        v = purity(T)
+        assert v.status is Purity.UNDECIDED
+        assert v.iterations == DEFAULT_MAX_ITER
+        assert counts["cp"] == DEFAULT_MAX_ITER
+        assert 1 <= counts["norm"] <= 2
+
+
+BAD_THRESHOLDS = [
+    {"eps_pure": np.inf}, {"eps_pure": np.nan}, {"eps_pure": -1.0},
+    {"eps_conv": np.inf}, {"eps_conv": np.nan}, {"eps_conv": -1e-12},
+]
+
+
+class TestPurityThresholds:
+    @pytest.mark.parametrize("bad", BAD_THRESHOLDS)
+    def test_purity_rejects_bad_thresholds(self, bad):
+        with pytest.raises(ArgumentError):
+            purity(fock_creation(2, 2), **bad)
+
+    @pytest.mark.parametrize("bad", BAD_THRESHOLDS)
+    def test_classify_rejects_them_before_the_contractivity_check(self, bad):
+        with pytest.raises(ArgumentError):
+            classify(fock_creation(2, 2), **bad)
+        with pytest.raises(ArgumentError):
+            classify(OperatorTuple((1.5 * np.eye(2),)), **bad)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_thresholds_match_the_oracle_without_warnings(self):
+        T = random_contractive(2, 4, 1, 7)
+        for eps_pure, eps_conv in ((0.0, 1e308), (1e308, 1e308)):
+            assert_same_verdict(purity(T, 5, eps_pure, eps_conv),
+                                reference_purity(T, 5, eps_pure, eps_conv))
+
+    def test_zero_thresholds_are_valid(self):
+        assert purity(fock_creation(2, 2), eps_pure=0.0,
+                      eps_conv=0.0).status is Purity.PURE
+        T = spherical_shift_sum(2, 2, (0.6, 0.8), 1)
+        rep = classify(T, max_iter=200, eps_pure=0.0, eps_conv=0.0)
+        assert_same_verdict(rep.purity, reference_purity(T, 200, 0.0, 0.0))

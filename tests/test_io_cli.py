@@ -247,6 +247,32 @@ class TestCliClassify:
         assert payload["result"]["purity"]["status"] == "Undecided"
 
 
+    @pytest.mark.parametrize("flag", ["--eps-pure=inf", "--eps-pure=nan",
+                                      "--eps-pure=-1", "--eps-conv=inf",
+                                      "--eps-conv=nan", "--eps-conv=-1"])
+    @pytest.mark.parametrize("scale", [1.0, 1.4],
+                             ids=["contractive", "noncontractive"])
+    def test_bad_threshold_is_exit_two(self, tmp_path, capsys, flag, scale):
+        src = tmp_path / "in.json"
+        write_tuple(OperatorTuple((scale * np.diag([0.5, 0.0]),)), src)
+        rep = tmp_path / "report.json"
+        assert main(["classify", str(src), flag, "--report", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not rep.exists()
+
+    def test_zero_thresholds_are_accepted(self, tmp_path):
+        src = tmp_path / "in.json"
+        main(["model", "fock", "--d", "2", "--levels", "2", "-o", str(src)])
+        rep = tmp_path / "report.json"
+        assert main(["classify", str(src), "--eps-pure", "0",
+                     "--eps-conv", "0", "--report", str(rep)]) == 0
+        payload = json.loads(rep.read_text())
+        assert payload["flags"]["eps_pure"] == 0.0
+        assert payload["result"]["purity"]["status"] == "Pure"
+
+
 class TestCliVerify:
     def test_single_suite_passes(self, tmp_path, capsys):
         rep = tmp_path / "v.json"

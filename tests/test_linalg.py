@@ -83,6 +83,28 @@ class TestHermitianHelpers:
         with pytest.raises(ArgumentError):
             require_hermitian(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_require_hermitian_rejects_non_finite(self, bad):
+        # Placed symmetrically, so only the finiteness check can object.
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ArgumentError):
+            require_hermitian(m)
+
+    def test_require_hermitian_returns_rounding_unchanged(self):
+        a = np.eye(3) + 1e-14 * np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]])
+        assert not np.array_equal(a, a.conj().T)
+        out = require_hermitian(a)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, a)
+
+    def test_require_hermitian_accepts_signed_zero_asymmetry(self):
+        m = np.array([[1.0, 0.0], [-0.0, 1.0]])
+        out = require_hermitian(m)
+        assert np.signbit(out[1, 0]) and not np.signbit(out[0, 1])
+        c = np.array([[1.0, complex(0.5, 0.0)], [complex(0.5, 0.0), 1.0]])
+        assert np.array_equal(require_hermitian(c), c)
+
     def test_hermitian_eig_sorted_ascending(self):
         vals, _ = hermitian_eig(np.diag([3.0, -1.0, 2.0]))
         assert list(vals) == sorted(vals)
