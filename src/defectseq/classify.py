@@ -57,6 +57,7 @@ from .errors import ArgumentError, ConsistencyError, SizeCapError
 from .linalg import (
     DEFAULT_TOL,
     RankTolerance,
+    _BOUND_SLACK,
     _count_above,
     hermitian_norm,
     readonly_copy,
@@ -152,12 +153,6 @@ def _check_thresholds(eps_pure, eps_conv):
     for name, eps in (("eps_pure", eps_pure), ("eps_conv", eps_conv)):
         if not np.isfinite(eps) or eps < 0.0:
             raise ArgumentError(f"{name} must be nonnegative and finite, got {eps}")
-
-
-# Relative slack on the cheap norm bounds.  It dwarfs the backward error
-# of eigvalsh and the rounding of the Frobenius norm, so a test that the
-# bounds rule out could not have passed in floating point either.
-_BOUND_SLACK = 1e-8
 
 
 def _purity(T, max_iter, eps_pure, eps_conv):
@@ -396,8 +391,16 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
     nonzero cp-map fixed point, so a NotPure verdict in that situation
     raises ConsistencyError instead of returning quietly; Undecided is
     not treated as a contradiction.
+
+    ``eps_conv`` must also lie below 1: a relative step bound of 1 or
+    more lets the NotPure test pass on the first step of a pure tuple,
+    so it cannot certify a fixed point, and the cross-check would blame
+    the purity law for the threshold.  ArgumentError otherwise.
     """
     _check_thresholds(eps_pure, eps_conv)
+    if eps_conv >= 1.0:
+        raise ArgumentError(
+            f"eps_conv must be below 1 to certify convergence, got {eps_conv}")
     tol = DEFAULT_TOL if tol is None else tol
     margin = contractivity_margin(T)
     contractive = _margin_is_contractive(margin, tol)

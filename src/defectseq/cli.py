@@ -468,7 +468,7 @@ def build_parser():
                      help=f"purity norm threshold (default {DEFAULT_EPS_PURE})")
     cls.add_argument("--eps-conv", type=float, default=DEFAULT_EPS_CONV,
                      dest="eps_conv",
-                     help=f"relative fixed-point threshold "
+                     help=f"relative fixed-point threshold, below 1 "
                           f"(default {DEFAULT_EPS_CONV})")
     cls.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                      dest="max_iter",

@@ -46,6 +46,7 @@ from .linalg import (
     RankTolerance,
     Subspace,
     _count_above,
+    _hermitian_eigvals,
     hermitize,
     numerical_rank,
     orthonormal_range,
@@ -90,7 +91,7 @@ def contractivity_margin(T):
         raise ArgumentError(
             "I - cp(I) is not finite; the tuple's entries are too large"
         )
-    return float(np.linalg.eigvalsh(hermitize(d1))[0])
+    return float(_hermitian_eigvals(hermitize(d1))[0])
 
 
 def _margin_is_contractive(margin, tol):

@@ -24,6 +24,7 @@ byte-identical files.  Nothing time- or host-dependent is written.
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -113,6 +114,19 @@ def payload_to_tuple(payload):
         raise TupleFormatError(str(exc)) from exc
 
 
+def _loads_without_gc(text):
+    # A tuple file parses into hundreds of thousands of small lists and
+    # no reference cycles, so the cyclic collector's passes during the
+    # parse find nothing and only cost time.  Its state is restored.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def read_tuple(path):
     """Load an operator tuple from a JSON file.
 
@@ -122,7 +136,7 @@ def read_tuple(path):
     OSError family.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = _loads_without_gc(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise TupleFormatError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:

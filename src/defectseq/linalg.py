@@ -20,6 +20,16 @@ of its eigenvalues, which are its singular values (the route of
 ``np.linalg.matrix_rank(hermitian=True)``); every other input is ranked
 from its singular value decomposition.
 
+The eigenvalues of an exactly Hermitian matrix whose off-diagonal
+entries are all zero are read off its diagonal, sorted, in place of an
+``eigvalsh`` call.  That is the value ``eigvalsh`` returns, bit for bit,
+when LAPACK's ``xSYEVD``/``xHEEVD`` does not rescale the matrix: the
+largest |entry| is 0 or lies in [sqrt(safmin/eps), 1/sqrt(safmin/eps)]
+(about 1e-146 to 1e146), and no diagonal entry is -0.0, whose sign and
+place among the zeros LAPACK does not keep.  Any other matrix goes to
+``eigvalsh``.  ``numerical_rank``, ``hermitian_norm`` and the
+contractivity margin all take their eigenvalues this way.
+
 Subspaces are always carried as matrices with orthonormal columns; the
 lattice operations (join, containment, complement) keep that normal
 form.
@@ -59,6 +69,13 @@ HERMITIAN_ATOL = 1e-10
 # Entrywise deviation of basis* basis from the identity tolerated when a
 # Subspace is constructed.
 ORTHONORMALITY_ATOL = 1e-10
+
+# Relative slack on cheap norm bounds (a diagonal entry or a column norm
+# below a spectral norm, the Frobenius norm above it) that let a caller
+# skip an exact norm.  It dwarfs the rounding of those bounds and the
+# backward error of eigvalsh and the SVD, so a test that the bounds
+# settle comes out as the exact norms would have it.
+_BOUND_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -239,9 +256,32 @@ def hermitian_eig(m):
     return w, q
 
 
+# LAPACK's xSYEVD and xHEEVD rescale a matrix whose largest |entry|
+# lies outside [sqrt(safmin/eps), 1/sqrt(safmin/eps)] (eps is DLAMCH's
+# 'Precision', 2**-52), which rounds the eigenvalues of a diagonal.
+_EIGVALSH_UNSCALED_MIN = float(np.sqrt(np.finfo(np.float64).tiny
+                                       / np.finfo(np.float64).eps))
+_EIGVALSH_UNSCALED_MAX = 1.0 / _EIGVALSH_UNSCALED_MIN
+
+
+def _hermitian_eigvals(m):
+    # Ascending eigenvalues of an exactly Hermitian matrix, equal bit
+    # for bit to np.linalg.eigvalsh(m): a diagonal matrix inside
+    # LAPACK's unscaled range and free of -0.0 on its diagonal gives its
+    # sorted diagonal, anything else goes to eigvalsh.
+    diag = m.diagonal().real
+    if np.count_nonzero(m) == np.count_nonzero(diag):
+        top = float(np.max(np.abs(diag)))
+        if ((top == 0.0 or _EIGVALSH_UNSCALED_MIN <= top
+             <= _EIGVALSH_UNSCALED_MAX)
+                and not np.signbit(diag[diag == 0.0]).any()):
+            return np.sort(diag)
+    return np.linalg.eigvalsh(m)
+
+
 def hermitian_norm(m):
     """Spectral norm of a Hermitian matrix via its eigenvalues."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(hermitize(m)))))
+    return float(np.max(np.abs(_hermitian_eigvals(hermitize(m)))))
 
 
 def numerical_rank(m, tol=None):
@@ -253,7 +293,7 @@ def numerical_rank(m, tol=None):
     tol = _resolve(tol)
     m = _as_matrix(m)
     if m.shape[0] == m.shape[1] and np.array_equal(m, m.conj().T):
-        s = np.abs(np.linalg.eigvalsh(m))
+        s = np.abs(_hermitian_eigvals(m))
     else:
         s = np.linalg.svd(m, compute_uv=False)
     return _count_above(s, tol)

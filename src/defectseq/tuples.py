@@ -18,10 +18,23 @@ enumerates all d**n words of length n in that same lexicographic order.
 The internal ordering is a storage convention, not a mathematical
 choice; every quantity derived from these tuples is invariant under
 permuting the entries.
+
+A float64 tuple in which every row and every column of every entry
+holds at most one nonzero (a partial permutation with weights, such as
+the Fock creation tuple and the symmetric shift) maps diagonal matrices
+to diagonal matrices.  ``apply_cp_map`` then computes a diagonal
+argument's image from the nonzeros alone, O(nnz) in place of d dense
+matrix products, with the rounding of the dense route: the one nonzero
+term of each product entry is w * x * w, summed over the entries in
+tuple order.  The pattern is found once per tuple, on first use, by
+testing for exact zeros, so an entry of 1e-300 counts as a nonzero.
+Complex tuples always take the dense route, because the rounding order
+of complex matrix products is not fixed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -31,6 +44,7 @@ from .config import size_cap
 from .errors import ArgumentError, SizeCapError
 from .linalg import (
     DEFAULT_TOL,
+    _BOUND_SLACK,
     as_operator_matrix,
     hermitize,
     readonly_copy,
@@ -107,6 +121,27 @@ class OperatorTuple:
         """Dimension of the space the tuple acts on."""
         return self.ops[0].shape[0]
 
+    @functools.cached_property
+    def _shift_pattern(self):
+        # (rows, cols, weights) of the nonzeros of all entries, entry by
+        # entry in tuple order, when the tuple is float64 and no row or
+        # column of any entry holds two exact nonzeros; None otherwise.
+        # Computed on first use.
+        if self.dtype != np.float64:
+            return None
+        rows, cols, weights = [], [], []
+        for op in self.ops:
+            if np.count_nonzero(op) > self.h:
+                return None
+            r, c = np.nonzero(op)
+            # np.nonzero lists rows in ascending order.
+            if (np.diff(r) == 0).any() or (np.diff(np.sort(c)) == 0).any():
+                return None
+            rows.append(r)
+            cols.append(c)
+            weights.append(op[r, c])
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
+
     def op(self, letter):
         """The entry for a 1-based letter, matching word notation."""
         if not 1 <= letter <= self.d:
@@ -174,12 +209,29 @@ def apply_cp_map(T, x):
     contractive tuples: 0 <= x <= I implies 0 <= cp(x) <= I up to
     rounding.  The result is float64 when ``T`` and ``x`` are both real
     and complex128 otherwise.
+
+    A float64 tuple whose entries are weighted partial permutations maps
+    a float64 diagonal ``x`` to a diagonal without matrix products; the
+    result is the same array, bit for bit.
     """
     x = require_hermitian(x, "cp-map argument")
     if x.shape[0] != T.h:
         raise ArgumentError(
             f"cp-map argument has dimension {x.shape[0]}, tuple acts on {T.h}"
         )
+    pattern = T._shift_pattern
+    if pattern is not None and x.dtype == np.float64:
+        diag = x.diagonal()
+        if np.count_nonzero(x) == np.count_nonzero(diag):
+            rows, cols, weights = pattern
+            # bincount adds the terms into each row from 0.0 in index
+            # order, which is tuple order, as the dense accumulator does.
+            v = np.bincount(rows, (weights * diag[cols]) * weights, T.h)
+            # A non-finite term leaves NaN off the diagonal of the dense
+            # products, so that case goes the dense way.
+            if np.isfinite(v).all():
+                # The diagonal of hermitize(diag(v)), overflow included.
+                return np.diag((v + v) / 2.0)
     acc = np.zeros((T.h, T.h), dtype=np.promote_types(T.dtype, x.dtype))
     for op in T.ops:
         acc += op @ x @ op.conj().T
@@ -299,16 +351,6 @@ def compress(T, m):
     return OperatorTuple(ops, label)
 
 
-def commutator_norms(T):
-    """Spectral norms of all pairwise commutators T_i T_j - T_j T_i."""
-    norms = []
-    for i in range(T.d):
-        for j in range(i + 1, T.d):
-            comm = T.ops[i] @ T.ops[j] - T.ops[j] @ T.ops[i]
-            norms.append(float(np.linalg.norm(comm, 2)))
-    return norms
-
-
 def is_commuting(T, tol=None):
     """Whether all entries commute pairwise.
 
@@ -316,10 +358,37 @@ def is_commuting(T, tol=None):
     every commutator must satisfy
     ``||T_i T_j - T_j T_i|| <= rtol * (1 + max_i ||T_i||^2)``.
     A 1-tuple commutes trivially.
+
+    Spectral norms are taken only when the bounds
+    max column norm <= ||A||_2 <= ||A||_F, widened by a fixed relative
+    slack, cannot settle a commutator; the verdict is the one the
+    spectral norms give.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if T.d == 1:
         return True
+    comms = [T.ops[i] @ T.ops[j] - T.ops[j] @ T.ops[i]
+             for i in range(T.d) for j in range(i + 1, T.d)]
+    frobs = [float(np.linalg.norm(comm)) for comm in comms]
+    # An overflowing commutator keeps the exact route and what it gives.
+    if np.isfinite(frobs).all():
+        col_max = max(_max_column_norm(op) for op in T.ops)
+        frob_max = max(float(np.linalg.norm(op)) for op in T.ops)
+        below = 1.0 - _BOUND_SLACK
+        above = 1.0 + _BOUND_SLACK
+        # The exact bound lies between these two.
+        bound_low = tol.rtol * (1.0 + col_max * col_max) * below
+        bound_high = tol.rtol * (1.0 + frob_max * frob_max) * above
+        if any(_max_column_norm(comm) * below > bound_high for comm in comms):
+            return False
+        comms = [comm for comm, frob in zip(comms, frobs)
+                 if frob * above > bound_low]
+        if not comms:
+            return True
     max_norm = max(float(np.linalg.norm(op, 2)) for op in T.ops)
     bound = tol.rtol * (1.0 + max_norm * max_norm)
-    return all(n <= bound for n in commutator_norms(T))
+    return all(float(np.linalg.norm(comm, 2)) <= bound for comm in comms)
+
+
+def _max_column_norm(a):
+    return float(np.max(np.linalg.norm(a, axis=0)))

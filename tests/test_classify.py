@@ -518,6 +518,19 @@ class TestPurityThresholds:
             assert_same_verdict(purity(T, 5, eps_pure, eps_conv),
                                 reference_purity(T, 5, eps_pure, eps_conv))
 
+    @pytest.mark.parametrize("eps_conv", [1.0, 2.0, 1e308])
+    def test_classify_needs_eps_conv_below_one(self, eps_conv):
+        # A relative step bound of 1 passes the NotPure test on the first
+        # step of the pure creation tuple; purity() still reports that.
+        assert purity(fock_creation(2, 2),
+                      eps_conv=eps_conv).status is Purity.NOT_PURE
+        with pytest.raises(ArgumentError, match="eps_conv"):
+            classify(fock_creation(2, 2), eps_conv=eps_conv)
+        with pytest.raises(ArgumentError, match="eps_conv"):
+            classify(OperatorTuple((1.5 * np.eye(2),)), eps_conv=eps_conv)
+        below = np.nextafter(1.0, 0.0)
+        assert classify(fock_creation(2, 2), eps_conv=below).irreducible
+
     def test_zero_thresholds_are_valid(self):
         assert purity(fock_creation(2, 2), eps_pure=0.0,
                       eps_conv=0.0).status is Purity.PURE

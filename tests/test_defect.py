@@ -24,7 +24,14 @@ from defectseq.defect import (
 )
 from defectseq.errors import ArgumentError, ConsistencyError, ContractivityError
 from defectseq.linalg import RankTolerance, subspace_equal
-from defectseq.models import fock_creation, random_contractive
+from defectseq.classify import purity
+from defectseq.models import (
+    fock_creation,
+    pure_nonmaximal_example,
+    random_contractive,
+    spherical_shift_sum,
+    symmetric_fock_shift,
+)
 from defectseq.tuples import OperatorTuple
 
 
@@ -41,6 +48,34 @@ def unitary_tuple(rng, h):
                         + 1j * rng.standard_normal((h, h)))
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
     return OperatorTuple((q,))
+
+
+def orthogonal_matrix(h, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((h, h)))
+    return q
+
+
+def orthogonal_conjugate(T, seed):
+    # Q T_i Q^T for a seeded real orthogonal Q: the same cp map up to
+    # rounding, with dense entries.
+    q = orthogonal_matrix(T.h, seed)
+    return OperatorTuple(tuple(q @ op @ q.T for op in T.ops))
+
+
+def shift_draw(seed, d, h):
+    # A contractive real tuple of signed-weight partial permutations with
+    # empty rows and columns.
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(d):
+        m = np.zeros((h, h))
+        keep = rng.random(h) < 0.8
+        m[rng.permutation(h)[keep], rng.permutation(h)[keep]] = (
+            rng.choice([-1.0, 1.0], keep.sum()) * rng.uniform(0.2, 1.0, keep.sum()))
+        ops.append(m)
+    top = np.sqrt(max(float(np.max(sum((m * m).sum(axis=1) for m in ops))),
+                       1.0))
+    return OperatorTuple(tuple(m / top for m in ops))
 
 
 class TestBounds:
@@ -179,6 +214,30 @@ class TestDefectSequence:
         assert rep.deltas == (1, 3, 7, 15)
         assert calls == {"apply_cp_map": 5, "numerical_rank": 4}
 
+    def test_dense_route_makes_the_same_calls(self, monkeypatch):
+        # The same counts on a tuple that takes the dense cp step: a
+        # fixed real orthogonal conjugate of fock_creation(2, 3).
+        import defectseq.defect as defect
+        T = orthogonal_conjugate(fock_creation(2, 3), 0)
+        assert T._shift_pattern is None
+        assert fock_creation(2, 3)._shift_pattern is not None
+        calls = {"apply_cp_map": 0, "numerical_rank": 0}
+
+        def counting(name):
+            original = getattr(defect, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(defect, name, counting(name))
+        rep = defect.defect_sequence(T, 5)
+        assert rep.deltas == (1, 3, 7, 15)
+        assert calls == {"apply_cp_map": 5, "numerical_rank": 4}
+
     def test_benchmark_tracer_self_test_passes(self, monkeypatch):
         # The benchmark marks its runs incorrect when this fixture fails:
         # the same ladder traced through every module binding, which
@@ -279,3 +338,65 @@ class TestProductBounds:
         v = fock_creation(2, 2)
         loose = RankTolerance(rtol=1e-3, atol=1e-6)
         assert defect_dimension(v, 1, loose) == 1
+
+
+SHIFT_ROUTE_CASES = {
+    "fock-2-4": lambda: fock_creation(2, 4),
+    "fock-1-12": lambda: fock_creation(1, 12),
+    "dshift-2-6": lambda: symmetric_fock_shift(2, 6),
+    "dshift-3-3": lambda: symmetric_fock_shift(3, 3),
+    "spherical-sum": lambda: spherical_shift_sum(2, 3, (0.6, 0.8), 2),
+    "pure-nonmax": lambda: pure_nonmaximal_example(3, 3, 0.5),
+    **{f"draw-{seed}": (lambda seed=seed: shift_draw(seed, 1 + seed % 3,
+                                                     4 + 5 * seed))
+       for seed in range(6)},
+}
+
+
+class TestShiftRoute:
+    """The diagonal route against the dense one on the same tuples."""
+
+    @pytest.mark.parametrize("name", sorted(SHIFT_ROUTE_CASES))
+    def test_dense_routes_give_the_same_results(self, name):
+        T = SHIFT_ROUTE_CASES[name]()
+        assert T._shift_pattern is not None
+        fast_ladder = defect_sequence(T, T.h + 1)
+        fast_purity = purity(T, max_iter=500)
+        rotated = OperatorTuple(tuple(np.exp(0.7j) * op for op in T.ops))
+        # Each dense tuple with the basis change that carries T to it.
+        q = orthogonal_matrix(T.h, 1)
+        for dense, basis in ((orthogonal_conjugate(T, 1), q),
+                             (rotated, np.eye(T.h))):
+            assert dense._shift_pattern is None
+            assert defect_sequence(dense, T.h + 1) == fast_ladder
+            assert contractivity_margin(dense) == pytest.approx(
+                contractivity_margin(T), abs=1e-12)
+            verdict = purity(dense, max_iter=500)
+            assert verdict.status is fast_purity.status
+            assert verdict.iterations == fast_purity.iterations
+            assert verdict.residual_norm == pytest.approx(
+                fast_purity.residual_norm, rel=1e-9, abs=1e-12)
+            if verdict.limit is not None:
+                assert np.allclose(verdict.limit,
+                                   basis @ fast_purity.limit @ basis.T,
+                                   atol=1e-9)
+
+    @pytest.mark.parametrize("where", ["tiny-entry", "row", "column"])
+    def test_near_misses_keep_the_ladder(self, where):
+        T = fock_creation(2, 3)
+        ops = [np.array(op) for op in T.ops]
+        empty_col = int(np.flatnonzero(~ops[0].any(axis=0))[0])
+        empty_row = int(np.flatnonzero(~ops[0].any(axis=1))[0])
+        full_row, full_col = (int(i) for i in np.argwhere(ops[0])[0])
+        if where == "tiny-entry":
+            ops[0][full_row, empty_col] = 1e-300
+        elif where == "row":
+            ops[0][full_row, empty_col] = 0.5
+        else:
+            ops[0][empty_row, full_col] = 0.5
+        scale = max(np.linalg.norm(np.hstack(ops), 2), 1.0)
+        near = OperatorTuple(tuple(op / scale for op in ops))
+        assert near._shift_pattern is None
+        dense = orthogonal_conjugate(near, 2)
+        assert defect_sequence(near, near.h + 1) == defect_sequence(
+            dense, near.h + 1)

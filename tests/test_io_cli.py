@@ -1,5 +1,6 @@
 """Tests for the JSON tuple format and the command line front end."""
 
+import gc
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from defectseq.io import (
     tuple_to_payload,
     write_tuple,
 )
-from defectseq.models import random_contractive
+from defectseq.models import fock_creation, random_contractive
 from defectseq.tuples import OperatorTuple
 
 
@@ -98,6 +99,36 @@ class TestTuplePayload:
         path.write_text("{not json")
         with pytest.raises(TupleFormatError):
             read_tuple(path)
+
+
+class TestReadTupleCollector:
+    """read_tuple pauses the cyclic collector and restores its state."""
+
+    CONTENTS = {
+        "not-utf8": b"\xff\xfe{}",
+        "bad-json": b"{not json",
+        "deeply-nested": b"[" * 100000,
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("content", [None, *sorted(CONTENTS)])
+    def test_collector_state_is_unchanged(self, tmp_path, enabled, content):
+        path = tmp_path / "in.json"
+        if content is None:
+            write_tuple(sample_tuple(), path)
+        else:
+            path.write_bytes(self.CONTENTS[content])
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if content is None:
+                read_tuple(path)
+            else:
+                with pytest.raises(TupleFormatError):
+                    read_tuple(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
 
 class TestReportJson:
@@ -261,6 +292,29 @@ class TestCliClassify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not rep.exists()
+
+    @pytest.mark.parametrize("value", ["1", "1.5", "1e308"])
+    @pytest.mark.parametrize("scale", [1.0, 1.4],
+                             ids=["contractive", "noncontractive"])
+    def test_eps_conv_of_one_or_more_is_exit_two(self, tmp_path, capsys,
+                                                  value, scale):
+        src = tmp_path / "in.json"
+        write_tuple(OperatorTuple(tuple(scale * op for op in
+                                        fock_creation(2, 2).ops)), src)
+        rep = tmp_path / "report.json"
+        assert main(["classify", str(src), "--eps-conv", value,
+                     "--report", str(rep)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "eps_conv" in err and "Traceback" not in err
+        assert captured.out == ""
+        assert not rep.exists()
+
+    def test_eps_conv_just_below_one_is_accepted(self, tmp_path):
+        src = tmp_path / "in.json"
+        write_tuple(fock_creation(2, 2), src)
+        assert main(["classify", str(src), "--eps-conv", "0.99"]) == 0
 
     def test_zero_thresholds_are_accepted(self, tmp_path):
         src = tmp_path / "in.json"

@@ -10,9 +10,11 @@ from defectseq.linalg import (
     DEFAULT_TOL,
     RankTolerance,
     Subspace,
+    _hermitian_eigvals,
     as_operator_matrix,
     coordinate_subspace,
     hermitian_eig,
+    hermitian_norm,
     hermitize,
     numerical_rank,
     orthonormal_range,
@@ -184,6 +186,66 @@ class TestHermitianRankRoute:
         assert q.dtype == np.float64
         assert np.allclose(w, [1.0, 3.0])
         assert require_hermitian(m.astype(np.complex128)).dtype == np.complex128
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@st.composite
+def diagonal_matrices(draw):
+    """Exactly Hermitian diagonal matrices at scales 1e-300 ... 1e300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 70))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    diag = rng.standard_normal(n) * scale
+    if draw(st.booleans()):
+        # Entries many orders below the largest, down to subnormals.
+        diag *= 10.0 ** rng.integers(-300, 1, n)
+    diag[rng.random(n) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
+    if draw(st.booleans()):
+        diag[(diag == 0.0) & (rng.random(n) < 0.5)] = -0.0
+    m = np.diag(diag)
+    if draw(st.booleans()):
+        m[~np.eye(n, dtype=bool) & (rng.random((n, n)) < 0.3)] = -0.0
+    if draw(st.booleans()):
+        m = m.astype(np.complex128)
+        if draw(st.booleans()):
+            m[np.diag_indices(n)] = diag + complex(0.0, -0.0)
+    return m
+
+
+class TestHermitianSpectrum:
+    """The diagonal shortcut returns what eigvalsh returns, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(diagonal_matrices())
+    def test_diagonals_match_eigvalsh(self, m):
+        assert np.array_equal(m, m.conj().T)
+        assert same_bits(_hermitian_eigvals(m), np.linalg.eigvalsh(m))
+
+    @pytest.mark.parametrize("top", [
+        1e-147, 1e-146, 2.0 ** -485, np.nextafter(2.0 ** -485, 0.0),
+        2.0 ** 485, np.nextafter(2.0 ** 485, np.inf), 1e146, 1e147,
+        1e-300, 1e300, 5e-324, np.finfo(np.float64).max])
+    def test_the_unscaled_range_edges_match_eigvalsh(self, top):
+        for m in (np.diag([top, -0.5 * top, 0.0, top / 3.0]),
+                  np.diag([-top, 0.0]), np.diag([top])):
+            assert same_bits(_hermitian_eigvals(m), np.linalg.eigvalsh(m))
+
+    def test_zero_matrix_and_non_diagonal_input(self):
+        assert same_bits(_hermitian_eigvals(np.zeros((3, 3))),
+                         np.linalg.eigvalsh(np.zeros((3, 3))))
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        for m in (hermitize(g), hermitize(g.real)):
+            assert same_bits(_hermitian_eigvals(m), np.linalg.eigvalsh(m))
+
+    def test_norm_and_rank_read_the_diagonal(self):
+        m = np.diag([0.5, -2.0, 0.0, 1e-12])
+        assert hermitian_norm(m) == 2.0
+        assert numerical_rank(m) == 2
 
 
 class TestSubspace:

@@ -2,9 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectseq.errors import ArgumentError, SizeCapError
-from defectseq.linalg import Subspace, coordinate_subspace
+from defectseq.linalg import (
+    DEFAULT_TOL,
+    RankTolerance,
+    Subspace,
+    coordinate_subspace,
+    hermitize,
+)
+from defectseq.models import (
+    fock_creation,
+    random_contractive,
+    spherical_shift_sum,
+    symmetric_fock_shift,
+)
 from defectseq.tuples import (
     OperatorTuple,
     apply_cp_map,
@@ -318,3 +332,253 @@ class TestStorageType:
         R = OperatorTuple(tuple(np.exp(0.7j) * op for op in T.ops))
         assert R.dtype == np.complex128
         assert np.allclose(cp_iterate(R, 3), cp_iterate(T, 3))
+
+
+def reference_cp(T, x):
+    # The dense cp step: d matrix products and a re-symmetrization.
+    acc = np.zeros((T.h, T.h), dtype=np.promote_types(T.dtype, x.dtype))
+    for op in T.ops:
+        acc += op @ x @ op.conj().T
+    return hermitize(acc)
+
+
+def same_bits(a, b):
+    # Equal values, NaN included, and equal signs, zeros included.
+    a_parts, b_parts = np.stack([a.real, a.imag]), np.stack([b.real, b.imag])
+    return (a.dtype == b.dtype
+            and np.array_equal(a_parts, b_parts, equal_nan=True)
+            and np.array_equal(np.signbit(a_parts), np.signbit(b_parts)))
+
+
+def partial_permutation(rng, h, fill=0.8):
+    # Signed weights of mixed magnitude on a random partial permutation,
+    # leaving some rows and columns empty.
+    m = np.zeros((h, h))
+    keep = rng.random(h) < fill
+    rows = rng.permutation(h)[keep]
+    cols = rng.permutation(h)[keep]
+    m[rows, cols] = (rng.choice([-1.0, 1.0], rows.size)
+                     * 10.0 ** rng.uniform(-3, 0, rows.size))
+    return m
+
+
+def contractive_shift(rng, d, h, fill=0.8):
+    ops = [partial_permutation(rng, h, fill) for _ in range(d)]
+    # cp(I) is diagonal, with the row sums of the squared weights.
+    top = np.sqrt(max(float(np.max(sum((m * m).sum(axis=1) for m in ops))),
+                       1.0))
+    return OperatorTuple(tuple(m / top for m in ops))
+
+
+FLAGSHIPS = (
+    fock_creation(2, 4),
+    fock_creation(1, 9),
+    fock_creation(3, 3),
+    symmetric_fock_shift(2, 6),
+    symmetric_fock_shift(3, 4),
+    spherical_shift_sum(2, 3, (0.6, 0.8), 2),
+)
+
+
+class TestShiftPattern:
+    @pytest.mark.parametrize("T", FLAGSHIPS, ids=repr)
+    def test_flagships_are_partial_permutations(self, T):
+        # The nonzeros of every entry, entry by entry in tuple order.
+        rows, cols, weights = T._shift_pattern
+        start = 0
+        for op in T.ops:
+            stop = start + np.count_nonzero(op)
+            rebuilt = np.zeros((T.h, T.h))
+            rebuilt[rows[start:stop], cols[start:stop]] = weights[start:stop]
+            assert np.array_equal(rebuilt, op)
+            start = stop
+        assert start == rows.size
+
+    def test_pattern_is_computed_on_first_use(self):
+        T = fock_creation(2, 3)
+        assert "_shift_pattern" not in vars(T)
+        cp_iterate(T, 1)
+        assert "_shift_pattern" in vars(T)
+
+    def test_complex_and_dense_tuples_have_none(self):
+        T = fock_creation(2, 3)
+        rotated = OperatorTuple(tuple(np.exp(0.7j) * op for op in T.ops))
+        assert rotated._shift_pattern is None
+        assert random_contractive(2, 5, 1, 0)._shift_pattern is None
+
+    @pytest.mark.parametrize("where", ["tiny-entry", "row", "column"])
+    def test_near_misses_take_the_dense_route(self, where):
+        T = fock_creation(2, 3)
+        ops = [np.array(op) for op in T.ops]
+        if where == "tiny-entry":
+            # 1e-300 is an exact nonzero, the second in column 3.
+            ops[0][0, 3] = 1e-300
+        elif where == "row":
+            # Row 1 of the first entry already maps vacuum -> e_1.
+            ops[0][1, 2] = 0.5
+        else:
+            # Column 0 of the first entry already feeds e_1.
+            ops[0][2, 0] = 0.5
+            ops[1][2, 0] = 0.0
+        near = OperatorTuple(tuple(ops))
+        assert near._shift_pattern is None
+        x = np.eye(near.h)
+        for _ in range(near.h + 1):
+            fast, dense = apply_cp_map(near, x), reference_cp(near, x)
+            assert same_bits(fast, dense)
+            x = fast
+
+    def test_zero_entries_add_nothing_to_the_pattern(self):
+        T = OperatorTuple((np.zeros((3, 3)), np.eye(3)))
+        rows, cols, weights = T._shift_pattern
+        assert np.array_equal(rows, [0, 1, 2]) and np.array_equal(cols, rows)
+        assert same_bits(apply_cp_map(T, np.eye(3)), np.eye(3))
+        Z = OperatorTuple((np.zeros((3, 3)),))
+        assert Z._shift_pattern[0].size == 0
+        assert same_bits(apply_cp_map(Z, np.eye(3)), reference_cp(Z, np.eye(3)))
+
+
+@st.composite
+def shift_tuples(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FLAGSHIPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return contractive_shift(rng, draw(st.integers(1, 3)),
+                             draw(st.integers(1, 40)),
+                             draw(st.sampled_from((0.3, 0.8, 1.0))))
+
+
+class TestDiagonalCpRoute:
+    @settings(max_examples=80, deadline=None)
+    @given(shift_tuples())
+    def test_every_iterate_matches_the_dense_step(self, T):
+        assert T._shift_pattern is not None
+        x = y = np.eye(T.h)
+        for _ in range(T.h + 3):
+            x, y = apply_cp_map(T, x), reference_cp(T, y)
+            assert same_bits(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shift_tuples(), st.integers(0, 2 ** 32 - 1))
+    def test_signed_diagonal_arguments_match(self, T, seed):
+        rng = np.random.default_rng(seed)
+        diag = rng.standard_normal(T.h) * 10.0 ** rng.integers(-320, 307, T.h)
+        diag[rng.random(T.h) < 0.3] = 0.0
+        diag[rng.random(T.h) < 0.2] = -0.0
+        x = np.diag(diag)
+        x[~np.eye(T.h, dtype=bool) & (rng.random((T.h, T.h)) < 0.3)] = -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_cp(T, x)
+        assert same_bits(apply_cp_map(T, x), want)
+
+    def test_overflowing_steps_match_the_dense_step(self):
+        # 1e200 * 1e200 overflows; the dense products leave inf on the
+        # diagonal and NaN off it.  A finite 1.5e308 overflows in the
+        # re-symmetrization (x + x) / 2.
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        cases = [(1e200 * swap, np.eye(2)), (1e200 * swap, np.diag([1e200, 1.0])),
+                 (1e200 * swap, np.diag([1e300, 1e300])),
+                 (swap, np.diag([1.5e308, 1.0])), (swap, np.diag([-1.5e308, 0.5]))]
+        for ops, x in cases:
+            T = OperatorTuple((ops,))
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = reference_cp(T, x)
+                got = apply_cp_map(T, x)
+            assert same_bits(got, want)
+
+    def test_non_diagonal_and_complex_arguments_take_the_dense_step(self):
+        T = fock_creation(2, 3)
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((T.h, T.h))
+        for x in (g @ g.T, np.eye(T.h, dtype=np.complex128)):
+            assert same_bits(apply_cp_map(T, x), reference_cp(T, x))
+
+
+def reference_is_commuting(T, tol=None):
+    # Every spectral norm taken exactly.
+    tol = DEFAULT_TOL if tol is None else tol
+    if T.d == 1:
+        return True
+    max_norm = max(float(np.linalg.norm(op, 2)) for op in T.ops)
+    bound = tol.rtol * (1.0 + max_norm * max_norm)
+    norms = [float(np.linalg.norm(T.ops[i] @ T.ops[j] - T.ops[j] @ T.ops[i], 2))
+             for i in range(T.d) for j in range(i + 1, T.d)]
+    return all(n <= bound for n in norms)
+
+
+def commuting_draw(rng, d, h, real):
+    # Polynomials in one random matrix commute up to rounding.
+    a = rng.standard_normal((h, h))
+    if not real:
+        a = a + 1j * rng.standard_normal((h, h))
+    a /= np.linalg.norm(a, 2)
+    ops, power = [], np.eye(h)
+    for _ in range(d):
+        power = power @ a
+        ops.append(rng.uniform(0.2, 1.0) * power)
+    return OperatorTuple(tuple(ops))
+
+
+class TestCommutingBounds:
+    @pytest.mark.parametrize("T", FLAGSHIPS, ids=repr)
+    def test_flagships_match_the_exact_norms(self, T):
+        assert is_commuting(T) == reference_is_commuting(T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(1, 8),
+           st.sampled_from(("random", "real", "commuting", "commuting-real")))
+    def test_draws_match_the_exact_norms(self, seed, d, h, kind):
+        rng = np.random.default_rng(seed)
+        if kind.startswith("commuting"):
+            T = commuting_draw(rng, d, h, kind.endswith("real"))
+        else:
+            T = random_contractive(d, h, min(1, h), seed)
+            if kind == "real":
+                T = OperatorTuple(tuple(op.real for op in T.ops))
+        assert is_commuting(T) == reference_is_commuting(T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_commutators_near_the_bound_match(self, seed):
+        # Put rtol where the exact test flips, then step across it.
+        rng = np.random.default_rng(seed)
+        T = OperatorTuple(tuple(0.4 * rng.standard_normal((5, 5))
+                                for _ in range(3)))
+        max_norm = max(np.linalg.norm(op, 2) for op in T.ops)
+        worst = max(np.linalg.norm(T.ops[i] @ T.ops[j] - T.ops[j] @ T.ops[i], 2)
+                    for i in range(3) for j in range(i + 1, 3))
+        edge = worst / (1.0 + max_norm * max_norm)
+        for rtol in (edge * (1 - 1e-6), edge * (1 - 1e-12), edge,
+                     np.nextafter(edge, 0), np.nextafter(edge, 1),
+                     edge * (1 + 1e-12), edge * (1 + 1e-6)):
+            tol = RankTolerance(rtol=float(rtol))
+            assert is_commuting(T, tol) == reference_is_commuting(T, tol)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_single_column_commutators_at_the_bound_match(self, seed):
+        # [e_0 e_0^T, c e_0^T] = -c e_0^T has column norm, spectral norm
+        # and Frobenius norm all equal, so the bounds are tight and only
+        # the slack separates their rounding from the SVD's.
+        rng = np.random.default_rng(seed)
+        h = 6
+        c = 0.3 * rng.standard_normal(h)
+        c[0] = 0.0
+        proj = np.zeros((h, h))
+        proj[0, 0] = 1.0
+        col = np.zeros((h, h))
+        col[:, 0] = c
+        T = OperatorTuple((proj, col))
+        edge = np.linalg.norm(-np.outer(c, proj[0]), 2) / 2.0
+        for rtol in (edge, np.nextafter(edge, 0), np.nextafter(edge, 1),
+                     edge * (1 - 1e-15), edge * (1 + 1e-15)):
+            tol = RankTolerance(rtol=float(rtol))
+            assert is_commuting(T, tol) == reference_is_commuting(T, tol)
+
+    def test_near_commuting_rounding_matches(self):
+        T = symmetric_fock_shift(3, 5)
+        assert is_commuting(T) and reference_is_commuting(T)
+        perturbed = OperatorTuple((T.ops[0], T.ops[1] + 1e-12 * T.ops[0].T,
+                                   T.ops[2]))
+        for rtol in (1e-13, 1e-12, 1e-11, 1e-10, 1e-9):
+            tol = RankTolerance(rtol=rtol)
+            assert (is_commuting(perturbed, tol)
+                    == reference_is_commuting(perturbed, tol))
