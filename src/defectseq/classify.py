@@ -21,7 +21,18 @@ complex dimension, and the d constraints [T_i, X] = 0 on a Hermitian X
 imply the d adjoint ones.  The real system that remains costs a
 quarter of the stacked complex system of all 2d constraints, whose
 singular values are exactly sqrt(2) times its own; scaling by sqrt(2)
-before the cutoff keeps the rank decision the same.
+before the cutoff keeps the rank decision the same.  A tuple with an
+exact zero entry, such as a weighted shift, gives a system that is
+block diagonal after permuting its rows and columns: it is built from
+the nonzeros alone, split into the connected components of its
+sparsity graph (the structural first level of the block triangular
+form of Pothen and Fan, ACM TOMS 1990), and each component gets its own
+SVD, batched by block shape.  The singular values of a block-diagonal
+matrix are the union of its blocks' values, so the one cutoff over that
+union gives the count of the whole system.  A tuple without zero
+entries is one component and keeps the single dense system.  ``classify``
+counts the commutant before the purity loop, so a tuple past the size
+cap is refused before the iteration budget is spent.
 
 Purity is decided by fixed-point iteration with a three-way verdict.
 The iterates X_k = cp^k(I) decrease in the positive semidefinite order,
@@ -316,15 +327,49 @@ def commutant_dimension(T, tol=None):
     are scaled by sqrt(2) and cut off once over their union: the count
     applies the rank rule to the same numbers as that system at a
     quarter of its cost.  The identity always commutes, so the result is
-    at least 1.  Refuses spaces with h**2 beyond the size cap.
+    at least 1.
+
+    When no entry of any T_i is an exact zero the system is one
+    component, and it is built densely from Kronecker products; that
+    route refuses spaces with h**2 beyond the size cap.  Otherwise the
+    same entries are built from the nonzeros of the T_i (2 h nnz terms),
+    the unknowns X[p, q] and X[q, p] are grouped into one pair, and the
+    rows and pairs fall into the connected components of the system's
+    sparsity graph.  Unknowns that no row touches are zero columns and
+    count toward the nullity without an SVD; every component gets its
+    own SVD, one batched call per block shape, and the singular values
+    of all components are cut off together, with sigma_max taken over
+    all of them.  That route refuses a tuple whose largest component has
+    more real unknowns than the size cap, and, so that it never holds
+    more than the dense system could at the cap, one with more than
+    d * cap**2 nonzero terms or component blocks of more than d * cap**2
+    entries in all.
     """
     tol = DEFAULT_TOL if tol is None else tol
     h = T.h
     cap = size_cap()
-    if h * h > cap:
-        raise SizeCapError(
-            f"commutant system needs h^2 = {h * h} unknowns, cap is {cap}"
-        )
+    if _one_component(T):
+        if h * h > cap:
+            raise SizeCapError(
+                f"commutant system needs h^2 = {h * h} unknowns, cap is {cap}"
+            )
+        s = _dense_singular_values(T)
+    else:
+        _, stacks = _structural_system(T, cap)
+        s = np.concatenate([np.linalg.svd(stack, compute_uv=False).ravel()
+                            for stack in stacks] or [np.empty(0)])
+    return h * h - _count_above(np.sqrt(2.0) * s, tol)
+
+
+def _one_component(T):
+    # With no exact zero entry, row (i, a, b) of the system reaches every
+    # unknown in row a and in column b of X, so the whole system is one
+    # component and splitting it would find nothing.
+    return all(np.count_nonzero(op) == op.size for op in T.ops)
+
+
+def _dense_singular_values(T):
+    h = T.h
     eye = np.eye(h, dtype=T.dtype)
     # Row-major vectorization: vec(A X) = kron(A, I) vec(X) and
     # vec(X A) = kron(I, A^T) vec(X).
@@ -344,8 +389,174 @@ def commutant_dimension(T, tol=None):
     else:
         # Real and imaginary parts of [sym | i anti].
         blocks = (np.block([[sym.real, -anti.imag], [sym.imag, anti.real]]),)
-    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
-    return h * h - _count_above(np.sqrt(2.0) * s, tol)
+    return np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
+
+
+def _structural_system(T, cap):
+    # The Hermitian-basis system of ``_dense_singular_values`` built
+    # straight from the nonzeros of the T_i, with the same entries, split
+    # by component.  Returns the real unknowns of each component and one
+    # (count, m, n) stack of blocks per block shape; the blocks' singular
+    # values together are those of the whole system.
+    # Row (i, a, b) of [T_i, X] = 0 is (i*h + a)*h + b and the unknown
+    # X[p, q] is p*h + q.  A nonzero T_i[r, c] = t puts +t on X[c, b] in
+    # row (i, r, b) for every b, and -t on X[a, r] in row (i, a, c) for
+    # every a.
+    h, d = T.h, T.d
+    hh = h * h
+    entries = 2 * h * sum(np.count_nonzero(op) for op in T.ops)
+    if entries > d * cap * cap:
+        raise SizeCapError(
+            f"commutant system has 2h*nnz = {entries} entries, "
+            f"cap is d*cap^2 = {d * cap * cap}"
+        )
+    ops = np.stack(T.ops)
+    i, r, c = np.nonzero(ops)
+    t = ops[i, r, c]
+    j = np.arange(h)
+    base = (i * h)[:, None]
+    rows = np.concatenate([((base + r[:, None]) * h + j).ravel(),
+                           ((base + j) * h + c[:, None]).ravel()])
+    p = np.concatenate([np.repeat(c, h), np.tile(j, t.size)])
+    q = np.concatenate([np.tile(j, t.size), np.repeat(r, h)])
+    vals = np.concatenate([np.repeat(t, h), np.repeat(-t, h)])
+    # X[p, q] and X[q, p] are one pair, keyed by its upper entry.  A
+    # (row, pair) holds at most two terms, so each sum below is exact
+    # and equals the dense system's entry.
+    key = rows * hh + np.minimum(p, q) * h + np.maximum(p, q)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[key.size > 0, key[1:] != key[:-1]])
+    upper = np.add.reduceat(np.where(p <= q, vals, 0)[order], starts)
+    lower = np.add.reduceat(np.where(p > q, vals, 0)[order], starts)
+    # An entry that is exactly zero joins nothing.
+    keep = (upper != 0) | (lower != 0)
+    key, upper, lower = key[starts][keep], upper[keep], lower[keep]
+    if key.size == 0:
+        return np.zeros(0, dtype=np.int64), []
+    row, pair = np.divmod(key, hh)
+
+    # Components of the row-pair graph: every pair of a row is joined to
+    # the row's first pair.
+    touched = np.zeros(hh, dtype=bool)
+    touched[pair] = True
+    pairs = np.flatnonzero(touched)
+    node = np.searchsorted(pairs, pair)
+    new_row = np.r_[True, row[1:] != row[:-1]]
+    first = np.maximum.accumulate(np.where(new_row, np.arange(row.size), 0))
+    root = _components(pairs.size, node, node[first])
+
+    # Number the components and lay out each one's columns: the
+    # symmetric column of every pair, then the antisymmetric column of
+    # every off-diagonal pair.
+    is_root = root == np.arange(pairs.size)
+    ncomp = int(np.count_nonzero(is_root))
+    comp = (np.cumsum(is_root) - 1)[root]
+    off = pairs // h != pairs % h
+    sym_col, n_pairs = _rank_in_group(comp, ncomp)
+    anti_col = np.full(pairs.size, -1)
+    anti_col[off], n_off = _rank_in_group(comp[off], ncomp)
+    unknowns = n_pairs + n_off
+    largest = int(unknowns.max())
+    if largest > cap:
+        raise SizeCapError(
+            f"largest commutant component needs {largest} real unknowns, "
+            f"cap is {cap}"
+        )
+    row_comp = comp[node[new_row]]
+    local_row, n_rows = _rank_in_group(row_comp, ncomp)
+    held = int(n_rows @ unknowns)
+    if held > d * cap * cap:
+        raise SizeCapError(
+            f"commutant components hold {held} real entries, "
+            f"cap is d*cap^2 = {d * cap * cap}"
+        )
+
+    # The entries: the diagonal column of a diagonal pair, and
+    # sqrt(1/2) (upper +- lower) for an off-diagonal one.
+    od = off[node]
+    weight = np.sqrt(0.5)
+    sym = np.where(od, weight * (upper + lower), upper)
+    anti = weight * (upper - lower)
+    seg_comp = comp[node]
+    seg_row = local_row[np.cumsum(new_row) - 1]
+    seg_sym = sym_col[node]
+    seg_anti = anti_col[node]
+    if T.dtype == np.float64:
+        # A symmetric and an antisymmetric block per component.
+        shape_m = np.r_[n_rows, n_rows]
+        shape_n = np.r_[n_pairs, n_off]
+        block = np.r_[seg_comp, ncomp + seg_comp[od]]
+        at_row = np.r_[seg_row, seg_row[od]]
+        at_col = np.r_[seg_sym, seg_anti[od]]
+        value = np.r_[sym, anti[od]]
+    else:
+        # Real and imaginary parts of [sym | i anti], as in the dense
+        # route.
+        shape_m = 2 * n_rows
+        shape_n = unknowns
+        lift = n_rows[seg_comp]
+        shift = n_pairs[seg_comp[od]]
+        block = np.r_[seg_comp, seg_comp, seg_comp[od], seg_comp[od]]
+        at_row = np.r_[seg_row, seg_row + lift, seg_row[od],
+                       seg_row[od] + lift[od]]
+        at_col = np.r_[seg_sym, seg_sym, seg_anti[od] + shift,
+                       seg_anti[od] + shift]
+        value = np.r_[sym.real, sym.imag, -anti[od].imag, anti[od].real]
+    return unknowns, _stack_by_shape(shape_m, shape_n, block, at_row, at_col,
+                                     value)
+
+
+def _stack_by_shape(shape_m, shape_n, block, at_row, at_col, value):
+    # Write each block into one flat buffer, blocks of one shape next to
+    # each other, and view each shape's run as a (count, m, n) stack.
+    size = shape_m * shape_n
+    by_shape = np.lexsort((shape_n, shape_m))
+    by_shape = by_shape[size[by_shape] > 0]
+    end = np.cumsum(size[by_shape])
+    offset = np.zeros(size.size, dtype=np.int64)
+    offset[by_shape] = end - size[by_shape]
+    buffer = np.zeros(int(end[-1]) if end.size else 0)
+    buffer[offset[block] + at_row * shape_n[block] + at_col] = value
+    m, n = shape_m[by_shape], shape_n[by_shape]
+    cuts = np.flatnonzero((m[1:] != m[:-1]) | (n[1:] != n[:-1])) + 1
+    stacks = []
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, m.size]):
+        begin = int(end[lo] - size[by_shape[lo]])
+        stacks.append(buffer[begin:int(end[hi - 1])]
+                      .reshape(hi - lo, int(m[lo]), int(n[lo])))
+    return stacks
+
+
+def _rank_in_group(group, count):
+    # The rank of each element among the elements of its group, in
+    # order, and the size of each of the ``count`` groups.
+    order = np.argsort(group, kind="stable")
+    sizes = np.bincount(group, minlength=count)
+    rank = np.empty(group.size, dtype=np.int64)
+    rank[order] = np.arange(group.size) - (np.cumsum(sizes) - sizes)[group[order]]
+    return rank, sizes
+
+
+def _components(n, u, v):
+    # A root label for every node of the graph on range(n) with edges
+    # (u, v): hook every root to the smallest root an edge joins it to,
+    # then jump pointers until each node points at its root, and repeat
+    # until no edge joins two roots.  Pointers only ever go down, so the
+    # hooks form a forest.
+    parent = np.arange(n)
+    while True:
+        pu, pv = parent[u], parent[v]
+        joins = pu != pv
+        if not joins.any():
+            return parent
+        np.minimum.at(parent, np.maximum(pu, pv)[joins],
+                      np.minimum(pu, pv)[joins])
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
 
 
 def is_irreducible(T, tol=None):
@@ -419,14 +630,16 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
             contractivity_margin=margin,
         )
     _check_budget(max_iter)
+    # The commutant count goes first: it is the step that may hit the
+    # size cap, and the purity budget should not be spent before that.
+    commutant_dim = commutant_dimension(T, tol)
+    irreducible = commutant_dim == 1
     verdict = _purity(T, max_iter, eps_pure, eps_conv)
     deltas = tuple(_ladder(T, tol))
     delta_1 = deltas[0]
     maximal_noncomm = _maximality(deltas, T.d, T.h, None, geometric_bound)
     maximal_comm = (_maximality(deltas, T.d, T.h, None, commuting_bound)
                     if commuting else None)
-    commutant_dim = commutant_dimension(T, tol)
-    irreducible = commutant_dim == 1
     if irreducible and delta_1 > 0 and verdict.status is Purity.NOT_PURE:
         raise ConsistencyError(
             "irreducible tuple with positive defect came back NotPure; "

@@ -1,6 +1,7 @@
 """Tests for purity iteration, maximality checks, and full classification."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,12 @@ from defectseq.defect import (
     defect_dimension,
     defect_sequence,
 )
-from defectseq.errors import ArgumentError, ConsistencyError, ContractivityError
+from defectseq.errors import (
+    ArgumentError,
+    ConsistencyError,
+    ContractivityError,
+    SizeCapError,
+)
 from defectseq.linalg import hermitian_norm, readonly_copy
 from defectseq.models import (
     fock_creation,
@@ -537,3 +543,99 @@ class TestPurityThresholds:
         T = spherical_shift_sum(2, 2, (0.6, 0.8), 1)
         rep = classify(T, max_iter=200, eps_pure=0.0, eps_conv=0.0)
         assert_same_verdict(rep.purity, reference_purity(T, 200, 0.0, 0.0))
+
+
+class TestCommutantSizeCap:
+    """The cap on the commutant system, and where classify meets it."""
+
+    def test_dense_tuple_past_the_cap_is_refused(self, monkeypatch):
+        T = random_contractive(2, 4, 1, 0)
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "15")
+        with pytest.raises(SizeCapError, match=r"h\^2 = 16 unknowns, cap is 15"):
+            commutant_dimension(T)
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "16")
+        assert commutant_dimension(T) == 1
+
+    def test_cap_applies_to_the_largest_component(self, monkeypatch):
+        # fock_creation(2, 2) has h^2 = 49 unknowns, in components of at
+        # most 7; zero entries lift d and with it the entry guard d*cap^2.
+        T = OperatorTuple(fock_creation(2, 2).ops + (np.zeros((7, 7)),) * 8)
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "7")
+        assert commutant_dimension(T) == 1
+        assert classify(T).irreducible
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "6")
+        with pytest.raises(SizeCapError,
+                           match="component needs 7 real unknowns, cap is 6"):
+            commutant_dimension(T)
+
+    def test_cap_counts_real_unknowns_not_pairs(self, monkeypatch):
+        # Each off-diagonal pair {a, b} of a diagonal tuple is one
+        # component with a symmetric and an antisymmetric unknown.
+        T = OperatorTuple((np.diag([0.1, 0.2]),) + (np.zeros((2, 2)),) * 7)
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "2")
+        assert commutant_dimension(T) == 2
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "1")
+        with pytest.raises(SizeCapError,
+                           match="component needs 2 real unknowns, cap is 1"):
+            commutant_dimension(T)
+
+    def test_component_blocks_stay_within_the_dense_budget(self, monkeypatch):
+        # At cap 31 every component of fock_creation(2, 4) fits, but
+        # together their blocks would hold more than d*cap^2 entries.
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "31")
+        with pytest.raises(SizeCapError, match="cap is d\\*cap\\^2 = 1922"):
+            commutant_dimension(fock_creation(2, 4))
+
+    def test_entry_guard_refuses_before_allocating(self, monkeypatch):
+        # One nilpotent shift on C^400: 2h*nnz = 319200 entries, over
+        # d*cap^2 = 250000, refused without building the system.
+        T = OperatorTuple((np.eye(400, k=-1),))
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "500")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError,
+                               match="2h\\*nnz = 319200 entries"):
+                commutant_dimension(T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 319200
+
+    def test_classify_counts_the_commutant_before_the_purity_loop(
+            self, monkeypatch):
+        classify_module = importlib.import_module("defectseq.classify")
+        defect_module = importlib.import_module("defectseq.defect")
+        calls = []
+
+        def counting(T, x):
+            calls.append(x)
+            return apply_cp_map(T, x)
+
+        for module in (classify_module, defect_module):
+            monkeypatch.setattr(module, "apply_cp_map", counting)
+        # The damped tuple of the benchmark spends the whole purity budget.
+        T = scaled(random_contractive(2, 8, 0, 3), 0.999)
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "63")
+        with pytest.raises(SizeCapError, match="h\\^2 = 64"):
+            classify(T)
+        # The one call is the contractivity margin's cp(I).
+        assert len(calls) == 1
+
+    def test_noncontractive_input_past_the_cap_still_reports(self, monkeypatch):
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "63")
+        rep = classify(scaled(random_contractive(2, 8, 0, 3), 1.5))
+        assert not rep.contractive
+        assert rep.commutant_dim is None
+
+    def test_irreducible_notpure_still_raises(self, monkeypatch):
+        # The cross-check reads the purity verdict, which now comes after
+        # the commutant count.
+        classify_module = importlib.import_module("defectseq.classify")
+
+        def fixed_point(T, *args):
+            limit = readonly_copy(np.eye(T.h, dtype=T.dtype))
+            return PurityVerdict(Purity.NOT_PURE, 1, 1.0, limit)
+
+        monkeypatch.setattr(classify_module, "_purity", fixed_point)
+        with pytest.raises(ConsistencyError, match="irreducible"):
+            classify(fock_creation(2, 2))

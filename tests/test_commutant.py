@@ -4,7 +4,9 @@
 [T_i, X] = 0 and [T_i*, X] = 0 on the h**2 complex unknowns of X,
 stacked into one system whose numerical nullity is the commutant
 dimension.  ``commutant_dimension`` counts the Hermitian part of the
-commutant instead; the two must agree on every input.
+commutant instead; the two must agree on every input.  A tuple with an
+exact zero entry takes the structural route, one SVD per connected
+component of the system, and is checked against the same oracle.
 """
 
 import numpy as np
@@ -12,11 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectseq.classify import commutant_dimension
-from defectseq.linalg import DEFAULT_TOL, numerical_rank
+from defectseq.classify import (
+    _dense_singular_values,
+    _one_component,
+    _structural_system,
+    commutant_dimension,
+)
+from defectseq.config import size_cap
+from defectseq.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
 from defectseq.models import (
     fock_creation,
     haar_unitary,
+    pure_nonmaximal_example,
     random_contractive,
     spherical_shift_sum,
     symmetric_fock_shift,
@@ -151,3 +160,213 @@ class TestKnownDimensions:
         T = spherical_shift_sum(2, 3, (0.6, 0.8), k)
         assert commutant_dimension(T) == 1 + k * k
         assert commutant_dimension(rotate(T)) == 1 + k * k
+
+
+def component_unknowns(T):
+    """Real unknowns per component on the structural route."""
+    assert not _one_component(T)
+    return _structural_system(T, size_cap())[0]
+
+
+def permuted(T, seed):
+    perm = np.random.default_rng(seed).permutation(T.h)
+    return OperatorTuple(tuple(op[np.ix_(perm, perm)] for op in T.ops))
+
+
+SHIFTS = {
+    **{f"fock-2-{L}": (lambda L=L: fock_creation(2, L)) for L in range(1, 5)},
+    "fock-3-2": lambda: fock_creation(3, 2),
+    **{f"dshift-2-{L}": (lambda L=L: symmetric_fock_shift(2, L))
+       for L in range(1, 7)},
+    **{f"dshift-3-{L}": (lambda L=L: symmetric_fock_shift(3, L))
+       for L in range(1, 4)},
+}
+
+
+class TestStructuralRoute:
+    @pytest.mark.parametrize("name", SHIFTS)
+    def test_weighted_shifts_split_and_match_the_oracle(self, name):
+        T = SHIFTS[name]()
+        unknowns = component_unknowns(T)
+        if T.h > 1:
+            assert unknowns.max() < T.h ** 2
+        assert commutant_dimension(T) == stacked_commutant_dimension(T) == 1
+
+    @pytest.mark.parametrize("name", ["fock-2-3", "fock-3-2", "dshift-2-4",
+                                      "dshift-3-2"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_permutation_conjugates(self, name, seed):
+        T = permuted(SHIFTS[name](), seed)
+        component_unknowns(T)
+        assert commutant_dimension(T) == stacked_commutant_dimension(T) == 1
+
+    @pytest.mark.parametrize("name", ["fock-2-3", "fock-3-2", "dshift-2-4",
+                                      "dshift-3-2"])
+    def test_phase_rotations(self, name):
+        T = rotate(SHIFTS[name]())
+        assert T.dtype == np.complex128
+        component_unknowns(T)
+        assert commutant_dimension(T) == stacked_commutant_dimension(T) == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_spherical_shift_sum(self, k):
+        T = spherical_shift_sum(2, 3, (0.6, 0.8), k)
+        component_unknowns(T)
+        assert commutant_dimension(T) == stacked_commutant_dimension(T)
+        assert commutant_dimension(T) == 1 + k * k
+
+    @pytest.mark.parametrize("args", [(2, 4, 0.5), (3, 3, 0.5)])
+    def test_pure_nonmaximal_example(self, args):
+        T = pure_nonmaximal_example(*args)
+        component_unknowns(T)
+        assert commutant_dimension(T) == stacked_commutant_dimension(T)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("real", [True, False])
+    def test_shift_plus_a_dense_block(self, seed, real):
+        dense = random_contractive(2, 4, 1, seed)
+        if real:
+            dense = real_part(dense)
+        T = direct_sum(fock_creation(2, 2), dense)
+        component_unknowns(T)
+        assert commutant_dimension(T) == stacked_commutant_dimension(T)
+
+    @pytest.mark.parametrize("values", [
+        ((0.1, 0.2, 0.1, 0.3, 0.2),),
+        ((0.5, 0.5, 0.5), (0.1, 0.2, 0.1)),
+        ((0.3, -0.3, 0.3, 0.0), (0.2, 0.2, 0.2, 0.4), (0.0, 0.0, 0.0, 0.1)),
+    ])
+    def test_diagonal_tuples_split_into_single_pairs(self, values):
+        T = OperatorTuple(tuple(np.diag(v) for v in values))
+        # Only pairs {a, b} with distinct joint eigenvalues enter the
+        # system, each on its own.
+        assert set(component_unknowns(T).tolist()) <= {2}
+        _, multiplicity = np.unique(np.array(values).T, axis=0,
+                                    return_counts=True)
+        expected = int((multiplicity ** 2).sum())
+        assert commutant_dimension(T) == stacked_commutant_dimension(T)
+        assert commutant_dimension(T) == expected
+
+    @pytest.mark.parametrize("h", [2, 3, 6])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_identity_tuple(self, h, d):
+        T = OperatorTuple((np.eye(h),) * d)
+        # Every entry of [I, X] cancels exactly, so nothing is left.
+        assert component_unknowns(T).size == 0
+        assert commutant_dimension(T) == h * h
+
+    @pytest.mark.parametrize("imag, dtype", [(0.0, np.float64),
+                                             (-0.0, np.complex128)])
+    @pytest.mark.parametrize("h", [1, 3])
+    def test_zero_tuple_has_an_empty_system(self, imag, dtype, h):
+        z = OperatorTuple((np.full((h, h), complex(0.0, imag)),) * 2)
+        assert z.dtype == dtype
+        assert component_unknowns(z).size == 0
+        assert _structural_system(z, size_cap())[1] == []
+        assert commutant_dimension(z) == h * h
+
+    @pytest.mark.parametrize("entries", [(0.0, 0.25), (0.3 + 0.4j, 0.0),
+                                         (0.0, 0.0)])
+    def test_one_dimensional_space(self, entries):
+        T = OperatorTuple(tuple(np.array([[e]]) for e in entries))
+        component_unknowns(T)
+        assert commutant_dimension(T) == 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: fock_creation(2, 3),
+        lambda: rotate(symmetric_fock_shift(2, 3)),
+        lambda: direct_sum(fock_creation(2, 2), random_contractive(2, 3, 1, 0)),
+        lambda: OperatorTuple((np.diag([0.1, 0.5, 0.2]),)),
+    ])
+    def test_blocks_carry_the_dense_singular_values(self, make):
+        # Not just the count: the nonzero singular values of the blocks
+        # are those of the dense system, so the entries are the same.
+        T = make()
+        blocks = np.sort(np.concatenate(
+            [np.linalg.svd(stack, compute_uv=False).ravel()
+             for stack in _structural_system(T, size_cap())[1]]))
+        dense = np.sort(_dense_singular_values(T))
+        floor = 1e-12 * dense[-1]
+        blocks, dense = blocks[blocks > floor], dense[dense > floor]
+        np.testing.assert_allclose(blocks, dense, rtol=1e-12)
+
+    def test_dense_tuples_keep_one_system(self):
+        T = random_contractive(2, 5, 1, 0)
+        assert _one_component(T)
+        assert _one_component(real_part(T))
+
+
+@st.composite
+def sparse_tuples(draw):
+    """Seeded random matrices under random zero masks, h <= 8, d <= 3."""
+    d = draw(st.integers(1, 3))
+    h = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    real = draw(st.booleans())
+    integer = draw(st.booleans())
+    ops = []
+    for _ in range(d):
+        op = rng.standard_normal((h, h))
+        if not real:
+            op = op + 1j * rng.standard_normal((h, h))
+        if integer:
+            # Small integers give cancellations and repeated values.
+            op = np.round(2 * op)
+        ops.append(op * (rng.random((h, h)) < density))
+    return OperatorTuple(tuple(ops))
+
+
+class TestSparseOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_tuples())
+    def test_structural_count_matches_the_stacked_system(self, T):
+        assert commutant_dimension(T) == stacked_commutant_dimension(T)
+
+
+def diagonal_count(values, tol):
+    # The system of (diag(t),) pairs X[a, b] with X[b, a] for a < b;
+    # after the sqrt(2) scale each pair has the singular value
+    # sqrt(2)|t_a - t_b| twice, once symmetric and once antisymmetric.
+    t = np.asarray(values)
+    gaps = np.abs(t[:, None] - t[None, :])[np.triu_indices(t.size, 1)]
+    sigma = np.sqrt(2.0) * gaps
+    cutoff = tol.cutoff(sigma.max())
+    return t.size ** 2 - 2 * int(np.count_nonzero(sigma > cutoff))
+
+
+class TestNearCutoff:
+    """A gap one part in 10**6 from the cutoff of a different component.
+
+    The largest singular value sits in the component {0, 2}, the gap in
+    {0, 1}.  A cutoff taken per component would keep the small gap on
+    either side; only the cutoff over the union drops it below.
+    """
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("rtol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)],
+                             ids=["real", "complex"])
+    def test_one_gap_at_the_global_cutoff(self, side, scale, rtol, phase):
+        tol = RankTolerance(rtol=rtol, atol=0.0)
+        gap = scale * rtol * (1.0 + side * 1e-6)
+        values = (0.0, gap, scale)
+        T = OperatorTuple((phase * np.diag(values),))
+        expected = diagonal_count(values, tol)
+        assert expected == (3 if side > 0 else 5)
+        component_unknowns(T)
+        assert commutant_dimension(T, tol) == expected
+        assert stacked_commutant_dimension(T, tol) == expected
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_atol_decides_a_tuple_of_tiny_gaps(self, side):
+        # sqrt(2) * gap sits at atol, far above rtol * sigma_max.
+        tol = RankTolerance(rtol=1e-9, atol=1e-12)
+        gap = 1e-12 * (1.0 + side * 1e-6) / np.sqrt(2.0)
+        values = (0.0, gap, 3.0 * gap)
+        T = OperatorTuple((np.diag(values),))
+        expected = diagonal_count(values, tol)
+        assert expected == (3 if side > 0 else 5)
+        assert commutant_dimension(T, tol) == expected
+        assert stacked_commutant_dimension(T, tol) == expected

@@ -316,6 +316,29 @@ class TestCliClassify:
         write_tuple(fock_creation(2, 2), src)
         assert main(["classify", str(src), "--eps-conv", "0.99"]) == 0
 
+    def test_creation_tuple_past_the_dense_cap(self, tmp_path):
+        # h = 127, h^2 = 16129 unknowns; the largest component has 127.
+        src = tmp_path / "fock.json"
+        main(["model", "fock", "--d", "2", "--levels", "6", "-o", str(src)])
+        rep = tmp_path / "report.json"
+        assert main(["classify", str(src), "--report", str(rep)]) == 0
+        payload = json.loads(rep.read_text())
+        assert payload["input"]["dim"] == 127
+        assert payload["result"]["commutant_dim"] == 1
+        assert payload["result"]["irreducible"] is True
+
+    def test_dense_tuple_past_the_cap_is_exit_two(self, tmp_path, capsys,
+                                                  monkeypatch):
+        src = tmp_path / "in.json"
+        write_tuple(sample_tuple(h=8), src)
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "63")
+        rep = tmp_path / "report.json"
+        assert main(["classify", str(src), "--report", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "h^2 = 64 unknowns, cap is 63" in err
+        assert not rep.exists()
+
     def test_zero_thresholds_are_accepted(self, tmp_path):
         src = tmp_path / "in.json"
         main(["model", "fock", "--d", "2", "--levels", "2", "-o", str(src)])
