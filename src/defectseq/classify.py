@@ -50,6 +50,8 @@ the exact norms give.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +75,7 @@ from .linalg import (
     hermitian_norm,
     readonly_copy,
 )
-from .tuples import apply_cp_map, is_commuting
+from .tuples import _cp_step, is_commuting
 
 __all__ = [
     "ClassificationReport",
@@ -142,11 +144,13 @@ def purity(T, max_iter=DEFAULT_MAX_ITER, eps_pure=DEFAULT_EPS_PURE,
     contractive tuple, which makes the iterates a decreasing chain of
     positive contractions.
 
-    ``eps_pure`` and ``eps_conv`` must be finite and nonnegative (zero is
-    allowed); anything else raises ArgumentError.  A step computes the
-    two spectral norms only when the diagonal and Frobenius bounds on
-    them cannot rule out both tests, and always at step ``max_iter``, so
-    the outcome is that of taking them on every step.
+    ``max_iter`` must be an integer of at least 1 (numpy integers count,
+    a bool or a float does not), and ``eps_pure`` and ``eps_conv`` must
+    be finite and nonnegative (zero is allowed); anything else raises
+    ArgumentError.  A step computes the two spectral norms only when the
+    diagonal and Frobenius bounds on them cannot rule out both tests,
+    and always at step ``max_iter``, so the outcome is that of taking
+    them on every step.
     """
     _check_budget(max_iter)
     _check_thresholds(eps_pure, eps_conv)
@@ -156,6 +160,11 @@ def purity(T, max_iter=DEFAULT_MAX_ITER, eps_pure=DEFAULT_EPS_PURE,
 
 
 def _check_budget(max_iter):
+    # numpy integers count as integers; True and 2.0 do not.
+    if (isinstance(max_iter, bool)
+            or not isinstance(max_iter, numbers.Integral)):
+        raise ArgumentError(
+            f"iteration budget must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ArgumentError("iteration budget must be at least 1")
 
@@ -174,16 +183,21 @@ def _purity(T, max_iter, eps_pure, eps_conv):
     # max|diag(X_{k-1} - X_k)| exceeds eps_conv ||X_k||_F, each up to the
     # slack.  A step takes the exact norms only when a bound cannot rule
     # its test out, and always at the last step, whose norm an Undecided
-    # verdict reports.
+    # verdict reports.  Each step's output is exactly Hermitian, so the
+    # step is taken without re-validating it; a non-finite Frobenius
+    # norm raises what the validation would have raised.
     x = np.eye(T.h, dtype=T.dtype)
     below = 1.0 - _BOUND_SLACK
     above = 1.0 + _BOUND_SLACK
     for k in range(1, max_iter + 1):
-        nxt = apply_cp_map(T, x)
+        nxt = _cp_step(T, x)
+        frobenius = float(np.linalg.norm(nxt))
+        if not math.isfinite(frobenius):
+            raise ArgumentError("cp-map argument contains non-finite entries")
         diag = nxt.diagonal()
         may_be_pure = np.abs(diag).max() * below <= eps_pure
         may_be_fixed = (np.abs(x.diagonal() - diag).max() * below
-                        <= eps_conv * float(np.linalg.norm(nxt)) * above)
+                        <= eps_conv * frobenius * above)
         if may_be_pure or may_be_fixed or k == max_iter:
             norm = hermitian_norm(nxt)
             if norm <= eps_pure:
@@ -606,8 +620,11 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
     ``eps_conv`` must also lie below 1: a relative step bound of 1 or
     more lets the NotPure test pass on the first step of a pure tuple,
     so it cannot certify a fixed point, and the cross-check would blame
-    the purity law for the threshold.  ArgumentError otherwise.
+    the purity law for the threshold.  ArgumentError otherwise.  The
+    budget and the thresholds are checked before anything is computed,
+    so a bad one is refused on every tuple, contractive or not.
     """
+    _check_budget(max_iter)
     _check_thresholds(eps_pure, eps_conv)
     if eps_conv >= 1.0:
         raise ArgumentError(
@@ -629,7 +646,6 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
             tol=tol,
             contractivity_margin=margin,
         )
-    _check_budget(max_iter)
     # The commutant count goes first: it is the step that may hit the
     # size cap, and the purity budget should not be spent before that.
     commutant_dim = commutant_dimension(T, tol)

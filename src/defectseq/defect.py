@@ -83,8 +83,20 @@ def contractivity_margin(T):
     """Smallest eigenvalue of I - cp(I); nonnegative means contractive.
 
     Raises ArgumentError when I - cp(I) overflows, because no margin,
-    and so no contractivity verdict, can be read from it.
+    and so no contractivity verdict, can be read from it.  The margin is
+    computed once per tuple object and kept on it; an equal tuple built
+    separately computes its own, and an error is raised afresh on every
+    call.
     """
+    margin = vars(T).get("_contractivity_margin")
+    if margin is None:
+        margin = _contractivity_margin(T)
+        # Stored the way functools.cached_property stores _shift_pattern.
+        vars(T)["_contractivity_margin"] = margin
+    return margin
+
+
+def _contractivity_margin(T):
     with np.errstate(over="ignore", invalid="ignore"):
         d1 = np.eye(T.h) - apply_cp_map(T, np.eye(T.h, dtype=T.dtype))
     if not np.isfinite(d1).all():

@@ -29,7 +29,19 @@ term of each product entry is w * x * w, summed over the entries in
 tuple order.  The pattern is found once per tuple, on first use, by
 testing for exact zeros, so an entry of 1e-300 counts as a nonzero.
 Complex tuples always take the dense route, because the rounding order
-of complex matrix products is not fixed.
+of complex matrix products is not fixed.  The dense route takes each
+T_i* from a per-tuple cache, also filled on first use: transposed views
+for float64, one conjugate copy per entry for complex128.
+
+``apply_cp_map`` validates its argument and then runs the private step
+``_cp_step``.  A loop that feeds the step its own output may call
+``_cp_step`` directly, because each output is exactly Hermitian with
+the argument's shape and storage type; such a loop keeps the one check
+an output can still fail, finiteness.  ``cp_iterate`` and the purity
+loop of ``classify`` do so.  The defect ladder (``defect._ladder``) and
+the contractivity margin keep the public name, one call per step: the
+ladder runs few steps, on large h, where validation costs O(h**2)
+against the step's O(h**3).
 """
 
 from __future__ import annotations
@@ -142,6 +154,17 @@ class OperatorTuple:
             weights.append(op[r, c])
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
 
+    @functools.cached_property
+    def _adjoints(self):
+        # T_i* for the dense cp step, built on first use: the transposed
+        # view of each entry for float64 (no memory held), and the
+        # transposed view of one read-only conjugate copy for complex128.
+        # Either has the layout of op.conj().T, so the products are the
+        # same arrays.
+        if self.dtype == np.float64:
+            return tuple(op.T for op in self.ops)
+        return tuple(readonly_copy(op.conj(), op.dtype).T for op in self.ops)
+
     def op(self, letter):
         """The entry for a 1-based letter, matching word notation."""
         if not 1 <= letter <= self.d:
@@ -213,12 +236,28 @@ def apply_cp_map(T, x):
     A float64 tuple whose entries are weighted partial permutations maps
     a float64 diagonal ``x`` to a diagonal without matrix products; the
     result is the same array, bit for bit.
+
+    This is the validation of ``x`` followed by the private step
+    ``_cp_step``.  Only loops that feed the step its own output call
+    ``_cp_step`` directly (``cp_iterate`` and the purity loop of
+    ``classify``): every output is exactly Hermitian, of the argument's
+    shape and storage type, so re-validating it could only fail on
+    non-finite entries, and those loops check finiteness themselves.
+    The defect ladder and the contractivity margin call this function,
+    one call per cp step; at the ladder's sizes the O(h**2) validation is
+    small against the O(h**3) step.
     """
     x = require_hermitian(x, "cp-map argument")
     if x.shape[0] != T.h:
         raise ArgumentError(
             f"cp-map argument has dimension {x.shape[0]}, tuple acts on {T.h}"
         )
+    return _cp_step(T, x)
+
+
+def _cp_step(T, x):
+    # apply_cp_map without the checks: ``x`` is a float64 or complex128
+    # Hermitian matrix of dimension T.h.
     pattern = T._shift_pattern
     if pattern is not None and x.dtype == np.float64:
         diag = x.diagonal()
@@ -233,8 +272,8 @@ def apply_cp_map(T, x):
                 # The diagonal of hermitize(diag(v)), overflow included.
                 return np.diag((v + v) / 2.0)
     acc = np.zeros((T.h, T.h), dtype=np.promote_types(T.dtype, x.dtype))
-    for op in T.ops:
-        acc += op @ x @ op.conj().T
+    for op, adjoint in zip(T.ops, T._adjoints):
+        acc += op @ x @ adjoint
     return hermitize(acc)
 
 
@@ -243,13 +282,17 @@ def cp_iterate(T, n):
 
     Each step re-symmetrizes, so the result is Hermitian exactly.  For a
     row contraction the sequence is decreasing in the positive
-    semidefinite order.
+    semidefinite order.  An iterate with non-finite entries is returned
+    as it is, but raises ArgumentError when another step would take it
+    as its argument, as ``apply_cp_map`` does.
     """
     if n < 0:
         raise ArgumentError("iteration count must be nonnegative")
     x = np.eye(T.h, dtype=T.dtype)
-    for _ in range(n):
-        x = apply_cp_map(T, x)
+    for k in range(n):
+        if k and not np.isfinite(x).all():
+            raise ArgumentError("cp-map argument contains non-finite entries")
+        x = _cp_step(T, x)
     return x
 
 

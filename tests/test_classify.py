@@ -81,6 +81,27 @@ class TestPurity:
         with pytest.raises(ArgumentError):
             purity(z, max_iter=0)
 
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True, False, np.bool_(True),
+                                        "5", None, -1, 0, np.int64(0)],
+                             ids=repr)
+    @pytest.mark.parametrize("scale", [0.5, 1.4],
+                             ids=["contractive", "noncontractive"])
+    def test_rejects_a_budget_that_is_not_a_positive_integer(self, budget,
+                                                              scale):
+        T = OperatorTuple((scale * np.eye(2),))
+        with pytest.raises(ArgumentError, match="iteration budget"):
+            purity(T, max_iter=budget)
+        with pytest.raises(ArgumentError, match="iteration budget"):
+            classify(T, max_iter=budget)
+
+    @pytest.mark.parametrize("budget", [np.int64(3), np.int32(3), np.uint8(3)],
+                             ids=repr)
+    def test_numpy_integer_budgets_are_accepted(self, budget):
+        s = OperatorTuple((np.sqrt(0.5) * np.eye(2),))
+        v = purity(s, max_iter=budget)
+        assert v.status is Purity.UNDECIDED and v.iterations == 3
+        assert classify(s, max_iter=budget).purity.iterations == 3
+
     def test_verdict_invariants(self):
         with pytest.raises(ConsistencyError):
             PurityVerdict(status=Purity.PURE, iterations=3,
@@ -476,9 +497,30 @@ class TestBoundsFirstPurity:
         assert any(status is Purity.NOT_PURE and it <= k
                    for status, it in verdicts)
 
-    def test_damped_tuple_takes_the_exact_norm_at_most_twice(self, monkeypatch):
+    @pytest.mark.parametrize("scale", [1e200, 1e100])
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    def test_loop_refuses_a_non_finite_iterate(self, scale, dense):
+        # The loop does not re-validate its iterates; an overflow raises
+        # what validating the next argument raises.  No contractive tuple
+        # gets here, so the private loop is called directly.
         classify_module = importlib.import_module("defectseq.classify")
-        counts = {"norm": 0, "cp": 0}
+        base = np.ones((2, 2)) if dense else np.eye(2)
+        T = OperatorTuple((scale * base,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArgumentError) as looped:
+                classify_module._purity(T, 3, DEFAULT_EPS_PURE,
+                                        DEFAULT_EPS_CONV)
+            with pytest.raises(ArgumentError) as public:
+                reference_purity(T, 3)
+        assert str(looped.value) == str(public.value)
+
+    def test_damped_tuple_takes_the_exact_norm_at_most_twice(self, monkeypatch):
+        # The loop steps through the private kernel; the public name is
+        # called once, by the contractivity margin in ``defect``.
+        classify_module = importlib.import_module("defectseq.classify")
+        defect_module = importlib.import_module("defectseq.defect")
+        tuples_module = importlib.import_module("defectseq.tuples")
+        counts = {"norm": 0, "cp": 0, "public": 0, "margin": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -488,14 +530,23 @@ class TestBoundsFirstPurity:
 
         monkeypatch.setattr(classify_module, "hermitian_norm",
                             counted("norm", hermitian_norm))
-        monkeypatch.setattr(classify_module, "apply_cp_map",
-                            counted("cp", apply_cp_map))
+        monkeypatch.setattr(classify_module, "_cp_step",
+                            counted("cp", tuples_module._cp_step))
+        # classify imports no apply_cp_map; a binding added there would
+        # be counted too.
+        for module in (classify_module, tuples_module):
+            monkeypatch.setattr(module, "apply_cp_map",
+                                counted("public", apply_cp_map), raising=False)
+        monkeypatch.setattr(defect_module, "apply_cp_map",
+                            counted("margin", apply_cp_map))
         T = scaled(random_contractive(2, 8, 0, 0), 0.999)
         v = purity(T)
         assert v.status is Purity.UNDECIDED
         assert v.iterations == DEFAULT_MAX_ITER
         assert counts["cp"] == DEFAULT_MAX_ITER
         assert 1 <= counts["norm"] <= 2
+        assert counts["public"] == 0
+        assert counts["margin"] == 1
 
 
 BAD_THRESHOLDS = [
@@ -605,14 +656,21 @@ class TestCommutantSizeCap:
             self, monkeypatch):
         classify_module = importlib.import_module("defectseq.classify")
         defect_module = importlib.import_module("defectseq.defect")
+        tuples_module = importlib.import_module("defectseq.tuples")
         calls = []
 
-        def counting(T, x):
-            calls.append(x)
-            return apply_cp_map(T, x)
+        def counting(fn):
+            def wrapper(T, x):
+                calls.append(x)
+                return fn(T, x)
+            return wrapper
 
-        for module in (classify_module, defect_module):
-            monkeypatch.setattr(module, "apply_cp_map", counting)
+        # The purity loop steps through the private kernel, the margin
+        # through the public name.
+        monkeypatch.setattr(defect_module, "apply_cp_map",
+                            counting(apply_cp_map))
+        monkeypatch.setattr(classify_module, "_cp_step",
+                            counting(tuples_module._cp_step))
         # The damped tuple of the benchmark spends the whole purity budget.
         T = scaled(random_contractive(2, 8, 0, 3), 0.999)
         monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "63")

@@ -120,6 +120,76 @@ class TestContractivity:
         assert is_contractive(T)
 
 
+def same_float(a, b):
+    return np.float64(a).view(np.uint64) == np.float64(b).view(np.uint64)
+
+
+class TestMarginCache:
+    def counting_shims(self, monkeypatch):
+        # How often the margin is computed, and every cp step the defect
+        # module takes through the public name (margin and ladder).
+        import defectseq.defect as defect
+        calls = {"margin": 0, "apply_cp_map": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(defect, "_contractivity_margin",
+                            counting("margin", defect._contractivity_margin))
+        monkeypatch.setattr(defect, "apply_cp_map",
+                            counting("apply_cp_map", defect.apply_cp_map))
+        return calls
+
+    def test_one_margin_per_tuple_object(self, monkeypatch):
+        calls = self.counting_shims(monkeypatch)
+        T = fock_creation(2, 3)
+        assert is_contractive(T)
+        require_contractive(T)
+        assert defect_sequence(T, 5).deltas == (1, 3, 7, 15)
+        assert purity(T, max_iter=50).iterations == 4
+        assert [defect_dimension(T, n) for n in (1, 2, 3)] == [1, 3, 7]
+        assert contractivity_margin(T) == 0.0
+        # One cp(I) for the margin, four ladder steps.
+        assert calls == {"margin": 1, "apply_cp_map": 5}
+
+    def test_an_equal_tuple_computes_its_own(self, monkeypatch):
+        calls = self.counting_shims(monkeypatch)
+        T = fock_creation(2, 3)
+        margin = contractivity_margin(T)
+        for twin in (fock_creation(2, 3), OperatorTuple(T.ops), T.relabel("x")):
+            assert same_float(contractivity_margin(twin), margin)
+        assert calls == {"margin": 4, "apply_cp_map": 4}
+
+    @pytest.mark.parametrize("T", [
+        fock_creation(2, 3),
+        orthogonal_conjugate(fock_creation(2, 3), 0),
+        random_contractive(3, 6, 2, 0),
+        OperatorTuple((1.1 * np.eye(3),)),
+        damped_random(np.random.default_rng(5), 2, 5, scale=0.3),
+    ], ids=["shift", "dense-shift", "random", "inflated", "complex"])
+    def test_cached_margin_is_a_fresh_computation(self, T):
+        import defectseq.defect as defect
+        first = contractivity_margin(T)
+        assert "_contractivity_margin" in vars(T)
+        for _ in range(2):
+            assert same_float(contractivity_margin(T), first)
+        assert same_float(defect._contractivity_margin(T), first)
+        assert same_float(contractivity_margin(OperatorTuple(T.ops)), first)
+
+    def test_overflowing_tuple_raises_on_every_call(self, monkeypatch):
+        calls = self.counting_shims(monkeypatch)
+        T = OperatorTuple((1e200 * np.eye(2),))
+        for check in (contractivity_margin, is_contractive,
+                      require_contractive, contractivity_margin):
+            with pytest.raises(ArgumentError, match="not finite"):
+                check(T)
+        assert "_contractivity_margin" not in vars(T)
+        assert calls == {"margin": 4, "apply_cp_map": 4}
+
+
 class TestDefectOperator:
     def test_fock_first_defect_is_vacuum_projection(self):
         v = fock_creation(2, 3)

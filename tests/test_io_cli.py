@@ -293,6 +293,19 @@ class TestCliClassify:
         assert "Traceback" not in err
         assert not rep.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("scale", [1.0, 1.4],
+                             ids=["contractive", "noncontractive"])
+    def test_empty_budget_is_exit_two(self, tmp_path, capsys, value, scale):
+        src = tmp_path / "in.json"
+        write_tuple(OperatorTuple((scale * np.diag([0.5, 0.0]),)), src)
+        rep = tmp_path / "report.json"
+        assert main(["classify", str(src), "--max-iter", value,
+                     "--report", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: iteration budget must be at least 1\n"
+        assert not rep.exists()
+
     @pytest.mark.parametrize("value", ["1", "1.5", "1e308"])
     @pytest.mark.parametrize("scale", [1.0, 1.4],
                              ids=["contractive", "noncontractive"])

@@ -21,6 +21,7 @@ from defectseq.models import (
 )
 from defectseq.tuples import (
     OperatorTuple,
+    _cp_step,
     apply_cp_map,
     compress,
     cp_iterate,
@@ -492,6 +493,110 @@ class TestDiagonalCpRoute:
         g = rng.standard_normal((T.h, T.h))
         for x in (g @ g.T, np.eye(T.h, dtype=np.complex128)):
             assert same_bits(apply_cp_map(T, x), reference_cp(T, x))
+
+
+def kernel_cases():
+    # (tuple, argument) pairs covering every route of the cp step.
+    rng = np.random.default_rng(11)
+    real = OperatorTuple(tuple(0.4 * rng.standard_normal((5, 5))
+                               for _ in range(2)))
+    cplx = random_tuple(rng, 3, 5)
+    shift = fock_creation(2, 3)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    signed = np.diag([0.5, -0.0, 0.0, -0.25, 1.0] + [0.0] * 10)
+    signed[0, 1] = signed[1, 0] = -0.0
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return [
+        ("real-dense", real, np.eye(5)),
+        ("real-dense-full", real, (g + g.conj().T).real),
+        ("complex-dense", cplx, np.eye(5)),
+        ("complex-dense-full", cplx, g @ g.conj().T),
+        ("diagonal", shift, np.diag(np.linspace(1.0, 0.0, 15))),
+        ("real-tuple-complex-argument", real, g @ g.conj().T),
+        ("shift-complex-argument", shift, np.eye(15, dtype=np.complex128)),
+        ("negative-zeros", shift, signed),
+        ("negative-zeros-dense", real, np.where(np.eye(5) > 0, 1.0, -0.0)),
+        ("overflow-diagonal", OperatorTuple((1e200 * swap,)), np.eye(2)),
+        ("overflow-dense", OperatorTuple((1e200 * (swap + np.eye(2)),)),
+         np.eye(2)),
+        ("overflow-complex", OperatorTuple((1e200j * swap,)), np.eye(2)),
+        ("overflow-symmetrize", OperatorTuple((swap,)),
+         np.diag([1.5e308, 1.0])),
+    ]
+
+
+KERNEL_CASES = kernel_cases()
+
+
+class TestCpKernel:
+    @pytest.mark.parametrize("T, x", [case[1:] for case in KERNEL_CASES],
+                             ids=[case[0] for case in KERNEL_CASES])
+    def test_kernel_matches_the_public_step(self, T, x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            public = apply_cp_map(T, x)
+            kernel = _cp_step(T, x)
+            dense = reference_cp(T, x)
+        assert same_bits(kernel, public)
+        assert same_bits(kernel, dense)
+
+    def test_real_adjoints_are_views_computed_once(self):
+        rng = np.random.default_rng(12)
+        T = OperatorTuple(tuple(rng.standard_normal((4, 4)) for _ in range(3)))
+        assert "_adjoints" not in vars(T)
+        cp_iterate(T, 2)
+        adjoints = vars(T)["_adjoints"]
+        for op, adjoint in zip(T.ops, adjoints):
+            assert adjoint.base is op
+            assert np.array_equal(adjoint, op.T)
+        cp_iterate(T, 3)
+        assert T._adjoints is adjoints
+
+    def test_complex_adjoints_are_one_readonly_copy(self):
+        T = random_tuple(np.random.default_rng(13), 2, 4)
+        assert "_adjoints" not in vars(T)
+        apply_cp_map(T, np.eye(4))
+        adjoints = T._adjoints
+        for op, adjoint in zip(T.ops, adjoints):
+            assert not np.shares_memory(adjoint, op)
+            assert not adjoint.flags.writeable
+            assert adjoint.strides == op.conj().T.strides
+            assert same_bits(adjoint, op.conj().T)
+        apply_cp_map(T, np.eye(4))
+        assert T._adjoints is adjoints
+
+    def test_shift_tuple_builds_adjoints_only_for_the_dense_route(self):
+        T = fock_creation(2, 3)
+        cp_iterate(T, T.h + 2)
+        assert "_adjoints" not in vars(T)
+        apply_cp_map(T, np.ones((T.h, T.h)))
+        assert "_adjoints" in vars(T)
+
+    @pytest.mark.parametrize("T", [
+        OperatorTuple(tuple(0.4 * np.random.default_rng(14).standard_normal((4, 4))
+                            for _ in range(2))),
+        random_tuple(np.random.default_rng(15), 2, 4, scale=0.3),
+        fock_creation(2, 2),
+        random_contractive(2, 6, 1, 3),
+    ], ids=["real-dense", "complex-dense", "shift", "random-contractive"])
+    def test_cp_iterate_matches_public_steps(self, T):
+        x = np.eye(T.h, dtype=T.dtype)
+        for n in range(T.h + 3):
+            assert same_bits(cp_iterate(T, n), x)
+            x = apply_cp_map(T, x)
+
+    def test_overflowing_iterate_is_returned_then_refused(self):
+        T = OperatorTuple((1e200 * np.eye(3),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = cp_iterate(T, 1)
+            assert same_bits(first, apply_cp_map(T, np.eye(3)))
+            assert not np.isfinite(first).all()
+            with pytest.raises(ArgumentError) as public:
+                apply_cp_map(T, first)
+            for n in (2, 3):
+                with pytest.raises(ArgumentError) as looped:
+                    cp_iterate(T, n)
+                assert str(looped.value) == str(public.value)
+        assert str(public.value) == "cp-map argument contains non-finite entries"
 
 
 def reference_is_commuting(T, tol=None):
