@@ -21,16 +21,17 @@ complex dimension, and the d constraints [T_i, X] = 0 on a Hermitian X
 imply the d adjoint ones.  The real system that remains costs a
 quarter of the stacked complex system of all 2d constraints, whose
 singular values are exactly sqrt(2) times its own; scaling by sqrt(2)
-before the cutoff keeps the rank decision the same.  A tuple with an
-exact zero entry, such as a weighted shift, gives a system that is
-block diagonal after permuting its rows and columns: it is built from
-the nonzeros alone, split into the connected components of its
-sparsity graph (the structural first level of the block triangular
-form of Pothen and Fan, ACM TOMS 1990), and each component gets its own
-SVD, batched by block shape.  The singular values of a block-diagonal
-matrix are the union of its blocks' values, so the one cutoff over that
-union gives the count of the whole system.  A tuple without zero
-entries is one component and keeps the single dense system.  ``classify``
+before the cutoff keeps the rank decision the same.  One structural
+route counts every tuple: the system is built from the nonzeros of the
+T_i alone and split into the connected components of its sparsity
+graph (the structural first level of the block triangular form of
+Pothen and Fan, ACM TOMS 1990), and each component gets its own SVD,
+batched by block shape.  A tuple with exact zero entries, such as a
+weighted shift, falls into many small components; a tuple without
+zeros is one component of h**2 unknowns, and its h**2 cap check comes
+first.  The singular values of a block-diagonal matrix are the union
+of its blocks' values, so the one cutoff over that union gives the
+count of the whole system.  ``classify``
 counts the commutant before the purity loop, so a tuple past the size
 cap is refused before the iteration budget is spent.
 
@@ -72,6 +73,7 @@ from .linalg import (
     RankTolerance,
     _BOUND_SLACK,
     _count_above,
+    _require_integer,
     hermitian_norm,
     readonly_copy,
 )
@@ -146,11 +148,12 @@ def purity(T, max_iter=DEFAULT_MAX_ITER, eps_pure=DEFAULT_EPS_PURE,
 
     ``max_iter`` must be an integer of at least 1 (numpy integers count,
     a bool or a float does not), and ``eps_pure`` and ``eps_conv`` must
-    be finite and nonnegative (zero is allowed); anything else raises
-    ArgumentError.  A step computes the two spectral norms only when the
-    diagonal and Frobenius bounds on them cannot rule out both tests,
-    and always at step ``max_iter``, so the outcome is that of taking
-    them on every step.
+    be finite, nonnegative real numbers (Python or numpy floats or
+    integers, zero included; not a bool or a string); anything else
+    raises ArgumentError.  A step computes the two spectral norms only
+    when the diagonal and Frobenius bounds on them cannot rule out both
+    tests, and always at step ``max_iter``, so the outcome is that of
+    taking them on every step.
     """
     _check_budget(max_iter)
     _check_thresholds(eps_pure, eps_conv)
@@ -160,18 +163,21 @@ def purity(T, max_iter=DEFAULT_MAX_ITER, eps_pure=DEFAULT_EPS_PURE,
 
 
 def _check_budget(max_iter):
-    # numpy integers count as integers; True and 2.0 do not.
-    if (isinstance(max_iter, bool)
-            or not isinstance(max_iter, numbers.Integral)):
-        raise ArgumentError(
-            f"iteration budget must be an integer, got {max_iter!r}")
+    _require_integer(max_iter, "iteration budget")
     if max_iter < 1:
         raise ArgumentError("iteration budget must be at least 1")
 
 
 def _check_thresholds(eps_pure, eps_conv):
+    # Python and numpy floats and integers count; True and "1" do not.
     for name, eps in (("eps_pure", eps_pure), ("eps_conv", eps_conv)):
-        if not np.isfinite(eps) or eps < 0.0:
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
+            raise ArgumentError(f"{name} must be a real number, got {eps!r}")
+        try:
+            finite = math.isfinite(eps)
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite or eps < 0.0:
             raise ArgumentError(f"{name} must be nonnegative and finite, got {eps}")
 
 
@@ -343,73 +349,49 @@ def commutant_dimension(T, tol=None):
     quarter of its cost.  The identity always commutes, so the result is
     at least 1.
 
-    When no entry of any T_i is an exact zero the system is one
-    component, and it is built densely from Kronecker products; that
-    route refuses spaces with h**2 beyond the size cap.  Otherwise the
-    same entries are built from the nonzeros of the T_i (2 h nnz terms),
-    the unknowns X[p, q] and X[q, p] are grouped into one pair, and the
-    rows and pairs fall into the connected components of the system's
-    sparsity graph.  Unknowns that no row touches are zero columns and
-    count toward the nullity without an SVD; every component gets its
-    own SVD, one batched call per block shape, and the singular values
-    of all components are cut off together, with sigma_max taken over
-    all of them.  That route refuses a tuple whose largest component has
-    more real unknowns than the size cap, and, so that it never holds
-    more than the dense system could at the cap, one with more than
-    d * cap**2 nonzero terms or component blocks of more than d * cap**2
-    entries in all.
+    Every tuple is counted on one structural route.  The system is built
+    from the nonzeros of the T_i (2 h nnz terms), the unknowns X[p, q]
+    and X[q, p] are grouped into one pair, and the rows and pairs fall
+    into the connected components of the system's sparsity graph.
+    Unknowns that no row touches are zero columns and count toward the
+    nullity without an SVD; every component gets its own SVD, one
+    batched call per block shape, and the singular values of all
+    components are cut off together, with sigma_max taken over all of
+    them.  A tuple without an exact zero entry is one component of h**2
+    real unknowns, so for it the size cap is checked on h**2 first, in
+    O(d h**2) and before anything is built.  Otherwise the route refuses
+    a tuple whose largest component has more real unknowns than the
+    size cap, and, so that it never holds more than the d h**2 x h**2
+    system of a dense tuple at h**2 = cap, one with more than
+    d * cap**2 nonzero terms or component blocks of more than
+    d * cap**2 entries in all.
     """
     tol = DEFAULT_TOL if tol is None else tol
     h = T.h
     cap = size_cap()
-    if _one_component(T):
-        if h * h > cap:
-            raise SizeCapError(
-                f"commutant system needs h^2 = {h * h} unknowns, cap is {cap}"
-            )
-        s = _dense_singular_values(T)
-    else:
-        _, stacks = _structural_system(T, cap)
-        s = np.concatenate([np.linalg.svd(stack, compute_uv=False).ravel()
-                            for stack in stacks] or [np.empty(0)])
+    if h * h > cap and _one_component(T):
+        raise SizeCapError(
+            f"commutant system needs h^2 = {h * h} unknowns, cap is {cap}"
+        )
+    _, stacks = _structural_system(T, cap)
+    s = np.concatenate([np.linalg.svd(stack, compute_uv=False).ravel()
+                        for stack in stacks] or [np.empty(0)])
     return h * h - _count_above(np.sqrt(2.0) * s, tol)
 
 
 def _one_component(T):
     # With no exact zero entry, row (i, a, b) of the system reaches every
     # unknown in row a and in column b of X, so the whole system is one
-    # component and splitting it would find nothing.
+    # component of h**2 real unknowns; checking that costs O(d h**2)
+    # against the O(d h**3) terms of the system.
     return all(np.count_nonzero(op) == op.size for op in T.ops)
 
 
-def _dense_singular_values(T):
-    h = T.h
-    eye = np.eye(h, dtype=T.dtype)
-    # Row-major vectorization: vec(A X) = kron(A, I) vec(X) and
-    # vec(X A) = kron(I, A^T) vec(X).
-    system = np.vstack([np.kron(op, eye) - np.kron(eye, op.T)
-                        for op in T.ops])
-    # Columns of the basis matrices E_jj, (E_jk + E_kj)/sqrt(2) and
-    # (E_jk - E_kj)/sqrt(2) for j < k.
-    rows, cols = np.triu_indices(h, 1)
-    upper = system[:, rows * h + cols]
-    lower = system[:, cols * h + rows]
-    weight = np.sqrt(0.5)
-    sym = np.hstack([system[:, np.arange(h) * (h + 1)],
-                     weight * (upper + lower)])
-    anti = weight * (upper - lower)
-    if T.dtype == np.float64:
-        blocks = (sym, anti)
-    else:
-        # Real and imaginary parts of [sym | i anti].
-        blocks = (np.block([[sym.real, -anti.imag], [sym.imag, anti.real]]),)
-    return np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
-
-
 def _structural_system(T, cap):
-    # The Hermitian-basis system of ``_dense_singular_values`` built
-    # straight from the nonzeros of the T_i, with the same entries, split
-    # by component.  Returns the real unknowns of each component and one
+    # The real system of ``commutant_dimension`` in the Hermitian basis
+    # E_jj, (E_jk + E_kj)/sqrt(2) and i (E_jk - E_kj)/sqrt(2) for j < k,
+    # built straight from the nonzeros of the T_i and split by
+    # component.  Returns the real unknowns of each component and one
     # (count, m, n) stack of blocks per block shape; the blocks' singular
     # values together are those of the whole system.
     # Row (i, a, b) of [T_i, X] = 0 is (i*h + a)*h + b and the unknown
@@ -436,11 +418,11 @@ def _structural_system(T, cap):
     vals = np.concatenate([np.repeat(t, h), np.repeat(-t, h)])
     # X[p, q] and X[q, p] are one pair, keyed by its upper entry.  A
     # (row, pair) holds at most two terms, so each sum below is exact
-    # and equals the dense system's entry.
+    # and equals the entry of kron(T_i, I) - kron(I, T_i^T).
     key = rows * hh + np.minimum(p, q) * h + np.maximum(p, q)
     order = np.argsort(key, kind="stable")
     key = key[order]
-    starts = np.flatnonzero(np.r_[key.size > 0, key[1:] != key[:-1]])
+    starts = np.flatnonzero(np.append(key.size > 0, key[1:] != key[:-1]))
     upper = np.add.reduceat(np.where(p <= q, vals, 0)[order], starts)
     lower = np.add.reduceat(np.where(p > q, vals, 0)[order], starts)
     # An entry that is exactly zero joins nothing.
@@ -456,7 +438,7 @@ def _structural_system(T, cap):
     touched[pair] = True
     pairs = np.flatnonzero(touched)
     node = np.searchsorted(pairs, pair)
-    new_row = np.r_[True, row[1:] != row[:-1]]
+    new_row = np.append(True, row[1:] != row[:-1])
     first = np.maximum.accumulate(np.where(new_row, np.arange(row.size), 0))
     root = _components(pairs.size, node, node[first])
 
@@ -498,25 +480,26 @@ def _structural_system(T, cap):
     seg_anti = anti_col[node]
     if T.dtype == np.float64:
         # A symmetric and an antisymmetric block per component.
-        shape_m = np.r_[n_rows, n_rows]
-        shape_n = np.r_[n_pairs, n_off]
-        block = np.r_[seg_comp, ncomp + seg_comp[od]]
-        at_row = np.r_[seg_row, seg_row[od]]
-        at_col = np.r_[seg_sym, seg_anti[od]]
-        value = np.r_[sym, anti[od]]
+        shape_m = np.concatenate([n_rows, n_rows])
+        shape_n = np.concatenate([n_pairs, n_off])
+        block = np.concatenate([seg_comp, ncomp + seg_comp[od]])
+        at_row = np.concatenate([seg_row, seg_row[od]])
+        at_col = np.concatenate([seg_sym, seg_anti[od]])
+        value = np.concatenate([sym, anti[od]])
     else:
-        # Real and imaginary parts of [sym | i anti], as in the dense
-        # route.
+        # Real and imaginary parts of [sym | i anti].
         shape_m = 2 * n_rows
         shape_n = unknowns
         lift = n_rows[seg_comp]
         shift = n_pairs[seg_comp[od]]
-        block = np.r_[seg_comp, seg_comp, seg_comp[od], seg_comp[od]]
-        at_row = np.r_[seg_row, seg_row + lift, seg_row[od],
-                       seg_row[od] + lift[od]]
-        at_col = np.r_[seg_sym, seg_sym, seg_anti[od] + shift,
-                       seg_anti[od] + shift]
-        value = np.r_[sym.real, sym.imag, -anti[od].imag, anti[od].real]
+        block = np.concatenate([seg_comp, seg_comp, seg_comp[od],
+                                seg_comp[od]])
+        at_row = np.concatenate([seg_row, seg_row + lift, seg_row[od],
+                                 seg_row[od] + lift[od]])
+        at_col = np.concatenate([seg_sym, seg_sym, seg_anti[od] + shift,
+                                 seg_anti[od] + shift])
+        value = np.concatenate([sym.real, sym.imag, -anti[od].imag,
+                                anti[od].real])
     return unknowns, _stack_by_shape(shape_m, shape_n, block, at_row, at_col,
                                      value)
 
@@ -535,7 +518,7 @@ def _stack_by_shape(shape_m, shape_n, block, at_row, at_col, value):
     m, n = shape_m[by_shape], shape_n[by_shape]
     cuts = np.flatnonzero((m[1:] != m[:-1]) | (n[1:] != n[:-1])) + 1
     stacks = []
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, m.size]):
+    for lo, hi in zip(np.append(0, cuts), np.append(cuts, m.size)):
         begin = int(end[lo] - size[by_shape[lo]])
         stacks.append(buffer[begin:int(end[hi - 1])]
                       .reshape(hi - lo, int(m[lo]), int(n[lo])))

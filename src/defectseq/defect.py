@@ -47,6 +47,7 @@ from .linalg import (
     Subspace,
     _count_above,
     _hermitian_eigvals,
+    _require_integer,
     hermitize,
     numerical_rank,
     orthonormal_range,
@@ -152,9 +153,11 @@ def commuting_bound(d, n, delta_1):
 def defect_operator(T, n, tol=None):
     """The n-th defect operator D_n = I - cp^n(I), exactly Hermitian.
 
-    Requires n >= 1 and a contractive tuple; the iterate is computed by
-    n applications of the cp map.
+    Requires an integer n >= 1 (numpy integers count, a bool or a float
+    does not) and a contractive tuple; the iterate is computed by n
+    applications of the cp map.
     """
+    _require_integer(n, "defect index")
     if n < 1:
         raise ArgumentError("defect index must be at least 1")
     tol = DEFAULT_TOL if tol is None else tol
@@ -257,8 +260,10 @@ def defect_sequence(T, n_max, tol=None):
     Stops as soon as two consecutive values agree (the sequence is then
     constant forever) or the full dimension h is reached.  Bound flags
     compare each value against the geometric bound, and additionally
-    against the binomial bound when the tuple commutes.
+    against the binomial bound when the tuple commutes.  ``n_max`` must
+    be an integer, as for ``defect_operator``.
     """
+    _require_integer(n_max, "n_max")
     if n_max < 1:
         raise ArgumentError("n_max must be at least 1")
     tol = DEFAULT_TOL if tol is None else tol

@@ -37,6 +37,7 @@ form.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +107,12 @@ DEFAULT_TOL = RankTolerance()
 
 def _resolve(tol):
     return DEFAULT_TOL if tol is None else tol
+
+
+def _require_integer(value, name):
+    # numpy integers count as integers; True and 2.0 do not.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def as_operator_matrix(a, name="matrix"):

@@ -57,6 +57,7 @@ from .errors import ArgumentError, SizeCapError
 from .linalg import (
     DEFAULT_TOL,
     _BOUND_SLACK,
+    _require_integer,
     as_operator_matrix,
     hermitize,
     readonly_copy,
@@ -284,8 +285,10 @@ def cp_iterate(T, n):
     row contraction the sequence is decreasing in the positive
     semidefinite order.  An iterate with non-finite entries is returned
     as it is, but raises ArgumentError when another step would take it
-    as its argument, as ``apply_cp_map`` does.
+    as its argument, as ``apply_cp_map`` does.  ``n`` must be an
+    integer (numpy integers count, a bool or a float does not).
     """
+    _require_integer(n, "iteration count")
     if n < 0:
         raise ArgumentError("iteration count must be nonnegative")
     x = np.eye(T.h, dtype=T.dtype)

@@ -552,6 +552,10 @@ class TestBoundsFirstPurity:
 BAD_THRESHOLDS = [
     {"eps_pure": np.inf}, {"eps_pure": np.nan}, {"eps_pure": -1.0},
     {"eps_conv": np.inf}, {"eps_conv": np.nan}, {"eps_conv": -1e-12},
+    # Not a real number, or an integer past the float range.
+    *({name: bad} for name in ("eps_pure", "eps_conv")
+      for bad in (True, False, np.bool_(True), "1", None, 1e-10j, [1e-10],
+                  10 ** 400)),
 ]
 
 
@@ -587,6 +591,19 @@ class TestPurityThresholds:
             classify(OperatorTuple((1.5 * np.eye(2),)), eps_conv=eps_conv)
         below = np.nextafter(1.0, 0.0)
         assert classify(fock_creation(2, 2), eps_conv=below).irreducible
+
+    @pytest.mark.parametrize("eps", [1e-10, 0, np.float64(1e-10),
+                                     np.float32(1e-10), np.int64(0)],
+                             ids=repr)
+    def test_python_and_numpy_numbers_are_accepted(self, eps):
+        T = spherical_shift_sum(2, 2, (0.6, 0.8), 1)
+        for kw in ({"eps_pure": eps}, {"eps_conv": eps}):
+            args = {"eps_pure": DEFAULT_EPS_PURE,
+                    "eps_conv": DEFAULT_EPS_CONV, **kw}
+            want = reference_purity(T, 200, **args)
+            assert_same_verdict(purity(T, 200, **args), want)
+            assert_same_verdict(classify(T, max_iter=200, **args).purity,
+                                want)
 
     def test_zero_thresholds_are_valid(self):
         assert purity(fock_creation(2, 2), eps_pure=0.0,
@@ -651,6 +668,26 @@ class TestCommutantSizeCap:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 319200
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_dense_tuple_past_the_cap_is_refused_before_building(
+            self, monkeypatch, real):
+        # A tuple without zeros is one component of h^2 = 4225 unknowns;
+        # its system would hold 2h*nnz = 1098500 terms.  The refusal
+        # costs less than one entry of the tuple.
+        T = random_contractive(2, 65, 1, 0)
+        if real:
+            T = OperatorTuple(tuple(op.real for op in T.ops))
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "4096")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError,
+                               match=r"h\^2 = 4225 unknowns, cap is 4096"):
+                commutant_dimension(T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < T.ops[0].nbytes
 
     def test_classify_counts_the_commutant_before_the_purity_loop(
             self, monkeypatch):

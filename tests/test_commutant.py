@@ -4,9 +4,12 @@
 [T_i, X] = 0 and [T_i*, X] = 0 on the h**2 complex unknowns of X,
 stacked into one system whose numerical nullity is the commutant
 dimension.  ``commutant_dimension`` counts the Hermitian part of the
-commutant instead; the two must agree on every input.  A tuple with an
-exact zero entry takes the structural route, one SVD per connected
-component of the system, and is checked against the same oracle.
+commutant instead; the two must agree on every input.  One structural
+route serves every tuple: the system is built from the nonzeros of the
+T_i and gets one SVD per connected component.  A tuple with exact zero
+entries splits into many components, a tuple without zeros is one
+component of h**2 unknowns, and both are checked against the same
+oracle.
 """
 
 import numpy as np
@@ -15,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectseq.classify import (
-    _dense_singular_values,
     _one_component,
     _structural_system,
     commutant_dimension,
@@ -33,18 +35,22 @@ from defectseq.models import (
 from defectseq.tuples import OperatorTuple, direct_sum
 
 
-def stacked_commutant_dimension(T, tol=None):
-    """Nullity of the 2d h**2 x h**2 system of [T_i, X] and [T_i*, X]."""
-    tol = DEFAULT_TOL if tol is None else tol
-    h = T.h
-    eye = np.eye(h, dtype=T.dtype)
+def stacked_system(T):
+    """The 2d h**2 x h**2 system of [T_i, X] = 0 and [T_i*, X] = 0."""
+    eye = np.eye(T.h, dtype=T.dtype)
     blocks = []
     for op in T.ops:
         for a in (op, op.conj().T):
             # Row-major vectorization: vec(A X) = kron(A, I) vec(X) and
             # vec(X A) = kron(I, A^T) vec(X).
             blocks.append(np.kron(a, eye) - np.kron(eye, a.T))
-    return h * h - numerical_rank(np.vstack(blocks), tol)
+    return np.vstack(blocks)
+
+
+def stacked_commutant_dimension(T, tol=None):
+    """Nullity of ``stacked_system``."""
+    tol = DEFAULT_TOL if tol is None else tol
+    return T.h ** 2 - numerical_rank(stacked_system(T), tol)
 
 
 def real_part(T):
@@ -100,6 +106,16 @@ class TestStackedOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_tuples(self, real, seed):
         T = random_contractive(1 + seed % 3, 2 + 2 * seed, seed % 2, seed)
+        if real:
+            T = real_part(T)
+        assert T.dtype == (np.float64 if real else np.complex128)
+        assert commutant_dimension(T) == stacked_commutant_dimension(T)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_classify_workload_draws(self, real, seed):
+        # The dense draws of the classify benchmark, one component each.
+        T = random_contractive(3, 24, 2, (seed, 1))
         if real:
             T = real_part(T)
         assert T.dtype == (np.float64 if real else np.complex128)
@@ -164,7 +180,6 @@ class TestKnownDimensions:
 
 def component_unknowns(T):
     """Real unknowns per component on the structural route."""
-    assert not _one_component(T)
     return _structural_system(T, size_cap())[0]
 
 
@@ -277,23 +292,30 @@ class TestStructuralRoute:
         lambda: rotate(symmetric_fock_shift(2, 3)),
         lambda: direct_sum(fock_creation(2, 2), random_contractive(2, 3, 1, 0)),
         lambda: OperatorTuple((np.diag([0.1, 0.5, 0.2]),)),
+        lambda: random_contractive(2, 4, 1, 0),
+        lambda: real_part(random_contractive(2, 4, 1, 0)),
     ])
-    def test_blocks_carry_the_dense_singular_values(self, make):
-        # Not just the count: the nonzero singular values of the blocks
-        # are those of the dense system, so the entries are the same.
+    def test_blocks_carry_the_stacked_singular_values(self, make):
+        # Not just the count: sqrt(2) times the nonzero singular values of
+        # the blocks are those of the stacked system.
         T = make()
-        blocks = np.sort(np.concatenate(
+        blocks = np.sqrt(2.0) * np.sort(np.concatenate(
             [np.linalg.svd(stack, compute_uv=False).ravel()
              for stack in _structural_system(T, size_cap())[1]]))
-        dense = np.sort(_dense_singular_values(T))
-        floor = 1e-12 * dense[-1]
-        blocks, dense = blocks[blocks > floor], dense[dense > floor]
-        np.testing.assert_allclose(blocks, dense, rtol=1e-12)
+        stacked = np.sort(np.linalg.svd(stacked_system(T), compute_uv=False))
+        floor = 1e-12 * stacked[-1]
+        blocks, stacked = blocks[blocks > floor], stacked[stacked > floor]
+        np.testing.assert_allclose(blocks, stacked, rtol=1e-12)
 
-    def test_dense_tuples_keep_one_system(self):
-        T = random_contractive(2, 5, 1, 0)
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("h", [2, 5])
+    def test_dense_tuples_are_one_component(self, real, h):
+        T = random_contractive(2, h, 1, 0)
+        if real:
+            T = real_part(T)
         assert _one_component(T)
-        assert _one_component(real_part(T))
+        assert component_unknowns(T).tolist() == [h * h]
+        assert commutant_dimension(T) == stacked_commutant_dimension(T)
 
 
 @st.composite

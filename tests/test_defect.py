@@ -218,8 +218,44 @@ class TestDefectOperator:
         with pytest.raises(ArgumentError):
             defect_operator(v, 0)
 
+    @pytest.mark.parametrize("fn", [defect_operator, defect_dimension,
+                                    defect_space])
+    @pytest.mark.parametrize("n", [True, False, np.bool_(True), 2.5, 1.0,
+                                   "1", None], ids=repr)
+    def test_index_must_be_an_integer(self, fn, n):
+        T = OperatorTuple((0.5 * np.eye(2),))
+        with pytest.raises(ArgumentError,
+                           match="defect index must be an integer"):
+            fn(T, n)
+
+    @pytest.mark.parametrize("n", [np.int64(2), np.int32(2), np.uint8(2)],
+                             ids=repr)
+    def test_numpy_integer_indices_are_accepted(self, n):
+        v = fock_creation(2, 3)
+        assert np.array_equal(defect_operator(v, n), defect_operator(v, 2))
+        assert defect_dimension(v, n) == 3
+        assert defect_space(v, n).dim == 3
+        with pytest.raises(ArgumentError,
+                           match="defect index must be at least 1"):
+            defect_operator(v, n - n)
+
 
 class TestDefectSequence:
+    @pytest.mark.parametrize("n_max", [True, False, np.bool_(True), 2.5,
+                                       3.0, "3", None], ids=repr)
+    def test_n_max_must_be_an_integer(self, n_max):
+        T = OperatorTuple((0.5 * np.eye(2),))
+        with pytest.raises(ArgumentError, match="n_max must be an integer"):
+            defect_sequence(T, n_max)
+
+    @pytest.mark.parametrize("n_max", [np.int64(2), np.int32(2),
+                                       np.uint8(2)], ids=repr)
+    def test_numpy_integer_n_max_is_accepted(self, n_max):
+        v = fock_creation(2, 3)
+        assert defect_sequence(v, n_max).deltas == (1, 3)
+        with pytest.raises(ArgumentError, match="n_max must be at least 1"):
+            defect_sequence(v, n_max - n_max)
+
     def test_fock_ladder_and_early_full_stop(self):
         v = fock_creation(2, 3)
         rep = defect_sequence(v, 10)

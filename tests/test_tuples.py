@@ -144,6 +144,23 @@ class TestCpMap:
         assert np.allclose(x, y)
         assert np.array_equal(cp_iterate(T, 0), np.eye(4))
 
+    @pytest.mark.parametrize("n", [True, False, np.bool_(True), 2.5, 2.0,
+                                   "2", None], ids=repr)
+    def test_cp_iterate_needs_an_integer_count(self, n):
+        T = OperatorTuple((0.5 * np.eye(2),))
+        with pytest.raises(ArgumentError,
+                           match="iteration count must be an integer"):
+            cp_iterate(T, n)
+
+    @pytest.mark.parametrize("n", [np.int64(2), np.int32(2), np.uint8(2)],
+                             ids=repr)
+    def test_cp_iterate_accepts_numpy_integers(self, n):
+        T = OperatorTuple((0.5 * np.eye(2),))
+        assert np.array_equal(cp_iterate(T, n), cp_iterate(T, 2))
+        with pytest.raises(ArgumentError,
+                           match="iteration count must be nonnegative"):
+            cp_iterate(T, np.int64(-1))
+
     def test_iterates_decrease_for_contractions(self):
         rng = np.random.default_rng(4)
         raw = random_tuple(rng, 2, 5, scale=0.3)
