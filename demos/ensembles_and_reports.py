@@ -18,6 +18,7 @@ import numpy as np
 
 from defectseq import (
     defect_dimension,
+    fock_creation,
     random_contractive,
     rank_symmetry_check,
     read_tuple,
@@ -60,14 +61,20 @@ def main():
     print(f"\nPower-row rank symmetry at step 2: left {v.rank_left},"
           f" right {v.rank_right}, kernels equal = {v.equal_kernels}")
 
-    # Tuples round-trip through JSON files bit for bit.
+    # Tuples round-trip through JSON files bit for bit.  The writer
+    # stores the entries densely or as nonzeros, whichever is smaller.
+    print("\nJSON round trips:")
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "tuple.json"
-        write_tuple(T, path, meta={"note": "demo artifact"})
-        back = read_tuple(path)
-        exact = all(np.array_equal(x, y) for x, y in zip(T.ops, back.ops))
-        print(f"\nJSON round trip bit-exact: {exact}")
-        payload = tuple_to_payload(T)
+        for S in (T, fock_creation(2, 4)):
+            path = Path(tmp) / "tuple.json"
+            write_tuple(S, path, meta={"note": "demo artifact"})
+            back = read_tuple(path)
+            exact = all(np.array_equal(x, y)
+                        for x, y in zip(S.ops, back.ops))
+            payload = tuple_to_payload(S)
+            print(f"  {S.dtype} tuple on C^{S.h}: bit-exact = {exact},"
+                  f" encoding {payload['encoding']},"
+                  f" {path.stat().st_size} bytes")
         print(f"  payload keys: {sorted(payload)}")
 
     # The property suites re-derive the structural facts on fresh

@@ -282,8 +282,10 @@ def _maximality(deltas, d, h, horizon, bound_fn):
 
 
 def _ladder_maximality(T, horizon, tol, bound_fn):
-    if horizon is not None and horizon < 1:
-        raise ArgumentError("horizon must be at least 1")
+    if horizon is not None:
+        _require_integer(horizon, "horizon")
+        if horizon < 1:
+            raise ArgumentError("horizon must be at least 1")
     require_contractive(T, tol)
     return _maximality(_ladder(T, tol), T.d, T.h, horizon, bound_fn)
 

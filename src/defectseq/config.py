@@ -3,8 +3,9 @@
 Several operations materialize word-indexed data whose size grows
 geometrically: tuple powers hold d**n matrices, the commutant solver
 builds a system with h**2 unknowns (for a tuple with zero entries, the
-largest connected component of that system counts), and the model
-constructors allocate spaces graded by words or monomials.  Each of them
+largest connected component of that system counts), the model
+constructors allocate spaces graded by words or monomials, and the tuple
+reader fills a COO file's d x dim x dim stack of entries.  Each of them
 refuses to allocate past a cap.  The default cap is 4096 and can be
 overridden through the DEFECTSEQ_SIZE_CAP environment variable.
 """

@@ -310,6 +310,7 @@ def defect_space_via_words(T, n, tol=None):
     earlier round.  Independent of ``defect_space`` and must agree with
     it on every contractive tuple.
     """
+    _require_integer(n, "defect index")
     if n < 1:
         raise ArgumentError("defect index must be at least 1")
     tol = DEFAULT_TOL if tol is None else tol
@@ -339,6 +340,7 @@ def word_image_dimension(T, n, tol=None):
     are never enumerated.  Returns 0 when the images die out (for
     instance once a nilpotent tuple runs past its index).
     """
+    _require_integer(n, "word length")
     if n < 1:
         raise ArgumentError("word length must be at least 1")
     tol = DEFAULT_TOL if tol is None else tol
@@ -391,6 +393,7 @@ def rank_symmetry_check(T, n, tol=None):
     singular values instead of materializing the large matrix
     I - R_n* R_n, whose extra eigenvalues are exact ones.
     """
+    _require_integer(n, "power index")
     if n < 1:
         raise ArgumentError("power index must be at least 1")
     tol = DEFAULT_TOL if tol is None else tol

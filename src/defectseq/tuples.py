@@ -196,6 +196,7 @@ def validate_word(word, d):
 
 def words_of_length(d, n):
     """All words of length n over {1, ..., d}, lexicographically."""
+    _require_integer(n, "word length")
     if n < 0:
         raise ArgumentError("word length must be nonnegative")
     return itertools.product(range(1, d + 1), repeat=n)
@@ -324,6 +325,7 @@ def tuple_power(T, n):
     ``word_index(w, d)`` equals ``word_apply(T, w)``.  Refuses to
     materialize more than the configured size cap allows.
     """
+    _require_integer(n, "tuple power exponent")
     if n < 1:
         raise ArgumentError("tuple power needs n >= 1")
     count = T.d ** n

@@ -168,6 +168,14 @@ class TestMaximality:
         assert v.deltas == (1, 3, 7)
         assert v.bounds == (1, 3, 7)
 
+    @pytest.mark.parametrize("horizon", [True, 1.5], ids=repr)
+    @pytest.mark.parametrize("fn", [maximality_noncommutative,
+                                    maximality_commuting])
+    def test_horizon_must_be_an_integer(self, fn, horizon):
+        T = OperatorTuple((0.5 * np.eye(2),))
+        with pytest.raises(ArgumentError, match="horizon must be an integer"):
+            fn(T, horizon=horizon)
+
     def test_horizon_is_checked_before_contractivity(self):
         big = OperatorTuple((1.5 * np.eye(2),))
         with pytest.raises(ContractivityError):

@@ -240,6 +240,30 @@ class TestDefectOperator:
             defect_operator(v, n - n)
 
 
+class TestCountArguments:
+    """Counts must be integers: numpy integers count, bools and floats
+    do not."""
+
+    @pytest.mark.parametrize("n", [True, 1.5], ids=repr)
+    @pytest.mark.parametrize("fn, name", [
+        (defect_space_via_words, "defect index"),
+        (word_image_dimension, "word length"),
+        (rank_symmetry_check, "power index"),
+    ], ids=["defect_space_via_words", "word_image_dimension",
+            "rank_symmetry_check"])
+    def test_count_must_be_an_integer(self, fn, name, n):
+        T = OperatorTuple((0.5 * np.eye(2),))
+        with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
+            fn(T, n)
+
+    @pytest.mark.parametrize("fn", [defect_space_via_words,
+                                    word_image_dimension,
+                                    rank_symmetry_check])
+    def test_numpy_integer_count_is_accepted(self, fn):
+        T = OperatorTuple((0.5 * np.eye(2),))
+        fn(T, np.int64(2))
+
+
 class TestDefectSequence:
     @pytest.mark.parametrize("n_max", [True, False, np.bool_(True), 2.5,
                                        3.0, "3", None], ids=repr)

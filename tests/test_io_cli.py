@@ -1,10 +1,14 @@
 """Tests for the JSON tuple format and the command line front end."""
 
+import base64
 import gc
 import json
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectseq.cli import main
 from defectseq.errors import TupleFormatError
@@ -18,22 +22,147 @@ from defectseq.io import (
     write_tuple,
 )
 from defectseq.models import fock_creation, random_contractive
-from defectseq.tuples import OperatorTuple
+from defectseq.tuples import OperatorTuple, tuple_product
+from tuple_files import (
+    DATA,
+    V1_FILES,
+    V1_META,
+    same_bits,
+    v1_payload,
+    v1_real_tuple,
+)
 
 
 def sample_tuple(seed=0, d=2, h=4):
     return random_contractive(d, h, 1, seed)
 
 
+def _b64(raw):
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _array(p, key, dtype):
+    return np.frombuffer(base64.b64decode(p[key]), dtype=dtype).copy()
+
+
+_CODES = {"float64": "<f8", "complex128": "<c16"}
+
+
+def _set_value(key, position, value):
+    def mangle(p):
+        a = _array(p, key, "<i8" if key == "index" else _CODES[p["dtype"]])
+        a[position] = value
+        p[key] = _b64(a.tobytes())
+    return mangle
+
+
+def _set_bytes(key, change):
+    def mangle(p):
+        p[key] = _b64(change(base64.b64decode(p[key])))
+    return mangle
+
+
+def dense_payload():
+    # complex128, d = 2, dim = 4, no zero entries: the dense encoding.
+    return tuple_to_payload(sample_tuple())
+
+
+def coo_payload():
+    # float64, d = 2, dim = 7, 6 nonzeros in 98 entries: the coo encoding.
+    return tuple_to_payload(fock_creation(2, 2))
+
+
+# Malformed version 2 objects: (base payload, change).  Each must be
+# refused with TupleFormatError, and by the CLI with exit status 2.
+MALFORMED_V2 = {
+    "bad-base64": (dense_payload,
+                   lambda p: p.update(data="*" + p["data"][1:])),
+    "stray-character": (dense_payload,
+                        lambda p: p.update(data=p["data"][:8] + "!"
+                                           + p["data"][8:])),
+    "truncated-base64": (dense_payload,
+                         lambda p: p.update(data=p["data"][:-1])),
+    "non-ascii-base64": (dense_payload,
+                         lambda p: p.update(data="\u00e9" + p["data"][1:])),
+    "data-not-a-string": (dense_payload, lambda p: p.update(data=[1.0])),
+    "missing-data": (dense_payload, lambda p: p.pop("data")),
+    "one-value-short": (dense_payload, _set_bytes("data", lambda b: b[:-16])),
+    "one-value-long": (dense_payload,
+                       _set_bytes("data", lambda b: b + b[:16])),
+    "partial-value": (dense_payload, _set_bytes("data", lambda b: b[:-3])),
+    "wrong-dtype-for-data": (dense_payload,
+                             lambda p: p.update(dtype="float64")),
+    "nan-dense": (dense_payload, _set_value("data", 5, complex(np.nan, 0))),
+    "inf-dense": (dense_payload, _set_value("data", 0, complex(0, np.inf))),
+    "nan-coo": (coo_payload, _set_value("values", 2, np.nan)),
+    "inf-coo": (coo_payload, _set_value("values", 0, -np.inf)),
+    "index-past-the-end": (coo_payload, _set_value("index", -1, 2 * 7 * 7)),
+    "negative-index": (coo_payload, _set_value("index", 0, -1)),
+    "duplicate-index": (coo_payload, lambda p: _set_value(
+        "index", 1, _array(p, "index", "<i8")[0])(p)),
+    "decreasing-index": (coo_payload, lambda p: p.update(index=_b64(
+        _array(p, "index", "<i8")[::-1].tobytes()))),
+    "index-values-mismatch": (coo_payload,
+                              _set_bytes("values", lambda b: b[:-8])),
+    "unknown-encoding": (coo_payload, lambda p: p.update(encoding="csr")),
+    "missing-encoding": (coo_payload, lambda p: p.pop("encoding")),
+    "unknown-dtype": (coo_payload, lambda p: p.update(dtype="float32")),
+    "unhashable-dtype": (coo_payload, lambda p: p.update(dtype=["float64"])),
+    "huge-coo-dim": (coo_payload,
+                     lambda p: p.update(d=1, dim=10**9, index="", values="")),
+}
+
+
 class TestTuplePayload:
     def test_payload_shape(self):
-        T = sample_tuple()
-        p = tuple_to_payload(T)
+        p = v1_payload(sample_tuple())
         assert p["format"] == TUPLE_FORMAT
-        assert p["version"] == TUPLE_FORMAT_VERSION
+        assert p["version"] == 1
         assert p["d"] == 2 and p["dim"] == 4
         arr = np.asarray(p["ops"])
         assert arr.shape == (2, 4, 4, 2)
+        assert same_bits(payload_to_tuple(p), sample_tuple())
+
+    def test_payload_shape_v2(self):
+        T = sample_tuple()
+        p = tuple_to_payload(T)
+        assert p["format"] == TUPLE_FORMAT
+        assert p["version"] == TUPLE_FORMAT_VERSION == 2
+        assert p["d"] == 2 and p["dim"] == 4
+        assert (p["dtype"], p["encoding"]) == ("complex128", "dense")
+        assert "ops" not in p
+        assert base64.b64decode(p["data"], validate=True) == (
+            np.stack(T.ops).astype("<c16").tobytes())
+
+    def test_coo_payload_layout(self):
+        T = fock_creation(2, 2)
+        p = tuple_to_payload(T)
+        assert (p["dtype"], p["encoding"]) == ("float64", "coo")
+        assert "data" not in p
+        flat = np.stack(T.ops).reshape(-1)
+        index = _array(p, "index", "<i8")
+        assert np.array_equal(index, np.flatnonzero(flat))
+        assert np.array_equal(_array(p, "values", "<f8"), flat[index])
+
+    @pytest.mark.parametrize("scale, dim, encoding", [
+        # eye(dim): dim nonzeros of dim**2; coo needs 16 * dim < 8 * dim**2.
+        (1.0, 2, "dense"), (1.0, 3, "coo"),
+        # complex: 24 * dim < 16 * dim**2 first holds at dim = 2.
+        (1j, 1, "dense"), (1j, 2, "coo"),
+    ])
+    def test_encoding_rule(self, scale, dim, encoding):
+        p = tuple_to_payload(OperatorTuple((scale * np.eye(dim),)))
+        assert p["encoding"] == encoding
+
+    def test_negative_zero_counts_as_an_entry(self):
+        # Five -0.0 entries of nine make coo cost 5 * 16 > 72 bytes.
+        m = np.full((3, 3), -0.0)
+        m[0, :] = 0.0
+        m[1, 1] = 0.5
+        T = OperatorTuple((m,))
+        p = tuple_to_payload(T)
+        assert p["encoding"] == "dense"
+        assert same_bits(payload_to_tuple(p), T)
 
     def test_round_trip_is_bit_exact(self):
         for seed in range(5):
@@ -55,6 +184,18 @@ class TestTuplePayload:
         write_tuple(T, path)
         back = read_tuple(path)
         assert all(np.array_equal(x, y) for x, y in zip(T.ops, back.ops))
+
+    @pytest.mark.parametrize("build", [sample_tuple,
+                                       lambda: fock_creation(2, 3)],
+                             ids=["dense", "coo"])
+    def test_rewrite_is_byte_identical(self, tmp_path, build):
+        T = build()
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        write_tuple(T, first)
+        back = read_tuple(first)
+        assert same_bits(back, T)
+        write_tuple(back, second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_negative_zero_imaginary_part_survives(self, tmp_path):
         # The -0.0 keeps the tuple complex; reading must not clear it.
@@ -83,15 +224,72 @@ class TestTuplePayload:
         lambda p: p.pop("ops"),
     ])
     def test_malformed_payloads_rejected(self, mangle):
+        p = v1_payload(sample_tuple())
+        mangle(p)
+        with pytest.raises(TupleFormatError):
+            payload_to_tuple(p)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda p: p.update(format="something-else"),
+        lambda p: p.update(version=99),
+        lambda p: p.update(d=3),
+        lambda p: p.update(dim="4"),
+        lambda p: p.update(dim=True),
+        lambda p: p.update(data=_b64(b"\0" * 16)),
+        lambda p: p.update(data="nope"),
+        lambda p: p.update(meta=[1, 2]),
+        lambda p: p.pop("data"),
+    ])
+    def test_malformed_v2_payloads_rejected(self, mangle):
         p = tuple_to_payload(sample_tuple())
         mangle(p)
         with pytest.raises(TupleFormatError):
             payload_to_tuple(p)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_V2))
+    def test_malformed_v2_matrix_rejected(self, case):
+        base, mangle = MALFORMED_V2[case]
+        p = base()
+        payload_to_tuple(p)
+        mangle(p)
+        with pytest.raises(TupleFormatError):
+            payload_to_tuple(p)
+
+    @pytest.mark.parametrize("d, dim", [(1, 10**9), (10**9, 1)])
+    def test_huge_coo_file_is_refused_before_allocating(self, monkeypatch,
+                                                        d, dim):
+        p = coo_payload()
+        p.update(d=d, dim=dim, index="", values="")
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr("defectseq.io.np.zeros", no_allocation)
+        with pytest.raises(TupleFormatError, match="cap is 4096"):
+            payload_to_tuple(p)
+
+    def test_coo_dim_up_to_the_cap_is_read(self, monkeypatch):
+        p = coo_payload()
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "7")
+        assert payload_to_tuple(p).h == 7
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "6")
+        with pytest.raises(TupleFormatError, match="cap is 6"):
+            payload_to_tuple(p)
+
     def test_nonfinite_entries_rejected(self):
-        p = tuple_to_payload(sample_tuple())
+        p = v1_payload(sample_tuple())
         p["ops"][0][0][0][0] = float("inf")
         with pytest.raises(TupleFormatError):
+            payload_to_tuple(p)
+
+    @pytest.mark.parametrize("base, key", [(dense_payload, "data"),
+                                           (coo_payload, "values")],
+                             ids=["dense", "coo"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_v2_entries_rejected(self, base, key, value):
+        p = base()
+        _set_value(key, 0, value)(p)
+        with pytest.raises(TupleFormatError, match="finite"):
             payload_to_tuple(p)
 
     def test_bad_json_file_rejected(self, tmp_path):
@@ -99,6 +297,66 @@ class TestTuplePayload:
         path.write_text("{not json")
         with pytest.raises(TupleFormatError):
             read_tuple(path)
+
+
+@st.composite
+def sparse_tuples(draw):
+    """Tuples with d <= 3, h <= 12, drawn sparsity and -0.0 parts."""
+    d = draw(st.integers(1, 3))
+    h = draw(st.integers(1, 12))
+    shape = (d, h, h)
+    # 0: exact zero, 1: -0.0 real part, 2: -0.0 imaginary part, 3: a value.
+    kinds = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 3)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    real = np.where(kinds == 3, draw(hnp.arrays(np.float64, shape,
+                                                 elements=finite)), 0.0)
+    real[kinds == 1] = -0.0
+    if not draw(st.booleans()):
+        return OperatorTuple(tuple(real))
+    imag = np.where(kinds == 3, draw(hnp.arrays(np.float64, shape,
+                                                 elements=finite)), 0.0)
+    imag[kinds == 2] = -0.0
+    entries = np.empty(shape, dtype=np.complex128)
+    entries.real, entries.imag = real, imag
+    return OperatorTuple(tuple(entries))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_tuples())
+    def test_bit_exact_and_byte_identical(self, T):
+        text = report_json(tuple_to_payload(T))
+        back = payload_to_tuple(json.loads(text))
+        assert same_bits(back, T)
+        assert report_json(tuple_to_payload(back)) == text
+
+
+class TestVersionOneFiles:
+    """Files written by the version 1 writer stay valid input."""
+
+    @pytest.mark.parametrize("name", sorted(V1_FILES))
+    def test_committed_file_reads_to_the_same_bits(self, name):
+        T = read_tuple(DATA / name)
+        expected = V1_FILES[name]()
+        assert same_bits(T, expected)
+        assert T.label == expected.label
+
+    def test_complex_file_keeps_the_negative_zero(self):
+        T = read_tuple(DATA / "v1_complex.json")
+        assert T.dtype == np.complex128
+        assert np.signbit(T.ops[0][0, 0].imag)
+
+    @pytest.mark.parametrize("name", sorted(V1_FILES))
+    def test_v1_payload_matches_the_committed_bytes(self, name):
+        payload = v1_payload(V1_FILES[name](), V1_META)
+        assert report_json(payload) == (DATA / name).read_text()
+
+    @pytest.mark.parametrize("name", sorted(V1_FILES))
+    def test_rewrite_is_version_two(self, tmp_path, name):
+        out = tmp_path / name
+        write_tuple(read_tuple(DATA / name), out)
+        assert json.loads(out.read_text())["version"] == 2
+        assert same_bits(read_tuple(out), V1_FILES[name]())
 
 
 class TestReadTupleCollector:
@@ -363,6 +621,27 @@ class TestCliClassify:
         assert payload["result"]["purity"]["status"] == "Pure"
 
 
+class TestCliMalformedTupleFile:
+    @pytest.mark.parametrize("argv", [["defect", "--n-max", "3"],
+                                      ["classify"]])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_V2))
+    def test_exit_two_with_one_error_line(self, tmp_path, capsys, argv, case):
+        base, mangle = MALFORMED_V2[case]
+        payload = base()
+        mangle(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(report_json(payload))
+        rep = tmp_path / "report.json"
+        assert main([argv[0], str(path), *argv[1:],
+                     "--report", str(rep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not rep.exists()
+
+
 class TestCliVerify:
     def test_single_suite_passes(self, tmp_path, capsys):
         rep = tmp_path / "v.json"
@@ -393,3 +672,16 @@ class TestCliProduct:
         assert T.d == 4 and T.h == 4
         meta = json.loads(out.read_text())["meta"]
         assert meta["generator"] == "product"
+
+    def test_product_of_a_v1_and_a_v2_file(self, tmp_path):
+        v2 = tmp_path / "fock.json"
+        assert main(["model", "fock", "--d", "2", "--levels", "1",
+                     "-o", str(v2)]) == 0
+        out = tmp_path / "prod.json"
+        assert main(["product", str(DATA / "v1_real.json"), str(v2),
+                     "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["version"] == 2
+        assert payload["meta"]["left"] == "v1 real fixture"
+        expected = tuple_product(v1_real_tuple(), read_tuple(v2))
+        assert same_bits(read_tuple(out), expected)

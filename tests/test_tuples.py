@@ -1,5 +1,8 @@
 """Unit tests for operator tuples, words, and cp-map plumbing."""
 
+import base64
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,7 @@ from defectseq.tuples import (
     word_index,
     words_of_length,
 )
+from tuple_files import DATA, v1_payload
 
 
 def random_tuple(rng, d, h, scale=0.4):
@@ -226,6 +230,19 @@ class TestProductsAndPowers:
         with pytest.raises(ArgumentError):
             tuple_power(T, 0)
 
+    @pytest.mark.parametrize("n", [True, 1.5], ids=repr)
+    def test_power_exponent_must_be_an_integer(self, n):
+        T = OperatorTuple((0.5 * np.eye(2),))
+        with pytest.raises(ArgumentError,
+                           match="tuple power exponent must be an integer"):
+            tuple_power(T, n)
+
+    @pytest.mark.parametrize("n", [True, 1.5], ids=repr)
+    def test_word_length_must_be_an_integer(self, n):
+        with pytest.raises(ArgumentError,
+                           match="word length must be an integer"):
+            words_of_length(2, n)
+
 
 class TestDirectSumAndCompress:
     def test_direct_sum_blocks(self):
@@ -312,15 +329,30 @@ class TestStorageType:
         assert np.signbit(T.ops[1][0, 1].imag)
 
     def test_tuple_payload_keeps_the_negative_zero(self):
+        # Version 1: the file the version 1 writer made from the entry
+        # complex(0.25, -0.0), and the same layout for a real tuple.
+        payload = json.loads((DATA / "v1_complex.json").read_text())
+        re, im = payload["ops"][0][0][0]
+        assert (re, im) == (0.25, 0.0)
+        assert np.signbit(im)
+        real = v1_payload(OperatorTuple((np.eye(2),)))["ops"][0]
+        assert real == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        assert not np.signbit(np.array(real)).any()
+
+    def test_tuple_payload_keeps_the_negative_zero_v2(self):
         from defectseq.io import tuple_to_payload
         m = np.eye(2, dtype=np.complex128)
         m[1, 0] = complex(0.25, -0.0)
-        re, im = tuple_to_payload(OperatorTuple((m,)))["ops"][0][1][0]
-        assert (re, im) == (0.25, 0.0)
-        assert np.signbit(im)
-        real = tuple_to_payload(OperatorTuple((np.eye(2),)))["ops"][0]
-        assert real == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-        assert not np.signbit(np.array(real)).any()
+        p = tuple_to_payload(OperatorTuple((m,)))
+        assert (p["dtype"], p["encoding"]) == ("complex128", "dense")
+        entries = np.frombuffer(base64.b64decode(p["data"]), "<c16")
+        assert entries[2] == 0.25
+        assert np.signbit(entries[2].imag)
+        real = tuple_to_payload(OperatorTuple((np.eye(2),)))
+        assert (real["dtype"], real["encoding"]) == ("float64", "dense")
+        entries = np.frombuffer(base64.b64decode(real["data"]), "<f8")
+        assert entries.tolist() == [1.0, 0.0, 0.0, 1.0]
+        assert not np.signbit(entries).any()
 
     def test_real_tuple_kernels_stay_real(self):
         rng = np.random.default_rng(4)
