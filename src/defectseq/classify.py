@@ -45,7 +45,13 @@ not cross-check.  Each step decides from exact spectral norms, but takes
 them (two ``eigvalsh`` calls) only when the O(h**2) bounds
 max|A_jj| <= ||A||_2 <= ||A||_F cannot rule out both thresholds; most
 steps of a slow iteration end at the bounds, and the verdict is the one
-the exact norms give.
+the exact norms give.  The first 16 steps go one at a time.  After k
+steps the loop runs a block of at most k // 8 further steps into one
+preallocated array, tests the bounds for the whole block in a few
+vectorized calls, and takes the exact norms in step order at the steps
+the bounds flag.  The first verdict wins and the block's later iterates
+are dropped, so a verdict at step k costs at most k / 8 wasted steps,
+and blocks end at the budget, so Undecided wastes none.
 """
 
 from __future__ import annotations
@@ -100,6 +106,12 @@ DEFAULT_MAX_ITER = 10000
 DEFAULT_EPS_PURE = 1e-10
 DEFAULT_EPS_CONV = 1e-12
 
+# The purity loop takes this many steps one at a time, then goes in
+# blocks of at most _MAX_BLOCK steps and _BLOCK_ENTRIES matrix entries.
+_SCALAR_STEPS = 16
+_MAX_BLOCK = 64
+_BLOCK_ENTRIES = 2 ** 16
+
 
 class Purity(enum.Enum):
     """Outcome of the purity iteration."""
@@ -153,7 +165,10 @@ def purity(T, max_iter=DEFAULT_MAX_ITER, eps_pure=DEFAULT_EPS_PURE,
     raises ArgumentError.  A step computes the two spectral norms only
     when the diagonal and Frobenius bounds on them cannot rule out both
     tests, and always at step ``max_iter``, so the outcome is that of
-    taking them on every step.
+    taking them on every step.  After step 16 the bounds are tested a
+    block of steps at a time and the exact norms taken in step order;
+    the iterates a block computes past the verdict, at most k / 8 for a
+    verdict at step k, are dropped.
     """
     _check_budget(max_iter)
     _check_thresholds(eps_pure, eps_conv)
@@ -192,10 +207,16 @@ def _purity(T, max_iter, eps_pure, eps_conv):
     # verdict reports.  Each step's output is exactly Hermitian, so the
     # step is taken without re-validating it; a non-finite Frobenius
     # norm raises what the validation would have raised.
+    #
+    # The first _SCALAR_STEPS steps, where most runs end, go one at a
+    # time: a block costs more than it saves on a short run.  Later steps
+    # go into slots 1..m of one preallocated array whose slot 0 holds the
+    # previous iterate, and the exact tests run in step order at the
+    # slots the block's bounds flag.
     x = np.eye(T.h, dtype=T.dtype)
     below = 1.0 - _BOUND_SLACK
     above = 1.0 + _BOUND_SLACK
-    for k in range(1, max_iter + 1):
+    for k in range(1, min(max_iter, _SCALAR_STEPS) + 1):
         nxt = _cp_step(T, x)
         frobenius = float(np.linalg.norm(nxt))
         if not math.isfinite(frobenius):
@@ -205,14 +226,51 @@ def _purity(T, max_iter, eps_pure, eps_conv):
         may_be_fixed = (np.abs(x.diagonal() - diag).max() * below
                         <= eps_conv * frobenius * above)
         if may_be_pure or may_be_fixed or k == max_iter:
-            norm = hermitian_norm(nxt)
-            if norm <= eps_pure:
-                return PurityVerdict(Purity.PURE, k, norm)
-            if may_be_fixed and hermitian_norm(x - nxt) <= eps_conv * norm:
-                return PurityVerdict(Purity.NOT_PURE, k, norm,
-                                     readonly_copy(nxt))
+            verdict = _exact_tests(x, nxt, k, may_be_fixed, eps_pure, eps_conv)
+            if verdict.status is not Purity.UNDECIDED or k == max_iter:
+                return verdict
         x = nxt
-    return PurityVerdict(Purity.UNDECIDED, max_iter, norm)
+    h = T.h
+    most = max(1, min(_MAX_BLOCK, _BLOCK_ENTRIES // (h * h), max_iter - k))
+    block = np.empty((most + 1, h, h), dtype=x.dtype)
+    block[0] = x
+    # The block that ends at max_iter returns.
+    while True:
+        m = max(1, min(_MAX_BLOCK, k // 8, _BLOCK_ENTRIES // (h * h),
+                       max_iter - k))
+        for j in range(m):
+            _cp_step(T, block[j], block[j + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            frobenius = np.linalg.norm(block[1:m + 1].reshape(m, -1), axis=1)
+            diags = block[:m + 1].diagonal(axis1=1, axis2=2)
+            may_be_pure = np.abs(diags[1:]).max(axis=1) * below <= eps_pure
+            may_be_fixed = (np.abs(diags[:-1] - diags[1:]).max(axis=1) * below
+                            <= eps_conv * frobenius * above)
+        flagged = may_be_pure | may_be_fixed
+        flagged[-1] |= k + m == max_iter
+        finite = np.isfinite(frobenius)
+        stop = m if finite.all() else int(np.argmin(finite))
+        for j in np.flatnonzero(flagged[:stop]).tolist():
+            verdict = _exact_tests(block[j], block[j + 1], k + j + 1,
+                                   may_be_fixed[j], eps_pure, eps_conv)
+            if verdict.status is not Purity.UNDECIDED or k + j + 1 == max_iter:
+                return verdict
+        if stop < m:
+            raise ArgumentError("cp-map argument contains non-finite entries")
+        k += m
+        block[0] = block[m]
+
+
+def _exact_tests(x, nxt, k, may_be_fixed, eps_pure, eps_conv):
+    # The exact tests at step k, with X_{k-1} = x and X_k = nxt: Pure,
+    # then NotPure where its bound allowed it, Undecided when neither
+    # passes.
+    norm = hermitian_norm(nxt)
+    if norm <= eps_pure:
+        return PurityVerdict(Purity.PURE, k, norm)
+    if may_be_fixed and hermitian_norm(x - nxt) <= eps_conv * norm:
+        return PurityVerdict(Purity.NOT_PURE, k, norm, readonly_copy(nxt))
+    return PurityVerdict(Purity.UNDECIDED, k, norm)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,20 @@ loop of ``classify`` do so.  The defect ladder (``defect._ladder``) and
 the contractivity margin keep the public name, one call per step: the
 ladder runs few steps, on large h, where validation costs O(h**2)
 against the step's O(h**3).
+
+``_cp_step(T, x, out)`` writes the step into a given array, a slot of
+the purity loop's block of iterates.  Its dense products come from two
+batched matmuls over a per-tuple (d, h, h) stack of the entries and the
+stack of their adjoints, cached on first use like the adjoints; numpy
+makes the same gemm call for each slice as for the per-entry product,
+and the terms are summed from +0.0 in tuple order, so the step is the
+same array bit for bit.  Without ``out`` the step keeps the per-entry
+products and builds no stack, so the ladder, ``apply_cp_map`` and
+``cp_iterate`` hold no second copy of the entries.
+
+``is_commuting`` builds the commutators of a tuple with the shift
+pattern from its nonzeros: each entry of T_i T_j has at most one nonzero
+term, w * w', the one the dense product adds to zeros.
 """
 
 from __future__ import annotations
@@ -57,6 +71,7 @@ from .errors import ArgumentError, SizeCapError
 from .linalg import (
     DEFAULT_TOL,
     _BOUND_SLACK,
+    _as_matrix,
     _require_integer,
     as_operator_matrix,
     hermitize,
@@ -98,14 +113,19 @@ class OperatorTuple:
     imaginary part of every entry is +0.0 bit for bit (real input
     counts), and as complex128 otherwise; a -0.0 imaginary part keeps
     the tuple complex, so the tuple file written from it is unchanged.
+    Input whose entries all have a bool, integer or float dtype is
+    converted to float64 directly, with the values and checks that the
+    round through complex128 gives.
     """
 
     ops: tuple = field()
     label: str = ""
 
     def __post_init__(self):
-        mats = tuple(as_operator_matrix(op, f"operator {i + 1}")
-                     for i, op in enumerate(self.ops))
+        mats = _real_matrices(self.ops)
+        if mats is None:
+            mats = tuple(as_operator_matrix(op, f"operator {i + 1}")
+                         for i, op in enumerate(self.ops))
         if len(mats) < 1:
             raise ArgumentError("an operator tuple needs at least one entry")
         h = mats[0].shape[0]
@@ -114,7 +134,8 @@ class OperatorTuple:
                 raise ArgumentError(
                     f"operator {i + 1} has shape {m.shape}, expected ({h}, {h})"
                 )
-        if all(_imag_is_plus_zero(m) for m in mats):
+        if (mats[0].dtype == np.complex128
+                and all(_imag_is_plus_zero(m) for m in mats)):
             mats = tuple(m.real for m in mats)
         object.__setattr__(self, "ops", tuple(
             readonly_copy(m, mats[0].dtype) for m in mats))
@@ -166,6 +187,18 @@ class OperatorTuple:
             return tuple(op.T for op in self.ops)
         return tuple(readonly_copy(op.conj(), op.dtype).T for op in self.ops)
 
+    @functools.cached_property
+    def _stacked(self):
+        # The entries as one read-only (d, h, h) array and the stack of
+        # their adjoints, for the ``out`` form of the cp step; built on
+        # first use.  Each adjoint slice has the layout of the matching
+        # ``_adjoints`` entry, so the batched products are the same arrays.
+        ops = np.stack(self.ops)
+        ops.setflags(write=False)
+        if self.dtype == np.float64:
+            return ops, ops.transpose(0, 2, 1)
+        return ops, readonly_copy(ops.conj(), ops.dtype).transpose(0, 2, 1)
+
     def op(self, letter):
         """The entry for a 1-based letter, matching word notation."""
         if not 1 <= letter <= self.d:
@@ -178,6 +211,20 @@ class OperatorTuple:
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"OperatorTuple(d={self.d}, h={self.h}{tag})"
+
+
+def _real_matrices(ops):
+    # The entries as checked float64 matrices when every one has a bool,
+    # integer or float dtype, None as soon as one has another: the
+    # values and the checks of the complex128 route, without its
+    # round trip.
+    mats = []
+    for i, op in enumerate(ops):
+        a = np.asarray(op)
+        if a.dtype.kind not in "biuf":
+            return None
+        mats.append(_as_matrix(a, f"operator {i + 1}"))
+    return tuple(mats)
 
 
 def _imag_is_plus_zero(m):
@@ -257,9 +304,13 @@ def apply_cp_map(T, x):
     return _cp_step(T, x)
 
 
-def _cp_step(T, x):
+def _cp_step(T, x, out=None):
     # apply_cp_map without the checks: ``x`` is a float64 or complex128
-    # Hermitian matrix of dimension T.h.
+    # Hermitian matrix of dimension T.h.  Given ``out``, an h x h array
+    # of the result's type that does not overlap ``x``, the result is
+    # written there and ``out`` returned; the dense products then come
+    # from two batched matmuls over ``T._stacked``, which make the same
+    # gemm call per entry as ``op @ x @ adjoint``.
     pattern = T._shift_pattern
     if pattern is not None and x.dtype == np.float64:
         diag = x.diagonal()
@@ -272,11 +323,29 @@ def _cp_step(T, x):
             # products, so that case goes the dense way.
             if np.isfinite(v).all():
                 # The diagonal of hermitize(diag(v)), overflow included.
-                return np.diag((v + v) / 2.0)
-    acc = np.zeros((T.h, T.h), dtype=np.promote_types(T.dtype, x.dtype))
-    for op, adjoint in zip(T.ops, T._adjoints):
-        acc += op @ x @ adjoint
-    return hermitize(acc)
+                if out is None:
+                    return np.diag((v + v) / 2.0)
+                out[...] = 0.0
+                np.fill_diagonal(out, (v + v) / 2.0)
+                return out
+    if out is None:
+        acc = np.zeros((T.h, T.h), dtype=np.promote_types(T.dtype, x.dtype))
+        for op, adjoint in zip(T.ops, T._adjoints):
+            acc += op @ x @ adjoint
+        return hermitize(acc)
+    ops, adjoints = T._stacked
+    terms = np.matmul(np.matmul(ops, x), adjoints)
+    # The sum from +0.0 in tuple order: 0.0 + t and t + 0.0 are the same
+    # bits, so the first term takes the zero in place.
+    acc = terms[0]
+    acc += 0.0
+    for term in terms[1:]:
+        acc += term
+    # hermitize(acc) into ``out``; a + b and b + a are the same bits.
+    np.conjugate(acc.T, out=out)
+    out += acc
+    out /= 2.0
+    return out
 
 
 def cp_iterate(T, n):
@@ -410,13 +479,18 @@ def is_commuting(T, tol=None):
     Spectral norms are taken only when the bounds
     max column norm <= ||A||_2 <= ||A||_F, widened by a fixed relative
     slack, cannot settle a commutator; the verdict is the one the
-    spectral norms give.
+    spectral norms give.  A float64 tuple of weighted partial
+    permutations gets its commutators from the nonzeros, with the
+    nonzero values of the dense products.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if T.d == 1:
         return True
-    comms = [T.ops[i] @ T.ops[j] - T.ops[j] @ T.ops[i]
-             for i in range(T.d) for j in range(i + 1, T.d)]
+    if T._shift_pattern is not None:
+        comms = _shift_commutators(T)
+    else:
+        comms = [T.ops[i] @ T.ops[j] - T.ops[j] @ T.ops[i]
+                 for i in range(T.d) for j in range(i + 1, T.d)]
     frobs = [float(np.linalg.norm(comm)) for comm in comms]
     # An overflowing commutator keeps the exact route and what it gives.
     if np.isfinite(frobs).all():
@@ -436,6 +510,29 @@ def is_commuting(T, tol=None):
     max_norm = max(float(np.linalg.norm(op, 2)) for op in T.ops)
     bound = tol.rtol * (1.0 + max_norm * max_norm)
     return all(float(np.linalg.norm(comm, 2)) <= bound for comm in comms)
+
+
+def _shift_commutators(T):
+    # The commutators T_i T_j - T_j T_i, i < j, of a tuple with a
+    # ``_shift_pattern``.  Row r of T_i holds at most its one nonzero w,
+    # in column c, so row r of T_i T_j is w times row c of T_j: each
+    # entry is w * w', the one nonzero term of its dense sum, or a zero
+    # whose sign no norm sees.  O(h * nnz) in place of O(h**3).
+    h = T.h
+    rows, cols, weights = T._shift_pattern
+    ends = list(itertools.accumulate(np.count_nonzero(op) for op in T.ops))
+    spans = list(zip([0] + ends[:-1], ends))
+
+    def product(i, j):
+        lo, hi = spans[i]
+        out = np.zeros((h, h))
+        out[rows[lo:hi]] = weights[lo:hi, None] * T.ops[j][cols[lo:hi]]
+        return out
+
+    # Silent on overflow, as the dense products are.
+    with np.errstate(over="ignore"):
+        return [product(i, j) - product(j, i)
+                for i in range(T.d) for j in range(i + 1, T.d)]
 
 
 def _max_column_norm(a):

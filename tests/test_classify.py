@@ -1,6 +1,7 @@
 """Tests for purity iteration, maximality checks, and full classification."""
 
 import importlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -555,6 +556,150 @@ class TestBoundsFirstPurity:
         assert 1 <= counts["norm"] <= 2
         assert counts["public"] == 0
         assert counts["margin"] == 1
+
+
+def workload_tuples(seed=0):
+    """The five tuples of the benchmark's ``classify`` batch."""
+    row = random_contractive(2, 8, 0, (seed, 2))
+    return {
+        "fock-2-4": fock_creation(2, 4),
+        "dshift-2-6": symmetric_fock_shift(2, 6),
+        "spherical-sum": spherical_shift_sum(2, 5, (2 ** -0.5, 2 ** -0.5), 3),
+        "random-3-24": random_contractive(3, 24, 2, (seed, 1)),
+        "damped-2-8": scaled(row, 0.999),
+    }
+
+
+WORKLOAD_TUPLES = workload_tuples()
+
+
+def block_slots(h, max_iter):
+    """The (first, last) step of every block the purity loop runs."""
+    classify_module = importlib.import_module("defectseq.classify")
+    k = classify_module._SCALAR_STEPS
+    slots = []
+    while k < max_iter:
+        m = max(1, min(classify_module._MAX_BLOCK, k // 8,
+                       classify_module._BLOCK_ENTRIES // (h * h), max_iter - k))
+        slots.append((k + 1, k + m))
+        k += m
+    return slots
+
+
+def counting_cp_steps(monkeypatch):
+    """Count the purity loop's cp steps; returns the running count."""
+    classify_module = importlib.import_module("defectseq.classify")
+    tuples_module = importlib.import_module("defectseq.tuples")
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args))
+        return tuples_module._cp_step(*args)
+
+    monkeypatch.setattr(classify_module, "_cp_step", counted)
+    return calls
+
+
+class TestBlockedPurity:
+    """After its first steps the purity loop runs in blocks.
+
+    Iterates past a verdict are computed and dropped; ``reference_purity``
+    is the oracle, so no verdict may move.
+    """
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_TUPLES))
+    def test_workload_tuples_match_the_exact_loop(self, name):
+        T = WORKLOAD_TUPLES[name]
+        got = purity(T)
+        assert_same_verdict(got, reference_purity(T))
+        if name == "damped-2-8":
+            assert got.status is Purity.UNDECIDED
+            assert got.iterations == DEFAULT_MAX_ITER
+
+    @pytest.mark.parametrize("budget", [1, 15, 16, 17, 24, 63, 64, 65, 300])
+    @pytest.mark.parametrize("make", [
+        lambda: scaled(random_contractive(2, 8, 0, 4), 0.99),
+        lambda: scaled(random_contractive(3, 5, 0, 5), 0.97 * np.exp(0.7j)),
+        lambda: random_contractive(2, 6, 1, 6),
+        lambda: spherical_shift_sum(2, 4, (0.6, 0.8), 2),
+        lambda: OperatorTuple((np.diag([1.0, np.sqrt(0.95)]),)),
+    ], ids=["damped-real", "damped-complex", "random", "spherical",
+            "diagonal"])
+    def test_budgets_around_the_block_edges(self, make, budget):
+        T = make()
+        for eps_pure, eps_conv in ((DEFAULT_EPS_PURE, DEFAULT_EPS_CONV),
+                                   (1e-3, 1e-4), (0.0, 0.0)):
+            assert_same_verdict(purity(T, budget, eps_pure, eps_conv),
+                                reference_purity(T, budget, eps_pure, eps_conv))
+
+    def test_undecided_runs_no_speculative_step(self, monkeypatch):
+        calls = counting_cp_steps(monkeypatch)
+        T = WORKLOAD_TUPLES["damped-2-8"]
+        for budget in (15, 16, 17, 65, 300):
+            calls.clear()
+            assert purity(T, budget).status is Purity.UNDECIDED
+            assert len(calls) == budget
+
+    @pytest.mark.parametrize("slot", ["first", "last"])
+    @pytest.mark.parametrize("block", [0, 4, -1])
+    @pytest.mark.parametrize("test", ["pure", "fixed"])
+    @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)], ids=["real", "complex"])
+    def test_verdict_on_a_block_edge(self, monkeypatch, phase, test, block,
+                                     slot):
+        # X_k = diag(1, c**k) for the diagonal tuple: the step
+        # ||X_{k-1} - X_k|| = c**(k-1) (1 - c) falls with k while the norm
+        # stays 1, so eps_conv at step K's ratio gives NotPure at K.  The
+        # scalar tuple's norm c**k falls, so eps_pure at step K's norm
+        # gives Pure at K.  The real tuples take the diagonal route, their
+        # rotations the dense products.
+        budget = 700
+        if test == "pure":
+            T = OperatorTuple((phase * np.sqrt(0.99) * np.eye(3),))
+        else:
+            T = OperatorTuple((phase * np.diag([1.0, np.sqrt(0.99)]),))
+        first, last = block_slots(T.h, budget)[block]
+        assert last - first + 1 >= 2
+        K = first if slot == "first" else last
+        norm, step = exact_steps(T, K)[-1]
+        eps_pure, eps_conv = (norm, 0.0) if test == "pure" else (0.0, step / norm)
+        want = reference_purity(T, budget, eps_pure, eps_conv)
+        assert want.iterations == K
+        assert want.status is (Purity.PURE if test == "pure" else Purity.NOT_PURE)
+        calls = counting_cp_steps(monkeypatch)
+        got = purity(T, budget, eps_pure, eps_conv)
+        assert_same_verdict(got, want)
+        # The block runs to its end; the steps after K are dropped.
+        assert len(calls) == last
+        # Blocked steps write into the block through the ``out`` argument.
+        assert calls.count(3) == last - 16
+        assert got.limit is None or not got.limit.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_TUPLES))
+    def test_iterations_are_python_integers(self, name):
+        cli = importlib.import_module("defectseq.cli")
+        io = importlib.import_module("defectseq.io")
+        v = purity(WORKLOAD_TUPLES[name], 300)
+        assert type(v.iterations) is int
+        payload = json.loads(io.report_json(cli._purity_payload(v)))
+        assert payload["iterations"] == v.iterations
+
+    def test_speculative_steps_stay_within_an_eighth(self):
+        # The blocks after step k hold at most k // 8 steps, so a verdict
+        # at step K costs at most K / 8 steps it did not need.
+        for h in (1, 8, 24, 64, 300):
+            for first, last in block_slots(h, 10 ** 5):
+                assert (last - first) <= (first - 1) / 8
+                assert (last - first + 1) * h * h <= max(2 ** 16, h * h)
+
+    def test_non_finite_block_iterate_is_refused(self):
+        # Past the scalar steps the finiteness check runs per block; the
+        # error is the one the step-by-step loop raises.
+        classify_module = importlib.import_module("defectseq.classify")
+        T = OperatorTuple((2.0 * np.eye(2),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArgumentError,
+                               match="cp-map argument contains non-finite"):
+                classify_module._purity(T, 600, 0.0, 0.0)
 
 
 BAD_THRESHOLDS = [

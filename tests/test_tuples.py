@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defectseq.tuples as tuples_module
 from defectseq.errors import ArgumentError, SizeCapError
 from defectseq.linalg import (
     DEFAULT_TOL,
@@ -736,3 +737,223 @@ class TestCommutingBounds:
             tol = RankTolerance(rtol=rtol)
             assert (is_commuting(perturbed, tol)
                     == reference_is_commuting(perturbed, tol))
+
+
+@st.composite
+def stacked_step_cases(draw):
+    """(tuple, argument) for the ``out`` form of the cp step.
+
+    Dense real and complex tuples with d 1-4 and h 1-40, Hermitian
+    arguments with -0.0 entries, and shift tuples on diagonal arguments.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 4))
+    h = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("real", "complex", "shift")))
+    if kind == "shift":
+        T = contractive_shift(rng, d, h, draw(st.sampled_from((0.3, 1.0))))
+        x = np.diag(rng.uniform(0.0, 1.0, h))
+    else:
+        T = random_tuple(rng, d, h, scale=0.5 / np.sqrt(d * h))
+        if kind == "real":
+            T = OperatorTuple(tuple(op.real for op in T.ops))
+        g = rng.standard_normal((h, h))
+        if draw(st.booleans()):
+            g = g + 1j * rng.standard_normal((h, h))
+        x = hermitize(g @ g.conj().T)
+    zeros = rng.random((h, h)) < draw(st.sampled_from((0.0, 0.3, 1.0)))
+    zeros = zeros | zeros.T
+    x = np.where(zeros, -0.0, x)
+    return T, x
+
+
+class TestStackedCpStep:
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_step_cases())
+    def test_out_form_matches_the_plain_step(self, case):
+        T, x = case
+        want = _cp_step(T, x)
+        out = np.full(want.shape, np.nan, dtype=want.dtype)
+        got = _cp_step(T, x, out)
+        assert got is out
+        assert same_bits(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    def test_out_form_matches_the_plain_step_on_every_iterate(self):
+        for T in (random_contractive(3, 7, 2, 21), fock_creation(2, 3),
+                  OperatorTuple(tuple(op.real for op in
+                                      random_contractive(2, 9, 1, 22).ops))):
+            x = np.eye(T.h, dtype=T.dtype)
+            block = np.empty((2, T.h, T.h), dtype=T.dtype)
+            block[0] = x
+            for _ in range(T.h + 3):
+                x = _cp_step(T, x)
+                _cp_step(T, block[0], block[1])
+                assert block[1].tobytes() == x.tobytes()
+                block[0] = block[1]
+
+    def test_stacks_are_built_only_for_the_out_form(self):
+        # The ladder, apply_cp_map and cp_iterate keep the per-entry
+        # products and hold no stacked copy of the entries.
+        for T in (random_contractive(2, 5, 1, 23),
+                  OperatorTuple(tuple(np.random.default_rng(24)
+                                      .standard_normal((5, 5))
+                                      for _ in range(2)))):
+            cp_iterate(T, 3)
+            apply_cp_map(T, np.eye(5))
+            assert "_stacked" not in vars(T)
+            _cp_step(T, np.eye(5, dtype=T.dtype), np.empty((5, 5), T.dtype))
+            ops, adjoints = vars(T)["_stacked"]
+            assert not ops.flags.writeable and not adjoints.flags.writeable
+            for op, stacked, adjoint, cached in zip(T.ops, ops, adjoints,
+                                                    T._adjoints):
+                assert same_bits(stacked, op)
+                assert same_bits(adjoint, cached)
+                assert adjoint.strides == cached.strides
+
+
+def dense_commutators(T):
+    return [T.ops[i] @ T.ops[j] - T.ops[j] @ T.ops[i]
+            for i in range(T.d) for j in range(i + 1, T.d)]
+
+
+def weighted_shift(weights, h, step=1):
+    # sum_k weights[k] e_{k + step} e_k^T on C^h.
+    return np.diag(np.asarray(weights, dtype=float), -step)[:h, :h]
+
+
+class TestShiftCommutators:
+    """``is_commuting`` builds a shift tuple's commutators from nonzeros."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shift_tuples(), st.integers(0, 2 ** 32 - 1))
+    def test_commutators_equal_the_dense_products(self, T, seed):
+        # Permuted and weighted shifts: conjugate by a random permutation.
+        perm = np.random.default_rng(seed).permutation(T.h)
+        for U in (T, OperatorTuple(tuple(op[perm][:, perm] for op in T.ops))):
+            assert U._shift_pattern is not None
+            if U.d == 1:
+                continue
+            got = tuples_module._shift_commutators(U)
+            want = dense_commutators(U)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert is_commuting(U) == reference_is_commuting(U)
+
+    @pytest.mark.parametrize("T", FLAGSHIPS + (
+        symmetric_fock_shift(2, 24), fock_creation(2, 6)), ids=repr)
+    def test_flagships_take_the_shift_route(self, T, monkeypatch):
+        calls = []
+        real = tuples_module._shift_commutators
+
+        def counted(U):
+            calls.append(U)
+            return real(U)
+
+        monkeypatch.setattr(tuples_module, "_shift_commutators", counted)
+        assert is_commuting(T) == reference_is_commuting(T)
+        assert len(calls) == (T.d > 1)
+
+    def test_weighted_pairs(self):
+        h = 7
+        a = weighted_shift(np.linspace(0.2, 0.8, h - 1), h)
+        # Proportional weights commute, and so do a shift and its square.
+        commuting = [(a, 0.5 * a), (a, a @ a),
+                     (np.diag(np.linspace(-1, 1, h)), np.diag(np.arange(h)))]
+        for x, y in commuting:
+            T = OperatorTuple((x, y))
+            assert T._shift_pattern is not None
+            assert is_commuting(T) and reference_is_commuting(T)
+        b = weighted_shift(np.linspace(0.8, 0.2, h - 1), h)
+        for x, y in ((a, b), (a, a.T), (a, -b)):
+            T = OperatorTuple((x, y))
+            assert T._shift_pattern is not None
+            assert not is_commuting(T) and not reference_is_commuting(T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weighted_pair_at_the_bound_matches(self, seed):
+        # Nearly proportional weights: rtol stepped across the exact edge.
+        rng = np.random.default_rng(seed)
+        h = 9
+        w = rng.uniform(0.3, 0.9, h - 1)
+        T = OperatorTuple((weighted_shift(w, h),
+                           weighted_shift(w * (1 + 1e-6 * rng.standard_normal(
+                               h - 1)), h)))
+        assert T._shift_pattern is not None
+        max_norm = max(np.linalg.norm(op, 2) for op in T.ops)
+        worst = np.linalg.norm(dense_commutators(T)[0], 2)
+        edge = worst / (1.0 + max_norm * max_norm)
+        for rtol in (edge * (1 - 1e-6), edge, np.nextafter(edge, 0),
+                     np.nextafter(edge, 1), edge * (1 + 1e-6)):
+            tol = RankTolerance(rtol=float(rtol))
+            assert is_commuting(T, tol) == reference_is_commuting(T, tol)
+
+    def test_overflowing_products_are_silent_and_match(self):
+        big = OperatorTuple((1e200 * weighted_shift(np.ones(3), 4),
+                             1e200 * weighted_shift(np.ones(2), 4, 2)))
+        assert big._shift_pattern is not None
+        # inf - inf in the subtraction warns on both routes.
+        with np.errstate(over="raise", invalid="ignore"):
+            got = tuples_module._shift_commutators(big)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = dense_commutators(big)
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(got, want))
+
+
+def complex_route_entries(ops):
+    # How every tuple was stored before real input skipped complex128:
+    # convert to complex128, keep the real parts when every imaginary
+    # part is +0.0.
+    mats = [np.asarray(op, dtype=np.complex128) for op in ops]
+    if not any(np.signbit(m.imag).any() or m.imag.any() for m in mats):
+        mats = [m.real for m in mats]
+    return mats
+
+
+class TestRealInputStorage:
+    @pytest.mark.parametrize("ops", [
+        (np.arange(9).reshape(3, 3) - 4,),
+        (np.eye(3, dtype=bool), np.ones((3, 3), dtype=bool)),
+        (np.array([[0.1, -0.0], [1e-40, 3.5]], dtype=np.float32),),
+        (np.array([[-0.0, 1e-300], [-2.5, 5e-324]]),),
+        (np.eye(2, dtype=np.uint8), np.array([[0, 1], [-0.0, 0]])),
+        ([[1, 2], [3, 4]], [[0.5, -0.0], [0, 1]]),
+        (np.eye(2), np.array([[1, 0j], [-0.0, 1]])),
+        (np.eye(2), np.array([[1, complex(0.0, -0.0)], [0, 1]])),
+        (np.array([[1, 2]], dtype=np.int64).T @ np.array([[1, 1]]),
+         np.array([[0.0, 1j], [0, 0]])),
+    ], ids=["int", "bool", "float32", "float64-signed-zeros", "uint8-mixed",
+            "lists", "mixed-plus-zero-imag", "mixed-minus-zero-imag",
+            "int-and-complex"])
+    def test_same_dtype_and_bytes_as_the_complex_route(self, ops):
+        T = OperatorTuple(ops)
+        want = complex_route_entries(ops)
+        assert T.dtype == want[0].dtype
+        for op, m in zip(T.ops, want):
+            assert op.dtype == m.dtype
+            assert op.tobytes() == np.ascontiguousarray(m).tobytes()
+            assert not op.flags.writeable and op.flags.c_contiguous
+
+    def test_real_input_keeps_the_checks_and_messages(self):
+        cases = [
+            ((np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])),
+             "operator 2 contains non-finite entries"),
+            ((np.array([[np.inf]], dtype=np.float32),),
+             "operator 1 contains non-finite entries"),
+            ((np.ones(3, dtype=int),),
+             "operator 1 must be 2-dimensional, got shape (3,)"),
+            ((np.zeros((0, 0)),),
+             "operator 1 must have at least one row and one column"),
+            ((np.eye(2), np.eye(3, dtype=int)),
+             "operator 2 has shape (3, 3), expected (2, 2)"),
+            ((np.ones((2, 3)),),
+             "operator 1 has shape (2, 3), expected (2, 2)"),
+            ((), "an operator tuple needs at least one entry"),
+            # The first bad entry is reported, real or complex.
+            ((np.array([[np.nan]]), np.array([[np.nan + 1j]])),
+             "operator 1 contains non-finite entries"),
+        ]
+        for ops, message in cases:
+            with pytest.raises(ArgumentError) as err:
+                OperatorTuple(ops)
+            assert str(err.value) == message
