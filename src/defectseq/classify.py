@@ -162,16 +162,17 @@ def purity(T, max_iter=DEFAULT_MAX_ITER, eps_pure=DEFAULT_EPS_PURE,
     a bool or a float does not), and ``eps_pure`` and ``eps_conv`` must
     be finite, nonnegative real numbers (Python or numpy floats or
     integers, zero included; not a bool or a string); anything else
-    raises ArgumentError.  A step computes the two spectral norms only
-    when the diagonal and Frobenius bounds on them cannot rule out both
-    tests, and always at step ``max_iter``, so the outcome is that of
-    taking them on every step.  After step 16 the bounds are tested a
-    block of steps at a time and the exact norms taken in step order;
-    the iterates a block computes past the verdict, at most k / 8 for a
-    verdict at step k, are dropped.
+    raises ArgumentError.  The thresholds are read as Python floats, so
+    a numpy float32 one is compared in float64.  A step computes the two
+    spectral norms only when the diagonal and Frobenius bounds on them
+    cannot rule out both tests, and always at step ``max_iter``, so the
+    outcome is that of taking them on every step.  After step 16 the
+    bounds are tested a block of steps at a time and the exact norms
+    taken in step order; the iterates a block computes past the verdict,
+    at most k / 8 for a verdict at step k, are dropped.
     """
     _check_budget(max_iter)
-    _check_thresholds(eps_pure, eps_conv)
+    eps_pure, eps_conv = _check_thresholds(eps_pure, eps_conv)
     tol = DEFAULT_TOL if tol is None else tol
     require_contractive(T, tol)
     return _purity(T, max_iter, eps_pure, eps_conv)
@@ -185,6 +186,8 @@ def _check_budget(max_iter):
 
 def _check_thresholds(eps_pure, eps_conv):
     # Python and numpy floats and integers count; True and "1" do not.
+    # Returns both as Python floats, so a numpy float32 threshold does
+    # not carry the purity tests into float32 under NumPy 2 promotion.
     for name, eps in (("eps_pure", eps_pure), ("eps_conv", eps_conv)):
         if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
             raise ArgumentError(f"{name} must be a real number, got {eps!r}")
@@ -194,6 +197,7 @@ def _check_thresholds(eps_pure, eps_conv):
             finite = False
         if not finite or eps < 0.0:
             raise ArgumentError(f"{name} must be nonnegative and finite, got {eps}")
+    return float(eps_pure), float(eps_conv)
 
 
 def _purity(T, max_iter, eps_pure, eps_conv):
@@ -444,7 +448,7 @@ def _one_component(T):
     # unknown in row a and in column b of X, so the whole system is one
     # component of h**2 real unknowns; checking that costs O(d h**2)
     # against the O(d h**3) terms of the system.
-    return all(np.count_nonzero(op) == op.size for op in T.ops)
+    return np.count_nonzero(T._stack) == T._stack.size
 
 
 def _structural_system(T, cap):
@@ -460,13 +464,13 @@ def _structural_system(T, cap):
     # every a.
     h, d = T.h, T.d
     hh = h * h
-    entries = 2 * h * sum(np.count_nonzero(op) for op in T.ops)
+    ops = T._stack
+    entries = 2 * h * np.count_nonzero(ops)
     if entries > d * cap * cap:
         raise SizeCapError(
             f"commutant system has 2h*nnz = {entries} entries, "
             f"cap is d*cap^2 = {d * cap * cap}"
         )
-    ops = np.stack(T.ops)
     i, r, c = np.nonzero(ops)
     t = ops[i, r, c]
     j = np.arange(h)
@@ -668,7 +672,7 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
     so a bad one is refused on every tuple, contractive or not.
     """
     _check_budget(max_iter)
-    _check_thresholds(eps_pure, eps_conv)
+    eps_pure, eps_conv = _check_thresholds(eps_pure, eps_conv)
     if eps_conv >= 1.0:
         raise ArgumentError(
             f"eps_conv must be below 1 to certify convergence, got {eps_conv}")

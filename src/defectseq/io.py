@@ -108,14 +108,13 @@ def tuple_to_payload(T, meta=None):
     merged = dict(meta) if meta is not None else {}
     if T.label and "label" not in merged:
         merged["label"] = T.label
-    stack = np.stack(T.ops)
     return {
         "format": TUPLE_FORMAT,
         "version": TUPLE_FORMAT_VERSION,
         "d": T.d,
         "dim": T.h,
-        "dtype": stack.dtype.name,
-        **_encoded_entries(stack),
+        "dtype": T.dtype.name,
+        **_encoded_entries(T._stack),
         "meta": merged,
     }
 

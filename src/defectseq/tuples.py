@@ -19,39 +19,37 @@ The internal ordering is a storage convention, not a mathematical
 choice; every quantity derived from these tuples is invariant under
 permuting the entries.
 
+The entries are stored once, as one read-only C-contiguous (d, h, h)
+array; ``T.ops`` holds its slices, as views.  The dense cp step is two
+batched matmuls over that stack and the stack of the adjoints, which
+is a transposed view of the entries for float64 and one conjugate copy
+for complex128, built on first use.  Numpy makes the same gemm call for
+each slice as for the product op @ x @ op.conj().T, and the terms are
+summed from +0.0 in tuple order, so the step is that sum of per-entry
+products bit for bit.
+
 A float64 tuple in which every row and every column of every entry
 holds at most one nonzero (a partial permutation with weights, such as
 the Fock creation tuple and the symmetric shift) maps diagonal matrices
-to diagonal matrices.  ``apply_cp_map`` then computes a diagonal
-argument's image from the nonzeros alone, O(nnz) in place of d dense
-matrix products, with the rounding of the dense route: the one nonzero
-term of each product entry is w * x * w, summed over the entries in
-tuple order.  The pattern is found once per tuple, on first use, by
-testing for exact zeros, so an entry of 1e-300 counts as a nonzero.
-Complex tuples always take the dense route, because the rounding order
-of complex matrix products is not fixed.  The dense route takes each
-T_i* from a per-tuple cache, also filled on first use: transposed views
-for float64, one conjugate copy per entry for complex128.
+to diagonal matrices.  The cp step then computes a diagonal argument's
+image from the nonzeros alone, O(nnz) in place of d dense matrix
+products, with the rounding of the dense route: the one nonzero term
+of each product entry is w * x * w, summed over the entries in tuple
+order.  The pattern is found once per tuple, on first use, by testing
+for exact zeros, so an entry of 1e-300 counts as a nonzero.  Complex
+tuples always take the dense route, because the rounding order of
+complex matrix products is not fixed.
 
 ``apply_cp_map`` validates its argument and then runs the private step
 ``_cp_step``.  A loop that feeds the step its own output may call
 ``_cp_step`` directly, because each output is exactly Hermitian with
 the argument's shape and storage type; such a loop keeps the one check
 an output can still fail, finiteness.  ``cp_iterate`` and the purity
-loop of ``classify`` do so.  The defect ladder (``defect._ladder``) and
+loop of ``classify`` do so; the purity loop also passes ``out``, a slot
+of its block of iterates.  The defect ladder (``defect._ladder``) and
 the contractivity margin keep the public name, one call per step: the
 ladder runs few steps, on large h, where validation costs O(h**2)
 against the step's O(h**3).
-
-``_cp_step(T, x, out)`` writes the step into a given array, a slot of
-the purity loop's block of iterates.  Its dense products come from two
-batched matmuls over a per-tuple (d, h, h) stack of the entries and the
-stack of their adjoints, cached on first use like the adjoints; numpy
-makes the same gemm call for each slice as for the per-entry product,
-and the terms are summed from +0.0 in tuple order, so the step is the
-same array bit for bit.  Without ``out`` the step keeps the per-entry
-products and builds no stack, so the ladder, ``apply_cp_map`` and
-``cp_iterate`` hold no second copy of the entries.
 
 ``is_commuting`` builds the commutators of a tuple with the shift
 pattern from its nonzeros: each entry of T_i T_j has at most one nonzero
@@ -74,7 +72,6 @@ from .linalg import (
     _as_matrix,
     _require_integer,
     as_operator_matrix,
-    hermitize,
     readonly_copy,
     require_hermitian,
     Subspace,
@@ -109,13 +106,16 @@ class OperatorTuple:
     label : str
         Free-form description used in reports and file metadata.
 
-    The entries are stored as read-only float64 matrices when the
-    imaginary part of every entry is +0.0 bit for bit (real input
-    counts), and as complex128 otherwise; a -0.0 imaginary part keeps
-    the tuple complex, so the tuple file written from it is unchanged.
-    Input whose entries all have a bool, integer or float dtype is
-    converted to float64 directly, with the values and checks that the
-    round through complex128 gives.
+    The entries are stored as float64 when the imaginary part of every
+    entry is +0.0 bit for bit (real input counts), and as complex128
+    otherwise; a -0.0 imaginary part keeps the tuple complex, so the
+    tuple file written from it is unchanged.  Input whose entries all
+    have a bool, integer or float dtype is converted to float64
+    directly, with the values and checks that the round through
+    complex128 gives.  They are copied once into one read-only
+    C-contiguous (d, h, h) array, and ``ops`` holds its slices, the
+    read-only h x h views that the cp step, the commutant count and the
+    tuple file all read.
     """
 
     ops: tuple = field()
@@ -137,23 +137,24 @@ class OperatorTuple:
         if (mats[0].dtype == np.complex128
                 and all(_imag_is_plus_zero(m) for m in mats)):
             mats = tuple(m.real for m in mats)
-        object.__setattr__(self, "ops", tuple(
-            readonly_copy(m, mats[0].dtype) for m in mats))
+        stack = readonly_copy(mats, mats[0].dtype)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "ops", tuple(stack))
 
     @property
     def d(self):
         """Number of entries in the tuple."""
-        return len(self.ops)
+        return self._stack.shape[0]
 
     @property
     def dtype(self):
         """Storage type of the entries: float64 or complex128."""
-        return self.ops[0].dtype
+        return self._stack.dtype
 
     @property
     def h(self):
         """Dimension of the space the tuple acts on."""
-        return self.ops[0].shape[0]
+        return self._stack.shape[1]
 
     @functools.cached_property
     def _shift_pattern(self):
@@ -177,27 +178,17 @@ class OperatorTuple:
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
 
     @functools.cached_property
-    def _adjoints(self):
-        # T_i* for the dense cp step, built on first use: the transposed
-        # view of each entry for float64 (no memory held), and the
+    def _adjoint_stack(self):
+        # T_i* for the dense cp step, built on first use: a transposed
+        # view of the stack for float64 (no memory held), and a
         # transposed view of one read-only conjugate copy for complex128.
-        # Either has the layout of op.conj().T, so the products are the
-        # same arrays.
+        # Each slice has the layout of op.conj().T, so the products are
+        # the same arrays.
         if self.dtype == np.float64:
-            return tuple(op.T for op in self.ops)
-        return tuple(readonly_copy(op.conj(), op.dtype).T for op in self.ops)
-
-    @functools.cached_property
-    def _stacked(self):
-        # The entries as one read-only (d, h, h) array and the stack of
-        # their adjoints, for the ``out`` form of the cp step; built on
-        # first use.  Each adjoint slice has the layout of the matching
-        # ``_adjoints`` entry, so the batched products are the same arrays.
-        ops = np.stack(self.ops)
-        ops.setflags(write=False)
-        if self.dtype == np.float64:
-            return ops, ops.transpose(0, 2, 1)
-        return ops, readonly_copy(ops.conj(), ops.dtype).transpose(0, 2, 1)
+            return self._stack.transpose(0, 2, 1)
+        conj = self._stack.conj()
+        conj.setflags(write=False)
+        return conj.transpose(0, 2, 1)
 
     def op(self, letter):
         """The entry for a 1-based letter, matching word notation."""
@@ -287,7 +278,9 @@ def apply_cp_map(T, x):
     result is the same array, bit for bit.
 
     This is the validation of ``x`` followed by the private step
-    ``_cp_step``.  Only loops that feed the step its own output call
+    ``_cp_step``, the one cp step of the package: two batched matmuls
+    over the stored entries and their adjoints, or the diagonal route
+    above.  Only loops that feed the step its own output call
     ``_cp_step`` directly (``cp_iterate`` and the purity loop of
     ``classify``): every output is exactly Hermitian, of the argument's
     shape and storage type, so re-validating it could only fail on
@@ -306,11 +299,9 @@ def apply_cp_map(T, x):
 
 def _cp_step(T, x, out=None):
     # apply_cp_map without the checks: ``x`` is a float64 or complex128
-    # Hermitian matrix of dimension T.h.  Given ``out``, an h x h array
-    # of the result's type that does not overlap ``x``, the result is
-    # written there and ``out`` returned; the dense products then come
-    # from two batched matmuls over ``T._stacked``, which make the same
-    # gemm call per entry as ``op @ x @ adjoint``.
+    # Hermitian matrix of dimension T.h.  The result is written into
+    # ``out``, an h x h array of the result's type that does not overlap
+    # ``x``, allocated when None, and ``out`` is returned.
     pattern = T._shift_pattern
     if pattern is not None and x.dtype == np.float64:
         diag = x.diagonal()
@@ -328,22 +319,22 @@ def _cp_step(T, x, out=None):
                 out[...] = 0.0
                 np.fill_diagonal(out, (v + v) / 2.0)
                 return out
-    if out is None:
-        acc = np.zeros((T.h, T.h), dtype=np.promote_types(T.dtype, x.dtype))
-        for op, adjoint in zip(T.ops, T._adjoints):
-            acc += op @ x @ adjoint
-        return hermitize(acc)
-    ops, adjoints = T._stacked
-    terms = np.matmul(np.matmul(ops, x), adjoints)
-    # The sum from +0.0 in tuple order: 0.0 + t and t + 0.0 are the same
-    # bits, so the first term takes the zero in place.
+    # Batched matmul makes the same gemm call for each slice as
+    # op @ x @ op.conj().T does.  The terms are summed from +0.0 in
+    # tuple order: 0.0 + t and t + 0.0 are the same bits, so the first
+    # term takes the zero in place.
+    terms = np.matmul(np.matmul(T._stack, x), T._adjoint_stack)
     acc = terms[0]
     acc += 0.0
     for term in terms[1:]:
         acc += term
-    # hermitize(acc) into ``out``; a + b and b + a are the same bits.
+    # Allocated only now, so it is not held next to the two stacks of
+    # products.
+    if out is None:
+        out = np.empty_like(acc)
+    # hermitize(acc), in its operand order, so a NaN keeps its sign bit.
     np.conjugate(acc.T, out=out)
-    out += acc
+    np.add(acc, out, out=out)
     out /= 2.0
     return out
 

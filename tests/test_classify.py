@@ -758,6 +758,27 @@ class TestPurityThresholds:
             assert_same_verdict(classify(T, max_iter=200, **args).purity,
                                 want)
 
+    def test_float32_thresholds_are_read_as_python_floats(self):
+        # diag(1, sqrt(0.99)) keeps ||X_k|| = 1 and steps by 0.01 * 0.99**(k-1),
+        # so a float32 eps_conv at a step and its float32 neighbours sit on
+        # the NotPure boundary, where float32 arithmetic would move it.
+        T = OperatorTuple((np.diag([1.0, np.sqrt(0.99)]),))
+        steps = exact_steps(T, 58)
+        for norm, step in steps[1:]:
+            eps = np.float32(step / norm)
+            for e in (np.nextafter(eps, np.float32(0.0)), eps,
+                      np.nextafter(eps, np.float32(1.0))):
+                want = reference_purity(T, 100, DEFAULT_EPS_PURE, float(e))
+                assert want.status is Purity.NOT_PURE
+                assert_same_verdict(purity(T, 100, DEFAULT_EPS_PURE, e), want)
+        norm, step = steps[20]
+        eps = np.float32(step / norm)
+        for e in (np.nextafter(eps, np.float32(0.0)), eps):
+            want = reference_purity(T, 100, np.float32(0.5), float(e))
+            rep = classify(T, max_iter=100, eps_pure=np.float32(0.5),
+                           eps_conv=e)
+            assert_same_verdict(rep.purity, want)
+
     def test_zero_thresholds_are_valid(self):
         assert purity(fock_creation(2, 2), eps_pure=0.0,
                       eps_conv=0.0).status is Purity.PURE
