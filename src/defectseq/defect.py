@@ -16,17 +16,27 @@ dimension.  Three structural facts shape the interface:
   with its images under all operator words of length below n, which
   gives a second, independent way to build the same space.
 
-One private loop, ``_ladder``, iterates X_n = cp^n(I), ranks I - X_n and
-ends the sequence at its stabilization point.  ``defect_sequence`` and
-the maximality verdicts of ``classify`` all read their values from it;
-``defect_operator`` builds a single D_n from ``cp_iterate``, apart from
-the ladder, so the verify suites can check ladder values against it.
+One private loop, ``_ladder``, yields Delta_1, Delta_2, ... and ends the
+sequence at its stabilization point.  ``defect_sequence`` and the
+maximality verdicts of ``classify`` all read their values from it.  It
+has two routes, chosen by the tuple's weighted-shift pattern:
+
+* a weighted shift iterates X_n = cp^n(I), which stays diagonal, and
+  ranks I - X_n: one O(nnz) cp step and one rank decision per value;
+* any other tuple carries D_n itself.  The word-span description of the
+  defect spaces is the identity D_{n+1} = D_1 + cp(D_n), so D_n, of rank
+  Delta_n, is held as a thin signed factor G_n diag(+-1) G_n* and
+  updated from the d products T_i G_n (low-rank Smith iteration).
+
+Both count the eigenvalues of D_n above the one cutoff of
+``numerical_rank``.  ``defect_operator`` builds a single D_n from
+``cp_iterate``, apart from the ladder, so the verify suites and the
+tests can check ladder values against the dense iterate.
 
 ``defect_space_via_words`` implements the word-span construction by
 Krylov-style accumulation and exists as a cross-check for
 ``defect_space``; the two must agree on every contractive input and the
-test suite holds them to it.  Defect quantities are always computed by
-iterating the cp map (d matrix products per step), never by
+test suite holds them to it.  Defect quantities are never computed by
 materializing the d**n-entry power tuple; only ``rank_symmetry_check``
 builds the power, because its row operator is the object under study.
 """
@@ -234,24 +244,112 @@ class DefectReport:
 def _ladder(T, tol):
     """Yield Delta_1, Delta_2, ... of a contractive tuple until they stabilize.
 
-    The one loop that iterates X_n = cp^n(I) and ranks I - X_n.  It ends
-    after the first n with Delta_n = h (the space is full) or
-    Delta_n = Delta_{n-1}; by the stabilization law every later value
-    repeats the last one yielded.  Until then the sequence rises by at
-    least one per step, so it ends within h + 1 steps; that is also the
-    cap, and a ladder that reaches the cap has decreased somewhere.
-    Callers check contractivity first; commutation is never tested here.
+    The one loop that ends the sequence.  It ends after the first n with
+    Delta_n = h (the space is full) or Delta_n = Delta_{n-1}; by the
+    stabilization law every later value repeats the last one yielded.
+    Until then the sequence rises by at least one per step, so it ends
+    within h + 1 steps; that is also the cap, and a ladder that reaches
+    the cap has decreased somewhere.  The values come from one of two
+    routes, chosen by ``T._shift_pattern``: a weighted shift iterates
+    the diagonal X_n = cp^n(I) (``_iterate_deltas``), any other tuple
+    carries D_n as a signed factor (``_factored_deltas``).  Both count
+    the eigenvalues of D_n with the rule of ``numerical_rank``.  Callers
+    check contractivity first; commutation is never tested here.
     """
-    eye = np.eye(T.h)
-    x = np.eye(T.h, dtype=T.dtype)
+    if T._shift_pattern is not None:
+        deltas = _iterate_deltas(T, tol)
+    else:
+        deltas = _factored_deltas(T, tol)
     previous = None
-    for _ in range(T.h + 1):
-        x = apply_cp_map(T, x)
-        delta = numerical_rank(hermitize(eye - x), tol)
+    for delta in islice(deltas, T.h + 1):
         yield delta
         if delta in (T.h, previous):
             return
         previous = delta
+
+
+def _iterate_deltas(T, tol):
+    # The ranks of I - X_n for X_n = cp^n(I), one cp step and one rank
+    # decision each.  A weighted shift keeps X_n diagonal, so a step is
+    # O(nnz) and the rank is read off the sorted diagonal.
+    eye = np.eye(T.h)
+    x = np.eye(T.h, dtype=T.dtype)
+    while True:
+        x = apply_cp_map(T, x)
+        yield numerical_rank(hermitize(eye - x), tol)
+
+
+def _factored_deltas(T, tol):
+    # The ranks of D_n, carried as D_n = G_n J_n G_n* with J_n = diag(+-1)
+    # through D_{n+1} = D_1 + cp(D_n) = M J M*, where
+    # M = [G_1, T_1 G_n, ..., T_d G_n] and J = diag(J_1, J_n, ..., J_n).
+    # D_1 = I - cp(I) is the matrix the contractivity margin ranks.  The
+    # signature keeps the negative eigenvalues that a tuple accepted
+    # within the contractivity slack gives D_n, so the ladder counts
+    # what I - cp^n(I) holds.  Columns are dropped only at the rounding
+    # floor h * eps of a matrix of norm about 1, never at the rank
+    # cutoff: a defect below the cutoff still adds up over the steps.
+    # Each value is yielded before its factor is built, so the factor of
+    # the last step is never computed.
+    floor = T.h * np.finfo(np.float64).eps
+    d_1 = hermitize(np.eye(T.h) - apply_cp_map(T, np.eye(T.h, dtype=T.dtype)))
+    values, factor = _dense_spectrum(d_1, floor)
+    yield _count_above(np.abs(values), tol)
+    g_1, j_1 = g, j = factor()
+    while True:
+        values, factor = _next_spectrum(T, g_1, j_1, g, j, floor)
+        yield _count_above(np.abs(values), tol)
+        g, j = factor()
+        # Let this step's eigenvectors go before the next step runs.
+        del values, factor
+
+
+def _next_spectrum(T, g_1, j_1, g, j, floor):
+    # The eigenvalues of D_{n+1} = M J M* that can be nonzero, and a
+    # function that returns its signed factor.
+    m = _defect_columns(T, g_1, g)
+    signature = np.concatenate([j_1] + [j] * T.d)
+    if m.shape[1] >= T.h:
+        # M is conjugated in place, so no copy of M* sits next to the
+        # copy of M J.
+        return _dense_spectrum(hermitize(np.matmul(
+            m * signature, np.conjugate(m, out=m).T)), floor)
+    # M = QR, so D_{n+1} = Q (R J R*) Q*: its eigenvalues are those of
+    # the small matrix R J R* and h - k zeros.
+    q, r = np.linalg.qr(m)
+    w, v = np.linalg.eigh(hermitize((r * signature) @ r.conj().T))
+
+    def factor():
+        g_next, j_next = _signed_factor(w, v, floor)
+        return q @ g_next, j_next
+
+    return w, factor
+
+
+def _dense_spectrum(d_n, floor):
+    # The eigenvalues of the h x h Hermitian D_n as numerical_rank takes
+    # them, and a function that returns its signed factor.
+    return _hermitian_eigvals(d_n), lambda: _signed_factor(
+        *np.linalg.eigh(d_n), floor)
+
+
+def _signed_factor(w, v, floor):
+    # (G, J) with v diag(w) v* = G diag(J) G*, up to the eigenvalues of
+    # modulus at most ``floor``, which are dropped.
+    keep = np.abs(w) > floor
+    return v[:, keep] * np.sqrt(np.abs(w[keep])), np.sign(w[keep])
+
+
+def _defect_columns(T, g_1, g):
+    # M = [G_1, T_1 G, ..., T_d G] as one h x (r_1 + d r) array; the
+    # batched product writes each block T_i G into its columns in place.
+    h, r_1, r = T.h, g_1.shape[1], g.shape[1]
+    m = np.empty((h, r_1 + T.d * r), dtype=T.dtype)
+    m[:, :r_1] = g_1
+    # Splitting the last axis of a slice is a view, so out= reaches m.
+    np.matmul(T._stack, g,
+              out=m[:, r_1:].reshape(h, T.d, r).transpose(1, 0, 2))
+    return m
 
 
 def defect_sequence(T, n_max, tol=None):

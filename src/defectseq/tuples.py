@@ -46,14 +46,18 @@ complex matrix products is not fixed.
 the argument's shape and storage type; such a loop keeps the one check
 an output can still fail, finiteness.  ``cp_iterate`` and the purity
 loop of ``classify`` do so; the purity loop also passes ``out``, a slot
-of its block of iterates.  The defect ladder (``defect._ladder``) and
-the contractivity margin keep the public name, one call per step: the
-ladder runs few steps, on large h, where validation costs O(h**2)
-against the step's O(h**3).
+of its block of iterates.  The contractivity margin and the defect
+ladder (``defect._ladder``) keep the public name: the margin and the
+first ladder step apply the map once to the identity, and the ladder of
+a weighted shift makes one call per step.  The ladder of any other
+tuple steps a thin factor of D_n with the entries themselves, not the
+cp map.
 
 ``is_commuting`` builds the commutators of a tuple with the shift
 pattern from its nonzeros: each entry of T_i T_j has at most one nonzero
-term, w * w', the one the dense product adds to zeros.
+term, w * w', the one the dense product adds to zeros.  The norm bounds
+read those nonzeros; a commutator becomes an h x h array only for the
+spectral norm, when the bounds cannot settle it.
 """
 
 from __future__ import annotations
@@ -285,9 +289,10 @@ def apply_cp_map(T, x):
     ``classify``): every output is exactly Hermitian, of the argument's
     shape and storage type, so re-validating it could only fail on
     non-finite entries, and those loops check finiteness themselves.
-    The defect ladder and the contractivity margin call this function,
-    one call per cp step; at the ladder's sizes the O(h**2) validation is
-    small against the O(h**3) step.
+    The contractivity margin calls this function once, and so does the
+    defect ladder for D_1; the ladder of a weighted shift then calls it
+    once per step, where the O(h**2) validation is small against the
+    step.
     """
     x = require_hermitian(x, "cp-map argument")
     if x.shape[0] != T.h:
@@ -471,18 +476,32 @@ def is_commuting(T, tol=None):
     max column norm <= ||A||_2 <= ||A||_F, widened by a fixed relative
     slack, cannot settle a commutator; the verdict is the one the
     spectral norms give.  A float64 tuple of weighted partial
-    permutations gets its commutators from the nonzeros, with the
-    nonzero values of the dense products.
+    permutations gets its commutators as their nonzeros, with the
+    values of the dense products, and takes both bounds from those; a
+    commutator is formed as an h x h array only for a spectral norm.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if T.d == 1:
         return True
     if T._shift_pattern is not None:
         comms = _shift_commutators(T)
+        frobs = [float(np.linalg.norm(values)) for _, _, values in comms]
+
+        def column_max(comm):
+            _, cols, values = comm
+            return float(np.sqrt(np.max(
+                np.bincount(cols, values * values, T.h))))
+
+        def dense(comm):
+            return _dense_commutator(T.h, comm)
     else:
         comms = [T.ops[i] @ T.ops[j] - T.ops[j] @ T.ops[i]
                  for i in range(T.d) for j in range(i + 1, T.d)]
-    frobs = [float(np.linalg.norm(comm)) for comm in comms]
+        frobs = [float(np.linalg.norm(comm)) for comm in comms]
+        column_max = _max_column_norm
+
+        def dense(comm):
+            return comm
     # An overflowing commutator keeps the exact route and what it gives.
     if np.isfinite(frobs).all():
         col_max = max(_max_column_norm(op) for op in T.ops)
@@ -492,7 +511,7 @@ def is_commuting(T, tol=None):
         # The exact bound lies between these two.
         bound_low = tol.rtol * (1.0 + col_max * col_max) * below
         bound_high = tol.rtol * (1.0 + frob_max * frob_max) * above
-        if any(_max_column_norm(comm) * below > bound_high for comm in comms):
+        if any(column_max(comm) * below > bound_high for comm in comms):
             return False
         comms = [comm for comm, frob in zip(comms, frobs)
                  if frob * above > bound_low]
@@ -500,30 +519,62 @@ def is_commuting(T, tol=None):
             return True
     max_norm = max(float(np.linalg.norm(op, 2)) for op in T.ops)
     bound = tol.rtol * (1.0 + max_norm * max_norm)
-    return all(float(np.linalg.norm(comm, 2)) <= bound for comm in comms)
+    return all(float(np.linalg.norm(dense(comm), 2)) <= bound
+               for comm in comms)
 
 
 def _shift_commutators(T):
     # The commutators T_i T_j - T_j T_i, i < j, of a tuple with a
-    # ``_shift_pattern``.  Row r of T_i holds at most its one nonzero w,
-    # in column c, so row r of T_i T_j is w times row c of T_j: each
-    # entry is w * w', the one nonzero term of its dense sum, or a zero
-    # whose sign no norm sees.  O(h * nnz) in place of O(h**3).
+    # ``_shift_pattern``, each as (rows, cols, values) of its entries
+    # that can be nonzero, one entry per position.  Row r of T_i holds at
+    # most one nonzero w, in column c, so row r of T_i T_j holds at most
+    # w * w', with w' the nonzero of row c of T_j: the one nonzero term
+    # of the dense sum.  A commutator row so holds at most two entries,
+    # a and -b, or a - b where they meet; the dense difference adds
+    # zeros whose sign no norm sees.  O(d**2 h) in place of O(d**2 h**3).
     h = T.h
     rows, cols, weights = T._shift_pattern
-    ends = list(itertools.accumulate(np.count_nonzero(op) for op in T.ops))
-    spans = list(zip([0] + ends[:-1], ends))
+    # Per entry and row: the column of its nonzero (-1 for an empty
+    # row) and its value (0.0 there).
+    col = np.full((T.d, h), -1)
+    val = np.zeros((T.d, h))
+    start = 0
+    for i, op in enumerate(T.ops):
+        end = start + np.count_nonzero(op)
+        col[i, rows[start:end]] = cols[start:end]
+        val[i, rows[start:end]] = weights[start:end]
+        start = end
+    every_row = np.arange(h)
 
     def product(i, j):
-        lo, hi = spans[i]
-        out = np.zeros((h, h))
-        out[rows[lo:hi]] = weights[lo:hi, None] * T.ops[j][cols[lo:hi]]
-        return out
+        # Column (-1 for an empty row) and value of each row of T_i T_j.
+        mid = col[i]
+        c = np.where(mid >= 0, col[j][mid], -1)
+        return c, np.where(c >= 0, val[i] * val[j][mid], 0.0)
+
+    def commutator(i, j):
+        ca, a = product(i, j)
+        cb, b = product(j, i)
+        meet = (ca == cb) & (ca >= 0)
+        only_a = (ca >= 0) & ~meet
+        only_b = (cb >= 0) & ~meet
+        return (np.concatenate([every_row[meet], every_row[only_a],
+                                every_row[only_b]]),
+                np.concatenate([ca[meet], ca[only_a], cb[only_b]]),
+                np.concatenate([a[meet] - b[meet], a[only_a], -b[only_b]]))
 
     # Silent on overflow, as the dense products are.
     with np.errstate(over="ignore"):
-        return [product(i, j) - product(j, i)
+        return [commutator(i, j)
                 for i in range(T.d) for j in range(i + 1, T.d)]
+
+
+def _dense_commutator(h, comm):
+    # The h x h array of a commutator given as (rows, cols, values).
+    rows, cols, values = comm
+    out = np.zeros((h, h))
+    out[rows, cols] = values
+    return out
 
 
 def _max_column_norm(a):

@@ -344,14 +344,21 @@ class TestDefectSequence:
         assert rep.deltas == (1, 3, 7, 15)
         assert calls == {"apply_cp_map": 5, "numerical_rank": 4}
 
-    def test_dense_route_makes_the_same_calls(self, monkeypatch):
-        # The same counts on a tuple that takes the dense cp step: a
-        # fixed real orthogonal conjugate of fock_creation(2, 3).
+    def test_factored_route_makes_its_own_calls(self, monkeypatch):
+        # A fixed real orthogonal conjugate of fock_creation(2, 3) takes
+        # the factored route: the margin and D_1 each apply the cp map
+        # once and take the eigenvalues of I - cp(I), and no later step
+        # applies the map.  Steps 2 and 3 (M of width 3 and 7) rank
+        # R J R* after a QR; step 4 (width 15 = h) takes the eigenvalues
+        # of the dense M J M*.  Each step is one rank count, and the
+        # last step builds no factor.
         import defectseq.defect as defect
         T = orthogonal_conjugate(fock_creation(2, 3), 0)
         assert T._shift_pattern is None
         assert fock_creation(2, 3)._shift_pattern is not None
-        calls = {"apply_cp_map": 0, "numerical_rank": 0}
+        calls = {name: 0 for name in (
+            "apply_cp_map", "numerical_rank", "_count_above",
+            "_hermitian_eigvals", "_next_spectrum", "_signed_factor")}
 
         def counting(name):
             original = getattr(defect, name)
@@ -366,7 +373,9 @@ class TestDefectSequence:
             monkeypatch.setattr(defect, name, counting(name))
         rep = defect.defect_sequence(T, 5)
         assert rep.deltas == (1, 3, 7, 15)
-        assert calls == {"apply_cp_map": 5, "numerical_rank": 4}
+        assert calls == {"apply_cp_map": 2, "numerical_rank": 0,
+                         "_count_above": 4, "_hermitian_eigvals": 3,
+                         "_next_spectrum": 3, "_signed_factor": 3}
 
     def test_benchmark_tracer_self_test_passes(self, monkeypatch):
         # The benchmark marks its runs incorrect when this fixture fails:

@@ -856,6 +856,12 @@ def dense_commutators(T):
             for i in range(T.d) for j in range(i + 1, T.d)]
 
 
+def shift_commutators(T):
+    # The nonzero-built commutators, formed as h x h arrays.
+    return [tuples_module._dense_commutator(T.h, comm)
+            for comm in tuples_module._shift_commutators(T)]
+
+
 def weighted_shift(weights, h, step=1):
     # sum_k weights[k] e_{k + step} e_k^T on C^h.
     return np.diag(np.asarray(weights, dtype=float), -step)[:h, :h]
@@ -873,7 +879,7 @@ class TestShiftCommutators:
             assert U._shift_pattern is not None
             if U.d == 1:
                 continue
-            got = tuples_module._shift_commutators(U)
+            got = shift_commutators(U)
             want = dense_commutators(U)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             assert is_commuting(U) == reference_is_commuting(U)
@@ -932,7 +938,7 @@ class TestShiftCommutators:
         assert big._shift_pattern is not None
         # inf - inf in the subtraction warns on both routes.
         with np.errstate(over="raise", invalid="ignore"):
-            got = tuples_module._shift_commutators(big)
+            got = shift_commutators(big)
         with np.errstate(over="ignore", invalid="ignore"):
             want = dense_commutators(big)
         assert all(np.array_equal(a, b, equal_nan=True)

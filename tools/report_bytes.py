@@ -1,0 +1,106 @@
+"""Write the outputs whose bytes a change must keep, for one source tree.
+
+Usage:
+
+    python3 tools/report_bytes.py [--tree DIR] [--seed N] OUT_DIR
+
+Imports ``defectseq`` from DIR/src and the benchmark's tuple builders
+from DIR/perfbench/workloads.py (DIR defaults to the tree holding this
+script), then writes into OUT_DIR:
+
+* ``inputs/<workload>-<label>.json``: the ``ladder`` and ``classify``
+  workloads' tuples at workload seed N (default 0), as tuple files;
+* ``defect-<workload>-<label>.json``: ``defect --n-max 200 --report`` on
+  every one of those tuples;
+* ``classify-<label>.json``: ``classify --report`` on the ``classify``
+  workload's tuples;
+* ``verify-<S>.json``: ``verify --suite all --samples 40 --seed S
+  --report`` for S = 0..3;
+* ``<name>.out`` next to each report: the call's stdout and exit code;
+* ``demo-<script>.out``: each script in DIR/demos run in a fresh
+  process, its stdout and exit code.
+
+The CLI runs with OUT_DIR as its working directory and relative paths,
+so two trees write the same bytes wherever their OUT_DIRs lie.  Compare
+two runs file by file:
+
+    python3 tools/report_bytes.py --tree ../base out-base
+    python3 tools/report_bytes.py out-head
+    diff -r out-base out-head
+
+No file differs when the change keeps every report, tuple file and
+demo output.  The BLAS thread count is pinned to 1 before numpy loads,
+as in the benchmark.
+"""
+
+import argparse
+import contextlib
+import io as textio
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+VERIFY_SEEDS = range(4)
+N_MAX = "200"
+
+
+def _call(main, name, argv):
+    # One in-process CLI call: the report goes to <name>.json, stdout and
+    # the exit code to <name>.out.
+    out = textio.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--report", f"{name}.json"])
+    Path(f"{name}.out").write_text(f"{out.getvalue()}exit {code}\n",
+                                   encoding="utf-8")
+
+
+def write_outputs(tree, out_dir, seed):
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import workloads
+    from defectseq import cli, io, models
+    from defectseq.tuples import OperatorTuple
+
+    pkg = types.SimpleNamespace(models=models, OperatorTuple=OperatorTuple)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    os.chdir(out_dir)
+    Path("inputs").mkdir(exist_ok=True)
+    for workload in ("ladder", "classify"):
+        for label, build in workloads.tuple_builders(workload, seed).items():
+            path = f"inputs/{workload}-{label}.json"
+            io.write_tuple(build(pkg), path)
+            _call(cli.main, f"defect-{workload}-{label}",
+                  ["defect", path, "--n-max", N_MAX])
+            if workload == "classify":
+                _call(cli.main, f"classify-{label}", ["classify", path])
+    for s in VERIFY_SEEDS:
+        _call(cli.main, f"verify-{s}",
+              ["verify", "--suite", "all", "--samples", "40",
+               "--seed", str(s)])
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for script in sorted((tree / "demos").glob("*.py")):
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, timeout=600)
+        Path(f"demo-{script.stem}.out").write_text(
+            f"{done.stdout}exit {done.returncode}\n", encoding="utf-8")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", type=Path,
+                        default=Path(__file__).resolve().parent.parent,
+                        help="source tree to run (default: this one)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="workload seed of the random tuples")
+    parser.add_argument("out_dir", type=Path)
+    args = parser.parse_args(argv)
+    write_outputs(args.tree.resolve(), args.out_dir.resolve(), args.seed)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
