@@ -932,6 +932,32 @@ class TestShiftCommutators:
             tol = RankTolerance(rtol=float(rtol))
             assert is_commuting(T, tol) == reference_is_commuting(T, tol)
 
+    def test_dense_commutators_only_for_spectral_norms(self, monkeypatch):
+        # The bounds settle the flagships from the nonzeros alone; at the
+        # exact edge the spectral norm needs the h x h array.
+        formed = []
+        real = tuples_module._dense_commutator
+
+        def counted(h, comm):
+            formed.append(h)
+            return real(h, comm)
+
+        monkeypatch.setattr(tuples_module, "_dense_commutator", counted)
+        for T in (fock_creation(2, 8), symmetric_fock_shift(2, 24)):
+            assert is_commuting(T) == reference_is_commuting(T)
+        assert formed == []
+        rng = np.random.default_rng(0)
+        w = rng.uniform(0.3, 0.9, 8)
+        T = OperatorTuple((weighted_shift(w, 9),
+                           weighted_shift(w * (1 + 1e-6 * rng.standard_normal(
+                               8)), 9)))
+        max_norm = max(np.linalg.norm(op, 2) for op in T.ops)
+        edge = (np.linalg.norm(dense_commutators(T)[0], 2)
+                / (1.0 + max_norm * max_norm))
+        tol = RankTolerance(rtol=float(edge))
+        assert is_commuting(T, tol) == reference_is_commuting(T, tol)
+        assert formed == [9]
+
     def test_overflowing_products_are_silent_and_match(self):
         big = OperatorTuple((1e200 * weighted_shift(np.ones(3), 4),
                              1e200 * weighted_shift(np.ones(2), 4, 2)))
