@@ -476,19 +476,19 @@ def is_commuting(T, tol=None):
     max column norm <= ||A||_2 <= ||A||_F, widened by a fixed relative
     slack, cannot settle a commutator; the verdict is the one the
     spectral norms give.  A float64 tuple of weighted partial
-    permutations gets its commutators as their nonzeros, with the
-    values of the dense products, and takes both bounds from those; a
-    commutator is formed as an h x h array only for a spectral norm.
+    permutations gets its commutators as at most 2h entries each, with
+    the values of the dense products, and takes both bounds from those;
+    a commutator is formed as an h x h array only for a spectral norm.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if T.d == 1:
         return True
     if T._shift_pattern is not None:
         comms = _shift_commutators(T)
-        frobs = [float(np.linalg.norm(values)) for _, _, values in comms]
+        frobs = [float(np.linalg.norm(values)) for _, values in comms]
 
         def column_max(comm):
-            _, cols, values = comm
+            cols, values = comm
             return float(np.sqrt(np.max(
                 np.bincount(cols, values * values, T.h))))
 
@@ -525,55 +525,47 @@ def is_commuting(T, tol=None):
 
 def _shift_commutators(T):
     # The commutators T_i T_j - T_j T_i, i < j, of a tuple with a
-    # ``_shift_pattern``, each as (rows, cols, values) of its entries
-    # that can be nonzero, one entry per position.  Row r of T_i holds at
-    # most one nonzero w, in column c, so row r of T_i T_j holds at most
-    # w * w', with w' the nonzero of row c of T_j: the one nonzero term
-    # of the dense sum.  A commutator row so holds at most two entries,
-    # a and -b, or a - b where they meet; the dense difference adds
-    # zeros whose sign no norm sees.  O(d**2 h) in place of O(d**2 h**3).
-    h = T.h
+    # ``_shift_pattern``, each as (cols, values) of 2h entries, entry k
+    # in row k % h.  Row r of T_i holds at most one nonzero w, in column
+    # c, so row r of T_i T_j holds at most w * w', with w' the nonzero of
+    # row c of T_j: the one nonzero term of the dense sum.  A commutator
+    # row so holds a and -b, or a - b where the two meet.  An empty row
+    # is read as column 0 and value 0.0, so a missing product is an
+    # entry 0.0 and the entries add up to the dense difference, up to
+    # the sign of zeros, which no norm sees.  O(d**2 h) in place of
+    # O(d**2 h**3).
+    d, h = T.d, T.h
     rows, cols, weights = T._shift_pattern
-    # Per entry and row: the column of its nonzero (-1 for an empty
-    # row) and its value (0.0 there).
-    col = np.full((T.d, h), -1)
-    val = np.zeros((T.d, h))
-    start = 0
-    for i, op in enumerate(T.ops):
-        end = start + np.count_nonzero(op)
-        col[i, rows[start:end]] = cols[start:end]
-        val[i, rows[start:end]] = weights[start:end]
-        start = end
-    every_row = np.arange(h)
+    entry = np.repeat(np.arange(d), np.count_nonzero(T._stack, axis=(1, 2)))
+    col = np.zeros((d, h), dtype=np.intp)
+    val = np.zeros((d, h))
+    col[entry, rows] = cols
+    val[entry, rows] = weights
 
     def product(i, j):
-        # Column (-1 for an empty row) and value of each row of T_i T_j.
+        # Column and value of the entry of each row of T_i T_j.
         mid = col[i]
-        c = np.where(mid >= 0, col[j][mid], -1)
-        return c, np.where(c >= 0, val[i] * val[j][mid], 0.0)
+        return col[j][mid], val[i] * val[j][mid]
 
     def commutator(i, j):
         ca, a = product(i, j)
         cb, b = product(j, i)
-        meet = (ca == cb) & (ca >= 0)
-        only_a = (ca >= 0) & ~meet
-        only_b = (cb >= 0) & ~meet
-        return (np.concatenate([every_row[meet], every_row[only_a],
-                                every_row[only_b]]),
-                np.concatenate([ca[meet], ca[only_a], cb[only_b]]),
-                np.concatenate([a[meet] - b[meet], a[only_a], -b[only_b]]))
+        meet = ca == cb
+        return (np.concatenate([ca, cb]),
+                np.concatenate([a - np.where(meet, b, 0.0),
+                                np.where(meet, 0.0, -b)]))
 
     # Silent on overflow, as the dense products are.
     with np.errstate(over="ignore"):
         return [commutator(i, j)
-                for i in range(T.d) for j in range(i + 1, T.d)]
+                for i in range(d) for j in range(i + 1, d)]
 
 
 def _dense_commutator(h, comm):
-    # The h x h array of a commutator given as (rows, cols, values).
-    rows, cols, values = comm
+    # The h x h array of one commutator of ``_shift_commutators``.
+    cols, values = comm
     out = np.zeros((h, h))
-    out[rows, cols] = values
+    np.add.at(out, (np.arange(2 * h) % h, cols), values)
     return out
 
 
