@@ -12,7 +12,8 @@ loop that computes Delta_n: a verdict compares those values with
 ``geometric_bound`` or ``commuting_bound`` up to its horizon, and an
 index past the ladder's stabilization point repeats the last value.
 ``classify`` runs the ladder once and reads Delta_1 and both maximality
-verdicts from that single run.
+verdicts from that single run.  The ladder checks contractivity itself,
+so the maximality verdicts make no check of their own.
 
 Irreducibility is read from ``commutant_dimension``, which counts the
 Hermitian matrices commuting with every T_i.  The commutant of the
@@ -348,7 +349,6 @@ def _ladder_maximality(T, horizon, tol, bound_fn):
         _require_integer(horizon, "horizon")
         if horizon < 1:
             raise ArgumentError("horizon must be at least 1")
-    require_contractive(T, tol)
     return _maximality(_ladder(T, tol), T.d, T.h, horizon, bound_fn)
 
 

@@ -29,7 +29,13 @@ has two routes, chosen by the tuple's weighted-shift pattern:
   updated from the d products T_i G_n (low-rank Smith iteration).
 
 Both count the eigenvalues of D_n above the one cutoff of
-``numerical_rank``.  ``defect_operator`` builds a single D_n from
+``numerical_rank``.  The ladder checks contractivity itself, so its
+callers do not.  D_1 = I - cp(I) is built in one place,
+``_first_defect``: the contractivity margin is its smallest eigenvalue,
+and the factored route's first step is that same matrix, so a
+``defect_sequence`` call on a dense tuple applies the cp map once and
+reads the margin it keeps off the first step's eigenvalues.
+``defect_operator`` builds a single D_n from
 ``cp_iterate``, apart from the ladder, so the verify suites and the
 tests can check ladder values against the dense iterate.
 
@@ -97,8 +103,13 @@ def contractivity_margin(T):
     and so no contractivity verdict, can be read from it.  The margin is
     computed once per tuple object and kept on it; an equal tuple built
     separately computes its own, and an error is raised afresh on every
-    call.
+    call.  The defect ladder of a tuple without the weighted-shift
+    pattern keeps the same value, read off its own D_1.
     """
+    return _kept_margin(T)
+
+
+def _kept_margin(T):
     margin = vars(T).get("_contractivity_margin")
     if margin is None:
         margin = _contractivity_margin(T)
@@ -108,17 +119,32 @@ def contractivity_margin(T):
 
 
 def _contractivity_margin(T):
+    return float(_first_defect(T)[1][0])
+
+
+def _first_defect(T):
+    # D_1 = I - cp(I), exactly Hermitian, and its ascending eigenvalues
+    # as numerical_rank takes them: the one place D_1 is built, for the
+    # contractivity margin and the first step of the factored ladder.
     with np.errstate(over="ignore", invalid="ignore"):
-        d1 = np.eye(T.h) - apply_cp_map(T, np.eye(T.h, dtype=T.dtype))
-    if not np.isfinite(d1).all():
+        d_1 = np.eye(T.h) - apply_cp_map(T, np.eye(T.h, dtype=T.dtype))
+    if not np.isfinite(d_1).all():
         raise ArgumentError(
             "I - cp(I) is not finite; the tuple's entries are too large"
         )
-    return float(_hermitian_eigvals(hermitize(d1))[0])
+    d_1 = hermitize(d_1)
+    return d_1, _hermitian_eigvals(d_1)
 
 
 def _margin_is_contractive(margin, tol):
     return margin >= -CONTRACTIVITY_SLACK * tol.rtol
+
+
+def _require_margin(margin, tol):
+    if not _margin_is_contractive(margin, tol):
+        raise ContractivityError(
+            f"not a row contraction: I - cp(I) has eigenvalue {margin:.3e}"
+        )
 
 
 def is_contractive(T, tol=None):
@@ -130,11 +156,7 @@ def is_contractive(T, tol=None):
 def require_contractive(T, tol=None):
     """Raise ContractivityError unless ``T`` passes ``is_contractive``."""
     tol = DEFAULT_TOL if tol is None else tol
-    margin = contractivity_margin(T)
-    if not _margin_is_contractive(margin, tol):
-        raise ContractivityError(
-            f"not a row contraction: I - cp(I) has eigenvalue {margin:.3e}"
-        )
+    _require_margin(contractivity_margin(T), tol)
 
 
 def geometric_bound(d, n, delta_1):
@@ -253,10 +275,17 @@ def _ladder(T, tol):
     routes, chosen by ``T._shift_pattern``: a weighted shift iterates
     the diagonal X_n = cp^n(I) (``_iterate_deltas``), any other tuple
     carries D_n as a signed factor (``_factored_deltas``).  Both count
-    the eigenvalues of D_n with the rule of ``numerical_rank``.  Callers
-    check contractivity first; commutation is never tested here.
+    the eigenvalues of D_n with the rule of ``numerical_rank``.
+
+    The ladder checks contractivity itself, before the first value, and
+    raises ContractivityError as ``require_contractive`` does.  A
+    weighted shift reads the margin kept on the tuple, or computes it
+    once; the factored route reads it off the eigenvalues of its own
+    D_1, the matrix the margin is taken from, and keeps it on the tuple.
+    Commutation is never tested here.
     """
     if T._shift_pattern is not None:
+        _require_margin(_kept_margin(T), tol)
         deltas = _iterate_deltas(T, tol)
     else:
         deltas = _factored_deltas(T, tol)
@@ -283,54 +312,45 @@ def _factored_deltas(T, tol):
     # The ranks of D_n, carried as D_n = G_n J_n G_n* with J_n = diag(+-1)
     # through D_{n+1} = D_1 + cp(D_n) = M J M*, where
     # M = [G_1, T_1 G_n, ..., T_d G_n] and J = diag(J_1, J_n, ..., J_n).
-    # D_1 = I - cp(I) is the matrix the contractivity margin ranks.  The
-    # signature keeps the negative eigenvalues that a tuple accepted
+    # The signature keeps the negative eigenvalues that a tuple accepted
     # within the contractivity slack gives D_n, so the ladder counts
     # what I - cp^n(I) holds.  Columns are dropped only at the rounding
     # floor h * eps of a matrix of norm about 1, never at the rank
     # cutoff: a defect below the cutoff still adds up over the steps.
-    # Each value is yielded before its factor is built, so the factor of
-    # the last step is never computed.
+    # A step's factor is built only when the generator is resumed after
+    # the step's value, so the last step builds none.  A step holds
+    # either the dense D_n (``d_n``) or D_n = Q (V diag(values) V*) Q*.
     floor = T.h * np.finfo(np.float64).eps
-    d_1 = hermitize(np.eye(T.h) - apply_cp_map(T, np.eye(T.h, dtype=T.dtype)))
-    values, factor = _dense_spectrum(d_1, floor)
-    yield _count_above(np.abs(values), tol)
-    g_1, j_1 = g, j = factor()
+    d_n, values = _first_defect(T)
+    margin = vars(T)["_contractivity_margin"] = float(values[0])
+    _require_margin(margin, tol)
+    g_1 = j_1 = None
     while True:
-        values, factor = _next_spectrum(T, g_1, j_1, g, j, floor)
         yield _count_above(np.abs(values), tol)
-        g, j = factor()
-        # Let this step's eigenvectors go before the next step runs.
-        del values, factor
-
-
-def _next_spectrum(T, g_1, j_1, g, j, floor):
-    # The eigenvalues of D_{n+1} = M J M* that can be nonzero, and a
-    # function that returns its signed factor.
-    m = _defect_columns(T, g_1, g)
-    signature = np.concatenate([j_1] + [j] * T.d)
-    if m.shape[1] >= T.h:
-        # M is conjugated in place, so no copy of M* sits next to the
-        # copy of M J.
-        return _dense_spectrum(hermitize(np.matmul(
-            m * signature, np.conjugate(m, out=m).T)), floor)
-    # M = QR, so D_{n+1} = Q (R J R*) Q*: its eigenvalues are those of
-    # the small matrix R J R* and h - k zeros.
-    q, r = np.linalg.qr(m)
-    w, v = np.linalg.eigh(hermitize((r * signature) @ r.conj().T))
-
-    def factor():
-        g_next, j_next = _signed_factor(w, v, floor)
-        return q @ g_next, j_next
-
-    return w, factor
-
-
-def _dense_spectrum(d_n, floor):
-    # The eigenvalues of the h x h Hermitian D_n as numerical_rank takes
-    # them, and a function that returns its signed factor.
-    return _hermitian_eigvals(d_n), lambda: _signed_factor(
-        *np.linalg.eigh(d_n), floor)
+        if d_n is not None:
+            g, j = _signed_factor(*np.linalg.eigh(d_n), floor)
+        else:
+            g, j = _signed_factor(values, v, floor)
+            g = q @ g
+        if g_1 is None:
+            g_1, j_1 = g, j
+        # Let this step's arrays go before the next step's are built.
+        d_n = values = q = v = None
+        m = _defect_columns(T, g_1, g)
+        signature = np.concatenate([j_1] + [j] * T.d)
+        g = None
+        if m.shape[1] >= T.h:
+            # M is conjugated in place, so no copy of M* sits next to the
+            # copy of M J.
+            d_n = hermitize(np.matmul(m * signature,
+                                      np.conjugate(m, out=m).T))
+            values = _hermitian_eigvals(d_n)
+        else:
+            # M = QR, so D_{n+1} = Q (R J R*) Q*: its eigenvalues are
+            # those of the small matrix R J R* and h - k zeros.
+            q, r = np.linalg.qr(m)
+            values, v = np.linalg.eigh(hermitize((r * signature) @ r.conj().T))
+        m = r = None
 
 
 def _signed_factor(w, v, floor):
@@ -365,7 +385,6 @@ def defect_sequence(T, n_max, tol=None):
     if n_max < 1:
         raise ArgumentError("n_max must be at least 1")
     tol = DEFAULT_TOL if tol is None else tol
-    require_contractive(T, tol)
     deltas = tuple(islice(_ladder(T, tol), n_max))
     n = len(deltas)
     reached_full = deltas[-1] == T.h

@@ -47,11 +47,13 @@ the argument's shape and storage type; such a loop keeps the one check
 an output can still fail, finiteness.  ``cp_iterate`` and the purity
 loop of ``classify`` do so; the purity loop also passes ``out``, a slot
 of its block of iterates.  The contractivity margin and the defect
-ladder (``defect._ladder``) keep the public name: the margin and the
-first ladder step apply the map once to the identity, and the ladder of
-a weighted shift makes one call per step.  The ladder of any other
-tuple steps a thin factor of D_n with the entries themselves, not the
-cp map.
+ladder (``defect._ladder``) keep the public name.  Both take
+D_1 = I - cp(I) from ``defect._first_defect``, one application of the
+map to the identity.  The ladder of a tuple without the weighted-shift
+pattern starts from that D_1 and keeps the margin it reads off it, so
+it applies the map once in all; its later steps multiply a thin factor
+of D_n by the entries themselves, not by the cp map.  The ladder of a
+weighted shift makes one call per step.
 
 ``is_commuting`` builds the commutators of a tuple with the shift
 pattern from its nonzeros: each entry of T_i T_j has at most one nonzero
@@ -75,7 +77,6 @@ from .linalg import (
     _BOUND_SLACK,
     _as_matrix,
     _require_integer,
-    as_operator_matrix,
     readonly_copy,
     require_hermitian,
     Subspace,
@@ -113,10 +114,11 @@ class OperatorTuple:
     The entries are stored as float64 when the imaginary part of every
     entry is +0.0 bit for bit (real input counts), and as complex128
     otherwise; a -0.0 imaginary part keeps the tuple complex, so the
-    tuple file written from it is unchanged.  Input whose entries all
-    have a bool, integer or float dtype is converted to float64
-    directly, with the values and checks that the round through
-    complex128 gives.  They are copied once into one read-only
+    tuple file written from it is unchanged.  Each entry is converted
+    and checked on its own, a bool, integer or float one to float64 and
+    any other to complex128, so real input takes no round through
+    complex128; a float64 entry of a complex tuple is promoted in the
+    stack copy.  The entries are copied once into one read-only
     C-contiguous (d, h, h) array, and ``ops`` holds its slices, the
     read-only h x h views that the cp step, the commutant count and the
     tuple file all read.
@@ -126,10 +128,8 @@ class OperatorTuple:
     label: str = ""
 
     def __post_init__(self):
-        mats = _real_matrices(self.ops)
-        if mats is None:
-            mats = tuple(as_operator_matrix(op, f"operator {i + 1}")
-                         for i, op in enumerate(self.ops))
+        mats = [_as_matrix(op, f"operator {i + 1}")
+                for i, op in enumerate(self.ops)]
         if len(mats) < 1:
             raise ArgumentError("an operator tuple needs at least one entry")
         h = mats[0].shape[0]
@@ -138,10 +138,11 @@ class OperatorTuple:
                 raise ArgumentError(
                     f"operator {i + 1} has shape {m.shape}, expected ({h}, {h})"
                 )
-        if (mats[0].dtype == np.complex128
-                and all(_imag_is_plus_zero(m) for m in mats)):
-            mats = tuple(m.real for m in mats)
-        stack = readonly_copy(mats, mats[0].dtype)
+        real = all(m.dtype == np.float64 or _imag_is_plus_zero(m)
+                   for m in mats)
+        if real:
+            mats = [m.real for m in mats]
+        stack = readonly_copy(mats, np.float64 if real else np.complex128)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "ops", tuple(stack))
 
@@ -206,20 +207,6 @@ class OperatorTuple:
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"OperatorTuple(d={self.d}, h={self.h}{tag})"
-
-
-def _real_matrices(ops):
-    # The entries as checked float64 matrices when every one has a bool,
-    # integer or float dtype, None as soon as one has another: the
-    # values and the checks of the complex128 route, without its
-    # round trip.
-    mats = []
-    for i, op in enumerate(ops):
-        a = np.asarray(op)
-        if a.dtype.kind not in "biuf":
-            return None
-        mats.append(_as_matrix(a, f"operator {i + 1}"))
-    return tuple(mats)
 
 
 def _imag_is_plus_zero(m):
@@ -289,10 +276,11 @@ def apply_cp_map(T, x):
     ``classify``): every output is exactly Hermitian, of the argument's
     shape and storage type, so re-validating it could only fail on
     non-finite entries, and those loops check finiteness themselves.
-    The contractivity margin calls this function once, and so does the
-    defect ladder for D_1; the ladder of a weighted shift then calls it
-    once per step, where the O(h**2) validation is small against the
-    step.
+    D_1 = I - cp(I) calls this function once; for a dense tuple the
+    contractivity margin and the first step of the defect ladder read
+    that one D_1, so the ladder calls it once in all.  The ladder of a
+    weighted shift calls it once more per step, where the O(h**2)
+    validation is small against the step.
     """
     x = require_hermitian(x, "cp-map argument")
     if x.shape[0] != T.h:

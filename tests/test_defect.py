@@ -190,6 +190,74 @@ class TestMarginCache:
         assert calls == {"margin": 4, "apply_cp_map": 4}
 
 
+def dense_entries(h, seed):
+    # A dense real orthogonal and a dense complex unitary matrix.
+    return (orthogonal_matrix(h, seed),
+            unitary_tuple(np.random.default_rng(seed), h).ops[0])
+
+
+class TestLadderOwnsTheContractivityCheck:
+    @pytest.mark.parametrize("T", [
+        *(OperatorTuple((0.6 * q, 0.7 * q.conj().T))
+          for q in dense_entries(4, 1)),
+        random_contractive(3, 6, 2, 0),
+        damped_random(np.random.default_rng(5), 2, 5, scale=0.1),
+    ], ids=["real", "complex", "random", "damped"])
+    def test_ladder_keeps_the_margin_it_reads(self, T, monkeypatch):
+        # A fresh tuple without the weighted-shift pattern runs its
+        # ladder before any margin call.  The ladder reads the margin off
+        # its own D_1 and keeps it, so no margin is computed on the side,
+        # and the kept value is an equal tuple's fresh margin bit for bit.
+        import defectseq.defect as defect
+        assert T._shift_pattern is None
+        assert "_contractivity_margin" not in vars(T)
+        fresh = defect._contractivity_margin(OperatorTuple(T.ops))
+        calls = []
+
+        def counting(T):
+            calls.append(T)
+            return fresh
+
+        monkeypatch.setattr(defect, "_contractivity_margin", counting)
+        defect_sequence(T, 3)
+        assert same_float(contractivity_margin(T), fresh)
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", [*dense_entries(3, 2), np.eye(3)],
+                             ids=["real", "complex", "shift"])
+    def test_noncontractive_tuple_refused_by_every_ladder_caller(self, entry):
+        from defectseq.classify import (maximality_commuting,
+                                        maximality_noncommutative)
+        margin = contractivity_margin(OperatorTuple((1.2 * entry,)))
+        message = ("not a row contraction: I - cp(I) has eigenvalue "
+                   f"{margin:.3e}")
+        for call in (lambda T: defect_sequence(T, 3),
+                     maximality_noncommutative,
+                     lambda T: maximality_noncommutative(T, 2),
+                     maximality_commuting):
+            with pytest.raises(ContractivityError) as err:
+                call(OperatorTuple((1.2 * entry,)))
+            assert str(err.value) == message
+        # An argument error comes before the ladder runs.
+        for maximality in (maximality_noncommutative, maximality_commuting):
+            with pytest.raises(ArgumentError,
+                               match="horizon must be at least 1"):
+                maximality(OperatorTuple((1.2 * entry,)), 0)
+
+    def test_overflowing_dense_tuple_is_an_argument_error(self):
+        from defectseq.classify import (maximality_commuting,
+                                        maximality_noncommutative)
+        entry = 1e200 * dense_entries(3, 2)[1]
+        for call in (lambda T: defect_sequence(T, 3),
+                     maximality_noncommutative, maximality_commuting):
+            T = OperatorTuple((entry,))
+            assert T._shift_pattern is None
+            with pytest.raises(ArgumentError,
+                               match=r"I - cp\(I\) is not finite"):
+                call(T)
+            assert "_contractivity_margin" not in vars(T)
+
+
 class TestDefectOperator:
     def test_fock_first_defect_is_vacuum_projection(self):
         v = fock_creation(2, 3)
@@ -346,19 +414,19 @@ class TestDefectSequence:
 
     def test_factored_route_makes_its_own_calls(self, monkeypatch):
         # A fixed real orthogonal conjugate of fock_creation(2, 3) takes
-        # the factored route: the margin and D_1 each apply the cp map
-        # once and take the eigenvalues of I - cp(I), and no later step
-        # applies the map.  Steps 2 and 3 (M of width 3 and 7) rank
-        # R J R* after a QR; step 4 (width 15 = h) takes the eigenvalues
-        # of the dense M J M*.  Each step is one rank count, and the
-        # last step builds no factor.
+        # the factored route: D_1 applies the cp map once and takes the
+        # eigenvalues of I - cp(I), which also give the contractivity
+        # margin, and no later step applies the map.  Steps 2 and 3 (M
+        # of width 3 and 7) rank R J R* after a QR; step 4 (width
+        # 15 = h) takes the eigenvalues of the dense M J M*.  Each step
+        # is one rank count, and the last step builds no factor.
         import defectseq.defect as defect
         T = orthogonal_conjugate(fock_creation(2, 3), 0)
         assert T._shift_pattern is None
         assert fock_creation(2, 3)._shift_pattern is not None
         calls = {name: 0 for name in (
             "apply_cp_map", "numerical_rank", "_count_above",
-            "_hermitian_eigvals", "_next_spectrum", "_signed_factor")}
+            "_hermitian_eigvals", "_signed_factor")}
 
         def counting(name):
             original = getattr(defect, name)
@@ -373,9 +441,9 @@ class TestDefectSequence:
             monkeypatch.setattr(defect, name, counting(name))
         rep = defect.defect_sequence(T, 5)
         assert rep.deltas == (1, 3, 7, 15)
-        assert calls == {"apply_cp_map": 2, "numerical_rank": 0,
-                         "_count_above": 4, "_hermitian_eigvals": 3,
-                         "_next_spectrum": 3, "_signed_factor": 3}
+        assert calls == {"apply_cp_map": 1, "numerical_rank": 0,
+                         "_count_above": 4, "_hermitian_eigvals": 2,
+                         "_signed_factor": 3}
 
     def test_benchmark_tracer_self_test_passes(self, monkeypatch):
         # The benchmark marks its runs incorrect when this fixture fails:

@@ -498,6 +498,31 @@ class TestCliDefect:
         assert not rep.exists()
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [["defect", "--n-max", "3"],
+                                      ["classify"]])
+    @pytest.mark.parametrize("scale, code", [(1.2, 1), (1e200, 2)],
+                             ids=["noncontractive", "overflowing"])
+    def test_dense_complex_tuple_exit_codes(self, tmp_path, capsys, argv,
+                                            scale, code):
+        # A dense complex tuple takes the factored ladder, which checks
+        # contractivity itself: exit 1 when it is not a row contraction,
+        # exit 2 when I - cp(I) overflows.
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))
+        path = tmp_path / "dense.json"
+        write_tuple(OperatorTuple((scale * q,)), path)
+        assert main([argv[0], str(path), *argv[1:]]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == ("error: I - cp(I) is not finite; the tuple's "
+                           "entries are too large\n")
+        elif argv[0] == "defect":
+            assert err == ("analysis failed: not a row contraction: "
+                           "I - cp(I) has eigenvalue -4.400e-01\n")
+
+
 class TestCliClassify:
     def test_report_fields(self, tmp_path):
         src = tmp_path / "in.json"
