@@ -10,101 +10,22 @@ ensembles.  The ``defectseq`` command exposes the same machinery from
 the shell with deterministic JSON reports.
 """
 
-from .config import DEFAULT_SIZE_CAP, SIZE_CAP_ENV, VERSION, size_cap
-from .errors import (
-    ArgumentError,
-    ConsistencyError,
-    ContractivityError,
-    DefectseqError,
-    SizeCapError,
-    TupleFormatError,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    HERMITIAN_ATOL,
-    ORTHONORMALITY_ATOL,
-    RankTolerance,
-    Subspace,
-    as_operator_matrix,
-    coordinate_subspace,
-    hermitian_eig,
-    hermitize,
-    numerical_rank,
-    orthonormal_range,
-    require_hermitian,
-    subspace_complement,
-    subspace_contains,
-    subspace_equal,
-    subspace_join,
-)
-from .tuples import (
-    OperatorTuple,
-    apply_cp_map,
-    compress,
-    cp_iterate,
-    direct_sum,
-    is_commuting,
-    row_operator,
-    tuple_power,
-    tuple_product,
-    validate_word,
-    word_apply,
-    word_index,
-    words_of_length,
-)
-from .defect import (
-    DefectReport,
-    ProductBoundCheck,
-    RankSymmetryVerdict,
-    commuting_bound,
-    contractivity_margin,
-    defect_dimension,
-    defect_operator,
-    defect_sequence,
-    defect_space,
-    defect_space_via_words,
-    geometric_bound,
-    is_contractive,
-    rank_symmetry_check,
-    require_contractive,
-    verify_product_bounds,
-    word_image_dimension,
-)
-from .classify import (
-    ClassificationReport,
-    MaximalityVerdict,
-    Purity,
-    PurityVerdict,
-    classify,
-    commutant_dimension,
-    is_irreducible,
-    is_maximal_commuting,
-    is_maximal_noncommutative,
-    maximality_commuting,
-    maximality_noncommutative,
-    purity,
-)
-from .models import (
-    coinvariant_hull,
-    finite_phi_compression,
-    finite_phi_subspace,
-    fock_basis,
-    fock_creation,
-    haar_unitary,
-    monomial_basis,
-    pure_nonmaximal_example,
-    random_coinvariant_compression,
-    random_coinvariant_subspace,
-    random_contractive,
-    right_creation_compression,
-    right_creation_subspace,
-    scalar_spherical_tuple,
-    spherical_shift_sum,
-    symmetric_fock_shift,
-    symmetric_shift_via_compression,
-    symmetrizer,
-)
-from .suites import (
+from . import classify, config, defect, errors, io, linalg, models, tuples
+
+# The modules whose whole ``__all__`` the package exports.  The name
+# ``classify`` is rebound to the function below, so they are held here.
+_EXPORTING = (config, errors, linalg, tuples, defect, classify, models, io)
+
+from .config import *  # noqa: E402,F401,F403
+from .errors import *  # noqa: E402,F401,F403
+from .linalg import *  # noqa: E402,F401,F403
+from .tuples import *  # noqa: E402,F401,F403
+from .defect import *  # noqa: E402,F401,F403
+from .classify import *  # noqa: E402,F401,F403
+from .models import *  # noqa: E402,F401,F403
+from .io import *  # noqa: E402,F401,F403
+# The suites' sampling defaults stay in defectseq.suites.
+from .suites import (  # noqa: E402
     SUITE_NAMES,
     SuiteResult,
     expand_suite_names,
@@ -112,117 +33,11 @@ from .suites import (
     run_suites,
     suite_descriptions,
 )
-from .io import (
-    TUPLE_FORMAT,
-    TUPLE_FORMAT_VERSION,
-    payload_to_tuple,
-    read_tuple,
-    report_json,
-    tuple_to_payload,
-    write_report,
-    write_tuple,
+
+__version__ = VERSION  # noqa: F405
+
+__all__ = sorted(
+    {name for module in _EXPORTING for name in module.__all__}
+    | {"SUITE_NAMES", "SuiteResult", "expand_suite_names", "run_suite",
+       "run_suites", "suite_descriptions"}
 )
-
-__version__ = VERSION
-
-__all__ = [
-    "ArgumentError",
-    "ClassificationReport",
-    "ConsistencyError",
-    "ContractivityError",
-    "DEFAULT_SIZE_CAP",
-    "DEFAULT_TOL",
-    "DefectReport",
-    "DefectseqError",
-    "HERMITIAN_ATOL",
-    "MaximalityVerdict",
-    "ORTHONORMALITY_ATOL",
-    "OperatorTuple",
-    "ProductBoundCheck",
-    "Purity",
-    "PurityVerdict",
-    "RankSymmetryVerdict",
-    "RankTolerance",
-    "SIZE_CAP_ENV",
-    "SUITE_NAMES",
-    "SizeCapError",
-    "Subspace",
-    "SuiteResult",
-    "TUPLE_FORMAT",
-    "TUPLE_FORMAT_VERSION",
-    "TupleFormatError",
-    "VERSION",
-    "apply_cp_map",
-    "as_operator_matrix",
-    "classify",
-    "coinvariant_hull",
-    "commutant_dimension",
-    "commuting_bound",
-    "compress",
-    "contractivity_margin",
-    "coordinate_subspace",
-    "cp_iterate",
-    "defect_dimension",
-    "defect_operator",
-    "defect_sequence",
-    "defect_space",
-    "defect_space_via_words",
-    "direct_sum",
-    "expand_suite_names",
-    "finite_phi_compression",
-    "finite_phi_subspace",
-    "fock_basis",
-    "fock_creation",
-    "geometric_bound",
-    "haar_unitary",
-    "hermitian_eig",
-    "hermitize",
-    "is_commuting",
-    "is_contractive",
-    "is_irreducible",
-    "is_maximal_commuting",
-    "is_maximal_noncommutative",
-    "maximality_commuting",
-    "maximality_noncommutative",
-    "monomial_basis",
-    "numerical_rank",
-    "orthonormal_range",
-    "payload_to_tuple",
-    "pure_nonmaximal_example",
-    "purity",
-    "random_coinvariant_compression",
-    "random_coinvariant_subspace",
-    "random_contractive",
-    "rank_symmetry_check",
-    "read_tuple",
-    "report_json",
-    "require_contractive",
-    "require_hermitian",
-    "right_creation_compression",
-    "right_creation_subspace",
-    "row_operator",
-    "run_suite",
-    "run_suites",
-    "scalar_spherical_tuple",
-    "size_cap",
-    "spherical_shift_sum",
-    "subspace_complement",
-    "subspace_contains",
-    "subspace_equal",
-    "subspace_join",
-    "suite_descriptions",
-    "symmetric_fock_shift",
-    "symmetric_shift_via_compression",
-    "symmetrizer",
-    "tuple_power",
-    "tuple_product",
-    "tuple_to_payload",
-    "validate_word",
-    "verify_product_bounds",
-    "word_apply",
-    "word_image_dimension",
-    "word_index",
-    "words_of_length",
-    "write_report",
-    "write_tuple",
-]

@@ -13,7 +13,11 @@ loop that computes Delta_n: a verdict compares those values with
 index past the ladder's stabilization point repeats the last value.
 ``classify`` runs the ladder once and reads Delta_1 and both maximality
 verdicts from that single run.  The ladder checks contractivity itself,
-so the maximality verdicts make no check of their own.
+so the maximality verdicts make no check of their own.  A tuple accepted
+only within the contractivity slack can have a falling ladder; ``classify``
+refuses it with ``defect._require_monotone``, the check ``DefectReport``
+makes, so ``classify`` and ``defect`` fail on it with one message.  The
+ladder runs before the purity loop, so that refusal costs no budget.
 
 Irreducibility is read from ``commutant_dimension``, which counts the
 Hermitian matrices commuting with every T_i.  The commutant of the
@@ -22,19 +26,31 @@ complex dimension, and the d constraints [T_i, X] = 0 on a Hermitian X
 imply the d adjoint ones.  The real system that remains costs a
 quarter of the stacked complex system of all 2d constraints, whose
 singular values are exactly sqrt(2) times its own; scaling by sqrt(2)
-before the cutoff keeps the rank decision the same.  One structural
-route counts every tuple: the system is built from the nonzeros of the
-T_i alone and split into the connected components of its sparsity
-graph (the structural first level of the block triangular form of
-Pothen and Fan, ACM TOMS 1990), and each component gets its own SVD,
-batched by block shape.  A tuple with exact zero entries, such as a
-weighted shift, falls into many small components; a tuple without
-zeros is one component of h**2 unknowns, and its h**2 cap check comes
-first.  The singular values of a block-diagonal matrix are the union
-of its blocks' values, so the one cutoff over that union gives the
-count of the whole system.  ``classify``
-counts the commutant before the purity loop, so a tuple past the size
-cap is refused before the iteration budget is spent.
+before the cutoff keeps the rank decision the same.
+
+The system is counted on one of two routes, chosen by whether the T_i
+have an exact zero entry.  A tuple with zeros, such as a weighted
+shift, takes the structural route: the system is built from the
+nonzeros of the T_i alone and split into the connected components of
+its sparsity graph (the structural first level of the block triangular
+form of Pothen and Fan, ACM TOMS 1990), and each component gets its own
+SVD, batched by block shape.  A tuple without zeros would be one
+component of h**2 unknowns there, so it takes the eigenbasis route, the
+"random element" idea of Murota, Kanno, Kojima and Kojima (Math.
+Program. 2010) applied to the *-algebra of {T_i, T_i*}: every element
+of the commutant commutes with a seeded generic Hermitian element H of
+that algebra, so in H's eigenbasis it is block diagonal over H's
+eigenvalue clusters, and the system needs Sum k_j**2 unknowns for
+cluster sizes k_j, h for a generic dense tuple.  The rows of each pair
+of one-dimensional clusters collapse to one weighted incidence row, and
+those of every other pair of clusters to the R factor of their QR; the
+counted values are those of the system on block-diagonal matrices, not
+its normal equations.  The size cap still reads h**2 for a tuple
+without zeros, checked first: a tuple whose H has one cluster falls
+back to the structural route, which needs all h**2.  On either route
+the one cutoff is taken over the union of all singular values.
+``classify`` counts the commutant before the purity loop, so a tuple
+past the size cap is refused before the iteration budget is spent.
 
 Purity is decided by fixed-point iteration with a three-way verdict.
 The iterates X_k = cp^k(I) decrease in the positive semidefinite order,
@@ -68,6 +84,7 @@ from .config import size_cap
 from .defect import (
     _ladder,
     _margin_is_contractive,
+    _require_monotone,
     commuting_bound,
     contractivity_margin,
     geometric_bound,
@@ -79,6 +96,7 @@ from .linalg import (
     DEFAULT_TOL,
     RankTolerance,
     _BOUND_SLACK,
+    _CLUSTER_GAP,
     _count_above,
     _require_integer,
     hermitian_norm,
@@ -112,6 +130,10 @@ DEFAULT_EPS_CONV = 1e-12
 _SCALAR_STEPS = 16
 _MAX_BLOCK = 64
 _BLOCK_ENTRIES = 2 ** 16
+
+# Seed of the coefficients of the generic Hermitian element whose
+# eigenbasis counts the commutant of a tuple without zero entries.
+_ELEMENT_SEED = 2010
 
 
 class Purity(enum.Enum):
@@ -413,30 +435,53 @@ def commutant_dimension(T, tol=None):
     quarter of its cost.  The identity always commutes, so the result is
     at least 1.
 
-    Every tuple is counted on one structural route.  The system is built
-    from the nonzeros of the T_i (2 h nnz terms), the unknowns X[p, q]
-    and X[q, p] are grouped into one pair, and the rows and pairs fall
-    into the connected components of the system's sparsity graph.
-    Unknowns that no row touches are zero columns and count toward the
-    nullity without an SVD; every component gets its own SVD, one
-    batched call per block shape, and the singular values of all
-    components are cut off together, with sigma_max taken over all of
-    them.  A tuple without an exact zero entry is one component of h**2
-    real unknowns, so for it the size cap is checked on h**2 first, in
-    O(d h**2) and before anything is built.  Otherwise the route refuses
-    a tuple whose largest component has more real unknowns than the
-    size cap, and, so that it never holds more than the d h**2 x h**2
-    system of a dense tuple at h**2 = cap, one with more than
-    d * cap**2 nonzero terms or component blocks of more than
-    d * cap**2 entries in all.
+    A tuple with an exact zero entry is counted on the structural route.
+    The system is built from the nonzeros of the T_i (2 h nnz terms), the
+    unknowns X[p, q] and X[q, p] are grouped into one pair, and the rows
+    and pairs fall into the connected components of the system's
+    sparsity graph.  Unknowns that no row touches are zero columns and
+    count toward the nullity without an SVD; every component gets its
+    own SVD, one batched call per block shape, and the singular values
+    of all components are cut off together, with sigma_max taken over
+    all of them.  The route refuses a tuple whose largest component has
+    more real unknowns than the size cap, and, so that it never holds
+    more than the d h**2 x h**2 system of a dense tuple at h**2 = cap,
+    one with more than d * cap**2 nonzero terms or component blocks of
+    more than d * cap**2 entries in all.
+
+    A tuple without a zero entry is one component of h**2 real unknowns
+    there, so the size cap is checked on h**2 first, in O(d h**2) and
+    before anything is built, and the tuple is then counted in the
+    eigenbasis U of H = M + M*, M = sum_i z_i T_i with seeded
+    coefficients z_i (real for a float64 tuple).  H lies in the
+    *-algebra of {T_i, T_i*}, so every X of the commutant commutes with
+    it, and Y = U* X U is block diagonal over the clusters of H's
+    eigenvalues (split where two neighbours differ by more than
+    ``_CLUSTER_GAP`` times the largest modulus).  The system on such Y,
+    with blocks [S_i, Y] for S_i = U* T_i U, has Sum k_j**2 real
+    unknowns; a generic dense tuple has h one-dimensional clusters.
+    Unitary conjugation keeps the basis orthonormal, so the sqrt(2)
+    scaling and the one cutoff stay.  Two one-dimensional clusters a
+    and b contribute the row w_ab (e_b - e_a), w_ab the 2-norm of the
+    S_i[a, b] and S_i[b, a], which has the Gram matrix of their 2d
+    rows; any other pair of clusters contributes the R factor of its
+    rows, one batched QR per block shape; one SVD takes the stack.  When
+    H has a single cluster the eigenbasis saves nothing, and the
+    structural route counts the tuple.
     """
     tol = DEFAULT_TOL if tol is None else tol
     h = T.h
     cap = size_cap()
-    if h * h > cap and _one_component(T):
-        raise SizeCapError(
-            f"commutant system needs h^2 = {h * h} unknowns, cap is {cap}"
-        )
+    if _one_component(T):
+        if h * h > cap:
+            raise SizeCapError(
+                f"commutant system needs h^2 = {h * h} unknowns, cap is {cap}"
+            )
+        clusters = _element_clusters(T)
+        if clusters is not None:
+            unknowns, system = _eigenbasis_system(T, *clusters)
+            return unknowns - _count_above(
+                np.sqrt(2.0) * np.linalg.svd(system, compute_uv=False), tol)
     _, stacks = _structural_system(T, cap)
     s = np.concatenate([np.linalg.svd(stack, compute_uv=False).ravel()
                         for stack in stacks] or [np.empty(0)])
@@ -449,6 +494,105 @@ def _one_component(T):
     # component of h**2 real unknowns; checking that costs O(d h**2)
     # against the O(d h**3) terms of the system.
     return np.count_nonzero(T._stack) == T._stack.size
+
+
+def _element_clusters(T):
+    # The eigenbasis U of H = M + M* for M = sum_i z_i T_i, a generic
+    # Hermitian element of the *-algebra of {T_i, T_i*} (z real for a
+    # float64 tuple, so H stays real), and the offsets of the clusters
+    # of its ascending eigenvalues at the relative gap _CLUSTER_GAP.
+    # None when H has one cluster: the eigenbasis then saves nothing.
+    rng = np.random.default_rng(_ELEMENT_SEED)
+    z = rng.standard_normal(T.d)
+    if T.dtype != np.float64:
+        z = z + 1j * rng.standard_normal(T.d)
+    m = np.tensordot(z, T._stack, axes=1)
+    values, u = np.linalg.eigh(m + m.conj().T)
+    gap = _CLUSTER_GAP * max(-values[0], values[-1])
+    starts = np.flatnonzero(np.diff(values) > gap) + 1
+    if starts.size == 0:
+        return None
+    return u, np.concatenate([[0], starts, [T.h]])
+
+
+def _eigenbasis_system(T, u, bounds):
+    # The real system of ``commutant_dimension`` on the Hermitian
+    # matrices Y = U* X U that are block diagonal over the clusters
+    # starting at ``bounds``, with its rows compressed so that it keeps
+    # their singular values.  Returns the Sum k_j**2 real unknowns and
+    # the rows; the columns are the coordinates of each cluster's block
+    # Y_j in the basis of ``_hermitian_basis``, cluster after cluster.
+    # Block (a, b) of [S_i, Y] for S_i = U* T_i U is
+    # S_i[a, b] Y_b - Y_a S_i[a, b].
+    s = u.conj().T @ T._stack @ u
+    sizes = np.diff(bounds)
+    cols = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    rows = []
+    # Two one-dimensional clusters a and b have real unknowns y_a and
+    # y_b, and all 2d rows of their blocks are multiples of y_b - y_a:
+    # one row w_ab (e_b - e_a), with w_ab the 2-norm of the coefficients,
+    # has the same Gram matrix.
+    single = np.flatnonzero(sizes == 1)
+    a, b = np.triu_indices(single.size, 1)
+    a, b = single[a], single[b]
+    norms = np.hypot.reduce(np.abs(s), axis=0)
+    incidence = np.zeros((a.size, cols[-1]))
+    incidence[np.arange(a.size), cols[a]] = -1.0
+    incidence[np.arange(a.size), cols[b]] = 1.0
+    rows.append(incidence * np.hypot(norms, norms.T)[bounds[a], bounds[b]]
+                [:, None])
+    # Every other block (a, b), a = b included, reduced to the R factor
+    # of its real rows, one batched QR per block shape.
+    a, b = np.meshgrid(np.arange(sizes.size), np.arange(sizes.size),
+                       indexing="ij")
+    larger = (sizes[a] > 1) | (sizes[b] > 1)
+    a, b = a[larger], b[larger]
+    for p, q in sorted(set(zip(sizes[a].tolist(), sizes[b].tolist()))):
+        at = (sizes[a] == p) & (sizes[b] == q)
+        r = _block_rows(s, bounds[a[at]], bounds[b[at]], p, q)
+        block = np.zeros((r.shape[0], r.shape[1], cols[-1]))
+        pair = np.arange(r.shape[0])[:, None, None]
+        row = np.arange(r.shape[1])[None, :, None]
+        # For a = b the two column ranges meet and their parts add up.
+        block[pair, row, cols[a[at]][:, None, None] + np.arange(p * p)] += \
+            r[:, :, :p * p]
+        block[pair, row, cols[b[at]][:, None, None] + np.arange(q * q)] += \
+            r[:, :, p * p:]
+        rows.append(block.reshape(-1, cols[-1]))
+    return int(cols[-1]), np.concatenate(rows)
+
+
+def _block_rows(s, a, b, p, q):
+    # The R factors of the real rows of the blocks S_i[a, b] Y_b -
+    # Y_a S_i[a, b] over i, for the p x p cluster blocks Y_a starting at
+    # the offsets ``a`` and the q x q blocks Y_b at ``b``: one (n, m,
+    # p**2 + q**2) stack, columns the coordinates of Y_a, then of Y_b.
+    f = s[:, (a[:, None] + np.arange(p))[:, :, None],
+          (b[:, None] + np.arange(q))[:, None, :]].transpose(1, 0, 2, 3)
+    n, d = f.shape[:2]
+    # Columns first, so the real and imaginary parts of each complex row
+    # become two adjacent real rows of a view.
+    terms = np.concatenate([
+        -np.einsum("xjk,nikl->nxijl", _hermitian_basis(p), f)
+        .reshape(n, p * p, -1),
+        np.einsum("nijk,xkl->nxijl", f, _hermitian_basis(q))
+        .reshape(n, q * q, -1),
+    ], axis=1)
+    return np.linalg.qr(terms.view(np.float64).transpose(0, 2, 1), mode="r")
+
+
+def _hermitian_basis(k):
+    # The k**2 Hermitian k x k matrices E_jj, (E_jl + E_lj)/sqrt(2) and
+    # i (E_jl - E_lj)/sqrt(2) for j < l, orthonormal in Re tr(A* B).
+    j, l = np.triu_indices(k, 1)
+    off = np.arange(j.size)
+    basis = np.zeros((k * k, k, k), dtype=np.complex128)
+    basis[np.arange(k), np.arange(k), np.arange(k)] = 1.0
+    weight = np.sqrt(0.5)
+    basis[k + off, j, l] = basis[k + off, l, j] = weight
+    basis[k + j.size + off, j, l] = 1j * weight
+    basis[k + j.size + off, l, j] = -1j * weight
+    return basis
 
 
 def _structural_system(T, cap):
@@ -693,12 +837,14 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
             tol=tol,
             contractivity_margin=margin,
         )
-    # The commutant count goes first: it is the step that may hit the
-    # size cap, and the purity budget should not be spent before that.
+    # The commutant count and the ladder go first: they are the steps
+    # that may refuse the tuple (the size cap, a falling ladder), and the
+    # purity budget should not be spent before that.
     commutant_dim = commutant_dimension(T, tol)
     irreducible = commutant_dim == 1
-    verdict = _purity(T, max_iter, eps_pure, eps_conv)
     deltas = tuple(_ladder(T, tol))
+    _require_monotone(deltas)
+    verdict = _purity(T, max_iter, eps_pure, eps_conv)
     delta_1 = deltas[0]
     maximal_noncomm = _maximality(deltas, T.d, T.h, None, geometric_bound)
     maximal_comm = (_maximality(deltas, T.d, T.h, None, commuting_bound)

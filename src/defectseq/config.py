@@ -2,11 +2,16 @@
 
 Several operations materialize word-indexed data whose size grows
 geometrically: tuple powers hold d**n matrices, the commutant solver
-builds a system with h**2 unknowns (for a tuple with zero entries, the
-largest connected component of that system counts), the model
-constructors allocate spaces graded by words or monomials, and the tuple
-reader fills a COO file's d x dim x dim stack of entries.  Each of them
-refuses to allocate past a cap.  The default cap is 4096 and can be
+builds a system with up to h**2 unknowns, the model constructors
+allocate spaces graded by words or monomials, and the tuple reader
+fills a COO file's d x dim x dim stack of entries (at most 2 * cap**2
+of them).  Each of them refuses to allocate past a cap.  For the
+commutant, a tuple with zero entries is bounded by the largest
+connected component of its system.  A tuple without zero entries is
+counted in the eigenbasis of a generic Hermitian element, on Sum k_j**2
+unknowns for its eigenvalue clusters k_j, but the cap still reads h**2
+for it: that check comes before the element is built, and a tuple whose
+element has one cluster falls back to the full h**2 system.  The default cap is 4096 and can be
 overridden through the DEFECTSEQ_SIZE_CAP environment variable.
 """
 

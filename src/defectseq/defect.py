@@ -237,11 +237,7 @@ class DefectReport:
         n = len(self.deltas)
         if n < 1:
             raise ConsistencyError("defect report with no computed values")
-        for a, b in zip(self.deltas, self.deltas[1:]):
-            if b < a:
-                raise ConsistencyError(
-                    f"defect sequence decreased: {self.deltas}"
-                )
+        _require_monotone(self.deltas)
         if any(delta > self.h for delta in self.deltas):
             raise ConsistencyError(
                 f"defect dimension exceeds the space: {self.deltas} on h={self.h}"
@@ -261,6 +257,19 @@ class DefectReport:
                 )
         if self.reached_full and self.deltas[-1] != self.h:
             raise ConsistencyError("reached_full claimed without Delta = h")
+
+
+def _require_monotone(deltas):
+    """Raise ConsistencyError when the defect values ``deltas`` fall.
+
+    The monotonicity law holds for an exactly contractive tuple; one
+    accepted only within the contractivity slack can break it.  The
+    ladder yields its values as they come, and every reader of a whole
+    ladder, ``DefectReport`` and ``classify``, refuses a falling one
+    here, with the one message.
+    """
+    if any(b < a for a, b in zip(deltas, deltas[1:])):
+        raise ConsistencyError(f"defect sequence decreased: {tuple(deltas)}")
 
 
 def _ladder(T, tol):

@@ -28,7 +28,8 @@ The encoding depends on the data alone.  With ``nnz`` the number of
 entries whose bit pattern is not all zeros (so ``-0.0`` and
 ``complex(0, -0.0)`` count), COO is written when
 ``nnz * (8 + itemsize) < d * dim**2 * itemsize`` and dense otherwise.
-A COO file may not declare ``d`` or ``dim`` above the size cap, since
+A COO file may not declare ``d`` or ``dim`` above the size cap, nor a
+stack of more than ``2 * cap**2`` entries (two cap x cap matrices), since
 its length no longer bounds the memory that reading it allocates.
 
 Version 1 files stay valid input.  There ``ops`` holds d matrices, each
@@ -164,11 +165,16 @@ def _v2_entries(payload, d, dim):
         entries = values
     elif encoding == "coo":
         # The zeros below are sized by d and dim alone, so they are
-        # bounded before anything is allocated.
+        # bounded before anything is allocated: each of d and dim by the
+        # cap, and the stack by the entries of two cap x cap matrices.
         cap = size_cap()
         _require(d <= cap and dim <= cap,
                  f"a coo tuple file has d = {d} and dim = {dim}, cap is "
                  f"{cap} for each (set {SIZE_CAP_ENV} to raise it)")
+        _require(count <= 2 * cap * cap,
+                 f"a coo tuple file has d * dim**2 = {count} entries, cap "
+                 f"is 2 * cap**2 = {2 * cap * cap} (set {SIZE_CAP_ENV} to "
+                 "raise it)")
         index = _decoded(payload, "index", _INDEX_DTYPE)
         values = _decoded(payload, "values", dtype)
         _require(index.size == values.size,

@@ -78,6 +78,16 @@ ORTHONORMALITY_ATOL = 1e-10
 # settle comes out as the exact norms would have it.
 _BOUND_SLACK = 1e-8
 
+# Eigenvalues of a Hermitian matrix H that lie within
+# _CLUSTER_GAP * max|eigenvalue| of each other, in a chain, form one
+# cluster.  Splitting a true multiple eigenvalue loses every subspace
+# its eigenvectors do not span, while merging two eigenvalues only
+# costs time.  Eigenvectors split at a relative gap g carry an error of
+# about eps / g, which must stay far below the default rank rtol of
+# 1e-9: g must be well above eps / rtol ~ 2e-7, and at 1e-3 the error
+# sits near 2e-13, more than three orders of magnitude below the cutoff.
+_CLUSTER_GAP = 1e-3
+
 
 @dataclass(frozen=True)
 class RankTolerance:

@@ -37,9 +37,10 @@ from defectseq.errors import (
     ContractivityError,
     SizeCapError,
 )
-from defectseq.linalg import hermitian_norm, readonly_copy
+from defectseq.linalg import hermitian_norm, numerical_rank, readonly_copy
 from defectseq.models import (
     fock_creation,
+    haar_unitary,
     pure_nonmaximal_example,
     random_coinvariant_compression,
     random_contractive,
@@ -279,6 +280,72 @@ class TestClassify:
                                  **base)
 
 
+def slack_tuple(seed, eps=4e-9):
+    """Q [[a, b, 0], [0, 0, 0], [0, 0, 1]] Q^T with a falling ladder.
+
+    a**2 (1 + eps) = 1 and b**2 = eps (1 + a**2): the margin is -eps,
+    inside the contractivity slack, and the ladder is (2, 1, 2, 2).
+    """
+    a = np.sqrt(1.0 / (1.0 + eps))
+    b = np.sqrt(eps * (1.0 + a * a))
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q = q * np.sign(np.diagonal(r))
+    return OperatorTuple((q @ np.array([[a, b, 0.0], [0.0, 0.0, 0.0],
+                                        [0.0, 0.0, 1.0]]) @ q.T,))
+
+
+class TestFallingLadder:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_classify_refuses_it_as_defect_does(self, seed):
+        T = slack_tuple(seed)
+        message = r"defect sequence decreased: \(2, 1, 2, 2\)"
+        with pytest.raises(ConsistencyError, match=message):
+            defect_sequence(T, 200)
+        with pytest.raises(ConsistencyError, match=message):
+            classify(T)
+
+    def test_a_rising_ladder_passes(self):
+        rep = classify(slack_tuple(0, eps=0.0))
+        assert rep.contractive
+        assert rep.delta_1 == 1
+
+
+class TestNotPureLimit:
+    """A NotPure limit is at least the projection off the defect spaces.
+
+    The defect spaces ran D_n grow to a T-invariant subspace S of
+    dimension Delta_stab, and X_n x = x for every n and every x
+    orthogonal to S.  So the limit X_inf, and every iterate above it,
+    has trace and rank at least h - Delta_stab.
+    """
+
+    CASES = {
+        "unitary": lambda: OperatorTuple((np.eye(3),)),
+        "coisometry": lambda: random_contractive(2, 5, 0, 1),
+        "spherical-sum": lambda: spherical_shift_sum(2, 3, (0.6, 0.8), 2),
+        "shift+coisometry": lambda: direct_sum(fock_creation(2, 2),
+                                               random_contractive(2, 3, 0, 2)),
+        "pure+coisometry": lambda: direct_sum(random_contractive(2, 4, 1, 3),
+                                              random_contractive(2, 2, 0, 4)),
+        "conjugated-sum": lambda: conjugated(
+            spherical_shift_sum(2, 4, (2 ** -0.5, 2 ** -0.5), 3), 5),
+        "real-conjugated-sum": lambda: conjugated(
+            direct_sum(real_row_contraction(2, 4, 2, 6),
+                       real_row_contraction(2, 3, 0, 7)), 8, real=True),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_trace_and_rank_of_the_limit(self, name):
+        T = self.CASES[name]()
+        rep = classify(T)
+        assert rep.purity.status is Purity.NOT_PURE
+        stable = defect_sequence(T, T.h + 1).deltas[-1]
+        limit = rep.purity.limit
+        assert stable < T.h
+        assert np.trace(limit).real >= T.h - stable - 1e-9
+        assert numerical_rank(limit) >= T.h - stable
+
+
 class TestSingleContractivityCheck:
     def test_classify_computes_the_margin_once(self, monkeypatch):
         # The package re-exports the function ``classify`` under the
@@ -315,6 +382,16 @@ def real_row_contraction(d, h, defect_rank, seed):
                             rng.uniform(0.2, 0.9, size=defect_rank)])
     row = (w * sigma) @ big[:, :h].T
     return OperatorTuple(tuple(row[:, i * h:(i + 1) * h] for i in range(d)))
+
+
+def conjugated(T, seed, real=False):
+    """T conjugated by a seeded Haar unitary, or orthogonal matrix."""
+    rng = np.random.default_rng(seed)
+    if real:
+        u, _ = np.linalg.qr(rng.standard_normal((T.h, T.h)))
+    else:
+        u = haar_unitary(T.h, rng)
+    return OperatorTuple(tuple(u.conj().T @ op @ u for op in T.ops))
 
 
 PHASE_ORACLE_CASES = {

@@ -4,13 +4,16 @@
 [T_i, X] = 0 and [T_i*, X] = 0 on the h**2 complex unknowns of X,
 stacked into one system whose numerical nullity is the commutant
 dimension.  ``commutant_dimension`` counts the Hermitian part of the
-commutant instead; the two must agree on every input.  One structural
-route serves every tuple: the system is built from the nonzeros of the
-T_i and gets one SVD per connected component.  A tuple with exact zero
-entries splits into many components, a tuple without zeros is one
-component of h**2 unknowns, and both are checked against the same
-oracle.
+commutant instead; the two must agree on every input.  It has two
+routes.  A tuple with exact zero entries takes the structural route:
+the system is built from the nonzeros of the T_i and gets one SVD per
+connected component.  A tuple without zeros takes the eigenbasis
+route: in the eigenbasis of a generic Hermitian element of the
+*-algebra, the commutant is block diagonal over the element's
+eigenvalue clusters.  Both are checked against the same oracle.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -18,12 +21,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectseq.classify import (
+    _element_clusters,
     _one_component,
     _structural_system,
     commutant_dimension,
 )
 from defectseq.config import size_cap
-from defectseq.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
+from defectseq.linalg import (
+    _CLUSTER_GAP,
+    DEFAULT_TOL,
+    RankTolerance,
+    numerical_rank,
+)
 from defectseq.models import (
     fock_creation,
     haar_unitary,
@@ -33,6 +42,9 @@ from defectseq.models import (
     symmetric_fock_shift,
 )
 from defectseq.tuples import OperatorTuple, direct_sum
+
+# The package's name ``classify`` is the function.
+classify_module = importlib.import_module("defectseq.classify")
 
 
 def stacked_system(T):
@@ -392,3 +404,158 @@ class TestNearCutoff:
         assert expected == (3 if side > 0 else 5)
         assert commutant_dimension(T, tol) == expected
         assert stacked_commutant_dimension(T, tol) == expected
+
+
+def orthogonal_conjugate(T, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((T.h, T.h)))
+    return conjugate(T, q)
+
+
+def haar_conjugate(T, seed):
+    return conjugate(T, haar_unitary(T.h, np.random.default_rng(seed)))
+
+
+def cluster_sizes(T):
+    """Cluster sizes of the eigenbasis route, None for one cluster."""
+    clusters = _element_clusters(T)
+    return None if clusters is None else np.diff(clusters[1]).tolist()
+
+
+@st.composite
+def dense_tuples(draw):
+    """Seeded random draws without zero entries, d <= 3 and h <= 24."""
+    d = draw(st.integers(1, 3))
+    h = draw(st.integers(1, 24))
+    T = random_contractive(d, h, draw(st.integers(0, h)),
+                           draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        T = real_part(T)
+    return T
+
+
+A = random_contractive(2, 4, 1, 1)
+B = random_contractive(2, 4, 1, 2)
+SUMS = {
+    "A+B": (lambda: direct_sum(A, B), 2),
+    "A+A": (lambda: direct_sum(A, A), 4),
+    "A+A+B": (lambda: direct_sum(direct_sum(A, A), B), 5),
+    "A+A+A": (lambda: copies(A, 3), 9),
+    "A+B+A+B": (lambda: copies(direct_sum(A, B), 2), 8),
+}
+
+
+class TestEigenbasisRoute:
+    # One stacked oracle at h = 24 takes about half a second.
+    @settings(max_examples=40, deadline=None)
+    @given(dense_tuples())
+    def test_dense_draws_match_the_stacked_system(self, T):
+        assert _one_component(T)
+        assert commutant_dimension(T) == stacked_commutant_dimension(T)
+
+    @pytest.mark.parametrize("name", SUMS)
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_conjugated_direct_sums(self, name, real, seed):
+        make, expected = SUMS[name]
+        T = make()
+        if real:
+            T = orthogonal_conjugate(real_part(T), seed)
+        else:
+            T = haar_conjugate(T, seed)
+        assert _one_component(T)
+        assert commutant_dimension(T) == stacked_commutant_dimension(T)
+        assert commutant_dimension(T) == expected
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_equal_summands_share_their_clusters(self, real):
+        # Each eigenvalue of H on A + A is double; a split pair would
+        # force the commutant's 2 x 2 blocks to be diagonal in an
+        # arbitrary basis and count less than 4.
+        T = direct_sum(A, A)
+        T = orthogonal_conjugate(real_part(T), 3) if real else haar_conjugate(T, 3)
+        assert cluster_sizes(T) == [2] * 4
+        assert commutant_dimension(T) == 4
+
+    def test_no_gap_splits_true_clusters(self, monkeypatch):
+        T = haar_conjugate(direct_sum(A, A), 3)
+        monkeypatch.setattr(classify_module, "_CLUSTER_GAP", 0.0)
+        assert cluster_sizes(T) == [1] * 8
+        assert commutant_dimension(T) < 4
+
+    @pytest.mark.parametrize("make", [
+        lambda: fock_creation(2, 3),
+        lambda: symmetric_fock_shift(2, 5),
+        lambda: fock_creation(1, 6),
+    ])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_conjugated_flagships_are_irreducible(self, make, real):
+        T = make()
+        T = orthogonal_conjugate(T, 5) if real else haar_conjugate(T, 5)
+        assert _one_component(T)
+        assert cluster_sizes(T) is not None
+        assert commutant_dimension(T) == stacked_commutant_dimension(T) == 1
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_conjugated_spherical_sum(self, real):
+        T = spherical_shift_sum(2, 5, (2 ** -0.5, 2 ** -0.5), 3)
+        T = orthogonal_conjugate(T, 7) if real else haar_conjugate(T, 7)
+        assert _one_component(T)
+        assert commutant_dimension(T) == 10
+
+    @pytest.mark.parametrize("entries", [(0.5,), (0.3 + 0.4j, 0.25),
+                                         (-0.2, 0.1, 0.7)])
+    def test_one_dimensional_space(self, entries):
+        # h = 1: one cluster, so no row and nothing to gain; the count
+        # is the identity alone.
+        T = OperatorTuple(tuple(np.array([[e]]) for e in entries))
+        assert _one_component(T)
+        assert cluster_sizes(T) is None
+        assert commutant_dimension(T) == 1
+
+    def test_one_cluster_falls_back_to_the_full_system(self):
+        # T + T^T = I: the real element is a multiple of the identity.
+        n = np.array([[0.0, 0.3, -0.2], [-0.3, 0.0, 0.1], [0.2, -0.1, 0.0]])
+        T = orthogonal_conjugate(OperatorTuple((0.5 * np.eye(3) + n,)), 0)
+        assert _one_component(T)
+        assert cluster_sizes(T) is None
+        assert commutant_dimension(T) == stacked_commutant_dimension(T)
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["inside", "outside"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eigenvalues_at_the_cluster_gap(self, side, seed):
+        # d = 1 and real: H is a multiple of T + T^T = 2 Q D Q^T, so two
+        # entries of D a relative gap of _CLUSTER_GAP (1 -+ 1%) apart are
+        # one cluster or two.  The antisymmetric part joins every pair.
+        rng = np.random.default_rng(seed)
+        h = 6
+        values = np.linspace(-0.4, 0.4, h)
+        values[3] = values[2] + _CLUSTER_GAP * 0.4 * (1.0 + side * 0.01)
+        n = rng.standard_normal((h, h))
+        T = orthogonal_conjugate(
+            OperatorTuple((np.diag(values) + 0.1 * (n - n.T),)), seed)
+        assert _one_component(T)
+        sizes = cluster_sizes(T)
+        assert sizes == ([1, 1, 2, 1, 1] if side < 0 else [1] * h)
+        assert commutant_dimension(T) == stacked_commutant_dimension(T) == 1
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_no_svd_over_h_squared_unknowns(self, monkeypatch, real):
+        # The classify benchmark's dense draw: one SVD over its h
+        # one-dimensional clusters, none over h**2 columns, and no QR.
+        T = random_contractive(3, 24, 2, (0, 1))
+        if real:
+            T = real_part(T)
+        shapes = []
+        svd, qr = np.linalg.svd, np.linalg.qr
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("a one-dimensional cluster pair took a QR")
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        assert commutant_dimension(T) == 1
+        assert shapes == [(24 * 23 // 2, 24)]

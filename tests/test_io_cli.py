@@ -268,6 +268,31 @@ class TestTuplePayload:
         with pytest.raises(TupleFormatError, match="cap is 4096"):
             payload_to_tuple(p)
 
+    def test_coo_size_product_is_refused_before_allocating(self, monkeypatch):
+        # d and dim each within the default cap, but the stack would hold
+        # 4096**3 entries, about 550 GB of float64.
+        p = coo_payload()
+        p.update(d=4096, dim=4096, index="", values="")
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr("defectseq.io.np.zeros", no_allocation)
+        with pytest.raises(TupleFormatError,
+                           match=r"d \* dim\*\*2 = 68719476736 entries, "
+                                 r"cap is 2 \* cap\*\*2 = 33554432"):
+            payload_to_tuple(p)
+
+    def test_coo_stack_up_to_twice_cap_squared_is_read(self, monkeypatch):
+        # d = 2, dim = 7 fills 2 * 7**2 entries exactly; a third entry
+        # matrix passes each separate check but not the product.
+        p = coo_payload()
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "7")
+        assert payload_to_tuple(p).h == 7
+        p.update(d=3)
+        with pytest.raises(TupleFormatError, match="d \\* dim\\*\\*2 = 147"):
+            payload_to_tuple(p)
+
     def test_coo_dim_up_to_the_cap_is_read(self, monkeypatch):
         p = coo_payload()
         monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "7")
@@ -497,6 +522,28 @@ class TestCliDefect:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not rep.exists()
 
+
+    @pytest.mark.parametrize("argv", [["defect", "--n-max", "200"],
+                                      ["classify"]])
+    def test_falling_ladder_is_exit_one(self, tmp_path, capsys, argv):
+        # Q [[a, b, 0], [0, 0, 0], [0, 0, 1]] Q^T with margin -4e-9, inside
+        # the contractivity slack: both commands read the ladder
+        # (2, 1, 2, 2) and refuse it with one message and no report.
+        eps = 4e-9
+        a = np.sqrt(1.0 / (1.0 + eps))
+        b = np.sqrt(eps * (1.0 + a * a))
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+        path = tmp_path / "slack.json"
+        write_tuple(OperatorTuple((q @ np.array([[a, b, 0.0], [0.0, 0.0, 0.0],
+                                                 [0.0, 0.0, 1.0]]) @ q.T,)),
+                    path)
+        rep = tmp_path / "slack_report.json"
+        assert main([argv[0], str(path), *argv[1:],
+                     "--report", str(rep)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("analysis failed: defect sequence decreased: "
+                       "(2, 1, 2, 2)\n")
+        assert not rep.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [["defect", "--n-max", "3"],

@@ -14,6 +14,12 @@ script), then writes into OUT_DIR:
   every one of those tuples;
 * ``classify-<label>.json``: ``classify --report`` on the ``classify``
   workload's tuples;
+* ``inputs/dense-<label>.json`` and ``classify-dense-<label>.json``:
+  ``classify --report`` on tuples without zero entries, h <= 24, whose
+  commutant is counted in the eigenbasis of a generic Hermitian element:
+  unitary and orthogonal conjugates of direct sums with equal and with
+  distinct summands, of three weighted shifts and of a spherical sum,
+  and random draws, real and complex (see ``dense_builders``);
 * ``verify-<S>.json``: ``verify --suite all --samples 40 --seed S
   --report`` for S = 0..3;
 * ``<name>.out`` next to each report: the call's stdout and exit code;
@@ -59,6 +65,64 @@ def _call(main, name, argv):
                                    encoding="utf-8")
 
 
+def dense_builders(models, OperatorTuple, direct_sum):
+    """Label -> builder() of the dense classify fixtures, h <= 24.
+
+    Built only from functions every tree of the package has, with fixed
+    seeds, so two trees read the same tuple files.
+    """
+    import numpy as np
+
+    def conjugate(T, seed, real):
+        rng = np.random.default_rng(seed)
+        if real:
+            u, _ = np.linalg.qr(rng.standard_normal((T.h, T.h)))
+        else:
+            u = models.haar_unitary(T.h, rng)
+        return OperatorTuple(tuple(u.conj().T @ op @ u for op in T.ops))
+
+    def real_draw(d, h, seed):
+        # 0.9 times a real row operator of norm 1: a strict contraction.
+        row = np.random.default_rng(seed).standard_normal((h, d * h))
+        row *= 0.9 / np.linalg.norm(row, 2)
+        return OperatorTuple(tuple(row[:, i * h:(i + 1) * h]
+                                   for i in range(d)))
+
+    def summands(real):
+        if real:
+            return real_draw(2, 4, 1), real_draw(2, 4, 2)
+        return (models.random_contractive(2, 4, 1, 1),
+                models.random_contractive(2, 4, 1, 2))
+
+    def sums(real):
+        a, b = summands(real)
+        return {"a+b": direct_sum(a, b), "a+a": direct_sum(a, a),
+                "a+a+b": direct_sum(direct_sum(a, a), b)}
+
+    flagships = {
+        "fock-2-3": lambda: models.fock_creation(2, 3),
+        "dshift-2-5": lambda: models.symmetric_fock_shift(2, 5),
+        "fock-1-6": lambda: models.fock_creation(1, 6),
+        "spherical-sum": lambda: models.spherical_shift_sum(
+            2, 5, (2 ** -0.5, 2 ** -0.5), 3),
+    }
+    builders = {}
+    for real, kind in ((False, "complex"), (True, "real")):
+        for i, name in enumerate(("a+b", "a+a", "a+a+b")):
+            builders[f"{name}-{kind}"] = (
+                lambda name=name, real=real, i=i:
+                conjugate(sums(real)[name], 10 + i, real))
+        for i, (name, build) in enumerate(flagships.items()):
+            builders[f"{name}-{kind}"] = (
+                lambda build=build, real=real, i=i:
+                conjugate(build(), 20 + i, real))
+        for h in (6, 12, 18, 24):
+            builders[f"random-3-{h}-{kind}"] = (
+                (lambda h=h: real_draw(3, h, 30 + h)) if real else
+                (lambda h=h: models.random_contractive(3, h, 2, (30, h))))
+    return builders
+
+
 def write_outputs(tree, out_dir, seed):
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads
@@ -77,6 +141,12 @@ def write_outputs(tree, out_dir, seed):
                   ["defect", path, "--n-max", N_MAX])
             if workload == "classify":
                 _call(cli.main, f"classify-{label}", ["classify", path])
+    from defectseq.tuples import direct_sum
+    for label, build in dense_builders(models, OperatorTuple,
+                                       direct_sum).items():
+        path = f"inputs/dense-{label}.json"
+        io.write_tuple(build(), path)
+        _call(cli.main, f"classify-dense-{label}", ["classify", path])
     for s in VERIFY_SEEDS:
         _call(cli.main, f"verify-{s}",
               ["verify", "--suite", "all", "--samples", "40",
