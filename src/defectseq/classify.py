@@ -49,8 +49,9 @@ its normal equations.  The size cap still reads h**2 for a tuple
 without zeros, checked first: a tuple whose H has one cluster falls
 back to the structural route, which needs all h**2.  On either route
 the one cutoff is taken over the union of all singular values.
-``classify`` counts the commutant before the purity loop, so a tuple
-past the size cap is refused before the iteration budget is spent.
+``classify`` counts the commutant before the ladder and the purity
+loop, so a tuple past the size cap is refused before the iteration
+budget is spent.
 
 Purity is decided by fixed-point iteration with a three-way verdict.
 The iterates X_k = cp^k(I) decrease in the positive semidefinite order,
