@@ -10,34 +10,29 @@ ensembles.  The ``defectseq`` command exposes the same machinery from
 the shell with deterministic JSON reports.
 """
 
-from . import classify, config, defect, errors, io, linalg, models, tuples
-
-# The modules whose whole ``__all__`` the package exports.  The name
-# ``classify`` is rebound to the function below, so they are held here.
-_EXPORTING = (config, errors, linalg, tuples, defect, classify, models, io)
-
-from .config import *  # noqa: E402,F401,F403
-from .errors import *  # noqa: E402,F401,F403
-from .linalg import *  # noqa: E402,F401,F403
-from .tuples import *  # noqa: E402,F401,F403
-from .defect import *  # noqa: E402,F401,F403
-from .classify import *  # noqa: E402,F401,F403
-from .models import *  # noqa: E402,F401,F403
-from .io import *  # noqa: E402,F401,F403
-# The suites' sampling defaults stay in defectseq.suites.
-from .suites import (  # noqa: E402
-    SUITE_NAMES,
-    SuiteResult,
-    expand_suite_names,
-    run_suite,
-    run_suites,
-    suite_descriptions,
+from . import (
+    classify,
+    config,
+    defect,
+    errors,
+    io,
+    linalg,
+    models,
+    suites,
+    tuples,
 )
 
-__version__ = VERSION  # noqa: F405
-
-__all__ = sorted(
-    {name for module in _EXPORTING for name in module.__all__}
-    | {"SUITE_NAMES", "SuiteResult", "expand_suite_names", "run_suite",
-       "run_suites", "suite_descriptions"}
-)
+# Every name in these modules' ``__all__`` is exported, except the
+# suites' sampling defaults, which stay in defectseq.suites.  The name
+# ``classify`` becomes the function, as it comes after the module here.
+_PUBLIC = {
+    name: getattr(module, name)
+    for module in (config, errors, linalg, tuples, defect, classify, models,
+                   io, suites)
+    for name in module.__all__
+    if name not in ("DEFAULT_SAMPLES", "DEFAULT_SEED")
+}
+globals().update(_PUBLIC)
+__all__ = sorted(_PUBLIC)
+__version__ = config.VERSION
+del _PUBLIC

@@ -41,14 +41,17 @@ Program. 2010) applied to the *-algebra of {T_i, T_i*}: every element
 of the commutant commutes with a seeded generic Hermitian element H of
 that algebra, so in H's eigenbasis it is block diagonal over H's
 eigenvalue clusters, and the system needs Sum k_j**2 unknowns for
-cluster sizes k_j, h for a generic dense tuple.  The rows of each pair
-of one-dimensional clusters collapse to one weighted incidence row, and
-those of every other pair of clusters to the R factor of their QR; the
-counted values are those of the system on block-diagonal matrices, not
-its normal equations.  The size cap still reads h**2 for a tuple
-without zeros, checked first: a tuple whose H has one cluster falls
-back to the structural route, which needs all h**2.  On either route
-the one cutoff is taken over the union of all singular values.
+cluster sizes k_j, h for a generic dense tuple.  The rows of every pair
+of clusters collapse to the R factor of their QR; the counted values
+are those of the system on block-diagonal matrices, not its normal
+equations.  That count is kept only when the full system must give it
+at the tolerance at hand: its singular values and cutoff bound the full
+system's from one side, and the gap between clusters bounds them from
+the other.  The size cap still reads h**2 for a tuple without zeros,
+checked first: a tuple whose H has one cluster, or whose count is not
+certain at the tolerance, falls back to the structural route, which
+needs all h**2.  On either route the one cutoff is taken over the union
+of all singular values.
 ``classify`` counts the commutant before the ladder and the purity
 loop, so a tuple past the size cap is refused before the iteration
 budget is spent.
@@ -462,13 +465,18 @@ def commutant_dimension(T, tol=None):
     with blocks [S_i, Y] for S_i = U* T_i U, has Sum k_j**2 real
     unknowns; a generic dense tuple has h one-dimensional clusters.
     Unitary conjugation keeps the basis orthonormal, so the sqrt(2)
-    scaling and the one cutoff stay.  Two one-dimensional clusters a
-    and b contribute the row w_ab (e_b - e_a), w_ab the 2-norm of the
-    S_i[a, b] and S_i[b, a], which has the Gram matrix of their 2d
-    rows; any other pair of clusters contributes the R factor of its
-    rows, one batched QR per block shape; one SVD takes the stack.  When
-    H has a single cluster the eigenbasis saves nothing, and the
-    structural route counts the tuple.
+    scaling stays.  Every ordered pair of clusters contributes the R
+    factor of its rows, one batched QR per block shape, and one SVD
+    takes the stack.  This system is a restriction of the full one, and
+    its sigma_max may be smaller, so its count is returned only when
+    the full system's must agree: when its smallest kept singular value
+    clears the image of the cutoff at 2 sqrt(2) (Sum ||T_i||_2**2)**0.5,
+    an upper bound of the full sigma_max, under the bound that the gap
+    between clusters puts on the part of a near-commutant element off
+    the blocks.  That holds at the default tolerance for a generic
+    tuple; a loose tolerance, or a gap of rounding size, fails it.  Then,
+    and when H has a single cluster, the structural route counts the
+    tuple.
     """
     tol = DEFAULT_TOL if tol is None else tol
     h = T.h
@@ -478,11 +486,9 @@ def commutant_dimension(T, tol=None):
             raise SizeCapError(
                 f"commutant system needs h^2 = {h * h} unknowns, cap is {cap}"
             )
-        clusters = _element_clusters(T)
-        if clusters is not None:
-            unknowns, system = _eigenbasis_system(T, *clusters)
-            return unknowns - _count_above(
-                np.sqrt(2.0) * np.linalg.svd(system, compute_uv=False), tol)
+        count = _eigenbasis_count(T, tol)
+        if count is not None:
+            return count
     _, stacks = _structural_system(T, cap)
     s = np.concatenate([np.linalg.svd(stack, compute_uv=False).ravel()
                         for stack in stacks] or [np.empty(0)])
@@ -497,23 +503,68 @@ def _one_component(T):
     return np.count_nonzero(T._stack) == T._stack.size
 
 
-def _element_clusters(T):
-    # The eigenbasis U of H = M + M* for M = sum_i z_i T_i, a generic
-    # Hermitian element of the *-algebra of {T_i, T_i*} (z real for a
-    # float64 tuple, so H stays real), and the offsets of the clusters
-    # of its ascending eigenvalues at the relative gap _CLUSTER_GAP.
-    # None when H has one cluster: the eigenbasis then saves nothing.
+def _generic_element(T):
+    # The coefficients z, eigenvalues and eigenbasis of H = M + M* for
+    # M = sum_i z_i T_i, a generic Hermitian element of the *-algebra of
+    # {T_i, T_i*} (z real for a float64 tuple, so H stays real).
     rng = np.random.default_rng(_ELEMENT_SEED)
     z = rng.standard_normal(T.d)
     if T.dtype != np.float64:
         z = z + 1j * rng.standard_normal(T.d)
     m = np.tensordot(z, T._stack, axes=1)
     values, u = np.linalg.eigh(m + m.conj().T)
+    return z, values, u
+
+
+def _eigenbasis_count(T, tol):
+    # The count on the Hermitian Y = U* X U that are block diagonal over
+    # the eigenvalue clusters of the generic element H.  None when H has
+    # one cluster, where the eigenbasis saves nothing, or when the count
+    # could differ from the full system's.
+    z, values, u = _generic_element(T)
+    bounds = _cluster_bounds(values)
+    if bounds.size == 2:
+        return None
+    unknowns, system = _eigenbasis_system(T, u, bounds)
+    s = np.sqrt(2.0) * np.linalg.svd(system, compute_uv=False)
+    kept = _count_above(s, tol)
+    # Keep the count only if the full h**2 system must give it too.  In
+    # ascending order, the k-th singular value s_k of the full system is
+    # at most this system's t_k (a restriction), and the full cutoff,
+    # taken at the full sigma_max, is at least this one; so every value
+    # cut here is cut there.  The full sigma_max is at most ``norm``,
+    # as ||[T_i, X]||_F <= 2 ||T_i||_2 for ||X||_F = 1.  A unit X with
+    # scaled residual s has ||[H, X]||_F <= sqrt(2) |z| s, so its part
+    # off the blocks has norm at most slip(s) = (sqrt(2) |z| s +
+    # rounding) / gap, with the backward error of eigh as rounding, and
+    # dropping that part leaves a residual of at most (s + norm *
+    # slip(s)) / sqrt(1 - slip(s)**2).  Were the full nullity larger,
+    # its s_k at the first index kept here would lie below
+    # tol.cutoff(norm), and t_k below that image of the cutoff (or, with
+    # nothing kept, slip would reach 1).  So the counts agree when slip
+    # stays below 1 and the smallest kept value clears the image; a
+    # loose tolerance or a narrow gap fails that, and the caller counts
+    # on the full system.
+    norm = 2.0 * np.sqrt(2.0) * np.linalg.norm(
+        np.linalg.norm(T._stack, 2, axis=(1, 2)))
+    cutoff = tol.cutoff(norm)
+    gap = np.min(values[bounds[1:-1]] - values[bounds[1:-1] - 1])
+    rounding = 4.0 * T.h * np.finfo(np.float64).eps * max(-values[0],
+                                                          values[-1])
+    slip = (np.sqrt(2.0) * np.linalg.norm(z) * cutoff + rounding) / gap
+    if slip >= 1.0 or (kept and s[kept - 1] <= (cutoff + norm * slip)
+                       / np.sqrt(1.0 - slip * slip)):
+        return None
+    return unknowns - kept
+
+
+def _cluster_bounds(values):
+    # Offsets of the clusters of ascending eigenvalues, split where two
+    # neighbours differ by more than _CLUSTER_GAP times the largest
+    # modulus; the last offset is the count of values.
     gap = _CLUSTER_GAP * max(-values[0], values[-1])
     starts = np.flatnonzero(np.diff(values) > gap) + 1
-    if starts.size == 0:
-        return None
-    return u, np.concatenate([[0], starts, [T.h]])
+    return np.concatenate([[0], starts, [values.size]])
 
 
 def _eigenbasis_system(T, u, bounds):
@@ -524,30 +575,16 @@ def _eigenbasis_system(T, u, bounds):
     # the rows; the columns are the coordinates of each cluster's block
     # Y_j in the basis of ``_hermitian_basis``, cluster after cluster.
     # Block (a, b) of [S_i, Y] for S_i = U* T_i U is
-    # S_i[a, b] Y_b - Y_a S_i[a, b].
+    # S_i[a, b] Y_b - Y_a S_i[a, b]; every block, a = b included, is
+    # reduced to the R factor of its real rows, one batched QR per
+    # block shape.
     s = u.conj().T @ T._stack @ u
     sizes = np.diff(bounds)
     cols = np.concatenate([[0], np.cumsum(sizes * sizes)])
-    rows = []
-    # Two one-dimensional clusters a and b have real unknowns y_a and
-    # y_b, and all 2d rows of their blocks are multiples of y_b - y_a:
-    # one row w_ab (e_b - e_a), with w_ab the 2-norm of the coefficients,
-    # has the same Gram matrix.
-    single = np.flatnonzero(sizes == 1)
-    a, b = np.triu_indices(single.size, 1)
-    a, b = single[a], single[b]
-    norms = np.hypot.reduce(np.abs(s), axis=0)
-    incidence = np.zeros((a.size, cols[-1]))
-    incidence[np.arange(a.size), cols[a]] = -1.0
-    incidence[np.arange(a.size), cols[b]] = 1.0
-    rows.append(incidence * np.hypot(norms, norms.T)[bounds[a], bounds[b]]
-                [:, None])
-    # Every other block (a, b), a = b included, reduced to the R factor
-    # of its real rows, one batched QR per block shape.
     a, b = np.meshgrid(np.arange(sizes.size), np.arange(sizes.size),
                        indexing="ij")
-    larger = (sizes[a] > 1) | (sizes[b] > 1)
-    a, b = a[larger], b[larger]
+    a, b = a.ravel(), b.ravel()
+    rows = []
     for p, q in sorted(set(zip(sizes[a].tolist(), sizes[b].tolist()))):
         at = (sizes[a] == p) & (sizes[b] == q)
         r = _block_rows(s, bounds[a[at]], bounds[b[at]], p, q)

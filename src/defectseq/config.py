@@ -11,8 +11,11 @@ connected component of its system.  A tuple without zero entries is
 counted in the eigenbasis of a generic Hermitian element, on Sum k_j**2
 unknowns for its eigenvalue clusters k_j, but the cap still reads h**2
 for it: that check comes before the element is built, and a tuple whose
-element has one cluster falls back to the full h**2 system.  The default cap is 4096 and can be
-overridden through the DEFECTSEQ_SIZE_CAP environment variable.
+element has one cluster, or whose reduced count is not certain at the
+rank tolerance, falls back to the full h**2 system.  The tuple writer
+refuses a COO stack that the reader would refuse.  The default cap is
+4096 and can be overridden through the DEFECTSEQ_SIZE_CAP environment
+variable.
 """
 
 import os

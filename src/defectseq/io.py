@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SIZE_CAP_ENV, size_cap
-from .errors import ArgumentError, TupleFormatError
+from .errors import ArgumentError, SizeCapError, TupleFormatError
 from .tuples import OperatorTuple
 
 __all__ = [
@@ -84,6 +84,23 @@ def _b64(values, dtype):
     return base64.b64encode(raw).decode("ascii")
 
 
+def _coo_size_problem(d, dim):
+    # The reader sizes the zeros of a coo stack by d and dim alone, so
+    # they are bounded before anything is allocated: each of d and dim
+    # by the cap, and the stack by the entries of two cap x cap
+    # matrices.  The writer refuses the same stacks, so every file it
+    # writes reads back.  None when the stack is within the bounds.
+    cap = size_cap()
+    if d > cap or dim > cap:
+        return (f"d = {d} and dim = {dim}, cap is {cap} for each "
+                f"(set {SIZE_CAP_ENV} to raise it)")
+    if d * dim * dim > 2 * cap * cap:
+        return (f"d * dim**2 = {d * dim * dim} entries, cap is "
+                f"2 * cap**2 = {2 * cap * cap} (set {SIZE_CAP_ENV} to "
+                "raise it)")
+    return None
+
+
 def _encoded_entries(stack):
     # The version 2 payload keys for a (d, dim, dim) stack of entries.
     flat = stack.reshape(-1)
@@ -93,6 +110,9 @@ def _encoded_entries(stack):
     index = np.flatnonzero(words.any(axis=1))
     if (index.size * (_INDEX_DTYPE.itemsize + dtype.itemsize)
             < flat.size * dtype.itemsize):
+        problem = _coo_size_problem(*stack.shape[:2])
+        if problem is not None:
+            raise SizeCapError(f"cannot write a coo tuple file with {problem}")
         return {"encoding": "coo", "index": _b64(index, _INDEX_DTYPE),
                 "values": _b64(flat[index], dtype)}
     return {"encoding": "dense", "data": _b64(flat, dtype)}
@@ -164,17 +184,8 @@ def _v2_entries(payload, d, dim):
                  f"d * dim**2 = {count}")
         entries = values
     elif encoding == "coo":
-        # The zeros below are sized by d and dim alone, so they are
-        # bounded before anything is allocated: each of d and dim by the
-        # cap, and the stack by the entries of two cap x cap matrices.
-        cap = size_cap()
-        _require(d <= cap and dim <= cap,
-                 f"a coo tuple file has d = {d} and dim = {dim}, cap is "
-                 f"{cap} for each (set {SIZE_CAP_ENV} to raise it)")
-        _require(count <= 2 * cap * cap,
-                 f"a coo tuple file has d * dim**2 = {count} entries, cap "
-                 f"is 2 * cap**2 = {2 * cap * cap} (set {SIZE_CAP_ENV} to "
-                 "raise it)")
+        problem = _coo_size_problem(d, dim)
+        _require(problem is None, f"a coo tuple file has {problem}")
         index = _decoded(payload, "index", _INDEX_DTYPE)
         values = _decoded(payload, "values", dtype)
         _require(index.size == values.size,

@@ -82,10 +82,13 @@ _BOUND_SLACK = 1e-8
 # _CLUSTER_GAP * max|eigenvalue| of each other, in a chain, form one
 # cluster.  Splitting a true multiple eigenvalue loses every subspace
 # its eigenvectors do not span, while merging two eigenvalues only
-# costs time.  Eigenvectors split at a relative gap g carry an error of
-# about eps / g, which must stay far below the default rank rtol of
-# 1e-9: g must be well above eps / rtol ~ 2e-7, and at 1e-3 the error
-# sits near 2e-13, more than three orders of magnitude below the cutoff.
+# costs time.  At a relative gap g, an element whose commutator
+# residual sits at the rank cutoff rtol * ||T|| has parts between
+# clusters of relative size about rtol / g, and eigenvectors carry an
+# error of about eps / g; the commutant count checks both against its
+# cutoff.  At g = 1e-3 and the default rtol of 1e-9 both stay near 1e-6
+# or below and a generic tuple passes; from rtol near 1e-3 on, most
+# tuples fall back to the full system.
 _CLUSTER_GAP = 1e-3
 
 

@@ -21,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectseq.classify import (
-    _element_clusters,
+    _cluster_bounds,
+    _eigenbasis_system,
+    _generic_element,
     _one_component,
     _structural_system,
     commutant_dimension,
@@ -415,17 +417,30 @@ def haar_conjugate(T, seed):
     return conjugate(T, haar_unitary(T.h, np.random.default_rng(seed)))
 
 
+def svd_widths(monkeypatch):
+    """Record the column count of every SVD taken from here on."""
+    widths = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return widths
+
+
 def cluster_sizes(T):
     """Cluster sizes of the eigenbasis route, None for one cluster."""
-    clusters = _element_clusters(T)
-    return None if clusters is None else np.diff(clusters[1]).tolist()
+    sizes = np.diff(_cluster_bounds(_generic_element(T)[1])).tolist()
+    return None if len(sizes) == 1 else sizes
 
 
 @st.composite
-def dense_tuples(draw):
-    """Seeded random draws without zero entries, d <= 3 and h <= 24."""
+def dense_tuples(draw, max_h=24):
+    """Seeded random draws without zero entries, d <= 3 and h <= max_h."""
     d = draw(st.integers(1, 3))
-    h = draw(st.integers(1, 24))
+    h = draw(st.integers(1, max_h))
     T = random_contractive(d, h, draw(st.integers(0, h)),
                            draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
@@ -467,20 +482,30 @@ class TestEigenbasisRoute:
         assert commutant_dimension(T) == expected
 
     @pytest.mark.parametrize("real", [True, False])
-    def test_equal_summands_share_their_clusters(self, real):
+    def test_equal_summands_share_their_clusters(self, monkeypatch, real):
         # Each eigenvalue of H on A + A is double; a split pair would
         # force the commutant's 2 x 2 blocks to be diagonal in an
-        # arbitrary basis and count less than 4.
+        # arbitrary basis, and the count would need the full system.
         T = direct_sum(A, A)
         T = orthogonal_conjugate(real_part(T), 3) if real else haar_conjugate(T, 3)
         assert cluster_sizes(T) == [2] * 4
+        widths = svd_widths(monkeypatch)
         assert commutant_dimension(T) == 4
+        assert widths == [4 * 2 ** 2]
 
-    def test_no_gap_splits_true_clusters(self, monkeypatch):
+    def test_a_split_cluster_goes_to_the_full_system(self, monkeypatch):
+        # With no gap the double eigenvalues of H on A + A split, and the
+        # block-diagonal count alone misses commutant elements; the gap
+        # that split them is rounding, so the full system counts.
         T = haar_conjugate(direct_sum(A, A), 3)
         monkeypatch.setattr(classify_module, "_CLUSTER_GAP", 0.0)
         assert cluster_sizes(T) == [1] * 8
-        assert commutant_dimension(T) < 4
+        _, values, u = _generic_element(T)
+        unknowns, system = _eigenbasis_system(T, u, _cluster_bounds(values))
+        assert unknowns - numerical_rank(system) < 4
+        widths = svd_widths(monkeypatch)
+        assert commutant_dimension(T) == 4
+        assert widths[-1] == 8 ** 2
 
     @pytest.mark.parametrize("make", [
         lambda: fock_creation(2, 3),
@@ -540,22 +565,62 @@ class TestEigenbasisRoute:
 
     @pytest.mark.parametrize("real", [True, False])
     def test_no_svd_over_h_squared_unknowns(self, monkeypatch, real):
-        # The classify benchmark's dense draw: one SVD over its h
-        # one-dimensional clusters, none over h**2 columns, and no QR.
+        # The classify benchmark's dense draw: its h one-dimensional
+        # clusters have h unknowns, and no SVD has h**2 columns.
         T = random_contractive(3, 24, 2, (0, 1))
         if real:
             T = real_part(T)
-        shapes = []
-        svd, qr = np.linalg.svd, np.linalg.qr
-
-        def recording_svd(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        def no_qr(*args, **kwargs):
-            raise AssertionError("a one-dimensional cluster pair took a QR")
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        assert cluster_sizes(T) == [1] * 24
+        widths = svd_widths(monkeypatch)
         assert commutant_dimension(T) == 1
-        assert shapes == [(24 * 23 // 2, 24)]
+        assert 24 ** 2 not in widths
+
+
+def near_equal_sum(delta, seed):
+    """A Haar conjugate of A + (A + delta E), E a fixed unit perturbation."""
+    e = np.random.default_rng(11).standard_normal((2, 4, 4))
+    e /= np.linalg.norm(e)
+    shifted = OperatorTuple(tuple(op + delta * p for op, p in zip(A.ops, e)))
+    return haar_conjugate(direct_sum(A, shifted), seed)
+
+
+class TestEigenbasisTolerance:
+    """The eigenbasis count is the full system's at every tolerance.
+
+    A loose rtol counts X as commutant whose parts between clusters are
+    far from zero, and the block-diagonal system has its own, smaller
+    sigma_max; either would move a count that the block-diagonal
+    system alone decides.
+    """
+
+    @pytest.mark.parametrize("rtol", [1e-9, 1e-6, 1e-3, 1e-1])
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_near_equal_sums(self, rtol, delta, seed):
+        T = near_equal_sum(delta, seed)
+        tol = RankTolerance(rtol=rtol, atol=0.0)
+        assert _one_component(T)
+        assert commutant_dimension(T, tol) == stacked_commutant_dimension(T, tol)
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_conjugated_gap_at_the_global_cutoff(self, side, scale, real):
+        # TestNearCutoff's tuple in a dense basis: H merges the two
+        # nearby entries, and the block-diagonal system's sigma_max is
+        # the small gap itself.
+        tol = RankTolerance(rtol=1e-6, atol=0.0)
+        gap = scale * tol.rtol * (1.0 + side * 1e-6)
+        values = (0.0, gap, scale)
+        T = OperatorTuple((np.diag(values),))
+        T = orthogonal_conjugate(T, 4) if real else haar_conjugate(rotate(T), 4)
+        expected = diagonal_count(values, tol)
+        assert _one_component(T)
+        assert commutant_dimension(T, tol) == expected
+        assert stacked_commutant_dimension(T, tol) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(dense_tuples(max_h=12), st.floats(-12.0, -0.5))
+    def test_dense_draws_at_any_rtol(self, T, exponent):
+        tol = RankTolerance(rtol=10.0 ** exponent, atol=0.0)
+        assert commutant_dimension(T, tol) == stacked_commutant_dimension(T, tol)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectseq.cli import main
-from defectseq.errors import TupleFormatError
+from defectseq.errors import SizeCapError, TupleFormatError
 from defectseq.io import (
     TUPLE_FORMAT,
     TUPLE_FORMAT_VERSION,
@@ -293,6 +293,23 @@ class TestTuplePayload:
         with pytest.raises(TupleFormatError, match="d \\* dim\\*\\*2 = 147"):
             payload_to_tuple(p)
 
+    def test_written_coo_stacks_read_back_up_to_the_bound(self, monkeypatch,
+                                                          tmp_path):
+        # The writer refuses the coo stacks the reader refuses: a shift
+        # with d = 2 and dim = 7 fills 2 * 7**2 entries at cap 7 and
+        # reads back; a third entry is refused before anything is written.
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "7")
+        shift = np.diag(np.full(6, 0.5), -1)
+        path = tmp_path / "shift.json"
+        T = OperatorTuple((shift, shift.T @ shift))
+        write_tuple(T, path)
+        assert json.loads(path.read_text())["encoding"] == "coo"
+        assert same_bits(read_tuple(path), T)
+        path.unlink()
+        with pytest.raises(SizeCapError, match=r"d \* dim\*\*2 = 147"):
+            write_tuple(OperatorTuple((shift,) * 3), path)
+        assert not path.exists()
+
     def test_coo_dim_up_to_the_cap_is_read(self, monkeypatch):
         p = coo_payload()
         monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "7")
@@ -446,6 +463,25 @@ class TestCliModel:
         payload = json.loads(out.read_text())
         assert payload["meta"]["generator"] == "random"
         assert payload["meta"]["seed"] == 4
+
+    def test_model_writes_only_coo_files_it_reads(self, monkeypatch,
+                                                  tmp_path, capsys):
+        # dshift with d = 3, degree 1: dim 4 and 3 nonzeros of 48 entries,
+        # so coo; the reader takes 48 entries from cap 5 (2 * 25) on.
+        out = tmp_path / "dshift.json"
+        argv = ["model", "dshift", "--d", "3", "--degree", "1",
+                "-o", str(out)]
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "5")
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["encoding"] == "coo"
+        assert main(["defect", str(out), "--n-max", "2"]) == 0
+        out.unlink()
+        capsys.readouterr()
+        monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "4")
+        assert main(argv) == 2
+        assert ("d * dim**2 = 48 entries, cap is 2 * cap**2 = 32"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_missing_required_flag_is_a_usage_error(self, tmp_path):
         out = tmp_path / "x.json"
