@@ -12,7 +12,11 @@ loop that computes Delta_n: a verdict compares those values with
 ``geometric_bound`` or ``commuting_bound`` up to its horizon, and an
 index past the ladder's stabilization point repeats the last value.
 ``classify`` runs the ladder once and reads Delta_1 and both maximality
-verdicts from that single run.  The ladder checks contractivity itself,
+verdicts from that single run.  On a tuple without the weighted-shift
+pattern it builds D_1 = I - cp(I) once (``defect._first_defect``),
+keeps the margin read off it on the tuple, as ``contractivity_margin``
+does, and hands it to the ladder as its first step, so the cp map is
+applied once in all.  The ladder checks contractivity itself,
 so the maximality verdicts make no check of their own.  A tuple accepted
 only within the contractivity slack can have a falling ladder; ``classify``
 refuses it with ``defect._require_monotone``, the check ``DefectReport``
@@ -52,6 +56,9 @@ checked first: a tuple whose H has one cluster, or whose count is not
 certain at the tolerance, falls back to the structural route, which
 needs all h**2.  On either route the one cutoff is taken over the union
 of all singular values.
+An overflowing system, or singular values that overflow, decide
+nothing, and either route refuses them with ArgumentError, as the
+contractivity margin refuses an I - cp(I) that overflows.
 ``classify`` counts the commutant before the ladder and the purity
 loop, so a tuple past the size cap is refused before the iteration
 budget is spent.
@@ -86,6 +93,8 @@ import numpy as np
 
 from .config import size_cap
 from .defect import (
+    _first_defect,
+    _keep_margin,
     _ladder,
     _margin_is_contractive,
     _require_monotone,
@@ -477,6 +486,11 @@ def commutant_dimension(T, tol=None):
     tuple; a loose tolerance, or a gap of rounding size, fails it.  Then,
     and when H has a single cluster, the structural route counts the
     tuple.
+
+    Raises ArgumentError when H, either route's system or its singular
+    values are not finite: entries near the float64 limit overflow
+    them, and no count can be read.  A bound of the certificate that
+    overflows only hands the tuple to the structural route.
     """
     tol = DEFAULT_TOL if tol is None else tol
     h = T.h
@@ -489,10 +503,25 @@ def commutant_dimension(T, tol=None):
         count = _eigenbasis_count(T, tol)
         if count is not None:
             return count
-    _, stacks = _structural_system(T, cap)
-    s = np.concatenate([np.linalg.svd(stack, compute_uv=False).ravel()
-                        for stack in stacks] or [np.empty(0)])
-    return h * h - _count_above(np.sqrt(2.0) * s, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, stacks = _structural_system(T, cap)
+        s = np.concatenate([
+            np.linalg.svd(_finite_system(stack), compute_uv=False).ravel()
+            for stack in stacks] or [np.empty(0)])
+        s = _finite_system(np.sqrt(2.0) * s)
+    return h * h - _count_above(s, tol)
+
+
+def _finite_system(a):
+    # ``a``, a commutant system or its singular values on either route,
+    # when it is finite.  An overflowing one decides nothing, so the
+    # count is refused, as the contractivity margin is.
+    if not np.isfinite(a).all():
+        raise ArgumentError(
+            "the commutant system is not finite; the tuple's entries are "
+            "too large"
+        )
+    return a
 
 
 def _one_component(T):
@@ -511,8 +540,10 @@ def _generic_element(T):
     z = rng.standard_normal(T.d)
     if T.dtype != np.float64:
         z = z + 1j * rng.standard_normal(T.d)
-    m = np.tensordot(z, T._stack, axes=1)
-    values, u = np.linalg.eigh(m + m.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.tensordot(z, T._stack, axes=1)
+        m = _finite_system(m + m.conj().T)
+    values, u = np.linalg.eigh(m)
     return z, values, u
 
 
@@ -525,8 +556,10 @@ def _eigenbasis_count(T, tol):
     bounds = _cluster_bounds(values)
     if bounds.size == 2:
         return None
-    unknowns, system = _eigenbasis_system(T, u, bounds)
-    s = np.sqrt(2.0) * np.linalg.svd(system, compute_uv=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unknowns, system = _eigenbasis_system(T, u, bounds)
+        s = np.linalg.svd(_finite_system(system), compute_uv=False)
+        s = _finite_system(np.sqrt(2.0) * s)
     kept = _count_above(s, tol)
     # Keep the count only if the full h**2 system must give it too.  In
     # ascending order, the k-th singular value s_k of the full system is
@@ -545,8 +578,11 @@ def _eigenbasis_count(T, tol):
     # stays below 1 and the smallest kept value clears the image; a
     # loose tolerance or a narrow gap fails that, and the caller counts
     # on the full system.
-    norm = 2.0 * np.sqrt(2.0) * np.linalg.norm(
-        np.linalg.norm(T._stack, 2, axis=(1, 2)))
+    # A norm that overflows makes slip infinite, and the full system
+    # counts the tuple.
+    with np.errstate(over="ignore"):
+        norm = 2.0 * np.sqrt(2.0) * np.linalg.norm(
+            np.linalg.norm(T._stack, 2, axis=(1, 2)))
     cutoff = tol.cutoff(norm)
     gap = np.min(values[bounds[1:-1]] - values[bounds[1:-1] - 1])
     rounding = 4.0 * T.h * np.finfo(np.float64).eps * max(-values[0],
@@ -859,7 +895,12 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
         raise ArgumentError(
             f"eps_conv must be below 1 to certify convergence, got {eps_conv}")
     tol = DEFAULT_TOL if tol is None else tol
-    margin = contractivity_margin(T)
+    # A tuple without the shift pattern builds D_1 once, for the margin
+    # and the ladder's first step; a weighted shift's ladder reads only
+    # the kept margin.
+    first = None if T._shift_pattern is not None else _first_defect(T)
+    margin = (contractivity_margin(T) if first is None
+              else _keep_margin(T, float(first[1][0])))
     contractive = _margin_is_contractive(margin, tol)
     commuting = is_commuting(T, tol)
     if not contractive:
@@ -880,7 +921,7 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
     # purity budget should not be spent before that.
     commutant_dim = commutant_dimension(T, tol)
     irreducible = commutant_dim == 1
-    deltas = tuple(_ladder(T, tol))
+    deltas = tuple(_ladder(T, tol, first))
     _require_monotone(deltas)
     verdict = _purity(T, max_iter, eps_pure, eps_conv)
     delta_1 = deltas[0]

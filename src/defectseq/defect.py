@@ -22,7 +22,9 @@ maximality verdicts of ``classify`` all read their values from it.  It
 has two routes, chosen by the tuple's weighted-shift pattern:
 
 * a weighted shift iterates X_n = cp^n(I), which stays diagonal, and
-  ranks I - X_n: one O(nnz) cp step and one rank decision per value;
+  ranks I - X_n: one cp step and one rank decision per value, each a
+  scan of its h x h argument that finds it diagonal and O(h) work on
+  the diagonal (an O(nnz) step, a sort);
 * any other tuple carries D_n itself.  The word-span description of the
   defect spaces is the identity D_{n+1} = D_1 + cp(D_n), so D_n, of rank
   Delta_n, is held as a thin signed factor G_n diag(+-1) G_n* and
@@ -63,6 +65,7 @@ from .linalg import (
     Subspace,
     _count_above,
     _hermitian_eigvals,
+    _real_diagonal,
     _require_integer,
     hermitize,
     numerical_rank,
@@ -113,8 +116,13 @@ def _kept_margin(T):
     margin = vars(T).get("_contractivity_margin")
     if margin is None:
         margin = _contractivity_margin(T)
-        # Stored the way functools.cached_property stores _shift_pattern.
-        vars(T)["_contractivity_margin"] = margin
+        _keep_margin(T, margin)
+    return margin
+
+
+def _keep_margin(T, margin):
+    # Stored the way functools.cached_property stores _shift_pattern.
+    vars(T)["_contractivity_margin"] = margin
     return margin
 
 
@@ -127,13 +135,28 @@ def _first_defect(T):
     # as numerical_rank takes them: the one place D_1 is built, for the
     # contractivity margin and the first step of the factored ladder.
     with np.errstate(over="ignore", invalid="ignore"):
-        d_1 = np.eye(T.h) - apply_cp_map(T, np.eye(T.h, dtype=T.dtype))
-    if not np.isfinite(d_1).all():
+        x = apply_cp_map(T, np.eye(T.h, dtype=T.dtype))
+    diag = _real_diagonal(x)
+    # I - x is finite exactly when x is.
+    if diag is None and not np.isfinite(x).all():
         raise ArgumentError(
             "I - cp(I) is not finite; the tuple's entries are too large"
         )
-    d_1 = hermitize(d_1)
+    d_1 = _identity_minus(x, diag)
     return d_1, _hermitian_eigvals(d_1)
+
+
+def _identity_minus(x, diag):
+    # hermitize(I - x) for an exactly Hermitian x with
+    # diag = _real_diagonal(x), bit for bit.  A diagonal x gives the
+    # diagonal (a + a) / 2 for a = 1 - diag x, held in x's storage type
+    # (a complex inf / 2 has a NaN imaginary part), and zeros of sign
+    # +0.0, which is what I - x and hermitize leave off the diagonal; no
+    # h x h arithmetic.
+    if diag is None:
+        return hermitize(np.eye(x.shape[0]) - x)
+    a = (1.0 - diag).astype(x.dtype, copy=False)
+    return np.diag((a + a) / 2.0)
 
 
 def _margin_is_contractive(margin, tol):
@@ -272,7 +295,7 @@ def _require_monotone(deltas):
         raise ConsistencyError(f"defect sequence decreased: {tuple(deltas)}")
 
 
-def _ladder(T, tol):
+def _ladder(T, tol, first=None):
     """Yield Delta_1, Delta_2, ... of a contractive tuple until they stabilize.
 
     The one loop that ends the sequence.  It ends after the first n with
@@ -291,13 +314,15 @@ def _ladder(T, tol):
     weighted shift reads the margin kept on the tuple, or computes it
     once; the factored route reads it off the eigenvalues of its own
     D_1, the matrix the margin is taken from, and keeps it on the tuple.
-    Commutation is never tested here.
+    A caller that has built that D_1 with ``_first_defect`` hands it
+    over as ``first``, and the factored route applies the cp map no
+    more.  Commutation is never tested here.
     """
     if T._shift_pattern is not None:
         _require_margin(_kept_margin(T), tol)
         deltas = _iterate_deltas(T, tol)
     else:
-        deltas = _factored_deltas(T, tol)
+        deltas = _factored_deltas(T, tol, first)
     previous = None
     for delta in islice(deltas, T.h + 1):
         yield delta
@@ -308,16 +333,17 @@ def _ladder(T, tol):
 
 def _iterate_deltas(T, tol):
     # The ranks of I - X_n for X_n = cp^n(I), one cp step and one rank
-    # decision each.  A weighted shift keeps X_n diagonal, so a step is
-    # O(nnz) and the rank is read off the sorted diagonal.
-    eye = np.eye(T.h)
+    # decision each.  A weighted shift keeps X_n diagonal, so each of
+    # the cp step, I - X_n and the rank tests its h x h argument with one
+    # scan, _real_diagonal, and works on the diagonal alone: the cp step
+    # is O(nnz) and the rank is read off the sorted diagonal.
     x = np.eye(T.h, dtype=T.dtype)
     while True:
         x = apply_cp_map(T, x)
-        yield numerical_rank(hermitize(eye - x), tol)
+        yield numerical_rank(_identity_minus(x, _real_diagonal(x)), tol)
 
 
-def _factored_deltas(T, tol):
+def _factored_deltas(T, tol, first=None):
     # The ranks of D_n, carried as D_n = G_n J_n G_n* with J_n = diag(+-1)
     # through D_{n+1} = D_1 + cp(D_n) = M J M*, where
     # M = [G_1, T_1 G_n, ..., T_d G_n] and J = diag(J_1, J_n, ..., J_n).
@@ -329,10 +355,10 @@ def _factored_deltas(T, tol):
     # A step's factor is built only when the generator is resumed after
     # the step's value, so the last step builds none.  A step holds
     # either the dense D_n (``d_n``) or D_n = Q (V diag(values) V*) Q*.
+    # ``first`` is _first_defect(T) when the caller has built it.
     floor = T.h * np.finfo(np.float64).eps
-    d_n, values = _first_defect(T)
-    margin = vars(T)["_contractivity_margin"] = float(values[0])
-    _require_margin(margin, tol)
+    d_n, values = _first_defect(T) if first is None else first
+    _require_margin(_keep_margin(T, float(values[0])), tol)
     g_1 = j_1 = None
     while True:
         yield _count_above(np.abs(values), tol)

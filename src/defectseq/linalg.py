@@ -20,9 +20,12 @@ of its eigenvalues, which are its singular values (the route of
 ``np.linalg.matrix_rank(hermitian=True)``); every other input is ranked
 from its singular value decomposition.
 
-The eigenvalues of an exactly Hermitian matrix whose off-diagonal
-entries are all zero are read off its diagonal, sorted, in place of an
-``eigvalsh`` call.  That is the value ``eigvalsh`` returns, bit for bit,
+One test, ``_real_diagonal``, finds the matrices whose off-diagonal
+entries are all zero (either sign) and whose diagonal is real and
+finite, in one scan; ``require_hermitian`` (so ``apply_cp_map``) and
+``numerical_rank`` accept such a matrix on that scan alone.  The
+eigenvalues of an exactly Hermitian matrix that passes it are read off
+its diagonal, sorted, in place of an ``eigvalsh`` call.  That is the value ``eigvalsh`` returns, bit for bit,
 when LAPACK's ``xSYEVD``/``xHEEVD`` does not rescale the matrix: the
 largest |entry| is 0 or lies in [sqrt(safmin/eps), 1/sqrt(safmin/eps)]
 (about 1e-146 to 1e146), and no diagonal entry is -0.0, whose sign and
@@ -140,9 +143,14 @@ def as_operator_matrix(a, name="matrix"):
 def _as_matrix(a, name="matrix"):
     # Like as_operator_matrix, but real input (bool, integer or float)
     # becomes float64 instead of complex128.
+    return _checked_matrix(_coerced(a), name)
+
+
+def _coerced(a):
+    # ``a`` as an array of _as_matrix's type, not yet checked.
     m = np.asarray(a)
     dtype = np.float64 if m.dtype.kind in "biuf" else np.complex128
-    return _checked_matrix(m.astype(dtype, copy=False), name)
+    return m.astype(dtype, copy=False)
 
 
 def _checked_matrix(m, name):
@@ -233,13 +241,24 @@ def require_hermitian(m, name="matrix"):
 
     Returns the input as a float64 matrix when it is real and as a
     complex128 matrix otherwise.  A finite input equal to its adjoint
-    entry for entry is accepted without measuring the deviation.
+    entry for entry is accepted without measuring the deviation, and a
+    diagonal one (see ``_real_diagonal``) after one scan.
     """
-    m = _as_matrix(m, name)
+    return _hermitian(m, name)[0]
+
+
+def _hermitian(a, name):
+    # require_hermitian's matrix and its _real_diagonal, or None when it
+    # is not diagonal.
+    m = _coerced(a)
+    diag = _real_diagonal(m)
+    if diag is not None:
+        return m, diag
+    m = _checked_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise ArgumentError(f"{name} must be square, got shape {m.shape}")
     if np.array_equal(m, m.conj().T):
-        return m
+        return m, None
     scale = 1.0 + float(np.max(np.abs(m)))
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > HERMITIAN_ATOL * scale:
@@ -247,7 +266,27 @@ def require_hermitian(m, name="matrix"):
             f"{name} deviates from Hermitian by {dev:.3e} (allowed "
             f"{HERMITIAN_ATOL * scale:.3e})"
         )
-    return m
+    return m, None
+
+
+def _real_diagonal(m):
+    # The diagonal of a float64 or complex128 array ``m``, as a float64
+    # view, when m is a nonempty square matrix whose off-diagonal
+    # entries are all zero (either sign) and whose diagonal entries are
+    # finite with zero imaginary parts; None otherwise.  Such an m is
+    # finite and exactly Hermitian.  One scan of m: counting the
+    # nonzeros of the bool array m != 0 (NaN counts) is vectorized,
+    # counting those of a float array is not.
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        return None
+    diag = m.diagonal()
+    if np.count_nonzero(m != 0) != np.count_nonzero(diag):
+        return None
+    if m.dtype == np.complex128:
+        if diag.imag.any():
+            return None
+        diag = diag.real
+    return diag if np.isfinite(diag).all() else None
 
 
 def hermitian_eig(m):
@@ -289,8 +328,12 @@ def _hermitian_eigvals(m):
     # for bit to np.linalg.eigvalsh(m): a diagonal matrix inside
     # LAPACK's unscaled range and free of -0.0 on its diagonal gives its
     # sorted diagonal, anything else goes to eigvalsh.
-    diag = m.diagonal().real
-    if np.count_nonzero(m) == np.count_nonzero(diag):
+    return _eigvals_given(m, _real_diagonal(m))
+
+
+def _eigvals_given(m, diag):
+    # _hermitian_eigvals(m) for a caller holding diag = _real_diagonal(m).
+    if diag is not None:
         top = float(np.max(np.abs(diag)))
         if ((top == 0.0 or _EIGVALSH_UNSCALED_MIN <= top
              <= _EIGVALSH_UNSCALED_MAX)
@@ -311,12 +354,13 @@ def numerical_rank(m, tol=None):
     values of its eigenvalues; any other input takes them from an SVD.
     """
     tol = _resolve(tol)
-    m = _as_matrix(m)
-    if m.shape[0] == m.shape[1] and np.array_equal(m, m.conj().T):
-        s = np.abs(_hermitian_eigvals(m))
-    else:
-        s = np.linalg.svd(m, compute_uv=False)
-    return _count_above(s, tol)
+    m = _coerced(m)
+    diag = _real_diagonal(m)
+    if diag is None:
+        m = _checked_matrix(m, "matrix")
+        if m.shape[0] != m.shape[1] or not np.array_equal(m, m.conj().T):
+            return _count_above(np.linalg.svd(m, compute_uv=False), tol)
+    return _count_above(np.abs(_eigvals_given(m, diag)), tol)
 
 
 def _count_above(values, tol):

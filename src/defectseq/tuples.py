@@ -38,7 +38,13 @@ of each product entry is w * x * w, summed over the entries in tuple
 order.  The pattern is found once per tuple, on first use, by testing
 for exact zeros, so an entry of 1e-300 counts as a nonzero.  Complex
 tuples always take the dense route, because the rounding order of
-complex matrix products is not fixed.
+complex matrix products is not fixed.  Whether the argument is diagonal
+is decided by ``linalg._real_diagonal``, one scan of it, which is also
+all the validation ``apply_cp_map`` gives a diagonal argument; a step
+of a weighted shift so reads its h x h argument once and writes its
+h x h result once.  The identity, the argument of cp(I), is not
+multiplied at all on a dense tuple: ``apply_cp_map`` computes
+sum_i T_i T_i*, the same bits as the dense route's products by I.
 
 ``apply_cp_map`` validates its argument and then runs the private step
 ``_cp_step``.  A loop that feeds the step its own output may call
@@ -76,9 +82,10 @@ from .linalg import (
     DEFAULT_TOL,
     _BOUND_SLACK,
     _as_matrix,
+    _hermitian,
+    _real_diagonal,
     _require_integer,
     readonly_copy,
-    require_hermitian,
     Subspace,
 )
 
@@ -264,14 +271,19 @@ def apply_cp_map(T, x):
     rounding.  The result is float64 when ``T`` and ``x`` are both real
     and complex128 otherwise.
 
-    A float64 tuple whose entries are weighted partial permutations maps
-    a float64 diagonal ``x`` to a diagonal without matrix products; the
-    result is the same array, bit for bit.
+    A diagonal ``x`` (off-diagonal entries zero, diagonal real and
+    finite) is validated by one scan, ``linalg._real_diagonal``, in
+    place of the finiteness and adjoint tests.  A float64 tuple whose
+    entries are weighted partial permutations then maps a float64
+    diagonal ``x`` to a diagonal from its diagonal alone, O(nnz) after
+    that scan, and any other tuple maps the identity of its own storage
+    type to sum_i T_i T_i* without the products by I.  Both results are
+    the arrays of the dense route, bit for bit.
 
-    This is the validation of ``x`` followed by the private step
-    ``_cp_step``, the one cp step of the package: two batched matmuls
-    over the stored entries and their adjoints, or the diagonal route
-    above.  Only loops that feed the step its own output call
+    Otherwise this is the validation of ``x`` followed by the private
+    step ``_cp_step``, the one cp step of the package: two batched
+    matmuls over the stored entries and their adjoints, or the diagonal
+    route above.  Only loops that feed the step its own output call
     ``_cp_step`` directly (``cp_iterate`` and the purity loop of
     ``classify``): every output is exactly Hermitian, of the argument's
     shape and storage type, so re-validating it could only fail on
@@ -279,44 +291,80 @@ def apply_cp_map(T, x):
     D_1 = I - cp(I) calls this function once; for a dense tuple the
     contractivity margin and the first step of the defect ladder read
     that one D_1, so the ladder calls it once in all.  The ladder of a
-    weighted shift calls it once more per step, where the O(h**2)
-    validation is small against the step.
+    weighted shift calls it once more per step, and each such call
+    scans its h x h argument once and writes one h x h result.
     """
-    x = require_hermitian(x, "cp-map argument")
+    x, diag = _hermitian(x, "cp-map argument")
     if x.shape[0] != T.h:
         raise ArgumentError(
             f"cp-map argument has dimension {x.shape[0]}, tuple acts on {T.h}"
         )
-    return _cp_step(T, x)
+    if diag is not None:
+        if T._shift_pattern is not None and x.dtype == np.float64:
+            y = _diagonal_step(T, diag)
+            if y is not None:
+                return y
+        elif x.dtype == T.dtype and (diag == 1.0).all():
+            return _gram_step(T)
+    return _dense_step(T, x)
 
 
 def _cp_step(T, x, out=None):
     # apply_cp_map without the checks: ``x`` is a float64 or complex128
     # Hermitian matrix of dimension T.h.  The result is written into
     # ``out``, an h x h array of the result's type that does not overlap
-    # ``x``, allocated when None, and ``out`` is returned.
-    pattern = T._shift_pattern
-    if pattern is not None and x.dtype == np.float64:
-        diag = x.diagonal()
-        if np.count_nonzero(x) == np.count_nonzero(diag):
-            rows, cols, weights = pattern
-            # bincount adds the terms into each row from 0.0 in index
-            # order, which is tuple order, as the dense accumulator does.
-            v = np.bincount(rows, (weights * diag[cols]) * weights, T.h)
-            # A non-finite term leaves NaN off the diagonal of the dense
-            # products, so that case goes the dense way.
-            if np.isfinite(v).all():
-                # The diagonal of hermitize(diag(v)), overflow included.
-                if out is None:
-                    return np.diag((v + v) / 2.0)
-                out[...] = 0.0
-                np.fill_diagonal(out, (v + v) / 2.0)
-                return out
+    # ``x``, allocated when None, and ``out`` is returned.  Only a tuple
+    # with the shift pattern tests ``x``; the dense route tests nothing.
+    if T._shift_pattern is not None and x.dtype == np.float64:
+        diag = _real_diagonal(x)
+        if diag is not None:
+            y = _diagonal_step(T, diag, out)
+            if y is not None:
+                return y
+    return _dense_step(T, x, out)
+
+
+def _diagonal_step(T, diag, out=None):
+    # The cp step of a tuple with the shift pattern at diag(``diag``),
+    # as _cp_step writes it, or None when a term is not finite.
+    rows, cols, weights = T._shift_pattern
+    # bincount adds the terms into each row from 0.0 in index order,
+    # which is tuple order, as the dense accumulator does.
+    v = np.bincount(rows, (weights * diag[cols]) * weights, T.h)
+    # A non-finite term leaves NaN off the diagonal of the dense
+    # products, so that case goes the dense way.
+    if not np.isfinite(v).all():
+        return None
+    # The diagonal of hermitize(diag(v)), overflow included.
+    if out is None:
+        return np.diag((v + v) / 2.0)
+    out[...] = 0.0
+    np.fill_diagonal(out, (v + v) / 2.0)
+    return out
+
+
+def _gram_step(T):
+    # _dense_step(T, I) as sum_i T_i T_i*.  The product T_i I is T_i up
+    # to the sign of its zeros, and the second product is the same gemm
+    # call on it, so the terms differ at most in the sign of zero sums,
+    # which the +0.0 start of the sum clears.  numpy computes a float64
+    # A @ A.T of one buffer with syrk, not gemm, so the real stack is
+    # multiplied as a copy; a complex stack's adjoints are a separate
+    # conjugate buffer already.
+    stack = T._stack.copy() if T.dtype == np.float64 else T._stack
+    return _summed(np.matmul(stack, T._adjoint_stack))
+
+
+def _dense_step(T, x, out=None):
     # Batched matmul makes the same gemm call for each slice as
-    # op @ x @ op.conj().T does.  The terms are summed from +0.0 in
-    # tuple order: 0.0 + t and t + 0.0 are the same bits, so the first
-    # term takes the zero in place.
-    terms = np.matmul(np.matmul(T._stack, x), T._adjoint_stack)
+    # op @ x @ op.conj().T does.
+    return _summed(np.matmul(np.matmul(T._stack, x), T._adjoint_stack), out)
+
+
+def _summed(terms, out=None):
+    # hermitize of the sum of the (d, h, h) ``terms``, into ``out``.
+    # The terms are summed from +0.0 in tuple order: 0.0 + t and t + 0.0
+    # are the same bits, so the first term takes the zero in place.
     acc = terms[0]
     acc += 0.0
     for term in terms[1:]:

@@ -372,6 +372,53 @@ class TestSingleContractivityCheck:
         assert not rep.contractive
         assert rep.contractivity_margin == contractivity_margin(T) < 0
 
+    @pytest.mark.parametrize("build", [
+        lambda: random_contractive(3, 24, 2, 0),
+        lambda: conjugated(fock_creation(2, 2), 3, real=True),
+        lambda: conjugated(OperatorTuple((1.5 * np.eye(3),)), 4),
+    ], ids=["random", "real-conjugate", "noncontractive"])
+    def test_dense_classify_builds_the_first_defect_once(self, build,
+                                                         monkeypatch):
+        # A tuple without the shift pattern applies the cp map once: the
+        # margin and the ladder's first step share D_1.  The margin is a
+        # fresh one bit for bit, kept on the tuple, and the report is the
+        # one of a tuple whose margin was computed before classify.
+        defect_module = importlib.import_module("defectseq.defect")
+        T, twin = build(), build()
+        assert T._shift_pattern is None
+        contractivity_margin(twin)
+        want = classify(twin)
+        original = defect_module.apply_cp_map
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(defect_module, "apply_cp_map", counting)
+        rep = classify(T)
+        assert calls == [T]
+        margin = contractivity_margin(OperatorTuple(T.ops))
+        for value in (rep.contractivity_margin, vars(T)["_contractivity_margin"],
+                      want.contractivity_margin):
+            assert np.float64(value).tobytes() == np.float64(margin).tobytes()
+        assert _report_data(rep) == _report_data(want)
+
+    def test_dense_overflow_is_refused_before_the_ladder(self):
+        T = conjugated(OperatorTuple((1e200 * np.eye(3),)), 5)
+        assert T._shift_pattern is None
+        with pytest.raises(ArgumentError, match="I - cp\\(I\\) is not finite"):
+            classify(T)
+        assert "_contractivity_margin" not in vars(T)
+
+
+def _report_data(rep):
+    return (rep.contractive, rep.commuting, rep.delta_1,
+            None if rep.purity is None else (rep.purity.status,
+                                              rep.purity.iterations),
+            _verdict_data(rep.maximal_noncomm), _verdict_data(rep.maximal_comm),
+            rep.commutant_dim, rep.irreducible)
+
 
 def real_row_contraction(d, h, defect_rank, seed):
     """A real row contraction with first defect dimension ``defect_rank``."""

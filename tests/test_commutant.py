@@ -14,6 +14,7 @@ eigenvalue clusters.  Both are checked against the same oracle.
 """
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from defectseq.classify import (
     commutant_dimension,
 )
 from defectseq.config import size_cap
+from defectseq.errors import ArgumentError
 from defectseq.linalg import (
     _CLUSTER_GAP,
     DEFAULT_TOL,
@@ -624,3 +626,35 @@ class TestEigenbasisTolerance:
     def test_dense_draws_at_any_rtol(self, T, exponent):
         tol = RankTolerance(rtol=10.0 ** exponent, atol=0.0)
         assert commutant_dimension(T, tol) == stacked_commutant_dimension(T, tol)
+
+
+class TestOverflow:
+    """An overflowing commutant system is refused, not counted."""
+
+    @staticmethod
+    def scaled(T, factor):
+        return OperatorTuple(tuple(factor * op for op in T.ops))
+
+    @pytest.mark.parametrize("factor", [1e308, 1.5e308])
+    def test_eigenbasis_route(self, factor):
+        T = self.scaled(random_contractive(2, 4, 1, 0), factor)
+        assert _one_component(T)
+        with pytest.raises(ArgumentError, match="commutant system is not finite"):
+            commutant_dimension(T)
+
+    def test_structural_route(self):
+        T = self.scaled(fock_creation(2, 2), 1.5e308)
+        assert not _one_component(T)
+        with pytest.raises(ArgumentError, match="commutant system is not finite"):
+            commutant_dimension(T)
+
+    @pytest.mark.parametrize("T", [random_contractive(2, 4, 1, 0),
+                                   fock_creation(2, 2)],
+                             ids=["eigenbasis", "structural"])
+    def test_large_finite_systems_keep_their_count(self, T):
+        # At 1e300 the eigenbasis route's norm bound overflows, so the
+        # full system counts the tuple, quietly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert commutant_dimension(self.scaled(T, 1e300)) == 1
+

@@ -202,9 +202,9 @@ class TestRoutes:
         for name in ("_iterate_deltas", "_factored_deltas"):
             original = getattr(defect_module, name)
 
-            def counted(T, tol, name=name, original=original):
+            def counted(T, tol, *first, name=name, original=original):
                 routes.append(name)
-                return original(T, tol)
+                return original(T, tol, *first)
 
             monkeypatch.setattr(defect_module, name, counted)
         shift = fock_creation(2, 3)

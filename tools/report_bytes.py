@@ -14,12 +14,19 @@ script), then writes into OUT_DIR:
   every one of those tuples;
 * ``classify-<label>.json``: ``classify --report`` on the ``classify``
   workload's tuples;
-* ``inputs/dense-<label>.json`` and ``classify-dense-<label>.json``:
-  ``classify --report`` on tuples without zero entries, h <= 24, whose
-  commutant is counted in the eigenbasis of a generic Hermitian element:
-  unitary and orthogonal conjugates of direct sums with equal and with
-  distinct summands, of three weighted shifts and of a spherical sum,
-  and random draws, real and complex (see ``dense_builders``);
+* ``inputs/dense-<label>.json``, ``classify-dense-<label>.json`` and
+  ``defect-dense-<label>.json``: ``classify --report`` and ``defect
+  --n-max 200 --report`` on tuples without zero entries, h <= 24, whose
+  commutant is counted in the eigenbasis of a generic Hermitian element
+  and whose cp map at the identity is sum_i T_i T_i*: unitary and
+  orthogonal conjugates of direct sums with equal and with distinct
+  summands, of three weighted shifts and of a spherical sum, and random
+  draws, real and complex (see ``dense_builders``);
+* ``inputs/near-cutoff-<label>.json``, ``classify-near-cutoff-<label>.json``
+  and ``defect-near-cutoff-<label>.json``: both calls, with ``--rtol R
+  --atol 0``, on the 1-tuples diag(0, g, s) with a gap g one part in
+  10**6 above or below the cutoff R * s, real and complex (see
+  ``near_cutoff_builders``);
 * ``verify-<S>.json``: ``verify --suite all --samples 40 --seed S
   --report`` for S = 0..3;
 * ``<name>.out`` next to each report: the call's stdout and exit code;
@@ -123,6 +130,27 @@ def dense_builders(models, OperatorTuple, direct_sum):
     return builders
 
 
+def near_cutoff_builders(OperatorTuple):
+    """Label -> (rtol, builder()) of the diagonal near-cutoff fixtures.
+
+    The tuples (phase * diag(0, g, s),) with g = s * rtol * (1 +- 1e-6):
+    the commutant gap sits next to the cutoff taken over the union of
+    its components; the real ones take the diagonal cp step.
+    """
+    import numpy as np
+
+    builders = {}
+    for kind, phase in (("real", 1.0), ("complex", np.exp(0.7j))):
+        for rtol in (1e-9, 1e-6):
+            for scale in (1e-3, 1.0, 1e3):
+                for side, where in ((-1, "below"), (1, "above")):
+                    values = (0.0, scale * rtol * (1.0 + side * 1e-6), scale)
+                    builders[f"{kind}-r{rtol:g}-s{scale:g}-{where}"] = (
+                        rtol, lambda phase=phase, values=values:
+                        OperatorTuple((phase * np.diag(values),)))
+    return builders
+
+
 def write_outputs(tree, out_dir, seed):
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads
@@ -147,6 +175,16 @@ def write_outputs(tree, out_dir, seed):
         path = f"inputs/dense-{label}.json"
         io.write_tuple(build(), path)
         _call(cli.main, f"classify-dense-{label}", ["classify", path])
+        _call(cli.main, f"defect-dense-{label}",
+              ["defect", path, "--n-max", N_MAX])
+    for label, (rtol, build) in near_cutoff_builders(OperatorTuple).items():
+        path = f"inputs/near-cutoff-{label}.json"
+        io.write_tuple(build(), path)
+        tolerance = ["--rtol", repr(rtol), "--atol", "0"]
+        _call(cli.main, f"classify-near-cutoff-{label}",
+              ["classify", path] + tolerance)
+        _call(cli.main, f"defect-near-cutoff-{label}",
+              ["defect", path, "--n-max", N_MAX] + tolerance)
     for s in VERIFY_SEEDS:
         _call(cli.main, f"verify-{s}",
               ["verify", "--suite", "all", "--samples", "40",
