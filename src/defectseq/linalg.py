@@ -25,11 +25,12 @@ entries are all zero (either sign) and whose diagonal is real and
 finite, in one scan; ``require_hermitian`` (so ``apply_cp_map``) and
 ``numerical_rank`` accept such a matrix on that scan alone.  The
 eigenvalues of an exactly Hermitian matrix that passes it are read off
-its diagonal, sorted, in place of an ``eigvalsh`` call.  That is the value ``eigvalsh`` returns, bit for bit,
-when LAPACK's ``xSYEVD``/``xHEEVD`` does not rescale the matrix: the
-largest |entry| is 0 or lies in [sqrt(safmin/eps), 1/sqrt(safmin/eps)]
-(about 1e-146 to 1e146), and no diagonal entry is -0.0, whose sign and
-place among the zeros LAPACK does not keep.  Any other matrix goes to
+its diagonal, sorted, in place of an ``eigvalsh`` call.  That is the
+value ``eigvalsh`` returns, bit for bit, when LAPACK's
+``xSYEVD``/``xHEEVD`` does not rescale the matrix: the largest |entry|
+is 0 or lies in [sqrt(safmin/eps), 1/sqrt(safmin/eps)] (about 1e-146
+to 1e146), and no diagonal entry is -0.0, whose sign and place among
+the zeros LAPACK does not keep.  Any other matrix goes to
 ``eigvalsh``.  ``numerical_rank``, ``hermitian_norm`` and the
 contractivity margin all take their eigenvalues this way.
 

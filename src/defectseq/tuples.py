@@ -280,10 +280,10 @@ def apply_cp_map(T, x):
     type to sum_i T_i T_i* without the products by I.  Both results are
     the arrays of the dense route, bit for bit.
 
-    Otherwise this is the validation of ``x`` followed by the private
-    step ``_cp_step``, the one cp step of the package: two batched
-    matmuls over the stored entries and their adjoints, or the diagonal
-    route above.  Only loops that feed the step its own output call
+    Otherwise this is the validation of ``x`` followed by the dense
+    route of the private step ``_cp_step``, the one cp step of the
+    package: two batched matmuls over the stored entries and their
+    adjoints.  Only loops that feed the step its own output call
     ``_cp_step`` directly (``cp_iterate`` and the purity loop of
     ``classify``): every output is exactly Hermitian, of the argument's
     shape and storage type, so re-validating it could only fail on
