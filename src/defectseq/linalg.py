@@ -95,6 +95,12 @@ _BOUND_SLACK = 1e-8
 # tuples fall back to the full system.
 _CLUSTER_GAP = 1e-3
 
+# numpy counts the nonzeros of a bool array with vector instructions and
+# those of a float array one entry at a time.  Above about this many
+# entries (h near 45) building the bool array m != 0 and counting it is
+# the faster scan; below it the bool array's allocation costs more.
+_COUNT_VIA_BOOL = 2048
+
 
 @dataclass(frozen=True)
 class RankTolerance:
@@ -275,13 +281,13 @@ def _real_diagonal(m):
     # view, when m is a nonempty square matrix whose off-diagonal
     # entries are all zero (either sign) and whose diagonal entries are
     # finite with zero imaginary parts; None otherwise.  Such an m is
-    # finite and exactly Hermitian.  One scan of m: counting the
-    # nonzeros of the bool array m != 0 (NaN counts) is vectorized,
-    # counting those of a float array is not.
+    # finite and exactly Hermitian.  One scan of m, which counts its
+    # nonzeros (NaN counts).
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         return None
     diag = m.diagonal()
-    if np.count_nonzero(m != 0) != np.count_nonzero(diag):
+    big = m.size > _COUNT_VIA_BOOL
+    if np.count_nonzero(m != 0 if big else m) != np.count_nonzero(diag):
         return None
     if m.dtype == np.complex128:
         if diag.imag.any():

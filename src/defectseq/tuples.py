@@ -305,7 +305,7 @@ def apply_cp_map(T, x):
             if y is not None:
                 return y
         elif x.dtype == T.dtype and (diag == 1.0).all():
-            return _gram_step(T)
+            return _dense_step(T, None)
     return _dense_step(T, x)
 
 
@@ -343,26 +343,22 @@ def _diagonal_step(T, diag, out=None):
     return out
 
 
-def _gram_step(T):
-    # _dense_step(T, I) as sum_i T_i T_i*.  The product T_i I is T_i up
-    # to the sign of its zeros, and the second product is the same gemm
-    # call on it, so the terms differ at most in the sign of zero sums,
-    # which the +0.0 start of the sum clears.  numpy computes a float64
-    # A @ A.T of one buffer with syrk, not gemm, so the real stack is
-    # multiplied as a copy; a complex stack's adjoints are a separate
-    # conjugate buffer already.
-    stack = T._stack.copy() if T.dtype == np.float64 else T._stack
-    return _summed(np.matmul(stack, T._adjoint_stack))
-
-
 def _dense_step(T, x, out=None):
-    # Batched matmul makes the same gemm call for each slice as
-    # op @ x @ op.conj().T does.
-    return _summed(np.matmul(np.matmul(T._stack, x), T._adjoint_stack), out)
-
-
-def _summed(terms, out=None):
-    # hermitize of the sum of the (d, h, h) ``terms``, into ``out``.
+    # The dense route: hermitize(sum_i T_i x T_i*), written into
+    # ``out``.  Batched matmul makes the same gemm call for each slice
+    # as op @ x @ op.conj().T does.  ``x`` None stands for the identity
+    # of T's storage type, and the terms are then T_i T_i*: the product
+    # T_i I is T_i up to the sign of its zeros, and the second product
+    # is the same gemm call on it, so the terms differ at most in the
+    # sign of zero sums, which the +0.0 start of the sum clears.  numpy
+    # computes a float64 A @ A.T of one buffer with syrk, not gemm, so a
+    # real stack is multiplied as a copy; a complex stack's adjoints are
+    # a separate conjugate buffer already.
+    if x is None:
+        stack = T._stack.copy() if T.dtype == np.float64 else T._stack
+        terms = np.matmul(stack, T._adjoint_stack)
+    else:
+        terms = np.matmul(np.matmul(T._stack, x), T._adjoint_stack)
     # The terms are summed from +0.0 in tuple order: 0.0 + t and t + 0.0
     # are the same bits, so the first term takes the zero in place.
     acc = terms[0]

@@ -230,18 +230,28 @@ class TestIdentityStep:
             assert same_bits(apply_cp_map(T, eye),
                              tuples_module._cp_step(T, eye))
 
-    def test_identity_skips_the_product_by_i(self, monkeypatch):
-        T = dense_tuple(8, False)
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_identity_skips_the_product_by_i(self, complex_entries,
+                                             monkeypatch):
+        # The dense step gets None for the identity of the tuple's own
+        # storage type, and any other argument as it is.
+        T = dense_tuple(8, complex_entries)
         assert T._shift_pattern is None
+        eye = np.eye(8, dtype=T.dtype)
+        other = np.eye(8, dtype=np.complex128 if T.dtype == np.float64
+                       else np.float64)
+        dense_step = tuples_module._dense_step
+        arguments = []
 
-        def refuse(*args):
-            raise AssertionError("dense step taken")
+        def recording(T, x, out=None):
+            arguments.append(x)
+            return dense_step(T, x, out)
 
-        want = tuples_module._cp_step(T, np.eye(8))
-        monkeypatch.setattr(tuples_module, "_dense_step", refuse)
-        assert same_bits(apply_cp_map(T, np.eye(8)), want)
-        with pytest.raises(AssertionError, match="dense step taken"):
-            apply_cp_map(T, 0.5 * np.eye(8))
+        monkeypatch.setattr(tuples_module, "_dense_step", recording)
+        for x in (eye, other, 0.5 * eye):
+            apply_cp_map(T, x)
+        assert arguments[0] is None
+        assert [x is None for x in arguments[1:]] == [False, False]
 
 
 @st.composite
