@@ -46,8 +46,10 @@ h x h result once.  The identity, the argument of cp(I), is not
 multiplied at all on a dense tuple: ``apply_cp_map`` computes
 sum_i T_i T_i*, the same bits as the dense route's products by I.
 
-``apply_cp_map`` validates its argument and then runs the private step
-``_cp_step``.  A loop that feeds the step its own output may call
+``apply_cp_map`` validates its argument and then runs a route of the
+private step ``_cp_step``: the diagonal route on the diagonal its test
+found, without testing again, or the dense one.  A loop that feeds the
+step its own output may call
 ``_cp_step`` directly, because each output is exactly Hermitian with
 the argument's shape and storage type; such a loop keeps the one check
 an output can still fail, finiteness.  ``cp_iterate`` and the purity
