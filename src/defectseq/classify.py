@@ -93,9 +93,8 @@ import numpy as np
 
 from .config import size_cap
 from .defect import (
-    _first_defect,
-    _keep_margin,
     _ladder,
+    _margin_and_ladder,
     _margin_is_contractive,
     _require_monotone,
     commuting_bound,
@@ -895,12 +894,7 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
         raise ArgumentError(
             f"eps_conv must be below 1 to certify convergence, got {eps_conv}")
     tol = DEFAULT_TOL if tol is None else tol
-    # A tuple without the shift pattern builds D_1 once, for the margin
-    # and the ladder's first step; a weighted shift's ladder reads only
-    # the kept margin.
-    first = None if T._shift_pattern is not None else _first_defect(T)
-    margin = (contractivity_margin(T) if first is None
-              else _keep_margin(T, float(first[1][0])))
+    margin, ladder = _margin_and_ladder(T, tol)
     contractive = _margin_is_contractive(margin, tol)
     commuting = is_commuting(T, tol)
     if not contractive:
@@ -921,7 +915,7 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
     # purity budget should not be spent before that.
     commutant_dim = commutant_dimension(T, tol)
     irreducible = commutant_dim == 1
-    deltas = tuple(_ladder(T, tol, first))
+    deltas = tuple(ladder)
     _require_monotone(deltas)
     verdict = _purity(T, max_iter, eps_pure, eps_conv)
     delta_1 = deltas[0]

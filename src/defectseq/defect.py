@@ -24,7 +24,8 @@ has two routes, chosen by the tuple's weighted-shift pattern:
 * a weighted shift iterates X_n = cp^n(I), which stays diagonal, and
   ranks I - X_n: one cp step and one rank decision per value, each a
   scan of its h x h argument that finds it diagonal and O(h) work on
-  the diagonal (an O(nnz) step, a sort);
+  the diagonal (an O(nnz) step, a sort), and one more scan of X_n to
+  build I - X_n from its diagonal;
 * any other tuple carries D_n itself.  The word-span description of the
   defect spaces is the identity D_{n+1} = D_1 + cp(D_n), so D_n, of rank
   Delta_n, is held as a thin signed factor G_n diag(+-1) G_n* and
@@ -323,6 +324,8 @@ def _ladder(T, tol, first=None):
         deltas = _iterate_deltas(T, tol)
     else:
         deltas = _factored_deltas(T, tol, first)
+    # Only the step that reads D_1 holds it, so it goes after that step.
+    first = None
     previous = None
     for delta in islice(deltas, T.h + 1):
         yield delta
@@ -331,12 +334,26 @@ def _ladder(T, tol, first=None):
         previous = delta
 
 
+def _margin_and_ladder(T, tol):
+    # The contractivity margin of T, kept on it, and _ladder(T, tol), not
+    # yet started, for a caller that reads both.  A tuple without the
+    # shift pattern builds D_1 once, for the margin and the ladder's first
+    # step, and only the ladder holds it; a weighted shift's ladder reads
+    # the kept margin alone.
+    if T._shift_pattern is not None:
+        return contractivity_margin(T), _ladder(T, tol)
+    first = _first_defect(T)
+    return _keep_margin(T, float(first[1][0])), _ladder(T, tol, first)
+
+
 def _iterate_deltas(T, tol):
     # The ranks of I - X_n for X_n = cp^n(I), one cp step and one rank
     # decision each.  A weighted shift keeps X_n diagonal, so each of
     # the cp step, I - X_n and the rank tests its h x h argument with one
     # scan, _real_diagonal, and works on the diagonal alone: the cp step
-    # is O(nnz) and the rank is read off the sorted diagonal.
+    # is O(nnz) and the rank is read off the sorted diagonal.  X_n is
+    # scanned twice, here and as the next cp step's argument, because
+    # apply_cp_map validates what it is given.
     x = np.eye(T.h, dtype=T.dtype)
     while True:
         x = apply_cp_map(T, x)
@@ -358,6 +375,7 @@ def _factored_deltas(T, tol, first=None):
     # ``first`` is _first_defect(T) when the caller has built it.
     floor = T.h * np.finfo(np.float64).eps
     d_n, values = _first_defect(T) if first is None else first
+    first = None
     _require_margin(_keep_margin(T, float(values[0])), tol)
     g_1 = j_1 = None
     while True:

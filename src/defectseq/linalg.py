@@ -95,12 +95,6 @@ _BOUND_SLACK = 1e-8
 # tuples fall back to the full system.
 _CLUSTER_GAP = 1e-3
 
-# numpy counts the nonzeros of a bool array with vector instructions and
-# those of a float array one entry at a time.  Above about this many
-# entries (h near 45) building the bool array m != 0 and counting it is
-# the faster scan; below it the bool array's allocation costs more.
-_COUNT_VIA_BOOL = 2048
-
 
 @dataclass(frozen=True)
 class RankTolerance:
@@ -257,15 +251,11 @@ def require_hermitian(m, name="matrix"):
 def _hermitian(a, name):
     # require_hermitian's matrix and its _real_diagonal, or None when it
     # is not diagonal.
-    m = _coerced(a)
-    diag = _real_diagonal(m)
-    if diag is not None:
+    m, diag, exact = _exactly_hermitian(a, name)
+    if exact:
         return m, diag
-    m = _checked_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise ArgumentError(f"{name} must be square, got shape {m.shape}")
-    if np.array_equal(m, m.conj().T):
-        return m, None
     scale = 1.0 + float(np.max(np.abs(m)))
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > HERMITIAN_ATOL * scale:
@@ -276,18 +266,32 @@ def _hermitian(a, name):
     return m, None
 
 
+def _exactly_hermitian(a, name):
+    # (m, diag, exact): ``a`` as _as_matrix makes it, its _real_diagonal
+    # or None, and whether m equals its adjoint entry for entry.  A
+    # diagonal m is accepted on the one scan that finds it; any other m
+    # gets _as_matrix's checks and is compared with its adjoint.
+    m = _coerced(a)
+    diag = _real_diagonal(m)
+    if diag is not None:
+        return m, diag, True
+    m = _checked_matrix(m, name)
+    return m, None, (m.shape[0] == m.shape[1]
+                     and np.array_equal(m, m.conj().T))
+
+
 def _real_diagonal(m):
     # The diagonal of a float64 or complex128 array ``m``, as a float64
     # view, when m is a nonempty square matrix whose off-diagonal
     # entries are all zero (either sign) and whose diagonal entries are
     # finite with zero imaginary parts; None otherwise.  Such an m is
-    # finite and exactly Hermitian.  One scan of m, which counts its
-    # nonzeros (NaN counts).
+    # finite and exactly Hermitian.  One scan of m, which counts the
+    # nonzeros of the bool array m != 0 (NaN counts): numpy counts a bool
+    # array with vector instructions and a float one entry at a time.
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         return None
     diag = m.diagonal()
-    big = m.size > _COUNT_VIA_BOOL
-    if np.count_nonzero(m != 0 if big else m) != np.count_nonzero(diag):
+    if np.count_nonzero(m != 0) != np.count_nonzero(diag):
         return None
     if m.dtype == np.complex128:
         if diag.imag.any():
@@ -361,12 +365,9 @@ def numerical_rank(m, tol=None):
     values of its eigenvalues; any other input takes them from an SVD.
     """
     tol = _resolve(tol)
-    m = _coerced(m)
-    diag = _real_diagonal(m)
-    if diag is None:
-        m = _checked_matrix(m, "matrix")
-        if m.shape[0] != m.shape[1] or not np.array_equal(m, m.conj().T):
-            return _count_above(np.linalg.svd(m, compute_uv=False), tol)
+    m, diag, exact = _exactly_hermitian(m, "matrix")
+    if not exact:
+        return _count_above(np.linalg.svd(m, compute_uv=False), tol)
     return _count_above(np.abs(_eigvals_given(m, diag)), tol)
 
 

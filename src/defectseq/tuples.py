@@ -294,7 +294,8 @@ def apply_cp_map(T, x):
     contractivity margin and the first step of the defect ladder read
     that one D_1, so the ladder calls it once in all.  The ladder of a
     weighted shift calls it once more per step, and each such call
-    scans its h x h argument once and writes one h x h result.
+    scans its h x h argument once and writes one h x h result; the
+    ladder has scanned that argument once before, to build I - X_n.
     """
     x, diag = _hermitian(x, "cp-map argument")
     if x.shape[0] != T.h:

@@ -3,6 +3,7 @@
 import importlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -359,8 +360,7 @@ class TestSingleContractivityCheck:
             calls.append(T)
             return original(T)
 
-        for module in (classify_module, defect_module):
-            monkeypatch.setattr(module, "contractivity_margin", counting)
+        monkeypatch.setattr(defect_module, "contractivity_margin", counting)
         T = spherical_shift_sum(2, 2, (0.6, 0.8), 1)
         rep = classify(T)
         assert len(calls) == 1
@@ -403,6 +403,31 @@ class TestSingleContractivityCheck:
                       want.contractivity_margin):
             assert np.float64(value).tobytes() == np.float64(margin).tobytes()
         assert _report_data(rep) == _report_data(want)
+
+    def test_dense_classify_lets_the_first_defect_go_after_its_step(
+            self, monkeypatch):
+        # classify builds D_1 before the commutant count; the ladder's
+        # first step is its only reader, so D_1 and its eigenvalues are
+        # gone by the time the second step's factor is built.
+        defect_module = importlib.import_module("defectseq.defect")
+        first_defect = defect_module._first_defect
+        defect_columns = defect_module._defect_columns
+        refs, alive = [], []
+
+        def kept(T):
+            d_1, values = first_defect(T)
+            refs.extend((weakref.ref(d_1), weakref.ref(values)))
+            return d_1, values
+
+        def columns(*args):
+            alive.append([ref() is not None for ref in refs])
+            return defect_columns(*args)
+
+        monkeypatch.setattr(defect_module, "_first_defect", kept)
+        monkeypatch.setattr(defect_module, "_defect_columns", columns)
+        rep = classify(random_contractive(3, 24, 2, 0))
+        assert rep.delta_1 < 24 and len(refs) == 2
+        assert alive and alive[0] == [False, False]
 
     def test_dense_overflow_is_refused_before_the_ladder(self):
         T = conjugated(OperatorTuple((1e200 * np.eye(3),)), 5)
