@@ -12,11 +12,12 @@ loop that computes Delta_n: a verdict compares those values with
 ``geometric_bound`` or ``commuting_bound`` up to its horizon, and an
 index past the ladder's stabilization point repeats the last value.
 ``classify`` runs the ladder once and reads Delta_1 and both maximality
-verdicts from that single run.  On a tuple without the weighted-shift
-pattern it builds D_1 = I - cp(I) once (``defect._first_defect``),
-keeps the margin read off it on the tuple, as ``contractivity_margin``
-does, and hands it to the ladder as its first step, so the cp map is
-applied once in all.  The ladder checks contractivity itself,
+verdicts from that single run.  It takes the contractivity margin and
+the ladder from ``defect._margin_and_ladder``: on a tuple without the
+weighted-shift pattern that builds D_1 = I - cp(I) once, keeps the
+margin read off it on the tuple, as ``contractivity_margin`` does, and
+hands D_1 to the ladder as its first step, so the cp map is applied
+once in all.  The ladder checks contractivity itself,
 so the maximality verdicts make no check of their own.  A tuple accepted
 only within the contractivity slack can have a falling ladder; ``classify``
 refuses it with ``defect._require_monotone``, the check ``DefectReport``
@@ -98,7 +99,6 @@ from .defect import (
     _margin_is_contractive,
     _require_monotone,
     commuting_bound,
-    contractivity_margin,
     geometric_bound,
     is_contractive,
     require_contractive,
