@@ -80,7 +80,13 @@ preallocated array, tests the bounds for the whole block in a few
 vectorized calls, and takes the exact norms in step order at the steps
 the bounds flag.  The first verdict wins and the block's later iterates
 are dropped, so a verdict at step k costs at most k / 8 wasted steps,
-and blocks end at the budget, so Undecided wastes none.
+and blocks end at the budget, so Undecided wastes none.  The cp step is
+bound once per run (``tuples._cp_stepper``) and serves the single steps
+and every block: on a tuple without the weighted-shift pattern its
+product stacks are allocated once and a step tests no type or shape,
+and its operations and their order are those of a fresh step, so every
+iterate, and the residual norm an Undecided verdict reports after
+10 000 steps, keeps its bits.  A weighted shift keeps the diagonal step.
 """
 
 from __future__ import annotations
@@ -114,7 +120,7 @@ from .linalg import (
     hermitian_norm,
     readonly_copy,
 )
-from .tuples import _cp_step, is_commuting
+from .tuples import _cp_stepper, is_commuting
 
 __all__ = [
     "ClassificationReport",
@@ -251,12 +257,14 @@ def _purity(T, max_iter, eps_pure, eps_conv):
     # time: a block costs more than it saves on a short run.  Later steps
     # go into slots 1..m of one preallocated array whose slot 0 holds the
     # previous iterate, and the exact tests run in step order at the
-    # slots the block's bounds flag.
+    # slots the block's bounds flag.  The step, and the block's slot
+    # views, are bound once per run.
     x = np.eye(T.h, dtype=T.dtype)
+    step = _cp_stepper(T)
     below = 1.0 - _BOUND_SLACK
     above = 1.0 + _BOUND_SLACK
     for k in range(1, min(max_iter, _SCALAR_STEPS) + 1):
-        nxt = _cp_step(T, x)
+        nxt = step(x)
         frobenius = float(np.linalg.norm(nxt))
         if not math.isfinite(frobenius):
             raise ArgumentError("cp-map argument contains non-finite entries")
@@ -273,12 +281,13 @@ def _purity(T, max_iter, eps_pure, eps_conv):
     most = max(1, min(_MAX_BLOCK, _BLOCK_ENTRIES // (h * h), max_iter - k))
     block = np.empty((most + 1, h, h), dtype=x.dtype)
     block[0] = x
+    slots = tuple(block)
     # The block that ends at max_iter returns.
     while True:
         m = max(1, min(_MAX_BLOCK, k // 8, _BLOCK_ENTRIES // (h * h),
                        max_iter - k))
         for j in range(m):
-            _cp_step(T, block[j], block[j + 1])
+            step(slots[j], slots[j + 1])
         with np.errstate(over="ignore", invalid="ignore"):
             frobenius = np.linalg.norm(block[1:m + 1].reshape(m, -1), axis=1)
             diags = block[:m + 1].diagonal(axis1=1, axis2=2)

@@ -21,6 +21,7 @@ Reports echo the tolerances and seeds they were produced with.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -506,8 +507,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # The parser of ``main``, built once per process; parsing keeps no
+    # state in it, so each call reads its arguments as a fresh one would.
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ContractivityError, ConsistencyError) as exc:

@@ -35,33 +35,44 @@ to diagonal matrices.  The cp step then computes a diagonal argument's
 image from the nonzeros alone, O(nnz) in place of d dense matrix
 products, with the rounding of the dense route: the one nonzero term
 of each product entry is w * x * w, summed over the entries in tuple
-order.  The pattern is found once per tuple, on first use, by testing
-for exact zeros, so an entry of 1e-300 counts as a nonzero.  Complex
-tuples always take the dense route, because the rounding order of
-complex matrix products is not fixed.  Whether the argument is diagonal
-is decided by ``linalg._real_diagonal``, one scan of it, which is also
-all the validation ``apply_cp_map`` gives a diagonal argument; a step
-of a weighted shift so reads its h x h argument once and writes its
-h x h result once.  The identity, the argument of cp(I), is not
-multiplied at all on a dense tuple: ``apply_cp_map`` computes
-sum_i T_i T_i*, the same bits as the dense route's products by I.
+order.  The pattern is found once per tuple, on first use, from the
+bool array of exact nonzeros, so an entry of 1e-300 or NaN counts as a
+nonzero and -0.0 does not.  Complex tuples always take the dense
+route, because the rounding order of complex matrix products is not
+fixed.  Whether the argument is diagonal is decided by
+``linalg._real_diagonal``, one scan of it, which is also all the
+validation ``apply_cp_map`` gives a diagonal argument; a step of a
+weighted shift so reads its h x h argument once and writes its h x h
+result once.  The identity, the argument of cp(I), is not multiplied
+at all on a dense tuple: ``apply_cp_map`` computes sum_i T_i T_i*, the
+same bits as the dense route's products by I.
 
 ``apply_cp_map`` validates its argument and then runs a route of the
 private step ``_cp_step``: the diagonal route on the diagonal its test
 found, without testing again, or the dense one.  A loop that feeds the
-step its own output may call
-``_cp_step`` directly, because each output is exactly Hermitian with
-the argument's shape and storage type; such a loop keeps the one check
-an output can still fail, finiteness.  ``cp_iterate`` and the purity
-loop of ``classify`` do so; the purity loop also passes ``out``, a slot
-of its block of iterates.  The contractivity margin and the defect
-ladder (``defect._ladder``) keep the public name.  Both take
-D_1 = I - cp(I) from ``defect._first_defect``, one application of the
-map to the identity.  The ladder of a tuple without the weighted-shift
-pattern starts from that D_1 and keeps the margin it reads off it, so
-it applies the map once in all; its later steps multiply a thin factor
-of D_n by the entries themselves, not by the cp map.  The ladder of a
-weighted shift makes one call per step.
+step its own output may skip the validation, because each output is
+exactly Hermitian with the argument's shape and storage type; such a
+loop keeps the one check an output can still fail, finiteness.
+``cp_iterate`` and the purity loop of ``classify`` do so, and bind the
+step once per run with ``_cp_stepper``; the purity loop also passes
+``out``, a slot of its block of iterates.  There is one dense step,
+``_dense_stepper``.  Bound once, it allocates both product stacks and
+the views of the terms, and each call makes only the two matmuls into
+them, the in-place sum and the re-symmetrization, with no type or
+shape test.  Those are the operations, in their order, of a fresh
+``_dense_step`` call, which binds it for that call alone, so a loop's
+iterates have the bits of fresh calls, signed zeros and NaN signs
+included.  A tuple with the shift pattern keeps ``_cp_step`` in the
+loop, whose diagonal route tests each argument.
+
+The contractivity margin and the defect ladder (``defect._ladder``)
+keep the public name.  Both take D_1 = I - cp(I) from
+``defect._first_defect``, one application of the map to the identity.
+The ladder of a tuple without the weighted-shift pattern starts from
+that D_1 and keeps the margin it reads off it, so it applies the map
+once in all; its later steps multiply a thin factor of D_n by the
+entries themselves, not by the cp map.  The ladder of a weighted shift
+makes one call per step.
 
 ``is_commuting`` builds the commutators of a tuple with the shift
 pattern from its nonzeros: each entry of T_i T_j has at most one nonzero
@@ -178,18 +189,7 @@ class OperatorTuple:
         # Computed on first use.
         if self.dtype != np.float64:
             return None
-        rows, cols, weights = [], [], []
-        for op in self.ops:
-            if np.count_nonzero(op) > self.h:
-                return None
-            r, c = np.nonzero(op)
-            # np.nonzero lists rows in ascending order.
-            if (np.diff(r) == 0).any() or (np.diff(np.sort(c)) == 0).any():
-                return None
-            rows.append(r)
-            cols.append(c)
-            weights.append(op[r, c])
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
+        return _partial_permutation(self._stack)
 
     @functools.cached_property
     def _adjoint_stack(self):
@@ -216,6 +216,26 @@ class OperatorTuple:
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"OperatorTuple(d={self.d}, h={self.h}{tag})"
+
+
+def _partial_permutation(stack):
+    # The (rows, cols, weights) of ``_shift_pattern`` for a float64
+    # (d, h, h) stack, in the order of its nonzeros: entry, then row.
+    # A nonzero is an entry other than +-0.0, so NaN and 1e-300 count.
+    # They are counted and located on the bool array stack != 0, which
+    # numpy scans in bulk; on the float entries it tests them one by one.
+    d, h, _ = stack.shape
+    nonzero = stack != 0
+    if np.count_nonzero(nonzero) > d * h:
+        return None
+    flat = np.flatnonzero(nonzero)
+    # entry * h + row, ascending, and the column of each nonzero.
+    line, cols = np.divmod(flat, h)
+    if (np.diff(line) == 0).any():
+        return None
+    if (np.diff(np.sort(line - line % h + cols)) == 0).any():
+        return None
+    return line % h, cols, stack.reshape(-1)[flat]
 
 
 def _imag_is_plus_zero(m):
@@ -285,11 +305,12 @@ def apply_cp_map(T, x):
     Otherwise this is the validation of ``x`` followed by the dense
     route of the private step ``_cp_step``, the one cp step of the
     package: two batched matmuls over the stored entries and their
-    adjoints.  Only loops that feed the step its own output call
-    ``_cp_step`` directly (``cp_iterate`` and the purity loop of
-    ``classify``): every output is exactly Hermitian, of the argument's
-    shape and storage type, so re-validating it could only fail on
-    non-finite entries, and those loops check finiteness themselves.
+    adjoints.  Only loops that feed the step its own output skip this
+    function, and bind the step once with ``_cp_stepper``
+    (``cp_iterate`` and the purity loop of ``classify``): every output
+    is exactly Hermitian, of the argument's shape and storage type, so
+    re-validating it could only fail on non-finite entries, and those
+    loops check finiteness themselves.
     D_1 = I - cp(I) calls this function once; for a dense tuple the
     contractivity margin and the first step of the defect ladder read
     that one D_1, so the ladder calls it once in all.  The ladder of a
@@ -347,36 +368,84 @@ def _diagonal_step(T, diag, out=None):
 
 
 def _dense_step(T, x, out=None):
-    # The dense route: hermitize(sum_i T_i x T_i*), written into
-    # ``out``.  Batched matmul makes the same gemm call for each slice
-    # as op @ x @ op.conj().T does.  ``x`` None stands for the identity
-    # of T's storage type, and the terms are then T_i T_i*: the product
+    # The dense route of one call: hermitize(sum_i T_i x T_i*), written
+    # into ``out``, by the step of ``_dense_stepper`` bound for this
+    # argument.  ``x`` None stands for the identity of T's storage type.
+    return _dense_stepper(T, T.dtype if x is None else x.dtype)(x, out)
+
+
+def _dense_stepper(T, dtype):
+    # The dense route bound once for arguments of ``dtype``: returns
+    # step(x, out=None), which writes hermitize(sum_i T_i x T_i*) into
+    # ``out``, an h x h array of the result's type that does not overlap
+    # ``x``, allocated when None, and returns ``out``.  Both (d, h, h)
+    # product stacks and the views of the terms are allocated here, so a
+    # step makes two matmuls, d additions and the hermitization, and
+    # tests no type or shape.  Batched matmul makes the same gemm call
+    # for each slice as op @ x @ op.conj().T does, into these buffers as
+    # into fresh ones.
+    #
+    # ``x`` None stands for the identity of T's storage type (``dtype``
+    # must be T.dtype), and the terms are then T_i T_i*: the product
     # T_i I is T_i up to the sign of its zeros, and the second product
     # is the same gemm call on it, so the terms differ at most in the
     # sign of zero sums, which the +0.0 start of the sum clears.  numpy
     # computes a float64 A @ A.T of one buffer with syrk, not gemm, so a
     # real stack is multiplied as a copy; a complex stack's adjoints are
     # a separate conjugate buffer already.
-    if x is None:
-        stack = T._stack.copy() if T.dtype == np.float64 else T._stack
-        terms = np.matmul(stack, T._adjoint_stack)
+    d, h = T.d, T.h
+    dtype = np.result_type(T.dtype, dtype)
+    stack, adjoint = T._stack, T._adjoint_stack
+    left = np.empty((d, h, h), dtype)
+    terms = np.empty_like(left)
+    acc, rest = terms[0], tuple(terms[1:])
+    acc_t = acc.T
+    matmul, add, divide = np.matmul, np.add, np.divide
+    # The first factor of the terms at the identity.
+    eye_left = left if T.dtype == np.float64 else stack
+    # hermitize(acc), in its operand order, so a NaN keeps its sign bit;
+    # conj is a copy on float64, so acc is added to acc.T directly.
+    if dtype == np.float64:
+        def hermitize(out):
+            add(acc, acc_t, out)
     else:
-        terms = np.matmul(np.matmul(T._stack, x), T._adjoint_stack)
-    # The terms are summed from +0.0 in tuple order: 0.0 + t and t + 0.0
-    # are the same bits, so the first term takes the zero in place.
-    acc = terms[0]
-    acc += 0.0
-    for term in terms[1:]:
-        acc += term
-    # Allocated only now, so it is not held next to the two stacks of
-    # products.
-    if out is None:
-        out = np.empty_like(acc)
-    # hermitize(acc), in its operand order, so a NaN keeps its sign bit.
-    np.conjugate(acc.T, out=out)
-    np.add(acc, out, out=out)
-    out /= 2.0
-    return out
+        def hermitize(out):
+            np.conjugate(acc_t, out)
+            add(acc, out, out)
+
+    def step(x, out=None):
+        if x is None:
+            if eye_left is left:
+                np.copyto(left, stack)
+            matmul(eye_left, adjoint, terms)
+        else:
+            matmul(stack, x, left)
+            matmul(left, adjoint, terms)
+        # The terms are summed from +0.0 in tuple order: 0.0 + t and
+        # t + 0.0 are the same bits, so the first term takes the zero in
+        # place.
+        add(acc, 0.0, acc)
+        for term in rest:
+            add(acc, term, acc)
+        if out is None:
+            out = np.empty((h, h), dtype)
+        hermitize(out)
+        divide(out, 2.0, out)
+        return out
+
+    return step
+
+
+def _cp_stepper(T):
+    # ``_cp_step`` bound once for a loop that feeds the step its own
+    # output, starting from an argument of T's storage type:
+    # step(x, out=None) gives the bits of _cp_step(T, x, out).  A tuple
+    # with the shift pattern keeps _cp_step, whose diagonal route tests
+    # each argument; any other takes the dense step of
+    # ``_dense_stepper``, with its buffers allocated once.
+    if T._shift_pattern is not None:
+        return functools.partial(_cp_step, T)
+    return _dense_stepper(T, T.dtype)
 
 
 def cp_iterate(T, n):
@@ -393,10 +462,11 @@ def cp_iterate(T, n):
     if n < 0:
         raise ArgumentError("iteration count must be nonnegative")
     x = np.eye(T.h, dtype=T.dtype)
+    step = _cp_stepper(T)
     for k in range(n):
         if k and not np.isfinite(x).all():
             raise ArgumentError("cp-map argument contains non-finite entries")
-        x = _cp_step(T, x)
+        x = step(x)
     return x
 
 

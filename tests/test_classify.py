@@ -517,17 +517,18 @@ class TestPhaseOracle:
 
 
 def reference_purity(T, max_iter=DEFAULT_MAX_ITER, eps_pure=DEFAULT_EPS_PURE,
-                     eps_conv=DEFAULT_EPS_CONV):
+                     eps_conv=DEFAULT_EPS_CONV, cp=apply_cp_map):
     """The purity iteration with both exact spectral norms on every step.
 
     ``purity`` takes them only when its cheap bounds cannot rule a test
     out; the verdict, the iteration count, the residual norm and the
-    limit must come out the same bit for bit.
+    limit must come out the same bit for bit.  ``cp(T, x)`` gives each
+    iterate, a fresh call per step.
     """
     x = np.eye(T.h, dtype=T.dtype)
     norm = 1.0
     for k in range(1, max_iter + 1):
-        nxt = apply_cp_map(T, x)
+        nxt = cp(T, x)
         norm = hermitian_norm(nxt)
         if norm <= eps_pure:
             return PurityVerdict(Purity.PURE, k, norm)
@@ -673,8 +674,9 @@ class TestBoundsFirstPurity:
         assert str(looped.value) == str(public.value)
 
     def test_damped_tuple_takes_the_exact_norm_at_most_twice(self, monkeypatch):
-        # The loop steps through the private kernel; the public name is
-        # called once, by the contractivity margin in ``defect``.
+        # The loop steps through the private kernel, bound once; the
+        # public name is called once, by the contractivity margin in
+        # ``defect``.
         classify_module = importlib.import_module("defectseq.classify")
         defect_module = importlib.import_module("defectseq.defect")
         tuples_module = importlib.import_module("defectseq.tuples")
@@ -686,10 +688,12 @@ class TestBoundsFirstPurity:
                 return fn(*args)
             return wrapper
 
+        def cp_step(*args):
+            counts["cp"] += 1
+
         monkeypatch.setattr(classify_module, "hermitian_norm",
                             counted("norm", hermitian_norm))
-        monkeypatch.setattr(classify_module, "_cp_step",
-                            counted("cp", tuples_module._cp_step))
+        bindings = wrap_purity_steps(monkeypatch, cp_step)
         # classify imports no apply_cp_map; a binding added there would
         # be counted too.
         for module in (classify_module, tuples_module):
@@ -702,6 +706,7 @@ class TestBoundsFirstPurity:
         assert v.status is Purity.UNDECIDED
         assert v.iterations == DEFAULT_MAX_ITER
         assert counts["cp"] == DEFAULT_MAX_ITER
+        assert len(bindings) == 1
         assert 1 <= counts["norm"] <= 2
         assert counts["public"] == 0
         assert counts["margin"] == 1
@@ -735,17 +740,38 @@ def block_slots(h, max_iter):
     return slots
 
 
-def counting_cp_steps(monkeypatch):
-    """Count the purity loop's cp steps; returns the running count."""
+def wrap_purity_steps(monkeypatch, record):
+    """Call ``record(x[, out])`` before every step of the purity loop.
+
+    The loop binds its step once per run through ``_cp_stepper``; the
+    step takes the arguments of ``_cp_step`` after the tuple.  Returns
+    the list of tuples the step was bound for.
+    """
     classify_module = importlib.import_module("defectseq.classify")
     tuples_module = importlib.import_module("defectseq.tuples")
+    bindings = []
+
+    def stepper(T):
+        bindings.append(T)
+        step = tuples_module._cp_stepper(T)
+
+        def counted(*args):
+            record(*args)
+            return step(*args)
+        return counted
+
+    monkeypatch.setattr(classify_module, "_cp_stepper", stepper)
+    return bindings
+
+
+def counting_cp_steps(monkeypatch):
+    """Count the purity loop's cp steps; returns the running count.
+
+    Each step is recorded as the number of arguments of the equivalent
+    ``_cp_step(T, x[, out])`` call: 3 for a step into a block slot.
+    """
     calls = []
-
-    def counted(*args):
-        calls.append(len(args))
-        return tuples_module._cp_step(*args)
-
-    monkeypatch.setattr(classify_module, "_cp_step", counted)
+    wrap_purity_steps(monkeypatch, lambda *args: calls.append(1 + len(args)))
     return calls
 
 
@@ -822,6 +848,26 @@ class TestBlockedPurity:
         # Blocked steps write into the block through the ``out`` argument.
         assert calls.count(3) == last - 16
         assert got.limit is None or not got.limit.flags.writeable
+
+    @pytest.mark.parametrize("budget", [1, 16, 17, 200, DEFAULT_MAX_ITER])
+    @pytest.mark.parametrize("name", ["damped-2-8", "damped-real",
+                                      "random-3-24", "spherical-sum"])
+    def test_bound_step_matches_fresh_kernel_calls(self, name, budget):
+        # The loop binds its step once; the oracle calls the kernel
+        # afresh on every step.  Verdict, count and residual bits agree.
+        tuples_module = importlib.import_module("defectseq.tuples")
+        if name == "damped-real":
+            T = scaled(real_row_contraction(2, 8, 0, 3), 0.999)
+        else:
+            T = WORKLOAD_TUPLES[name]
+        got = purity(T, budget)
+        want = reference_purity(T, budget, cp=tuples_module._cp_step)
+        assert_same_verdict(got, want)
+        assert (np.float64(got.residual_norm).tobytes()
+                == np.float64(want.residual_norm).tobytes())
+        if name.startswith("damped"):
+            assert got.status is Purity.UNDECIDED
+            assert got.iterations == budget
 
     @pytest.mark.parametrize("name", sorted(WORKLOAD_TUPLES))
     def test_iterations_are_python_integers(self, name):
@@ -1014,9 +1060,7 @@ class TestCommutantSizeCap:
 
     def test_classify_counts_the_commutant_before_the_purity_loop(
             self, monkeypatch):
-        classify_module = importlib.import_module("defectseq.classify")
         defect_module = importlib.import_module("defectseq.defect")
-        tuples_module = importlib.import_module("defectseq.tuples")
         calls = []
 
         def counting(fn):
@@ -1025,12 +1069,12 @@ class TestCommutantSizeCap:
                 return fn(T, x)
             return wrapper
 
-        # The purity loop steps through the private kernel, the margin
-        # through the public name.
+        # The purity loop steps through the private kernel, bound once,
+        # the margin through the public name.
         monkeypatch.setattr(defect_module, "apply_cp_map",
                             counting(apply_cp_map))
-        monkeypatch.setattr(classify_module, "_cp_step",
-                            counting(tuples_module._cp_step))
+        bindings = wrap_purity_steps(monkeypatch,
+                                     lambda x, *out: calls.append(x))
         # The damped tuple of the benchmark spends the whole purity budget.
         T = scaled(random_contractive(2, 8, 0, 3), 0.999)
         monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "63")
@@ -1038,6 +1082,7 @@ class TestCommutantSizeCap:
             classify(T)
         # The one call is the contractivity margin's cp(I).
         assert len(calls) == 1
+        assert bindings == []
 
     def test_noncontractive_input_past_the_cap_still_reports(self, monkeypatch):
         monkeypatch.setenv("DEFECTSEQ_SIZE_CAP", "63")

@@ -2,6 +2,7 @@
 
 import base64
 import gc
+import importlib
 import json
 
 import hypothesis.extra.numpy as hnp
@@ -494,6 +495,58 @@ class TestCliModel:
                      "-o", str(out)])
         assert code == 0
         assert read_tuple(out).h > 0
+
+
+class TestParserBuiltOnce:
+    """``main`` parses with one parser per process.
+
+    Each call must read its arguments as a freshly built parser would:
+    an appended ``--suite`` list, help and version output and usage
+    errors all come out the same after any earlier call.
+    """
+
+    SEQUENCE = (
+        ["verify", "--suite", "all", "--samples", "2"],
+        ["verify", "--suite", "lemma21", "--samples", "2"],
+        ["verify", "--suite", "lemma21", "--suite", "cor23", "--samples", "2"],
+        ["--help"],
+        ["--version"],
+        ["verify", "--help"],
+        ["classify", "--max-iter", "x"],
+        ["verify", "--suite", "nosuch"],
+        ["verify", "--suite", "lemma21", "--samples", "2", "--seed", "3"],
+    )
+
+    @staticmethod
+    def run_all(capsys):
+        outputs = []
+        for argv in TestParserBuiltOnce.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        return outputs
+
+    def test_consecutive_calls_match_fresh_parsers(self, monkeypatch, capsys):
+        cli = importlib.import_module("defectseq.cli")
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        cached = self.run_all(capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parser", cli.build_parser)
+            fresh = self.run_all(capsys)
+        assert cached == fresh
+        codes = [code for code, _, _ in cached]
+        assert codes == [0, 0, 0, 0, 0, 0, 2, 2, 0]
+        # The second call runs lemma21 alone, not the list of the first.
+        assert cached[1][1].splitlines()[0].startswith("lemma21")
+        assert "models" not in cached[1][1]
+        assert [line.split()[0] for line in cached[2][1].splitlines()[:2]] == [
+            "lemma21", "cor23"]
+        assert cached[3][1].startswith("usage: defectseq")
+        assert cached[4][1].startswith("defectseq ")
 
 
 class TestCliDefect:

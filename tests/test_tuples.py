@@ -490,6 +490,95 @@ class TestShiftPattern:
         assert same_bits(apply_cp_map(Z, np.eye(3)), reference_cp(Z, np.eye(3)))
 
 
+def reference_shift_pattern(stack):
+    """The per-entry definition of the shift pattern of a float64 stack.
+
+    The exact nonzeros of each entry as ``np.count_nonzero`` and
+    ``np.nonzero`` read them: -0.0 is zero, NaN and 1e-300 are not.
+    """
+    h = stack.shape[1]
+    rows, cols, weights = [], [], []
+    for op in stack:
+        if np.count_nonzero(op) > h:
+            return None
+        r, c = np.nonzero(op)
+        if (np.diff(r) == 0).any() or (np.diff(np.sort(c)) == 0).any():
+            return None
+        rows.append(r)
+        cols.append(c)
+        weights.append(op[r, c])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
+
+
+def assert_same_pattern(got, want):
+    if want is None:
+        assert got is None
+        return
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def pattern_stacks(draw):
+    """Float64 (d, h, h) stacks of mostly zeros, either sign, with a few
+    entries from 1.0, -2.5, 1e-300 and NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d, h = draw(st.integers(1, 3)), draw(st.integers(1, 9))
+    stack = np.where(rng.random((d, h, h)) < 0.5, 0.0, -0.0)
+    if draw(st.booleans()):
+        # A weighted partial permutation in every entry.
+        for op in stack:
+            keep = rng.random(h) < 0.8
+            op[rng.permutation(h)[keep], rng.permutation(h)[keep]] = 1.0
+    fill = draw(st.sampled_from((0.0, 0.05, 0.2, 1.0)))
+    extra = rng.random((d, h, h)) < fill
+    stack[extra] = rng.choice([1.0, -2.5, 1e-300, np.nan], extra.sum())
+    return stack
+
+
+class TestPartialPermutation:
+    """The shift pattern is read off ``stack != 0`` as the per-entry
+    definition reads it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pattern_stacks())
+    def test_matches_the_per_entry_definition(self, stack):
+        assert_same_pattern(tuples_module._partial_permutation(stack),
+                            reference_shift_pattern(stack))
+
+    @pytest.mark.parametrize("T", FLAGSHIPS, ids=repr)
+    def test_flagships(self, T):
+        assert_same_pattern(T._shift_pattern, reference_shift_pattern(T._stack))
+
+    @pytest.mark.parametrize("values, shift", [
+        ([[-0.0]], True), ([[0.0]], True), ([[np.nan]], True),
+        ([[1e-300]], True),
+        ([[1.0, -0.0], [-0.0, np.nan]], True),
+        ([[1.0, np.nan], [0.0, 0.0]], False),
+        ([[1.0, 0.0], [1e-300, 0.0]], False),
+        ([[1.0, -0.0], [-0.0, 1.0]], True),
+        ([[0.5, 0.5], [0.5, 0.5]], False),
+    ])
+    def test_signed_zeros_nan_and_tiny_entries(self, values, shift):
+        stack = np.array([values])
+        got = tuples_module._partial_permutation(stack)
+        assert (got is not None) == shift
+        assert_same_pattern(got, reference_shift_pattern(stack))
+
+    def test_dense_tuple_and_a_second_entry_row(self):
+        dense = random_contractive(2, 5, 1, 0)
+        real = np.ascontiguousarray(np.array(dense.ops).real)
+        assert tuples_module._partial_permutation(real) is None
+        stack = np.array(fock_creation(2, 3).ops)
+        # Row 0 of entry 2 is empty, its column 0 maps the vacuum: a
+        # second nonzero in a column only.
+        assert not stack[1][0].any() and stack[1][:, 0].any()
+        stack[1][0, 0] = 0.25
+        assert reference_shift_pattern(stack) is None
+        assert tuples_module._partial_permutation(stack) is None
+
+
 @st.composite
 def shift_tuples(draw):
     if draw(st.booleans()):
@@ -849,6 +938,108 @@ class TestStackedCpStep:
                 _cp_step(T, block[0], block[1])
                 assert block[1].tobytes() == x.tobytes()
                 block[0] = block[1]
+
+
+def bound_step_case(kind, d, h):
+    """A dense tuple and three Hermitian arguments for the bound step.
+
+    ``kind`` names the storage types and whether the entries and the
+    arguments carry exact +0.0 and -0.0 entries.
+    """
+    rng = np.random.default_rng(1000 * d + h)
+    T = random_tuple(rng, d, h, scale=0.5 / np.sqrt(d * h))
+    ops = np.array(T.ops)
+    if not kind.startswith("complex"):
+        ops = ops.real.copy()
+    if kind.endswith("signed-zeros"):
+        ops[rng.random(ops.shape) < 0.3] = 0.0
+        ops[rng.random(ops.shape) < 0.2] = -0.0
+    T = OperatorTuple(tuple(ops))
+    args = []
+    for _ in range(3):
+        g = rng.standard_normal((h, h))
+        if kind != "real" and kind != "real-signed-zeros":
+            g = g + 1j * rng.standard_normal((h, h))
+        x = hermitize(g @ g.conj().T)
+        if kind.endswith("signed-zeros"):
+            zeros = rng.random((h, h)) < 0.3
+            x = np.where(zeros | zeros.T, -0.0, x)
+        args.append(x)
+    return T, args
+
+
+class TestBoundDenseStep:
+    """``_dense_stepper`` binds the dense step once: same bits every call."""
+
+    @pytest.mark.parametrize("h", [1, 2, 8, 24])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", [
+        "real", "complex", "real-complex-argument", "real-signed-zeros",
+        "complex-signed-zeros"])
+    def test_every_call_matches_the_kernel_and_the_oracle(self, kind, d, h):
+        T, args = bound_step_case(kind, d, h)
+        step = tuples_module._dense_stepper(T, args[0].dtype)
+        # Each argument twice, so every call after the first reads
+        # buffers an earlier call wrote.
+        for x in args + args:
+            want = reference_cp(T, x)
+            kernel = _cp_step(T, x)
+            assert same_bits(kernel, want)
+            assert kernel.tobytes() == want.tobytes()
+            got = step(x)
+            assert same_bits(got, want)
+            assert got.tobytes() == want.tobytes()
+            out = np.full(want.shape, np.nan, dtype=want.dtype)
+            assert step(x, out) is out
+            assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("T, x", [case[1:] for case in KERNEL_CASES],
+                             ids=[case[0] for case in KERNEL_CASES])
+    def test_kernel_cases_keep_their_bits(self, T, x):
+        # Overflow cases included: inf and NaN with their signs.
+        step = tuples_module._dense_stepper(T, x.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_cp(T, x)
+            for _ in range(2):
+                assert same_bits(step(x), want)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "real-signed-zeros",
+                                      "complex-signed-zeros"])
+    def test_identity_between_steps(self, kind):
+        # The identity route reuses the buffers of the argument route.
+        T, args = bound_step_case(kind, 3, 8)
+        step = tuples_module._dense_stepper(T, T.dtype)
+        eye = np.eye(T.h, dtype=T.dtype)
+        want_eye = apply_cp_map(T, eye)
+        assert same_bits(want_eye, reference_cp(T, eye))
+        for x in args:
+            assert x.dtype == T.dtype
+            assert same_bits(step(None), want_eye)
+            assert same_bits(step(x), reference_cp(T, x))
+        assert same_bits(step(None), want_eye)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_contractive(3, 7, 2, 21),
+        lambda: OperatorTuple(tuple(op.real for op in
+                                    random_contractive(2, 9, 1, 22).ops)),
+        lambda: fock_creation(2, 3),
+    ], ids=["complex", "real", "shift"])
+    def test_loop_step_matches_the_kernel_on_every_iterate(self, make):
+        # ``_cp_stepper`` is what loops bind: the dense step, or the
+        # kernel itself for a tuple with the shift pattern.
+        T = make()
+        step = tuples_module._cp_stepper(T)
+        x = np.eye(T.h, dtype=T.dtype)
+        block = np.empty((2, T.h, T.h), dtype=T.dtype)
+        last, slot = block
+        last[...] = x
+        for _ in range(T.h + 3):
+            want = _cp_step(T, x)
+            assert step(x).tobytes() == want.tobytes()
+            assert step(last, slot) is slot
+            assert slot.tobytes() == want.tobytes()
+            x = want
+            last[...] = slot
 
 
 def dense_commutators(T):

@@ -2,7 +2,7 @@
 
 Usage:
 
-    python3 tools/report_bytes.py [--tree DIR] [--seed N] OUT_DIR
+    python3 tools/report_bytes.py [--tree DIR] [--seed N] [--reverse] OUT_DIR
 
 Imports ``defectseq`` from DIR/src and the benchmark's tuple builders
 from DIR/perfbench/workloads.py (DIR defaults to the tree holding this
@@ -27,6 +27,12 @@ script), then writes into OUT_DIR:
   --atol 0``, on the 1-tuples diag(0, g, s) with a gap g one part in
   10**6 above or below the cutoff R * s, real and complex (see
   ``near_cutoff_builders``);
+* ``inputs/purity-<label>.json`` and ``classify-purity-<label>-<budget>.json``:
+  ``classify --report`` at the default iteration budget and at
+  ``--max-iter`` 17 and 200, on 0.999 times real and complex row
+  coisometries, d = 1..3, h in {1, 3, 8, 24}, whose purity loop runs to
+  its budget, and on a NotPure spherical sum with k = 2 and a unitary
+  conjugate of it (see ``purity_builders``);
 * ``verify-<S>.json``: ``verify --suite all --samples 40 --seed S
   --report`` for S = 0..3;
 * ``<name>.out`` next to each report: the call's stdout and exit code;
@@ -42,8 +48,16 @@ two runs file by file:
     diff -r out-base out-head
 
 No file differs when the change keeps every report, tuple file and
-demo output.  The BLAS thread count is pinned to 1 before numpy loads,
-as in the benchmark.
+demo output.  Every tuple file is written before the first CLI call;
+``--reverse`` then makes the calls in reverse order, so a second run of
+one tree with it shows any output that depends on state an earlier
+in-process call left behind:
+
+    python3 tools/report_bytes.py --reverse out-head-reversed
+    diff -r out-head out-head-reversed
+
+The BLAS thread count is pinned to 1 before numpy loads, as in the
+benchmark.
 """
 
 import argparse
@@ -60,6 +74,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 VERIFY_SEEDS = range(4)
 N_MAX = "200"
+PURITY_BUDGETS = ("default", "17", "200")
 
 
 def _call(main, name, argv):
@@ -130,6 +145,49 @@ def dense_builders(models, OperatorTuple, direct_sum):
     return builders
 
 
+def purity_builders(models, OperatorTuple):
+    """Label -> builder() of the purity fixtures.
+
+    Damped row coisometries: 0.999 times a row operator with orthonormal
+    rows, so cp^n(I) = 0.998001^n I stays above the purity threshold for
+    the default budget; real ones from a seeded QR, complex ones from
+    ``random_contractive`` with no defect.  The spherical sum with k = 2
+    settles at a rank-2 projection (NotPure), as does its unitary
+    conjugate, which has no zero entries.
+    """
+    import numpy as np
+
+    def damped(T):
+        return OperatorTuple(tuple(0.999 * op for op in T.ops))
+
+    def real_coisometry(d, h, seed):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+            (d * h, h)))
+        row = q.T
+        return OperatorTuple(tuple(row[:, i * h:(i + 1) * h]
+                                   for i in range(d)))
+
+    def spherical():
+        return models.spherical_shift_sum(2, 4, (0.6, 0.8), 2)
+
+    def spherical_conjugate():
+        T = spherical()
+        u = models.haar_unitary(T.h, np.random.default_rng(40))
+        return OperatorTuple(tuple(u.conj().T @ op @ u for op in T.ops))
+
+    builders = {}
+    for d in (1, 2, 3):
+        for h in (1, 3, 8, 24):
+            builders[f"damped-{d}-{h}-real"] = (
+                lambda d=d, h=h: damped(real_coisometry(d, h, (50, d, h))))
+            builders[f"damped-{d}-{h}-complex"] = (
+                lambda d=d, h=h: damped(models.random_contractive(
+                    d, h, 0, (50, d, h))))
+    builders["spherical-sum-k2"] = spherical
+    builders["spherical-sum-k2-conjugate"] = spherical_conjugate
+    return builders
+
+
 def near_cutoff_builders(OperatorTuple):
     """Label -> (rtol, builder()) of the diagonal near-cutoff fixtures.
 
@@ -151,44 +209,56 @@ def near_cutoff_builders(OperatorTuple):
     return builders
 
 
-def write_outputs(tree, out_dir, seed):
+def write_outputs(tree, out_dir, seed, reverse=False):
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads
     from defectseq import cli, io, models
-    from defectseq.tuples import OperatorTuple
+    from defectseq.tuples import OperatorTuple, direct_sum
 
     pkg = types.SimpleNamespace(models=models, OperatorTuple=OperatorTuple)
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
     Path("inputs").mkdir(exist_ok=True)
+    # Every tuple file is written first, then the CLI calls run in one
+    # process, in order or reversed.
+    calls = []
     for workload in ("ladder", "classify"):
         for label, build in workloads.tuple_builders(workload, seed).items():
             path = f"inputs/{workload}-{label}.json"
             io.write_tuple(build(pkg), path)
-            _call(cli.main, f"defect-{workload}-{label}",
-                  ["defect", path, "--n-max", N_MAX])
+            calls.append((f"defect-{workload}-{label}",
+                          ["defect", path, "--n-max", N_MAX]))
             if workload == "classify":
-                _call(cli.main, f"classify-{label}", ["classify", path])
-    from defectseq.tuples import direct_sum
+                calls.append((f"classify-{label}", ["classify", path]))
     for label, build in dense_builders(models, OperatorTuple,
                                        direct_sum).items():
         path = f"inputs/dense-{label}.json"
         io.write_tuple(build(), path)
-        _call(cli.main, f"classify-dense-{label}", ["classify", path])
-        _call(cli.main, f"defect-dense-{label}",
-              ["defect", path, "--n-max", N_MAX])
+        calls.append((f"classify-dense-{label}", ["classify", path]))
+        calls.append((f"defect-dense-{label}",
+                      ["defect", path, "--n-max", N_MAX]))
     for label, (rtol, build) in near_cutoff_builders(OperatorTuple).items():
         path = f"inputs/near-cutoff-{label}.json"
         io.write_tuple(build(), path)
         tolerance = ["--rtol", repr(rtol), "--atol", "0"]
-        _call(cli.main, f"classify-near-cutoff-{label}",
-              ["classify", path] + tolerance)
-        _call(cli.main, f"defect-near-cutoff-{label}",
-              ["defect", path, "--n-max", N_MAX] + tolerance)
+        calls.append((f"classify-near-cutoff-{label}",
+                      ["classify", path] + tolerance))
+        calls.append((f"defect-near-cutoff-{label}",
+                      ["defect", path, "--n-max", N_MAX] + tolerance))
+    for label, build in purity_builders(models, OperatorTuple).items():
+        path = f"inputs/purity-{label}.json"
+        io.write_tuple(build(), path)
+        for budget in PURITY_BUDGETS:
+            argv = ["classify", path]
+            if budget != "default":
+                argv += ["--max-iter", budget]
+            calls.append((f"classify-purity-{label}-{budget}", argv))
     for s in VERIFY_SEEDS:
-        _call(cli.main, f"verify-{s}",
-              ["verify", "--suite", "all", "--samples", "40",
-               "--seed", str(s)])
+        calls.append((f"verify-{s}",
+                      ["verify", "--suite", "all", "--samples", "40",
+                       "--seed", str(s)]))
+    for name, argv in reversed(calls) if reverse else calls:
+        _call(cli.main, name, argv)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for script in sorted((tree / "demos").glob("*.py")):
         done = subprocess.run([sys.executable, str(script)], env=env,
@@ -204,9 +274,12 @@ def main(argv=None):
                         help="source tree to run (default: this one)")
     parser.add_argument("--seed", type=int, default=0,
                         help="workload seed of the random tuples")
+    parser.add_argument("--reverse", action="store_true",
+                        help="make the CLI calls in reverse order")
     parser.add_argument("out_dir", type=Path)
     args = parser.parse_args(argv)
-    write_outputs(args.tree.resolve(), args.out_dir.resolve(), args.seed)
+    write_outputs(args.tree.resolve(), args.out_dir.resolve(), args.seed,
+                  args.reverse)
     return 0
 
 
