@@ -29,7 +29,10 @@ has two routes, chosen by the tuple's weighted-shift pattern:
 * any other tuple carries D_n itself.  The word-span description of the
   defect spaces is the identity D_{n+1} = D_1 + cp(D_n), so D_n, of rank
   Delta_n, is held as a thin signed factor G_n diag(+-1) G_n* and
-  updated from the d products T_i G_n (low-rank Smith iteration).
+  updated from the d products T_i G_n (low-rank Smith iteration).  The
+  factor of a dense D_n, D_1 among them, comes from a randomized range
+  sketch of its r eigenvalues above the rounding floor when r + 10 < h,
+  O(h^2 r), and from an h x h eigh otherwise.
 
 Both count the eigenvalues of D_n above the one cutoff of
 ``numerical_rank``.  The ladder checks contractivity itself, so its
@@ -98,6 +101,12 @@ __all__ = [
 # of I - cp(I) is no lower than -CONTRACTIVITY_SLACK * rtol.  The slack
 # absorbs rounding in models built from exactly contractive data.
 CONTRACTIVITY_SLACK = 10.0
+
+# Oversampling of the sketched factor of a dense D_n, and the seed of its
+# Gaussian test matrix, drawn afresh per factor like the generic element
+# of classify._ELEMENT_SEED.
+_SKETCH_OVERSAMPLING = 10
+_SKETCH_SEED = 2011
 
 
 def contractivity_margin(T):
@@ -371,7 +380,9 @@ def _factored_deltas(T, tol, first=None):
     # cutoff: a defect below the cutoff still adds up over the steps.
     # A step's factor is built only when the generator is resumed after
     # the step's value, so the last step builds none.  A step holds
-    # either the dense D_n (``d_n``) or D_n = Q (V diag(values) V*) Q*.
+    # either the dense D_n (``d_n``), whose factor _dense_factor sketches
+    # from its eigenvalues when they leave room, or
+    # D_n = Q (V diag(values) V*) Q*.
     # ``first`` is _first_defect(T) when the caller has built it.
     floor = T.h * np.finfo(np.float64).eps
     d_n, values = _first_defect(T) if first is None else first
@@ -381,7 +392,7 @@ def _factored_deltas(T, tol, first=None):
     while True:
         yield _count_above(np.abs(values), tol)
         if d_n is not None:
-            g, j = _signed_factor(*np.linalg.eigh(d_n), floor)
+            g, j = _dense_factor(d_n, values, floor)
         else:
             g, j = _signed_factor(values, v, floor)
             g = q @ g
@@ -404,6 +415,30 @@ def _factored_deltas(T, tol, first=None):
             q, r = np.linalg.qr(m)
             values, v = np.linalg.eigh(hermitize((r * signature) @ r.conj().T))
         m = r = None
+
+
+def _dense_factor(d_n, values, floor):
+    # _signed_factor of the dense D_n, whose eigenvalues ``values`` are
+    # in hand.  When r + p < h, for the r eigenvalues of modulus above
+    # ``floor`` and the oversampling p, the range of D_n is found from
+    # r + p seeded Gaussian columns by one step of subspace iteration,
+    # Q = orth(D_n orth(D_n Omega)), and the factor is Q times the
+    # signed factor of Q* D_n Q, whose eigenvalues are D_n's up to its
+    # part below the floor (Halko, Martinsson & Tropp 2011, Algorithms
+    # 4.4 and 5.3): O(h^2 (r + p)) in place of an h x h eigh.  The QR
+    # between the two products keeps eigenvalues far below
+    # sqrt(eps) ||D_n||, such as the -4e-9 of a tuple accepted within
+    # the slack, which D_n (D_n Omega) would round away.
+    h = d_n.shape[0]
+    s = np.count_nonzero(np.abs(values) > floor) + _SKETCH_OVERSAMPLING
+    if s >= h:
+        return _signed_factor(*np.linalg.eigh(d_n), floor)
+    q = np.random.default_rng(_SKETCH_SEED).standard_normal((h, s))
+    for _ in range(2):
+        q = np.linalg.qr(d_n @ q)[0]
+    g, j = _signed_factor(*np.linalg.eigh(hermitize(q.conj().T @ (d_n @ q))),
+                          floor)
+    return q @ g, j
 
 
 def _signed_factor(w, v, floor):

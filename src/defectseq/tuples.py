@@ -118,6 +118,10 @@ __all__ = [
     "words_of_length",
 ]
 
+# Seed of the unit vector with which is_commuting probes a dense tuple's
+# commutators before forming any of them.
+_PROBE_SEED = 2012
+
 
 @dataclass(frozen=True, eq=False)
 class OperatorTuple:
@@ -577,10 +581,15 @@ def is_commuting(T, tol=None):
     ``||T_i T_j - T_j T_i|| <= rtol * (1 + max_i ||T_i||^2)``.
     A 1-tuple commutes trivially.
 
-    Spectral norms are taken only when the bounds
-    max column norm <= ||A||_2 <= ||A||_F, widened by a fixed relative
-    slack, cannot settle a commutator; the verdict is the one the
-    spectral norms give.  A float64 tuple of weighted partial
+    A tuple without the shift pattern is first probed with one seeded
+    unit vector v: ``||T_i (T_j v) - T_j (T_i v)||`` is at most the
+    commutator's spectral norm, so when it exceeds the bound, with the
+    largest Frobenius norm in place of the spectral one, by more than an
+    explicit rounding allowance, the tuple does not commute, and no
+    commutator is formed.  Otherwise spectral norms are taken only when
+    the bounds max column norm <= ||A||_2 <= ||A||_F, widened by a fixed
+    relative slack, cannot settle a commutator; the verdict is the one
+    the spectral norms give.  A float64 tuple of weighted partial
     permutations gets its commutators as at most 2h entries each, with
     the values of the dense products, and takes both bounds from those;
     a commutator is formed as an h x h array only for a spectral norm.
@@ -588,6 +597,11 @@ def is_commuting(T, tol=None):
     tol = DEFAULT_TOL if tol is None else tol
     if T.d == 1:
         return True
+    frob_max = max(float(np.linalg.norm(op)) for op in T.ops)
+    below = 1.0 - _BOUND_SLACK
+    above = 1.0 + _BOUND_SLACK
+    # The exact bound lies below this one.
+    bound_high = tol.rtol * (1.0 + frob_max * frob_max) * above
     if T._shift_pattern is not None:
         comms = _shift_commutators(T)
         frobs = [float(np.linalg.norm(values)) for _, values in comms]
@@ -600,8 +614,9 @@ def is_commuting(T, tol=None):
         def dense(comm):
             return _dense_commutator(T.h, comm)
     else:
-        comms = [T.ops[i] @ T.ops[j] - T.ops[j] @ T.ops[i]
-                 for i in range(T.d) for j in range(i + 1, T.d)]
+        if _probe_exceeds(T, frob_max, bound_high):
+            return False
+        comms = _entry_commutators(T)
         frobs = [float(np.linalg.norm(comm)) for comm in comms]
         column_max = _max_column_norm
 
@@ -610,12 +625,8 @@ def is_commuting(T, tol=None):
     # An overflowing commutator keeps the exact route and what it gives.
     if np.isfinite(frobs).all():
         col_max = max(_max_column_norm(op) for op in T.ops)
-        frob_max = max(float(np.linalg.norm(op)) for op in T.ops)
-        below = 1.0 - _BOUND_SLACK
-        above = 1.0 + _BOUND_SLACK
-        # The exact bound lies between these two.
+        # The exact bound lies above this one.
         bound_low = tol.rtol * (1.0 + col_max * col_max) * below
-        bound_high = tol.rtol * (1.0 + frob_max * frob_max) * above
         if any(column_max(comm) * below > bound_high for comm in comms):
             return False
         comms = [comm for comm, frob in zip(comms, frobs)
@@ -626,6 +637,44 @@ def is_commuting(T, tol=None):
     bound = tol.rtol * (1.0 + max_norm * max_norm)
     return all(float(np.linalg.norm(dense(comm), 2)) <= bound
                for comm in comms)
+
+
+def _probe_exceeds(T, frob_max, bound):
+    # Whether c = T_i (T_j v) - T_j (T_i v), for one seeded unit vector
+    # v, shows a commutator C = T_i T_j - T_j T_i of the dense tuple T
+    # above ``bound``, in O(d**2 h**2).  ||C v|| <= ||C||_2, and the
+    # computed c lies within about 2 g F**2 of C v, as the computed C of
+    # the spectral test lies within g F**2 of C, for F = frob_max and
+    # g = gamma_{h+2} = (h+2) eps / (1 - (h+2) eps) at eps = 2**-52
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 3.5):
+    # ||c|| above ``bound`` by more than 4 g F**2 puts the computed
+    # spectral norm above it too.  A non-finite c or F decides nothing.
+    v = _probe_vector(T.h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # images[i, :, j] = T_i (T_j v)
+        images = np.matmul(T._stack, np.matmul(T._stack, v).T)
+        worst = float(np.max(np.linalg.norm(
+            images - images.transpose(2, 1, 0), axis=1)))
+        n_eps = (T.h + 2) * np.finfo(np.float64).eps
+        allowance = 4.0 * n_eps / (1.0 - n_eps) * frob_max * frob_max
+        return worst - allowance > bound
+
+
+@functools.cache
+def _probe_vector(h):
+    # The seeded unit vector of _probe_exceeds on dimension h, read-only.
+    v = np.random.default_rng(_PROBE_SEED).standard_normal(h)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
+def _entry_commutators(T):
+    # The commutators T_i T_j - T_j T_i, i < j, of a dense tuple, as
+    # h x h arrays: the only h x h products is_commuting forms.
+    ops = T.ops
+    return [ops[i] @ ops[j] - ops[j] @ ops[i]
+            for i, j in itertools.combinations(range(T.d), 2)]
 
 
 def _shift_commutators(T):

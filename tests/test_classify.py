@@ -38,7 +38,12 @@ from defectseq.errors import (
     ContractivityError,
     SizeCapError,
 )
-from defectseq.linalg import hermitian_norm, numerical_rank, readonly_copy
+from defectseq.linalg import (
+    hermitian_norm,
+    hermitize,
+    numerical_rank,
+    readonly_copy,
+)
 from defectseq.models import (
     fock_creation,
     haar_unitary,
@@ -403,6 +408,30 @@ class TestSingleContractivityCheck:
                       want.contractivity_margin):
             assert np.float64(value).tobytes() == np.float64(margin).tobytes()
         assert _report_data(rep) == _report_data(want)
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_contractive(2, 48, 1, 11),
+        lambda: random_contractive(3, 24, 2, 12),
+        lambda: conjugated(fock_creation(2, 3), 13, real=True),
+        lambda: conjugated(direct_sum(fock_creation(1, 4),
+                                      OperatorTuple((np.eye(11),))), 14),
+        lambda: random_contractive(2, 6, 1, 15),
+    ], ids=["random-48", "random-24", "real-conjugate", "sum-conjugate",
+            "random-6"])
+    def test_dense_margin_is_the_smallest_eigenvalue_of_d_1(self, build):
+        # The margin is eigvalsh(I - cp(I))[0] bit for bit: the smallest
+        # eigenvalue of D_1 is at the rounding level here, where no Ritz
+        # value of the ladder's sketched factor of D_1 could stand in for
+        # it.  The first four take the sketch (Delta_1 + 10 < h), the
+        # last an eigh.
+        T = build()
+        assert T._shift_pattern is None
+        x = apply_cp_map(T, np.eye(T.h, dtype=T.dtype))
+        want = np.linalg.eigvalsh(hermitize(np.eye(T.h) - x))[0]
+        rep = classify(T)
+        assert rep.contractive
+        assert (np.float64(rep.contractivity_margin).tobytes()
+                == want.tobytes())
 
     def test_dense_classify_lets_the_first_defect_go_after_its_step(
             self, monkeypatch):

@@ -7,22 +7,31 @@ I - cp^n(I) built by n dense cp steps, up to the point where the ladder
 stops.
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defectseq.defect as defect_module
+from defectseq.cli import main
 from defectseq.defect import (
+    _SKETCH_OVERSAMPLING,
+    _dense_factor,
+    _first_defect,
     _ladder,
+    _signed_factor,
     defect_operator,
     defect_sequence,
     is_contractive,
     require_contractive,
 )
-from defectseq.linalg import DEFAULT_TOL, RankTolerance, numerical_rank
-from defectseq.models import fock_creation, random_contractive
-from defectseq.tuples import OperatorTuple, direct_sum
+from defectseq.errors import ConsistencyError
+from defectseq.io import write_tuple
+from defectseq.linalg import DEFAULT_TOL, RankTolerance, hermitize, numerical_rank
+from defectseq.models import fock_creation, haar_unitary, random_contractive
+from defectseq.tuples import OperatorTuple, apply_cp_map, direct_sum
 
 KINDS = ("complex", "real", "coisometry", "direct-sum", "scaled",
          "nilpotent", "inflated")
@@ -114,6 +123,27 @@ def sub_atol_defect(seed):
     return OperatorTuple((q @ np.diag([np.sqrt(1.0 - 6e-13), 1.0]) @ q.T,))
 
 
+def falling_core():
+    # [[a, b, 0], [0, 0, 0], [0, 0, 1]] with a^2 (1 + eps) = 1 and
+    # b^2 = eps (1 + a^2): D_1 = diag(-eps, 1, 0), and cp carries the 1
+    # onto the first axis with weight b^2, where it cancels -eps in D_2.
+    eps = 4e-9
+    a = np.sqrt(1.0 / (1.0 + eps))
+    b = np.sqrt(eps * (1.0 + a * a))
+    return np.array([[a, b, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def embedded_falling_tuple(seed, h, real):
+    # The falling core plus an orthogonal summand of no defect,
+    # conjugated by an orthogonal (real) or a Haar unitary matrix: D_1
+    # has the eigenvalues -4e-9 and 1 and h - 2 zeros, up to rounding.
+    rng = np.random.default_rng(seed)
+    T = direct_sum(OperatorTuple((falling_core(),)),
+                   OperatorTuple((orthogonal(rng, h - 3),)))
+    u = orthogonal(rng, h) if real else haar_unitary(h, rng)
+    return OperatorTuple(tuple(u.conj().T @ op @ u for op in T.ops))
+
+
 def slack_tuple(seed):
     # Q diag(1 + 3e-9, 1, 0.5) Q^T, contractive within the 10 rtol slack:
     # D_n has one negative eigenvalue of about -6n e-9 above the cutoff.
@@ -181,12 +211,8 @@ class TestEdgeFamilies:
         # cancels -eps in D_2.  A factor that kept |eps| would count 2.
         # The tuple is contractive only within the slack, and its ladder
         # falls, so defect_sequence refuses it on either route.
-        eps = 4e-9
-        a = np.sqrt(1.0 / (1.0 + eps))
-        b = np.sqrt(eps * (1.0 + a * a))
         q = orthogonal(np.random.default_rng(seed), 3)
-        T = OperatorTuple((q @ np.array([[a, b, 0.0], [0.0, 0.0, 0.0],
-                                         [0.0, 0.0, 1.0]]) @ q.T,))
+        T = OperatorTuple((q @ falling_core() @ q.T,))
         assert ladder(T) == oracle_ladder(T) == [2, 1, 2, 2]
 
     @pytest.mark.parametrize("s", range(3))
@@ -214,3 +240,117 @@ class TestRoutes:
             routes.clear()
             assert defect_sequence(T, 5).deltas == (1, 3, 7, 15)
             assert routes == [route]
+
+
+def stepped_oracle_ladder(T, tol=None):
+    # oracle_ladder with X_n = cp^n(I) carried from step to step by the
+    # public cp map, in place of n fresh steps per value: the bits of
+    # defect_operator(T, n) (TestSketchedFactor checks this), at the cost
+    # of one dense step per value, so long ladders at h = 128 stay cheap.
+    tol = DEFAULT_TOL if tol is None else tol
+    values = []
+    x = np.eye(T.h, dtype=T.dtype)
+    for _ in range(T.h + 1):
+        x = apply_cp_map(T, x)
+        values.append(numerical_rank(hermitize(np.eye(T.h) - x), tol))
+        if values[-1] == T.h or values[-2:-1] == values[-1:]:
+            break
+    return values
+
+
+def factor_error(d_n, g, j):
+    return float(np.linalg.norm(d_n - (g * j) @ g.conj().T, 2))
+
+
+def eigh_sizes(monkeypatch):
+    # Record the order of every np.linalg.eigh call from now on.
+    sizes = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return sizes
+
+
+SKETCH_CASES = [(kind, d, rank, h) for kind in ("real", "complex")
+                for d in (1, 2, 3) for rank in (1, 2, 3, 5)
+                for h in (24, 64, 128)]
+
+
+class TestSketchedFactor:
+    """A dense D_n with r + p < h gets its factor from a sketch.
+
+    ``_dense_factor`` takes one step of subspace iteration on r + p
+    seeded columns and a Rayleigh-Ritz step in place of an h x h eigh;
+    the factor must be as good as the eigh factor up to the rounding
+    floor, and the ladder must not move.
+    """
+
+    @pytest.mark.parametrize("kind, d, rank, h", SKETCH_CASES)
+    def test_factor_error_and_ladder(self, kind, d, rank, h):
+        seed = (d, rank, h)
+        if kind == "real":
+            T = real_contractive(np.random.default_rng(seed), d, h, rank)
+        else:
+            T = random_contractive(d, h, rank, seed)
+        d_1, values = _first_defect(T)
+        floor = h * np.finfo(np.float64).eps
+        g, j = _dense_factor(d_1, values, floor)
+        g_eigh, j_eigh = _signed_factor(*np.linalg.eigh(d_1), floor)
+        assert g.shape == (h, rank) and (j == 1.0).all()
+        assert (factor_error(d_1, g, j)
+                <= factor_error(d_1, g_eigh, j_eigh) + 2.0 * floor)
+        assert ladder(T) == stepped_oracle_ladder(T)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_stepped_oracle_has_the_bits_of_defect_operator(self, kind):
+        rng = np.random.default_rng(5)
+        T = (real_contractive(rng, 2, 24, 2) if kind == "real"
+             else random_contractive(2, 24, 2, 5))
+        x = np.eye(T.h, dtype=T.dtype)
+        for n in range(1, 5):
+            x = apply_cp_map(T, x)
+            assert np.array_equal(hermitize(np.eye(T.h) - x),
+                                  defect_operator(T, n))
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("h", [16, 24])
+    def test_falling_tuple_keeps_its_negative_eigenvalue(self, monkeypatch,
+                                                         tmp_path, capsys,
+                                                         real, h):
+        T = embedded_falling_tuple(h, h, real)
+        d_1, values = _first_defect(T)
+        floor = h * np.finfo(np.float64).eps
+        sizes = eigh_sizes(monkeypatch)
+        g, j = _dense_factor(d_1, values, floor)
+        assert h not in sizes
+        assert sorted(j) == [-1.0, 1.0]
+        weights = np.sum(np.abs(g) ** 2, axis=0) * j
+        assert np.allclose(sorted(weights), [-4e-9, 1.0], rtol=1e-6, atol=0)
+        assert factor_error(d_1, g, j) <= 2.0 * floor
+        assert ladder(T) == oracle_ladder(T) == [2, 1, 2, 2]
+        with pytest.raises(ConsistencyError,
+                           match=r"decreased: \(2, 1, 2, 2\)"):
+            defect_sequence(T, 200)
+        path = tmp_path / "slack.json"
+        write_tuple(T, path)
+        assert main(["defect", str(path), "--n-max", "200"]) == 1
+        assert capsys.readouterr().err == (
+            "analysis failed: defect sequence decreased: (2, 1, 2, 2)\n")
+
+    @pytest.mark.parametrize("h, calls", [(12, 1), (13, 1), (14, 0),
+                                          (64, 0)])
+    def test_eigh_of_order_h_only_when_the_sketch_is_not_thinner(
+            self, monkeypatch, h, calls):
+        # Delta_1 = 3, so r + p = 13: an h x h eigh for h <= 13 and none
+        # above.  The second value needs the factor of D_1 and no other.
+        rank = 3
+        assert rank + _SKETCH_OVERSAMPLING == 13
+        T = random_contractive(2, h, rank, h)
+        sizes = eigh_sizes(monkeypatch)
+        assert list(islice(_ladder(T, DEFAULT_TOL), 2)) == [3, 9]
+        assert sizes.count(h) == calls
+        assert all(size <= h for size in sizes)

@@ -20,6 +20,7 @@ from defectseq.linalg import (
 )
 from defectseq.models import (
     fock_creation,
+    haar_unitary,
     random_contractive,
     spherical_shift_sum,
     symmetric_fock_shift,
@@ -880,6 +881,151 @@ class TestCommutingBounds:
             tol = RankTolerance(rtol=rtol)
             assert (is_commuting(perturbed, tol)
                     == reference_is_commuting(perturbed, tol))
+
+
+def conjugated_diagonals(rng, d, h, real, scale=1.0):
+    # U* diag(x_i) U for one orthogonal or Haar unitary U: a dense tuple
+    # that commutes up to rounding.
+    if real:
+        u, _ = np.linalg.qr(rng.standard_normal((h, h)))
+    else:
+        u = haar_unitary(h, rng)
+    return OperatorTuple(tuple(
+        scale * (u.conj().T @ np.diag(rng.uniform(-1.0, 1.0, h)) @ u)
+        for _ in range(d)))
+
+
+def spy_on(monkeypatch, name):
+    # Record the result of every call of tuples.<name> from now on.
+    results = []
+    real = getattr(tuples_module, name)
+
+    def recorded(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(tuples_module, name, recorded)
+    return results
+
+
+def probe_norm(T):
+    # max ||T_i (T_j v) - T_j (T_i v)|| over the pairs, for the probe's v.
+    v = tuples_module._probe_vector(T.h)
+    return max(float(np.linalg.norm(a @ (b @ v) - b @ (a @ v)))
+               for a in T.ops for b in T.ops)
+
+
+class TestCommutatorProbe:
+    """A dense tuple's commutators are probed with one vector first.
+
+    The probe may only settle a tuple as noncommuting, and only when the
+    spectral norms would; everything else goes on to the bounds and the
+    spectral norms, so every verdict equals the exact one.
+    """
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("h", [2, 8, 24, 64])
+    def test_commuting_dense_tuples(self, monkeypatch, real, d, h):
+        T = conjugated_diagonals(np.random.default_rng(h), d, h, real)
+        probes = spy_on(monkeypatch, "_probe_exceeds")
+        assert is_commuting(T) and reference_is_commuting(T)
+        assert probes == [False]
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("h", [2, 5, 24, 64])
+    def test_commutators_at_the_bound_match(self, real, h, side):
+        # ||C||_2 = bound * (1 +- 1e-6): rtol put next to the exact edge
+        # of a conjugated diagonal pair with one entry perturbed.
+        rng = np.random.default_rng((h, side + 1))
+        a, b = conjugated_diagonals(rng, 2, h, real).ops
+        b = b + 1e-4 * rng.standard_normal((h, h))
+        T = OperatorTuple((a, b, 0.5 * a))
+        max_norm = max(np.linalg.norm(op, 2) for op in T.ops)
+        worst = max(np.linalg.norm(x @ y - y @ x, 2)
+                    for x in T.ops for y in T.ops)
+        edge = worst / (1.0 + max_norm * max_norm)
+        tol = RankTolerance(rtol=float(edge / (1.0 + side * 1e-6)))
+        assert is_commuting(T, tol) == reference_is_commuting(T, tol)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("h", [8, 24, 64])
+    def test_allowance_declines_at_rounding_level_tolerances(
+            self, monkeypatch, real, h):
+        # At rtol = 1e-15 the bound is at the rounding of the products,
+        # and so is a commuting tuple's probe: the allowance declines
+        # and the spectral norms decide.  The same holds for an rtol
+        # that puts the probe's norm itself just above the bound.
+        T = conjugated_diagonals(np.random.default_rng(h), 2, h, real,
+                                 scale=1e3)
+        frob_max = max(np.linalg.norm(op) for op in T.ops)
+        just_above = (probe_norm(T) / (1.0 + frob_max ** 2)
+                      / (1.0 + tuples_module._BOUND_SLACK) * (1 - 1e-6))
+        for rtol in (1e-15, just_above):
+            tol = RankTolerance(rtol=float(rtol))
+            probes = spy_on(monkeypatch, "_probe_exceeds")
+            assert is_commuting(T, tol) == reference_is_commuting(T, tol)
+            assert probes == [False]
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("which", ["products", "allowance"])
+    def test_overflowing_probe_decides_nothing(self, monkeypatch, real,
+                                               which):
+        # "products": 1e155 entries on h = 8, so c, F**2 and the products
+        # overflow, and both routes end in the SVD of a non-finite
+        # commutator.  "allowance": F**2 overflows, and with it the
+        # allowance and the bound, while the products stay finite, and
+        # both routes give the verdict of an infinite bound.
+        rng = np.random.default_rng(3)
+        if which == "products":
+            ops = [1e155 * rng.uniform(0.5, 1.0, (8, 8)) for _ in range(2)]
+        else:
+            ops = [1e154 * np.array([[1.0, 0.3], [0.3, 1.0]]),
+                   1e154 * np.array([[0.3, 1.0], [0.5, 0.3]])]
+        if not real:
+            ops = [op * np.exp(1j * rng.uniform(0, 2 * np.pi, op.shape))
+                   for op in ops]
+        T = OperatorTuple(tuple(ops))
+
+        def outcome(commuting):
+            try:
+                return commuting(T)
+            except np.linalg.LinAlgError as exc:
+                return type(exc)
+
+        with np.errstate(all="ignore"):
+            frob_max = max(float(np.linalg.norm(op)) for op in T.ops)
+            bound = 1e-9 * (1.0 + frob_max * frob_max)
+        assert np.isinf(bound)
+        with np.errstate(all="raise"):
+            # The probe is silent on its own overflow.
+            assert not tuples_module._probe_exceeds(T, frob_max, bound)
+        probes = spy_on(monkeypatch, "_probe_exceeds")
+        with np.errstate(all="ignore"):
+            assert outcome(is_commuting) == outcome(reference_is_commuting)
+        assert probes == [False]
+
+    def test_single_entry_takes_no_probe(self, monkeypatch):
+        probes = spy_on(monkeypatch, "_probe_exceeds")
+        for T in (random_contractive(1, 64, 1, 0),
+                  OperatorTuple((np.ones((3, 3)),))):
+            assert is_commuting(T) and reference_is_commuting(T)
+        assert probes == []
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_noncommuting_draw_forms_no_product(self, monkeypatch, real):
+        T = random_contractive(2, 64, 1, 7)
+        if real:
+            T = OperatorTuple(tuple(op.real for op in T.ops))
+
+        def refused(U):
+            raise AssertionError("formed an h x h product")
+
+        monkeypatch.setattr(tuples_module, "_entry_commutators", refused)
+        assert not is_commuting(T)
+        monkeypatch.undo()
+        assert not reference_is_commuting(T)
 
 
 @st.composite

@@ -22,6 +22,12 @@ script), then writes into OUT_DIR:
   orthogonal conjugates of direct sums with equal and with distinct
   summands, of three weighted shifts and of a spherical sum, and random
   draws, real and complex (see ``dense_builders``);
+* ``inputs/large-dense-<label>.json`` and
+  ``defect-large-dense-<label>.json``: ``defect --n-max 200 --report`` on
+  dense tuples with h = 16..128 whose first defect has a small rank: a
+  unitary conjugate of ``fock_creation(2, 5)``, real and complex draws
+  with Delta_1 in {1, 3}, and a tuple accepted only within the
+  contractivity slack, whose ladder falls (see ``large_dense_builders``);
 * ``inputs/near-cutoff-<label>.json``, ``classify-near-cutoff-<label>.json``
   and ``defect-near-cutoff-<label>.json``: both calls, with ``--rtol R
   --atol 0``, on the 1-tuples diag(0, g, s) with a gap g one part in
@@ -145,6 +151,64 @@ def dense_builders(models, OperatorTuple, direct_sum):
     return builders
 
 
+def large_dense_builders(models, OperatorTuple, direct_sum):
+    """Label -> builder() of the large dense defect fixtures, h = 16..128.
+
+    Tuples without zero entries whose D_1 has rank 1..3, far below h:
+    a unitary conjugate of ``fock_creation(2, 5)`` (h = 63, ladder
+    1, 3, ..., 63), real and complex draws with Delta_1 in {1, 3}, and
+    a conjugated 1-tuple accepted only within the contractivity slack,
+    whose D_1 has the eigenvalues -4e-9 and 1 and whose ladder falls
+    (2, 1, 2, 2), on h = 16 (orthogonal) and h = 20 (unitary).
+    """
+    import numpy as np
+
+    def orthogonal(rng, h):
+        return np.linalg.qr(rng.standard_normal((h, h)))[0]
+
+    def conjugate(T, u):
+        return OperatorTuple(tuple(u.conj().T @ op @ u for op in T.ops))
+
+    def real_draw(d, h, rank, seed):
+        # I - cp(I) has rank eigenvalues in [0.19, 0.96] and h - rank
+        # zeros, up to rounding.
+        rng = np.random.default_rng(seed)
+        sigma = np.concatenate([np.ones(h - rank),
+                                rng.uniform(0.2, 0.9, rank)])
+        row = ((orthogonal(rng, h) * sigma)
+               @ orthogonal(rng, d * h)[:, :h].T)
+        return OperatorTuple(tuple(row[:, i * h:(i + 1) * h]
+                                   for i in range(d)))
+
+    def slack(h, real):
+        # [[a, b, 0], [0, 0, 0], [0, 0, 1]] with a^2 (1 + eps) = 1 and
+        # b^2 = eps (1 + a^2), plus an orthogonal summand of no defect.
+        eps = 4e-9
+        a = np.sqrt(1.0 / (1.0 + eps))
+        b = np.sqrt(eps * (1.0 + a * a))
+        rng = np.random.default_rng((70, h))
+        core = OperatorTuple((np.array([[a, b, 0.0], [0.0, 0.0, 0.0],
+                                        [0.0, 0.0, 1.0]]),))
+        T = direct_sum(core, OperatorTuple((orthogonal(rng, h - 3),)))
+        u = orthogonal(rng, h) if real else models.haar_unitary(h, rng)
+        return conjugate(T, u)
+
+    builders = {"fock-2-5-conjugate": lambda: conjugate(
+        models.fock_creation(2, 5),
+        models.haar_unitary(63, np.random.default_rng(60)))}
+    for d, h in ((2, 48), (3, 64), (2, 128)):
+        for rank in (1, 3):
+            builders[f"random-{d}-{h}-{rank}-real"] = (
+                lambda d=d, h=h, rank=rank:
+                real_draw(d, h, rank, (61, d, h, rank)))
+            builders[f"random-{d}-{h}-{rank}-complex"] = (
+                lambda d=d, h=h, rank=rank: models.random_contractive(
+                    d, h, rank, (62, d, h, rank)))
+    builders["slack-16-real"] = lambda: slack(16, True)
+    builders["slack-20-complex"] = lambda: slack(20, False)
+    return builders
+
+
 def purity_builders(models, OperatorTuple):
     """Label -> builder() of the purity fixtures.
 
@@ -236,6 +300,12 @@ def write_outputs(tree, out_dir, seed, reverse=False):
         io.write_tuple(build(), path)
         calls.append((f"classify-dense-{label}", ["classify", path]))
         calls.append((f"defect-dense-{label}",
+                      ["defect", path, "--n-max", N_MAX]))
+    for label, build in large_dense_builders(models, OperatorTuple,
+                                             direct_sum).items():
+        path = f"inputs/large-dense-{label}.json"
+        io.write_tuple(build(), path)
+        calls.append((f"defect-large-dense-{label}",
                       ["defect", path, "--n-max", N_MAX]))
     for label, (rtol, build) in near_cutoff_builders(OperatorTuple).items():
         path = f"inputs/near-cutoff-{label}.json"
