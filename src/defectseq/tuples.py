@@ -660,9 +660,11 @@ def _probe_exceeds(T, frob_max, bound):
         return worst - allowance > bound
 
 
-@functools.cache
+@functools.lru_cache(maxsize=32)
 def _probe_vector(h):
-    # The seeded unit vector of _probe_exceeds on dimension h, read-only.
+    # The seeded unit vector of _probe_exceeds on dimension h, read-only;
+    # kept for the last few dimensions, because drawing it costs more
+    # than the probe on a small tuple.
     v = np.random.default_rng(_PROBE_SEED).standard_normal(h)
     v /= np.linalg.norm(v)
     v.flags.writeable = False
