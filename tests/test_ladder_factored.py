@@ -29,7 +29,12 @@ from defectseq.defect import (
 )
 from defectseq.errors import ConsistencyError
 from defectseq.io import write_tuple
-from defectseq.linalg import DEFAULT_TOL, RankTolerance, hermitize, numerical_rank
+from defectseq.linalg import (
+    DEFAULT_TOL,
+    RankTolerance,
+    hermitize,
+    numerical_rank,
+)
 from defectseq.models import fock_creation, haar_unitary, random_contractive
 from defectseq.tuples import OperatorTuple, apply_cp_map, direct_sum
 
