@@ -118,11 +118,6 @@ __all__ = [
     "words_of_length",
 ]
 
-# Seed of the unit vector with which is_commuting probes a dense tuple's
-# commutators before forming any of them.
-_PROBE_SEED = 2012
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorTuple:
     """An immutable tuple of square matrices on a common space.
@@ -581,7 +576,7 @@ def is_commuting(T, tol=None):
     ``||T_i T_j - T_j T_i|| <= rtol * (1 + max_i ||T_i||^2)``.
     A 1-tuple commutes trivially.
 
-    A tuple without the shift pattern is first probed with one seeded
+    A tuple without the shift pattern is first probed with one fixed
     unit vector v: ``||T_i (T_j v) - T_j (T_i v)||`` is at most the
     commutator's spectral norm, so when it exceeds the bound, with the
     largest Frobenius norm in place of the spectral one, by more than an
@@ -640,15 +635,21 @@ def is_commuting(T, tol=None):
 
 
 def _probe_exceeds(T, frob_max, bound):
-    # Whether c = T_i (T_j v) - T_j (T_i v), for one seeded unit vector
-    # v, shows a commutator C = T_i T_j - T_j T_i of the dense tuple T
-    # above ``bound``, in O(d**2 h**2).  ||C v|| <= ||C||_2, and the
-    # computed c lies within about 2 g F**2 of C v, as the computed C of
-    # the spectral test lies within g F**2 of C, for F = frob_max and
-    # g = gamma_{h+2} = (h+2) eps / (1 - (h+2) eps) at eps = 2**-52
-    # (Higham, Accuracy and Stability of Numerical Algorithms, 3.5):
-    # ||c|| above ``bound`` by more than 4 g F**2 puts the computed
-    # spectral norm above it too.  A non-finite c or F decides nothing.
+    # Whether c = T_i (T_j v) - T_j (T_i v), for one fixed unit vector v,
+    # shows a commutator C = T_i T_j - T_j T_i of the dense tuple T above
+    # ``bound``, in O(d**2 h**2).  ||C v|| <= ||C||_2 <= 2 F**2, for
+    # F = frob_max.  With g = gamma_{h+2} = (h+2) eps / (1 - (h+2) eps)
+    # at eps = 2**-52 (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 3.5), each term T_i (T_j v) takes two products, each
+    # off by up to g F**2, so the computed c is off from C v by up to
+    # 4 g F**2 + 2 eps F**2, and its computed norm by 2 g F**2 more; the
+    # computed C of the spectral test takes two products and is off from
+    # C by up to 2 g F**2 + 2 eps F**2.  Those add up to 8 g F**2 +
+    # 4 eps F**2 <= 10 g F**2, so ||c|| above ``bound`` by more than
+    # 12 g F**2 puts the computed spectral norm above it too, with
+    # 2 g F**2 >= 6 eps F**2 left for the rounding of that norm, a small
+    # multiple of eps ||C||_2 <= 2 eps F**2.  A non-finite ||c|| decides
+    # nothing, as its entries or their squares overflowed.
     v = _probe_vector(T.h)
     with np.errstate(over="ignore", invalid="ignore"):
         # images[i, :, j] = T_i (T_j v)
@@ -656,18 +657,17 @@ def _probe_exceeds(T, frob_max, bound):
         worst = float(np.max(np.linalg.norm(
             images - images.transpose(2, 1, 0), axis=1)))
         n_eps = (T.h + 2) * np.finfo(np.float64).eps
-        allowance = 4.0 * n_eps / (1.0 - n_eps) * frob_max * frob_max
-        return worst - allowance > bound
+        allowance = 12.0 * n_eps / (1.0 - n_eps) * frob_max * frob_max
+        return bool(np.isfinite(worst)) and worst - allowance > bound
 
 
-@functools.lru_cache(maxsize=32)
 def _probe_vector(h):
-    # The seeded unit vector of _probe_exceeds on dimension h, read-only;
-    # kept for the last few dimensions, because drawing it costs more
-    # than the probe on a small tuple.
-    v = np.random.default_rng(_PROBE_SEED).standard_normal(h)
-    v /= np.linalg.norm(v)
-    v.flags.writeable = False
+    # The unit vector of _probe_exceeds on dimension h: cos(sqrt(2) k),
+    # k < h, normalized: a fixed vector without a rational period.
+    # Any unit vector keeps the probe's verdicts exact; v only decides
+    # how often the probe settles a tuple.
+    v = np.cos(np.sqrt(2.0) * np.arange(h))
+    v /= np.sqrt(v @ v)
     return v
 
 

@@ -969,6 +969,49 @@ class TestCommutatorProbe:
             assert probes == [False]
 
     @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("gammas", [5, 8, 11])
+    def test_allowance_covers_every_rounding_of_both_routes(
+            self, monkeypatch, real, gammas):
+        # The probe's norm put gammas * g F**2 above the bound, g =
+        # gamma_{h+2}: the computed c and C together may be off by about
+        # 10 g F**2, so the probe must decline there and leave the
+        # verdict to the spectral norms.
+        h = 24
+        rng = np.random.default_rng((h, gammas))
+        a, b = conjugated_diagonals(rng, 2, h, real).ops
+        T = OperatorTuple((a, b + 1e-6 * rng.standard_normal((h, h))))
+        frob_max = max(float(np.linalg.norm(op)) for op in T.ops)
+        n_eps = (h + 2) * np.finfo(np.float64).eps
+        g = n_eps / (1.0 - n_eps)
+        bound_high = probe_norm(T) - gammas * g * frob_max ** 2
+        tol = RankTolerance(rtol=float(
+            bound_high / (1.0 + frob_max ** 2)
+            / (1.0 + tuples_module._BOUND_SLACK)))
+        probes = spy_on(monkeypatch, "_probe_exceeds")
+        assert is_commuting(T, tol) == reference_is_commuting(T, tol)
+        assert probes == [False]
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("h", [8, 24])
+    def test_overflowing_probe_norm_decides_nothing(self, monkeypatch, real,
+                                                    h):
+        # Entries of about 1e100: F**2, the bound and the allowance stay
+        # finite, while the squares of c's entries, about 1e200 and up,
+        # overflow in its norm.  The commuting tuple must still commute,
+        # as the spectral norms say.
+        T = conjugated_diagonals(np.random.default_rng(h), 2, h, real,
+                                 scale=1e100)
+        frob_max = max(float(np.linalg.norm(op)) for op in T.ops)
+        assert np.isfinite(frob_max * frob_max)
+        with np.errstate(over="ignore"):
+            assert np.isinf(probe_norm(T))
+        probes = spy_on(monkeypatch, "_probe_exceeds")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert is_commuting(T) == reference_is_commuting(T)
+            assert reference_is_commuting(T)
+        assert probes == [False]
+
+    @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("which", ["products", "allowance"])
     def test_overflowing_probe_decides_nothing(self, monkeypatch, real,
                                                which):
