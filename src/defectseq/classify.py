@@ -7,22 +7,24 @@ dimension count allows (maximality, in the free and in the commuting
 sense), and is the tuple irreducible in the sense that nothing but
 scalars commutes with all entries and their adjoints.
 
-Maximality is read from the defect ladder of ``defect._ladder``, the one
-loop that computes Delta_n: a verdict compares those values with
-``geometric_bound`` or ``commuting_bound`` up to its horizon, and an
-index past the ladder's stabilization point repeats the last value.
-``classify`` runs the ladder once and reads Delta_1 and both maximality
-verdicts from that single run.  It takes the contractivity margin and
-the ladder from ``defect._margin_and_ladder``: on a tuple without the
-weighted-shift pattern that builds D_1 = I - cp(I) once, keeps the
-margin read off it on the tuple, as ``contractivity_margin`` does, and
-hands D_1 to the ladder as its first step, so the cp map is applied
-once in all.  The ladder checks contractivity itself,
-so the maximality verdicts make no check of their own.  A tuple accepted
-only within the contractivity slack can have a falling ladder; ``classify``
-refuses it with ``defect._require_monotone``, the check ``DefectReport``
-makes, so ``classify`` and ``defect`` fail on it with one message.  The
-ladder runs before the purity loop, so that refusal costs no budget.
+Maximality is read from the defect ladder of ``defect._ladder``: a
+verdict compares its values with ``geometric_bound`` or
+``commuting_bound`` up to its horizon, and an index past the ladder's
+stabilization point repeats the last value.  The ladder checks
+contractivity itself, so the maximality verdicts make no check of their
+own.  ``classify`` runs the ladder once and reads Delta_1 and both
+maximality verdicts from that single run.  It calls the ladder's one
+entry, ``defect._margin_and_deltas``, which returns the contractivity
+margin, kept on the tuple, with the values not yet drawn, and ends them
+at the stabilization point with ``defect._stabilized``, as ``_ladder``
+does.  On a tuple without the weighted-shift pattern the entry builds
+D_1 = I - cp(I) once, for the margin and the ladder's first step, so
+the cp map is applied once in all, and only the ladder holds D_1, until
+its first step.  A tuple accepted only within the contractivity slack
+can have a falling ladder; ``classify`` refuses it with
+``defect._require_monotone``, the check ``DefectReport`` makes, so
+``classify`` and ``defect`` fail on it with one message.  The ladder
+runs before the purity loop, so that refusal costs no budget.
 
 Irreducibility is read from ``commutant_dimension``, which counts the
 Hermitian matrices commuting with every T_i.  The commutant of the
@@ -101,9 +103,10 @@ import numpy as np
 from .config import size_cap
 from .defect import (
     _ladder,
-    _margin_and_ladder,
+    _margin_and_deltas,
     _margin_is_contractive,
     _require_monotone,
+    _stabilized,
     commuting_bound,
     geometric_bound,
     is_contractive,
@@ -903,7 +906,7 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
         raise ArgumentError(
             f"eps_conv must be below 1 to certify convergence, got {eps_conv}")
     tol = DEFAULT_TOL if tol is None else tol
-    margin, ladder = _margin_and_ladder(T, tol)
+    margin, ladder = _margin_and_deltas(T, tol)
     contractive = _margin_is_contractive(margin, tol)
     commuting = is_commuting(T, tol)
     if not contractive:
@@ -924,7 +927,7 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
     # purity budget should not be spent before that.
     commutant_dim = commutant_dimension(T, tol)
     irreducible = commutant_dim == 1
-    deltas = tuple(ladder)
+    deltas = tuple(_stabilized(ladder, T.h))
     _require_monotone(deltas)
     verdict = _purity(T, max_iter, eps_pure, eps_conv)
     delta_1 = deltas[0]

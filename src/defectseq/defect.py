@@ -16,10 +16,13 @@ dimension.  Three structural facts shape the interface:
   with its images under all operator words of length below n, which
   gives a second, independent way to build the same space.
 
-One private loop, ``_ladder``, yields Delta_1, Delta_2, ... and ends the
-sequence at its stabilization point.  ``defect_sequence`` and the
-maximality verdicts of ``classify`` all read their values from it.  It
-has two routes, chosen by the tuple's weighted-shift pattern:
+One private entry, ``_margin_and_deltas``, returns the contractivity
+margin of a tuple together with the generator of Delta_1, Delta_2, ...,
+and ``_ladder`` checks that margin and ends the sequence at its
+stabilization point (``_stabilized``).  ``defect_sequence``, the
+maximality verdicts and ``classify`` all read their values from that
+entry.  It has two routes, chosen by the tuple's weighted-shift
+pattern:
 
 * a weighted shift iterates X_n = cp^n(I), which stays diagonal, and
   ranks I - X_n: one cp step and one rank decision per value, each a
@@ -35,18 +38,21 @@ has two routes, chosen by the tuple's weighted-shift pattern:
   O(h^2 r), and from an h x h eigh otherwise.
 
 Both count the eigenvalues of D_n above the one cutoff of
-``numerical_rank``.  The ladder checks contractivity itself, so its
-callers do not.  D_1 = I - cp(I) is built in one place,
-``_first_defect``: the contractivity margin is its smallest eigenvalue,
-and the factored route's first step is that same matrix, so a
-``defect_sequence`` call on a dense tuple applies the cp map once and
-reads the margin it keeps off the first step's eigenvalues.
-``defect_operator`` builds a single D_n from
+``numerical_rank``.  ``_ladder`` checks contractivity when it is called,
+so ``defect_sequence`` and the maximality verdicts make no check of
+their own; ``classify`` reads the margin off the entry to report a tuple
+that is not contractive.  D_1 = I - cp(I) is built in one place,
+``_first_defect``, which keeps the contractivity margin, its smallest
+eigenvalue, on the tuple.  The factored route's first step is that same
+matrix, so a ``defect_sequence`` or ``classify`` call on a dense tuple
+applies the cp map once, and ``contractivity_margin`` afterwards reads
+the kept value.  ``defect_operator`` builds a single D_n from
 ``cp_iterate``, apart from the ladder, so the verify suites and the
 tests can check ladder values against the dense iterate.
 
 ``defect_space_via_words`` implements the word-span construction by
-Krylov-style accumulation and exists as a cross-check for
+Krylov-style accumulation, the sweep ``linalg._swept_span`` that
+``models.coinvariant_hull`` also runs, and exists as a cross-check for
 ``defect_space``; the two must agree on every contractive input and the
 test suite holds them to it.  Defect quantities are never computed by
 materializing the d**n-entry power tuple; only ``rank_symmetry_check``
@@ -66,11 +72,11 @@ from .errors import ArgumentError, ConsistencyError, ContractivityError, SizeCap
 from .linalg import (
     DEFAULT_TOL,
     RankTolerance,
-    Subspace,
     _count_above,
     _hermitian_eigvals,
     _real_diagonal,
     _require_integer,
+    _swept_span,
     hermitize,
     numerical_rank,
     orthonormal_range,
@@ -119,31 +125,16 @@ def contractivity_margin(T):
     call.  The defect ladder of a tuple without the weighted-shift
     pattern keeps the same value, read off its own D_1.
     """
-    return _kept_margin(T)
-
-
-def _kept_margin(T):
     margin = vars(T).get("_contractivity_margin")
-    if margin is None:
-        margin = _contractivity_margin(T)
-        _keep_margin(T, margin)
-    return margin
-
-
-def _keep_margin(T, margin):
-    # Stored the way functools.cached_property stores _shift_pattern.
-    vars(T)["_contractivity_margin"] = margin
-    return margin
-
-
-def _contractivity_margin(T):
-    return float(_first_defect(T)[1][0])
+    return float(_first_defect(T)[1][0]) if margin is None else margin
 
 
 def _first_defect(T):
     # D_1 = I - cp(I), exactly Hermitian, and its ascending eigenvalues
     # as numerical_rank takes them: the one place D_1 is built, for the
     # contractivity margin and the first step of the factored ladder.
+    # The margin, the smallest eigenvalue, is kept on T the way
+    # functools.cached_property keeps _shift_pattern.
     with np.errstate(over="ignore", invalid="ignore"):
         x = apply_cp_map(T, np.eye(T.h, dtype=T.dtype))
     diag = _real_diagonal(x)
@@ -153,7 +144,9 @@ def _first_defect(T):
             "I - cp(I) is not finite; the tuple's entries are too large"
         )
     d_1 = _identity_minus(x, diag)
-    return d_1, _hermitian_eigvals(d_1)
+    values = _hermitian_eigvals(d_1)
+    vars(T)["_contractivity_margin"] = float(values[0])
+    return d_1, values
 
 
 def _identity_minus(x, diag):
@@ -305,54 +298,50 @@ def _require_monotone(deltas):
         raise ConsistencyError(f"defect sequence decreased: {tuple(deltas)}")
 
 
-def _ladder(T, tol, first=None):
-    """Yield Delta_1, Delta_2, ... of a contractive tuple until they stabilize.
+def _ladder(T, tol):
+    """Delta_1, Delta_2, ... of a contractive tuple until they stabilize.
 
-    The one loop that ends the sequence.  It ends after the first n with
-    Delta_n = h (the space is full) or Delta_n = Delta_{n-1}; by the
-    stabilization law every later value repeats the last one yielded.
-    Until then the sequence rises by at least one per step, so it ends
-    within h + 1 steps; that is also the cap, and a ladder that reaches
-    the cap has decreased somewhere.  The values come from one of two
-    routes, chosen by ``T._shift_pattern``: a weighted shift iterates
-    the diagonal X_n = cp^n(I) (``_iterate_deltas``), any other tuple
-    carries D_n as a signed factor (``_factored_deltas``).  Both count
-    the eigenvalues of D_n with the rule of ``numerical_rank``.
-
-    The ladder checks contractivity itself, before the first value, and
-    raises ContractivityError as ``require_contractive`` does.  A
-    weighted shift reads the margin kept on the tuple, or computes it
-    once; the factored route reads it off the eigenvalues of its own
-    D_1, the matrix the margin is taken from, and keeps it on the tuple.
-    A caller that has built that D_1 with ``_first_defect`` hands it
-    over as ``first``, and the factored route applies the cp map no
-    more.  Commutation is never tested here.
+    Refuses a tuple that is not a row contraction when called, before
+    any value, with ContractivityError as ``require_contractive`` does;
+    the margin comes from ``_margin_and_deltas``, so a dense tuple reads
+    it off the D_1 its ladder starts from.  The values are then yielded
+    by ``_stabilized``, the one loop that ends the sequence.  Commutation
+    is never tested here.
     """
+    margin, deltas = _margin_and_deltas(T, tol)
+    _require_margin(margin, tol)
+    return _stabilized(deltas, T.h)
+
+
+def _margin_and_deltas(T, tol):
+    # The contractivity margin of T, kept on it, and the generator of
+    # Delta_1, Delta_2, ..., with no value drawn yet: the one entry to
+    # the ladder and the one choice of its route.  A weighted shift
+    # (T._shift_pattern) iterates the diagonal X_n = cp^n(I) and reads
+    # the margin kept on the tuple, or computes it once; any other tuple
+    # carries D_n as a signed factor, whose generator builds D_1 and
+    # yields the margin read off it first, so the cp map is applied once
+    # in all and only the generator holds D_1.  Both count the
+    # eigenvalues of D_n with the rule of numerical_rank.
     if T._shift_pattern is not None:
-        _require_margin(_kept_margin(T), tol)
-        deltas = _iterate_deltas(T, tol)
-    else:
-        deltas = _factored_deltas(T, tol, first)
-    # Only the step that reads D_1 holds it, so it goes after that step.
-    first = None
+        return contractivity_margin(T), _iterate_deltas(T, tol)
+    deltas = _factored_deltas(T, tol)
+    return next(deltas), deltas
+
+
+def _stabilized(deltas, h):
+    # The values of ``deltas`` up to and including the first n with
+    # Delta_n = h (the space is full) or Delta_n = Delta_{n-1}; by the
+    # stabilization law every later value repeats the last one yielded.
+    # Until then the sequence rises by at least one per step, so it ends
+    # within h + 1 steps; that is also the cap, and a ladder that
+    # reaches the cap has decreased somewhere.
     previous = None
-    for delta in islice(deltas, T.h + 1):
+    for delta in islice(deltas, h + 1):
         yield delta
-        if delta in (T.h, previous):
+        if delta in (h, previous):
             return
         previous = delta
-
-
-def _margin_and_ladder(T, tol):
-    # The contractivity margin of T, kept on it, and _ladder(T, tol), not
-    # yet started, for a caller that reads both.  A tuple without the
-    # shift pattern builds D_1 once, for the margin and the ladder's first
-    # step, and only the ladder holds it; a weighted shift's ladder reads
-    # the kept margin alone.
-    if T._shift_pattern is not None:
-        return contractivity_margin(T), _ladder(T, tol)
-    first = _first_defect(T)
-    return _keep_margin(T, float(first[1][0])), _ladder(T, tol, first)
 
 
 def _iterate_deltas(T, tol):
@@ -369,7 +358,7 @@ def _iterate_deltas(T, tol):
         yield numerical_rank(_identity_minus(x, _real_diagonal(x)), tol)
 
 
-def _factored_deltas(T, tol, first=None):
+def _factored_deltas(T, tol):
     # The ranks of D_n, carried as D_n = G_n J_n G_n* with J_n = diag(+-1)
     # through D_{n+1} = D_1 + cp(D_n) = M J M*, where
     # M = [G_1, T_1 G_n, ..., T_d G_n] and J = diag(J_1, J_n, ..., J_n).
@@ -382,12 +371,11 @@ def _factored_deltas(T, tol, first=None):
     # the step's value, so the last step builds none.  A step holds
     # either the dense D_n (``d_n``), whose factor _dense_factor sketches
     # from its eigenvalues when they leave room, or
-    # D_n = Q (V diag(values) V*) Q*.
-    # ``first`` is _first_defect(T) when the caller has built it.
+    # D_n = Q (V diag(values) V*) Q*.  Before the values, the generator
+    # yields the contractivity margin, read off D_1 = _first_defect(T).
     floor = T.h * np.finfo(np.float64).eps
-    d_n, values = _first_defect(T) if first is None else first
-    first = None
-    _require_margin(_keep_margin(T, float(values[0])), tol)
+    d_n, values = _first_defect(T)
+    yield float(values[0])
     g_1 = j_1 = None
     while True:
         yield _count_above(np.abs(values), tol)
@@ -507,35 +495,19 @@ def defect_sequence(T, n_max, tol=None):
 def defect_space_via_words(T, n, tol=None):
     """The n-th defect space built from word images of the first one.
 
-    Accumulates span{ H_1, T_w H_1 : 1 <= |w| <= n - 1 } by breadth
-    first sweeps: each round applies every T_i to the directions found
-    in the previous round and keeps the components orthogonal to what is
-    already present.  Applying the entries to the new directions only is
-    enough, because images of the old directions were absorbed in an
-    earlier round.  Independent of ``defect_space`` and must agree with
-    it on every contractive tuple.
+    Accumulates span{ H_1, T_w H_1 : 1 <= |w| <= n - 1 } by n - 1
+    breadth first sweeps (``linalg._swept_span``): each round applies
+    every T_i to the directions found in the previous round and keeps
+    the components orthogonal to what is already present.  Applying the
+    entries to the new directions only is enough, because images of the
+    old directions were absorbed in an earlier round.  Independent of
+    ``defect_space`` and must agree with it on every contractive tuple.
     """
     _require_integer(n, "defect index")
     if n < 1:
         raise ArgumentError("defect index must be at least 1")
     tol = DEFAULT_TOL if tol is None else tol
-    first = defect_space(T, 1, tol)
-    accumulated = first.basis
-    frontier = first.basis
-    for _ in range(n - 1):
-        if frontier.shape[1] == 0 or accumulated.shape[1] == T.h:
-            break
-        images = np.hstack([op @ frontier for op in T.ops])
-        # Project out the accumulated span twice; the second pass clears
-        # the rounding left by the first when columns are nearly inside.
-        for _pass in range(2):
-            images = images - accumulated @ (accumulated.conj().T @ images)
-        fresh = orthonormal_range(images, tol) if images.size else None
-        if fresh is None or fresh.dim == 0:
-            break
-        accumulated = np.hstack([accumulated, fresh.basis])
-        frontier = fresh.basis
-    return Subspace(T.h, accumulated, tol)
+    return _swept_span(defect_space(T, 1, tol), T.ops, n - 1)
 
 
 def word_image_dimension(T, n, tol=None):

@@ -393,6 +393,29 @@ def orthonormal_range(m, tol=None):
     return Subspace(m.shape[0], u[:, :r], tol)
 
 
+def _swept_span(start, ops, rounds=None):
+    # The span of ``start`` and its images under words in ``ops``, of
+    # length at most ``rounds`` (None: until nothing new appears, which
+    # takes at most ambient_dim rounds, each adding a direction), by
+    # breadth-first sweeps: each round applies every op to the newest
+    # directions alone, whose predecessors' images are already in, and
+    # keeps the part orthogonal to the accumulated span, projected out
+    # twice to clear the rounding of nearly contained columns.
+    h = start.ambient_dim
+    accumulated = frontier = start.basis
+    for _ in range(h if rounds is None else rounds):
+        if frontier.shape[1] == 0 or accumulated.shape[1] == h:
+            break
+        images = np.hstack([op @ frontier for op in ops])
+        for _pass in range(2):
+            images = images - accumulated @ (accumulated.conj().T @ images)
+        frontier = orthonormal_range(images, start.tol).basis
+        if frontier.shape[1] == 0:
+            break
+        accumulated = np.hstack([accumulated, frontier])
+    return Subspace(h, accumulated, start.tol)
+
+
 def _require_same_ambient(a, b):
     if not isinstance(a, Subspace) or not isinstance(b, Subspace):
         raise ArgumentError("expected Subspace operands")

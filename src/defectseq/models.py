@@ -38,6 +38,7 @@ from .errors import ArgumentError, ConsistencyError, SizeCapError
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
+    _swept_span,
     coordinate_subspace,
     orthonormal_range,
     subspace_complement,
@@ -492,9 +493,10 @@ def random_contractive(d, h, defect_rank, seed):
 def coinvariant_hull(T, vectors, tol=None):
     """Smallest subspace containing ``vectors`` and stable under all T_i*.
 
-    Krylov-style accumulation: sweep the adjoints over the newest
-    directions and keep the orthogonal complements until nothing new
-    appears.  The result is co-invariant for ``T`` by construction.
+    Krylov-style accumulation (``linalg._swept_span``): sweep the
+    adjoints over the newest directions and keep the orthogonal
+    complements until nothing new appears.  The result is co-invariant
+    for ``T`` by construction.
     """
     tol = DEFAULT_TOL if tol is None else tol
     vecs = np.asarray(vectors, dtype=np.complex128)
@@ -504,19 +506,8 @@ def coinvariant_hull(T, vectors, tol=None):
         )
     if vecs.shape[1] == 0:
         return Subspace(T.h, np.zeros((T.h, 0)), tol)
-    start = orthonormal_range(vecs, tol)
-    accumulated = start.basis
-    frontier = start.basis
-    while frontier.shape[1] and accumulated.shape[1] < T.h:
-        images = np.hstack([op.conj().T @ frontier for op in T.ops])
-        for _pass in range(2):
-            images = images - accumulated @ (accumulated.conj().T @ images)
-        fresh = orthonormal_range(images, tol)
-        if fresh.dim == 0:
-            break
-        accumulated = np.hstack([accumulated, fresh.basis])
-        frontier = fresh.basis
-    return Subspace(T.h, accumulated, tol)
+    return _swept_span(orthonormal_range(vecs, tol),
+                       [op.conj().T for op in T.ops])
 
 
 def random_coinvariant_subspace(d, L, n_generators, seed):

@@ -180,21 +180,13 @@ def _draw_mixed_tuple(rng, index):
     return _draw_random_tuple(rng)
 
 
-def _invariance_leak(T, sub):
-    # Largest norm of a piece of T_i(sub) sticking out of sub.
+def _leak(sub, ops):
+    # Largest norm of a piece of A(sub) sticking out of sub, over the
+    # matrices A in ``ops``: zero exactly when sub is invariant under
+    # each, so reducing for T when ``ops`` holds every T_i and T_i*.
     p = sub.projector()
-    comp = np.eye(T.h) - p
-    return max(float(np.linalg.norm(comp @ op @ p, 2)) for op in T.ops)
-
-
-def _reducing_leak(T, sub):
-    p = sub.projector()
-    comp = np.eye(T.h) - p
-    worst = 0.0
-    for op in T.ops:
-        worst = max(worst, float(np.linalg.norm(comp @ op @ p, 2)))
-        worst = max(worst, float(np.linalg.norm(comp @ op.conj().T @ p, 2)))
-    return worst
+    comp = np.eye(sub.ambient_dim) - p
+    return max(float(np.linalg.norm(comp @ op @ p, 2)) for op in ops)
 
 
 def _models_suite(rec, samples, seed, salt, tol):
@@ -424,11 +416,8 @@ def _stabilization_suite(rec, samples, seed, salt, tol):
 def _rank_symmetry_suite(rec, samples, seed, salt, tol):
     for i, key, rng in _seeded_samples(samples, seed, salt):
         with _consistency_guard(rec, key):
-            d = int(rng.integers(1, 4))
-            h = int(rng.integers(2, 7))
-            defect_rank = int(rng.integers(0, min(3, h) + 1))
-            T = models.random_contractive(d, h, defect_rank, rng)
-            choices = (1, 2, 3) if d == 1 else (1, 2)
+            T = _draw_random_tuple(rng, 3, 6, 3)
+            choices = (1, 2, 3) if T.d == 1 else (1, 2)
             n = int(choices[int(rng.integers(0, len(choices)))])
             verdict = rank_symmetry_check(T, n, tol)
             square = T.d ** n * T.h == T.h
@@ -561,7 +550,7 @@ def _reducing_restriction_suite(rec, samples, seed, salt, tol):
                 tuple(frame @ op @ frame.conj().T for op in double.ops),
                 label="rotated double creation tuple")
             summand = Subspace(double.h, frame[:, :single.h], tol)
-            leak = _reducing_leak(T, summand)
+            leak = _leak(summand, [a for op in T.ops for a in (op, op.conj().T)])
             rec.check("summand subspace verifies reducing", leak <= 1e-9,
                       seed=key, detail=f"leak {leak:.3e}")
             restriction = compress(T, summand)
@@ -598,7 +587,7 @@ def _purity_inheritance_suite(rec, samples, seed, salt, tol):
                     keep = [p for p, w in enumerate(words) if len(w) >= k]
                 sub = coordinate_subspace(base.h, keep, tol)
                 rec.check("restriction subspace verifies invariant",
-                          _invariance_leak(base, sub) <= 1e-10, seed=key)
+                          _leak(sub, base.ops) <= 1e-10, seed=key)
                 T = compress(base, sub)
                 what = "invariant restriction"
             else:
@@ -632,9 +621,7 @@ def _irreducible_purity_suite(rec, samples, seed, salt, tol):
         rec.check(f"{label} decays to zero",
                   rep.purity.status is Purity.PURE,
                   detail=str(rep.purity.status))
-    for i in range(samples):
-        key = (seed, salt, i)
-        rng = np.random.default_rng(key)
+    for i, key, rng in _seeded_samples(samples, seed, salt):
         d = int(rng.integers(2, 4))
         h = int(rng.integers(2, 6))
         defect_rank = int(rng.integers(1, min(3, h) + 1))
@@ -665,7 +652,7 @@ def _compressed_shift_suite(rec, samples, seed, salt, tol):
     keep = [p for p, alpha in enumerate(basis) if alpha[0] >= 1]
     sub = coordinate_subspace(shift.h, keep, tol)
     rec.check("first-variable multiples form an invariant subspace",
-              _invariance_leak(shift, sub) <= 1e-10)
+              _leak(sub, shift.ops) <= 1e-10)
     rec.check("ambient shift keeps a rank-one defect",
               defect_dimension(shift, 1, tol) == 1)
 

@@ -65,14 +65,14 @@ iterates have the bits of fresh calls, signed zeros and NaN signs
 included.  A tuple with the shift pattern keeps ``_cp_step`` in the
 loop, whose diagonal route tests each argument.
 
-The contractivity margin and the defect ladder (``defect._ladder``)
-keep the public name.  Both take D_1 = I - cp(I) from
-``defect._first_defect``, one application of the map to the identity.
-The ladder of a tuple without the weighted-shift pattern starts from
-that D_1 and keeps the margin it reads off it, so it applies the map
-once in all; its later steps multiply a thin factor of D_n by the
-entries themselves, not by the cp map.  The ladder of a weighted shift
-makes one call per step.
+The contractivity margin and the defect ladder (its one entry,
+``defect._margin_and_deltas``) keep the public name.  Both take
+D_1 = I - cp(I) from ``defect._first_defect``, one application of the
+map to the identity, which keeps the margin on the tuple.  The ladder of
+a tuple without the weighted-shift pattern starts from that D_1, so it
+applies the map once in all; its later steps multiply a thin factor of
+D_n by the entries themselves, not by the cp map.  The ladder of a
+weighted shift makes one call per step.
 
 ``is_commuting`` builds the commutators of a tuple with the shift
 pattern from its nonzeros: each entry of T_i T_j has at most one nonzero

@@ -365,10 +365,18 @@ class TestSingleContractivityCheck:
             calls.append(T)
             return original(T)
 
+        first_defect = defect_module._first_defect
+        built = []
+
+        def building(T):
+            built.append(T)
+            return first_defect(T)
+
         monkeypatch.setattr(defect_module, "contractivity_margin", counting)
+        monkeypatch.setattr(defect_module, "_first_defect", building)
         T = spherical_shift_sum(2, 2, (0.6, 0.8), 1)
         rep = classify(T)
-        assert len(calls) == 1
+        assert len(calls) == 1 and built == [T]
         assert rep.contractivity_margin == original(T)
 
     def test_noncontractive_report_carries_the_margin(self):

@@ -23,7 +23,7 @@ from defectseq.defect import (
     word_image_dimension,
 )
 from defectseq.errors import ArgumentError, ConsistencyError, ContractivityError
-from defectseq.linalg import RankTolerance, subspace_equal
+from defectseq.linalg import DEFAULT_TOL, RankTolerance, subspace_equal
 from defectseq.classify import purity
 from defectseq.models import (
     fock_creation,
@@ -126,8 +126,9 @@ def same_float(a, b):
 
 class TestMarginCache:
     def counting_shims(self, monkeypatch):
-        # How often the margin is computed, and every cp step the defect
-        # module takes through the public name (margin and ladder).
+        # How often the margin is computed (D_1 built, the one place it
+        # is), and every cp step the defect module takes through the
+        # public name (margin and ladder).
         import defectseq.defect as defect
         calls = {"margin": 0, "apply_cp_map": 0}
 
@@ -137,8 +138,8 @@ class TestMarginCache:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(defect, "_contractivity_margin",
-                            counting("margin", defect._contractivity_margin))
+        monkeypatch.setattr(defect, "_first_defect",
+                            counting("margin", defect._first_defect))
         monkeypatch.setattr(defect, "apply_cp_map",
                             counting("apply_cp_map", defect.apply_cp_map))
         return calls
@@ -176,7 +177,7 @@ class TestMarginCache:
         assert "_contractivity_margin" in vars(T)
         for _ in range(2):
             assert same_float(contractivity_margin(T), first)
-        assert same_float(defect._contractivity_margin(T), first)
+        assert same_float(defect._first_defect(T)[1][0], first)
         assert same_float(contractivity_margin(OperatorTuple(T.ops)), first)
 
     def test_overflowing_tuple_raises_on_every_call(self, monkeypatch):
@@ -211,17 +212,18 @@ class TestLadderOwnsTheContractivityCheck:
         import defectseq.defect as defect
         assert T._shift_pattern is None
         assert "_contractivity_margin" not in vars(T)
-        fresh = defect._contractivity_margin(OperatorTuple(T.ops))
+        fresh = contractivity_margin(OperatorTuple(T.ops))
+        first_defect = defect._first_defect
         calls = []
 
         def counting(T):
             calls.append(T)
-            return fresh
+            return first_defect(T)
 
-        monkeypatch.setattr(defect, "_contractivity_margin", counting)
+        monkeypatch.setattr(defect, "_first_defect", counting)
         defect_sequence(T, 3)
         assert same_float(contractivity_margin(T), fresh)
-        assert calls == []
+        assert calls == [T]
 
     @pytest.mark.parametrize("entry", [*dense_entries(3, 2), np.eye(3)],
                              ids=["real", "complex", "shift"])
@@ -243,6 +245,21 @@ class TestLadderOwnsTheContractivityCheck:
             with pytest.raises(ArgumentError,
                                match="horizon must be at least 1"):
                 maximality(OperatorTuple((1.2 * entry,)), 0)
+
+    @pytest.mark.parametrize("entry, shift", [
+        *((entry, False) for entry in dense_entries(3, 2)), (np.eye(3), True),
+    ], ids=["real", "complex", "shift"])
+    def test_ladder_refuses_when_called(self, entry, shift):
+        # The check comes before the ladder hands out its generator, so
+        # no value is ever drawn from a tuple that is not contractive.
+        import defectseq.defect as defect
+        T = OperatorTuple((1.2 * entry,))
+        assert (T._shift_pattern is not None) == shift
+        margin = contractivity_margin(OperatorTuple(T.ops))
+        with pytest.raises(ContractivityError) as err:
+            defect._ladder(T, DEFAULT_TOL)
+        assert str(err.value) == ("not a row contraction: I - cp(I) has "
+                                  f"eigenvalue {margin:.3e}")
 
     def test_overflowing_dense_tuple_is_an_argument_error(self):
         from defectseq.classify import (maximality_commuting,

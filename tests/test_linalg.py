@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from defectseq.defect import defect_space, defect_space_via_words
 from defectseq.errors import ArgumentError
 from defectseq.linalg import (
     DEFAULT_TOL,
@@ -24,6 +25,8 @@ from defectseq.linalg import (
     subspace_equal,
     subspace_join,
 )
+from defectseq.models import coinvariant_hull, fock_creation, random_contractive
+from defectseq.tuples import OperatorTuple
 
 
 def random_subspace(rng, n, k):
@@ -319,3 +322,76 @@ class TestSubspaceAlgebra:
         v = np.array([[1.0], [1.0]]) / np.sqrt(2)
         stacked = np.hstack([v, 2 * v, -v])
         assert orthonormal_range(stacked).dim == 1
+
+
+def old_words_sweep(T, n, tol=DEFAULT_TOL):
+    # defect_space_via_words as its own loop wrote it.
+    first = defect_space(T, 1, tol)
+    accumulated = first.basis
+    frontier = first.basis
+    for _ in range(n - 1):
+        if frontier.shape[1] == 0 or accumulated.shape[1] == T.h:
+            break
+        images = np.hstack([op @ frontier for op in T.ops])
+        for _pass in range(2):
+            images = images - accumulated @ (accumulated.conj().T @ images)
+        fresh = orthonormal_range(images, tol) if images.size else None
+        if fresh is None or fresh.dim == 0:
+            break
+        accumulated = np.hstack([accumulated, fresh.basis])
+        frontier = fresh.basis
+    return Subspace(T.h, accumulated, tol)
+
+
+def old_hull_sweep(T, vectors, tol=DEFAULT_TOL):
+    # coinvariant_hull as its own loop wrote it.
+    start = orthonormal_range(np.asarray(vectors, dtype=np.complex128), tol)
+    accumulated = start.basis
+    frontier = start.basis
+    while frontier.shape[1] and accumulated.shape[1] < T.h:
+        images = np.hstack([op.conj().T @ frontier for op in T.ops])
+        for _pass in range(2):
+            images = images - accumulated @ (accumulated.conj().T @ images)
+        fresh = orthonormal_range(images, tol)
+        if fresh.dim == 0:
+            break
+        accumulated = np.hstack([accumulated, fresh.basis])
+        frontier = fresh.basis
+    return Subspace(T.h, accumulated, tol)
+
+
+def same_subspace_bits(a, b):
+    # Bases are C-contiguous complex128 copies, so equal bytes and shape
+    # mean equal bits, signed zeros included.
+    return (a.tol == b.tol and a.basis.shape == b.basis.shape
+            and a.basis.tobytes() == b.basis.tobytes())
+
+
+class TestSweptSpan:
+    # defect_space_via_words and coinvariant_hull share one sweep,
+    # linalg._swept_span; it must return the bases their own loops did.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_word_span_keeps_the_bits_of_its_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        d, h = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        # A real row of norm 0.9, so a strict contraction.
+        row = rng.standard_normal((h, d * h))
+        row *= 0.9 / np.linalg.norm(row, 2)
+        tuples = [random_contractive(d, h, 1, seed), fock_creation(d, 2),
+                  OperatorTuple(tuple(np.hsplit(row, d)))]
+        tol = RankTolerance(rtol=1e-8, atol=1e-11)
+        for T in tuples:
+            for n in range(1, h + 2):
+                assert same_subspace_bits(defect_space_via_words(T, n, tol),
+                                          old_words_sweep(T, n, tol))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_coinvariant_hull_keeps_the_bits_of_its_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        T = fock_creation(int(rng.integers(1, 4)), 3)
+        for k in (1, 2, 5):
+            vectors = (rng.standard_normal((T.h, k))
+                       + 1j * rng.standard_normal((T.h, k)))
+            for tol in (DEFAULT_TOL, RankTolerance(rtol=1e-6)):
+                assert same_subspace_bits(coinvariant_hull(T, vectors, tol),
+                                          old_hull_sweep(T, vectors, tol))

@@ -41,7 +41,9 @@ script), then writes into OUT_DIR:
   conjugate of it (see ``purity_builders``);
 * ``verify-<S>.json``: ``verify --suite all --samples 40 --seed S
   --report`` for S = 0..3;
-* ``<name>.out`` next to each report: the call's stdout and exit code;
+* ``<name>.out`` and ``<name>.err`` next to each report: the call's
+  stdout and exit code, and its stderr (error messages and any Python
+  warning);
 * ``demo-<script>.out``: each script in DIR/demos run in a fresh
   process, its stdout and exit code.
 
@@ -85,12 +87,13 @@ PURITY_BUDGETS = ("default", "17", "200")
 
 def _call(main, name, argv):
     # One in-process CLI call: the report goes to <name>.json, stdout and
-    # the exit code to <name>.out.
-    out = textio.StringIO()
-    with contextlib.redirect_stdout(out):
+    # the exit code to <name>.out, stderr to <name>.err.
+    out, err = textio.StringIO(), textio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--report", f"{name}.json"])
     Path(f"{name}.out").write_text(f"{out.getvalue()}exit {code}\n",
                                    encoding="utf-8")
+    Path(f"{name}.err").write_text(err.getvalue(), encoding="utf-8")
 
 
 def dense_builders(models, OperatorTuple, direct_sum):
