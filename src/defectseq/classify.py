@@ -82,13 +82,14 @@ preallocated array, tests the bounds for the whole block in a few
 vectorized calls, and takes the exact norms in step order at the steps
 the bounds flag.  The first verdict wins and the block's later iterates
 are dropped, so a verdict at step k costs at most k / 8 wasted steps,
-and blocks end at the budget, so Undecided wastes none.  The cp step is
-bound once per run (``tuples._cp_stepper``) and serves the single steps
-and every block: on a tuple without the weighted-shift pattern its
-product stacks are allocated once and a step tests no type or shape,
-and its operations and their order are those of a fresh step, so every
-iterate, and the residual norm an Undecided verdict reports after
-10 000 steps, keeps its bits.  A weighted shift keeps the diagonal step.
+and blocks end at the budget, so Undecided wastes none.  The dense cp
+step is bound once per run (``tuples._dense_stepper``) and serves the
+single steps and every block: its product stacks are allocated once and
+a step tests no type or shape, and its operations and their order are
+those of a fresh step, so every iterate, and the residual norm an
+Undecided verdict reports after 10 000 steps, keeps its bits.  A
+weighted shift takes the same step, whose products give the arrays of
+the diagonal route bit for bit.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ from .linalg import (
     hermitian_norm,
     readonly_copy,
 )
-from .tuples import _cp_stepper, is_commuting
+from .tuples import _dense_stepper, is_commuting
 
 __all__ = [
     "ClassificationReport",
@@ -223,9 +224,7 @@ def purity(T, max_iter=DEFAULT_MAX_ITER, eps_pure=DEFAULT_EPS_PURE,
 
 
 def _check_budget(max_iter):
-    _require_integer(max_iter, "iteration budget")
-    if max_iter < 1:
-        raise ArgumentError("iteration budget must be at least 1")
+    _require_integer(max_iter, "iteration budget", 1)
 
 
 def _check_thresholds(eps_pure, eps_conv):
@@ -263,7 +262,7 @@ def _purity(T, max_iter, eps_pure, eps_conv):
     # slots the block's bounds flag.  The step, and the block's slot
     # views, are bound once per run.
     x = np.eye(T.h, dtype=T.dtype)
-    step = _cp_stepper(T)
+    step = _dense_stepper(T, T.dtype)
     below = 1.0 - _BOUND_SLACK
     above = 1.0 + _BOUND_SLACK
     for k in range(1, min(max_iter, _SCALAR_STEPS) + 1):
@@ -392,9 +391,7 @@ def _maximality(deltas, d, h, horizon, bound_fn):
 
 def _ladder_maximality(T, horizon, tol, bound_fn):
     if horizon is not None:
-        _require_integer(horizon, "horizon")
-        if horizon < 1:
-            raise ArgumentError("horizon must be at least 1")
+        _require_integer(horizon, "horizon", 1)
     return _maximality(_ladder(T, tol), T.d, T.h, horizon, bound_fn)
 
 

@@ -215,9 +215,7 @@ def defect_operator(T, n, tol=None):
     does not) and a contractive tuple; the iterate is computed by n
     applications of the cp map.
     """
-    _require_integer(n, "defect index")
-    if n < 1:
-        raise ArgumentError("defect index must be at least 1")
+    _require_integer(n, "defect index", 1)
     tol = DEFAULT_TOL if tol is None else tol
     require_contractive(T, tol)
     return hermitize(np.eye(T.h) - cp_iterate(T, n))
@@ -457,9 +455,7 @@ def defect_sequence(T, n_max, tol=None):
     against the binomial bound when the tuple commutes.  ``n_max`` must
     be an integer, as for ``defect_operator``.
     """
-    _require_integer(n_max, "n_max")
-    if n_max < 1:
-        raise ArgumentError("n_max must be at least 1")
+    _require_integer(n_max, "n_max", 1)
     tol = DEFAULT_TOL if tol is None else tol
     deltas = tuple(islice(_ladder(T, tol), n_max))
     n = len(deltas)
@@ -503,9 +499,7 @@ def defect_space_via_words(T, n, tol=None):
     old directions were absorbed in an earlier round.  Independent of
     ``defect_space`` and must agree with it on every contractive tuple.
     """
-    _require_integer(n, "defect index")
-    if n < 1:
-        raise ArgumentError("defect index must be at least 1")
+    _require_integer(n, "defect index", 1)
     tol = DEFAULT_TOL if tol is None else tol
     return _swept_span(defect_space(T, 1, tol), T.ops, n - 1)
 
@@ -517,9 +511,7 @@ def word_image_dimension(T, n, tol=None):
     are never enumerated.  Returns 0 when the images die out (for
     instance once a nilpotent tuple runs past its index).
     """
-    _require_integer(n, "word length")
-    if n < 1:
-        raise ArgumentError("word length must be at least 1")
+    _require_integer(n, "word length", 1)
     tol = DEFAULT_TOL if tol is None else tol
     basis = defect_space(T, 1, tol).basis
     for _ in range(n):
@@ -570,9 +562,7 @@ def rank_symmetry_check(T, n, tol=None):
     singular values instead of materializing the large matrix
     I - R_n* R_n, whose extra eigenvalues are exact ones.
     """
-    _require_integer(n, "power index")
-    if n < 1:
-        raise ArgumentError("power index must be at least 1")
+    _require_integer(n, "power index", 1)
     tol = DEFAULT_TOL if tol is None else tol
     cap = size_cap()
     if T.d ** n > cap:

@@ -126,10 +126,14 @@ def _resolve(tol):
     return DEFAULT_TOL if tol is None else tol
 
 
-def _require_integer(value, name):
-    # numpy integers count as integers; True and 2.0 do not.
+def _require_integer(value, name, least=None):
+    # numpy integers count as integers; True and 2.0 do not.  A value
+    # below ``least``, 0 or 1 when given, is refused too.
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        bound = "at least 1" if least else "nonnegative"
+        raise ArgumentError(f"{name} must be {bound}")
 
 
 def as_operator_matrix(a, name="matrix"):

@@ -31,11 +31,11 @@ products bit for bit.
 A float64 tuple in which every row and every column of every entry
 holds at most one nonzero (a partial permutation with weights, such as
 the Fock creation tuple and the symmetric shift) maps diagonal matrices
-to diagonal matrices.  The cp step then computes a diagonal argument's
-image from the nonzeros alone, O(nnz) in place of d dense matrix
-products, with the rounding of the dense route: the one nonzero term
-of each product entry is w * x * w, summed over the entries in tuple
-order.  The pattern is found once per tuple, on first use, from the
+to diagonal matrices.  ``apply_cp_map`` then computes a diagonal
+argument's image from the nonzeros alone, O(nnz) in place of d dense
+matrix products, with the rounding of the dense route: the one nonzero
+term of each product entry is w * x * w, summed over the entries in
+tuple order.  The pattern is found once per tuple, on first use, from the
 bool array of exact nonzeros, so an entry of 1e-300 or NaN counts as a
 nonzero and -0.0 does not.  Complex tuples always take the dense
 route, because the rounding order of complex matrix products is not
@@ -47,23 +47,23 @@ result once.  The identity, the argument of cp(I), is not multiplied
 at all on a dense tuple: ``apply_cp_map`` computes sum_i T_i T_i*, the
 same bits as the dense route's products by I.
 
-``apply_cp_map`` validates its argument and then runs a route of the
-private step ``_cp_step``: the diagonal route on the diagonal its test
-found, without testing again, or the dense one.  A loop that feeds the
-step its own output may skip the validation, because each output is
-exactly Hermitian with the argument's shape and storage type; such a
-loop keeps the one check an output can still fail, finiteness.
-``cp_iterate`` and the purity loop of ``classify`` do so, and bind the
-step once per run with ``_cp_stepper``; the purity loop also passes
-``out``, a slot of its block of iterates.  There is one dense step,
-``_dense_stepper``.  Bound once, it allocates both product stacks and
-the views of the terms, and each call makes only the two matmuls into
-them, the in-place sum and the re-symmetrization, with no type or
-shape test.  Those are the operations, in their order, of a fresh
-``_dense_step`` call, which binds it for that call alone, so a loop's
-iterates have the bits of fresh calls, signed zeros and NaN signs
-included.  A tuple with the shift pattern keeps ``_cp_step`` in the
-loop, whose diagonal route tests each argument.
+``apply_cp_map`` validates its argument and then runs the diagonal
+route on the diagonal its test found, without testing again, or the
+dense step ``_dense_step``.  A loop that feeds the step its own output
+may skip the validation, because each output is exactly Hermitian with
+the argument's shape and storage type; such a loop keeps the one check
+an output can still fail, finiteness.  ``cp_iterate`` and the purity
+loop of ``classify`` do so, and bind the one dense step,
+``_dense_stepper``, once per run for every tuple; the purity loop also
+passes ``out``, a slot of its block of iterates.  Bound once, it
+allocates both product stacks and the views of the terms, and each call
+makes only the two matmuls into them, the in-place sum and the
+re-symmetrization, with no type or shape test.  Those are the
+operations, in their order, of a fresh ``_dense_step`` call, which
+binds it for that call alone, so a loop's iterates have the bits of
+fresh calls, signed zeros and NaN signs included.  On a weighted shift
+they are also the diagonal route's arrays, so the defect ladder is the
+one loop that takes that route.
 
 The contractivity margin and the defect ladder (its one entry,
 ``defect._margin_and_deltas``) keep the public name.  Both take
@@ -74,11 +74,9 @@ applies the map once in all; its later steps multiply a thin factor of
 D_n by the entries themselves, not by the cp map.  The ladder of a
 weighted shift makes one call per step.
 
-``is_commuting`` builds the commutators of a tuple with the shift
-pattern from its nonzeros: each entry of T_i T_j has at most one nonzero
-term, w * w', the one the dense product adds to zeros.  The norm bounds
-read those nonzeros; a commutator becomes an h x h array only for the
-spectral norm, when the bounds cannot settle it.
+``is_commuting`` takes one route for every tuple, weighted shifts
+included: a one-vector probe, then norm bounds on the entry
+commutators, then spectral norms where the bounds cannot settle one.
 """
 
 from __future__ import annotations
@@ -96,7 +94,6 @@ from .linalg import (
     _BOUND_SLACK,
     _as_matrix,
     _hermitian,
-    _real_diagonal,
     _require_integer,
     readonly_copy,
     Subspace,
@@ -253,9 +250,7 @@ def validate_word(word, d):
 
 def words_of_length(d, n):
     """All words of length n over {1, ..., d}, lexicographically."""
-    _require_integer(n, "word length")
-    if n < 0:
-        raise ArgumentError("word length must be nonnegative")
+    _require_integer(n, "word length", 0)
     return itertools.product(range(1, d + 1), repeat=n)
 
 
@@ -301,11 +296,11 @@ def apply_cp_map(T, x):
     type to sum_i T_i T_i* without the products by I.  Both results are
     the arrays of the dense route, bit for bit.
 
-    Otherwise this is the validation of ``x`` followed by the dense
-    route of the private step ``_cp_step``, the one cp step of the
-    package: two batched matmuls over the stored entries and their
-    adjoints.  Only loops that feed the step its own output skip this
-    function, and bind the step once with ``_cp_stepper``
+    Otherwise this is the validation of ``x`` followed by the private
+    dense step ``_dense_step``, the one dense cp step of the package:
+    two batched matmuls over the stored entries and their adjoints.
+    Only loops that feed the step its own output skip this function,
+    and bind the dense step once with ``_dense_stepper``
     (``cp_iterate`` and the purity loop of ``classify``): every output
     is exactly Hermitian, of the argument's shape and storage type, so
     re-validating it could only fail on non-finite entries, and those
@@ -332,24 +327,9 @@ def apply_cp_map(T, x):
     return _dense_step(T, x)
 
 
-def _cp_step(T, x, out=None):
-    # apply_cp_map without the checks: ``x`` is a float64 or complex128
-    # Hermitian matrix of dimension T.h.  The result is written into
-    # ``out``, an h x h array of the result's type that does not overlap
-    # ``x``, allocated when None, and ``out`` is returned.  Only a tuple
-    # with the shift pattern tests ``x``; the dense route tests nothing.
-    if T._shift_pattern is not None and x.dtype == np.float64:
-        diag = _real_diagonal(x)
-        if diag is not None:
-            y = _diagonal_step(T, diag, out)
-            if y is not None:
-                return y
-    return _dense_step(T, x, out)
-
-
-def _diagonal_step(T, diag, out=None):
+def _diagonal_step(T, diag):
     # The cp step of a tuple with the shift pattern at diag(``diag``),
-    # as _cp_step writes it, or None when a term is not finite.
+    # or None when a term is not finite.
     rows, cols, weights = T._shift_pattern
     # bincount adds the terms into each row from 0.0 in index order,
     # which is tuple order, as the dense accumulator does.
@@ -359,18 +339,14 @@ def _diagonal_step(T, diag, out=None):
     if not np.isfinite(v).all():
         return None
     # The diagonal of hermitize(diag(v)), overflow included.
-    if out is None:
-        return np.diag((v + v) / 2.0)
-    out[...] = 0.0
-    np.fill_diagonal(out, (v + v) / 2.0)
-    return out
+    return np.diag((v + v) / 2.0)
 
 
-def _dense_step(T, x, out=None):
-    # The dense route of one call: hermitize(sum_i T_i x T_i*), written
-    # into ``out``, by the step of ``_dense_stepper`` bound for this
-    # argument.  ``x`` None stands for the identity of T's storage type.
-    return _dense_stepper(T, T.dtype if x is None else x.dtype)(x, out)
+def _dense_step(T, x):
+    # The dense route of one call: hermitize(sum_i T_i x T_i*), by the
+    # step of ``_dense_stepper`` bound for this argument.  ``x`` None
+    # stands for the identity of T's storage type.
+    return _dense_stepper(T, T.dtype if x is None else x.dtype)(x)
 
 
 def _dense_stepper(T, dtype):
@@ -403,7 +379,11 @@ def _dense_stepper(T, dtype):
     # The first factor of the terms at the identity.
     eye_left = left if T.dtype == np.float64 else stack
     # hermitize(acc), in its operand order, so a NaN keeps its sign bit;
-    # conj is a copy on float64, so acc is added to acc.T directly.
+    # conj is a copy on float64, so acc is added to acc.T directly.  No
+    # input has shown this order on OpenBLAS 0.3: its gemm spreads a NaN
+    # of the argument over the whole product with one sign, so no acc
+    # held NaNs of opposite signs at (i, j) and (j, i).  The tests pin
+    # it with a matmul that writes such a pair.
     if dtype == np.float64:
         def hermitize(out):
             add(acc, acc_t, out)
@@ -422,7 +402,10 @@ def _dense_stepper(T, dtype):
             matmul(left, adjoint, terms)
         # The terms are summed from +0.0 in tuple order: 0.0 + t and
         # t + 0.0 are the same bits, so the first term takes the zero in
-        # place.
+        # place.  No input has shown this on OpenBLAS 0.3: its gemm
+        # with a transposed right factor, the adjoints here, returned no
+        # -0.0 even where every product underflowed to -0.0.  The tests
+        # pin it with a matmul that does.
         add(acc, 0.0, acc)
         for term in rest:
             add(acc, term, acc)
@@ -435,18 +418,6 @@ def _dense_stepper(T, dtype):
     return step
 
 
-def _cp_stepper(T):
-    # ``_cp_step`` bound once for a loop that feeds the step its own
-    # output, starting from an argument of T's storage type:
-    # step(x, out=None) gives the bits of _cp_step(T, x, out).  A tuple
-    # with the shift pattern keeps _cp_step, whose diagonal route tests
-    # each argument; any other takes the dense step of
-    # ``_dense_stepper``, with its buffers allocated once.
-    if T._shift_pattern is not None:
-        return functools.partial(_cp_step, T)
-    return _dense_stepper(T, T.dtype)
-
-
 def cp_iterate(T, n):
     """The n-th iterate of the cp map at the identity; n = 0 gives I.
 
@@ -457,11 +428,9 @@ def cp_iterate(T, n):
     as its argument, as ``apply_cp_map`` does.  ``n`` must be an
     integer (numpy integers count, a bool or a float does not).
     """
-    _require_integer(n, "iteration count")
-    if n < 0:
-        raise ArgumentError("iteration count must be nonnegative")
+    _require_integer(n, "iteration count", 0)
     x = np.eye(T.h, dtype=T.dtype)
-    step = _cp_stepper(T)
+    step = _dense_stepper(T, T.dtype)
     for k in range(n):
         if k and not np.isfinite(x).all():
             raise ArgumentError("cp-map argument contains non-finite entries")
@@ -576,18 +545,15 @@ def is_commuting(T, tol=None):
     ``||T_i T_j - T_j T_i|| <= rtol * (1 + max_i ||T_i||^2)``.
     A 1-tuple commutes trivially.
 
-    A tuple without the shift pattern is first probed with one fixed
-    unit vector v: ``||T_i (T_j v) - T_j (T_i v)||`` is at most the
-    commutator's spectral norm, so when it exceeds the bound, with the
-    largest Frobenius norm in place of the spectral one, by more than an
+    The tuple is first probed with one fixed unit vector v:
+    ``||T_i (T_j v) - T_j (T_i v)||`` is at most the commutator's
+    spectral norm, so when it exceeds the bound, with the largest
+    Frobenius norm in place of the spectral one, by more than an
     explicit rounding allowance, the tuple does not commute, and no
     commutator is formed.  Otherwise spectral norms are taken only when
     the bounds max column norm <= ||A||_2 <= ||A||_F, widened by a fixed
     relative slack, cannot settle a commutator; the verdict is the one
-    the spectral norms give.  A float64 tuple of weighted partial
-    permutations gets its commutators as at most 2h entries each, with
-    the values of the dense products, and takes both bounds from those;
-    a commutator is formed as an h x h array only for a spectral norm.
+    the spectral norms give.  Weighted shifts take the same route.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if T.d == 1:
@@ -597,32 +563,17 @@ def is_commuting(T, tol=None):
     above = 1.0 + _BOUND_SLACK
     # The exact bound lies below this one.
     bound_high = tol.rtol * (1.0 + frob_max * frob_max) * above
-    if T._shift_pattern is not None:
-        comms = _shift_commutators(T)
-        frobs = [float(np.linalg.norm(values)) for _, values in comms]
-
-        def column_max(comm):
-            cols, values = comm
-            return float(np.sqrt(np.max(
-                np.bincount(cols, values * values, T.h))))
-
-        def dense(comm):
-            return _dense_commutator(T.h, comm)
-    else:
-        if _probe_exceeds(T, frob_max, bound_high):
-            return False
-        comms = _entry_commutators(T)
-        frobs = [float(np.linalg.norm(comm)) for comm in comms]
-        column_max = _max_column_norm
-
-        def dense(comm):
-            return comm
+    if _probe_exceeds(T, frob_max, bound_high):
+        return False
+    comms = _entry_commutators(T)
+    frobs = [float(np.linalg.norm(comm)) for comm in comms]
     # An overflowing commutator keeps the exact route and what it gives.
     if np.isfinite(frobs).all():
         col_max = max(_max_column_norm(op) for op in T.ops)
         # The exact bound lies above this one.
         bound_low = tol.rtol * (1.0 + col_max * col_max) * below
-        if any(column_max(comm) * below > bound_high for comm in comms):
+        if any(_max_column_norm(comm) * below > bound_high
+               for comm in comms):
             return False
         comms = [comm for comm, frob in zip(comms, frobs)
                  if frob * above > bound_low]
@@ -630,13 +581,12 @@ def is_commuting(T, tol=None):
             return True
     max_norm = max(float(np.linalg.norm(op, 2)) for op in T.ops)
     bound = tol.rtol * (1.0 + max_norm * max_norm)
-    return all(float(np.linalg.norm(dense(comm), 2)) <= bound
-               for comm in comms)
+    return all(float(np.linalg.norm(comm, 2)) <= bound for comm in comms)
 
 
 def _probe_exceeds(T, frob_max, bound):
     # Whether c = T_i (T_j v) - T_j (T_i v), for one fixed unit vector v,
-    # shows a commutator C = T_i T_j - T_j T_i of the dense tuple T above
+    # shows a commutator C = T_i T_j - T_j T_i of the tuple T above
     # ``bound``, in O(d**2 h**2).  ||C v|| <= ||C||_2 <= 2 F**2, for
     # F = frob_max.  With g = gamma_{h+2} = (h+2) eps / (1 - (h+2) eps)
     # at eps = 2**-52 (Higham, Accuracy and Stability of Numerical
@@ -672,57 +622,11 @@ def _probe_vector(h):
 
 
 def _entry_commutators(T):
-    # The commutators T_i T_j - T_j T_i, i < j, of a dense tuple, as
-    # h x h arrays: the only h x h products is_commuting forms.
+    # The commutators T_i T_j - T_j T_i, i < j, as h x h arrays: the
+    # only h x h products is_commuting forms.
     ops = T.ops
     return [ops[i] @ ops[j] - ops[j] @ ops[i]
             for i, j in itertools.combinations(range(T.d), 2)]
-
-
-def _shift_commutators(T):
-    # The commutators T_i T_j - T_j T_i, i < j, of a tuple with a
-    # ``_shift_pattern``, each as (cols, values) of 2h entries, entry k
-    # in row k % h.  Row r of T_i holds at most one nonzero w, in column
-    # c, so row r of T_i T_j holds at most w * w', with w' the nonzero of
-    # row c of T_j: the one nonzero term of the dense sum.  A commutator
-    # row so holds a and -b, or a - b where the two meet.  An empty row
-    # is read as column 0 and value 0.0, so a missing product is an
-    # entry 0.0 and the entries add up to the dense difference, up to
-    # the sign of zeros, which no norm sees.  O(d**2 h) in place of
-    # O(d**2 h**3).
-    d, h = T.d, T.h
-    rows, cols, weights = T._shift_pattern
-    entry = np.repeat(np.arange(d), np.count_nonzero(T._stack, axis=(1, 2)))
-    col = np.zeros((d, h), dtype=np.intp)
-    val = np.zeros((d, h))
-    col[entry, rows] = cols
-    val[entry, rows] = weights
-
-    def product(i, j):
-        # Column and value of the entry of each row of T_i T_j.
-        mid = col[i]
-        return col[j][mid], val[i] * val[j][mid]
-
-    def commutator(i, j):
-        ca, a = product(i, j)
-        cb, b = product(j, i)
-        meet = ca == cb
-        return (np.concatenate([ca, cb]),
-                np.concatenate([a - np.where(meet, b, 0.0),
-                                np.where(meet, 0.0, -b)]))
-
-    # Silent on overflow, as the dense products are.
-    with np.errstate(over="ignore"):
-        return [commutator(i, j)
-                for i in range(d) for j in range(i + 1, d)]
-
-
-def _dense_commutator(h, comm):
-    # The h x h array of one commutator of ``_shift_commutators``.
-    cols, values = comm
-    out = np.zeros((h, h))
-    np.add.at(out, (np.arange(2 * h) % h, cols), values)
-    return out
 
 
 def _max_column_norm(a):

@@ -54,7 +54,7 @@ from defectseq.models import (
     spherical_shift_sum,
     symmetric_fock_shift,
 )
-from defectseq.tuples import OperatorTuple, apply_cp_map, direct_sum
+from defectseq.tuples import OperatorTuple, apply_cp_map, cp_iterate, direct_sum
 
 
 class TestPurity:
@@ -764,6 +764,23 @@ def workload_tuples(seed=0):
 WORKLOAD_TUPLES = workload_tuples()
 
 
+def cyclic_shift(h, power=1):
+    """The cyclic shift e_k -> e_(k + power mod h) on C^h."""
+    return np.roll(np.eye(h), power, axis=0)
+
+
+# Weighted shifts whose purity loop ends early (nilpotent, NotPure) or
+# runs past its first 16 steps into the blocks (slow cyclic shifts).
+SLOW_SHIFTS = {
+    "fock-2-3": lambda: fock_creation(2, 3),
+    "spherical-sum": lambda: spherical_shift_sum(2, 4, (0.6, 0.8), 2),
+    "cyclic-24": lambda: OperatorTuple((0.999 * cyclic_shift(24),)),
+    "cyclic-pair-8": lambda: OperatorTuple((
+        0.7 * cyclic_shift(8) @ np.diag(np.linspace(0.5, 0.9, 8)),
+        0.69 * cyclic_shift(8, 2))),
+}
+
+
 def block_slots(h, max_iter):
     """The (first, last) step of every block the purity loop runs."""
     classify_module = importlib.import_module("defectseq.classify")
@@ -780,24 +797,24 @@ def block_slots(h, max_iter):
 def wrap_purity_steps(monkeypatch, record):
     """Call ``record(x[, out])`` before every step of the purity loop.
 
-    The loop binds its step once per run through ``_cp_stepper``; the
-    step takes the arguments of ``_cp_step`` after the tuple.  Returns
-    the list of tuples the step was bound for.
+    The loop binds its step once per run through ``_dense_stepper``;
+    the step takes ``x`` and, for a block slot, ``out``.  Returns the
+    list of tuples the step was bound for.
     """
     classify_module = importlib.import_module("defectseq.classify")
     tuples_module = importlib.import_module("defectseq.tuples")
     bindings = []
 
-    def stepper(T):
+    def stepper(T, dtype):
         bindings.append(T)
-        step = tuples_module._cp_stepper(T)
+        step = tuples_module._dense_stepper(T, dtype)
 
         def counted(*args):
             record(*args)
             return step(*args)
         return counted
 
-    monkeypatch.setattr(classify_module, "_cp_stepper", stepper)
+    monkeypatch.setattr(classify_module, "_dense_stepper", stepper)
     return bindings
 
 
@@ -805,7 +822,7 @@ def counting_cp_steps(monkeypatch):
     """Count the purity loop's cp steps; returns the running count.
 
     Each step is recorded as the number of arguments of the equivalent
-    ``_cp_step(T, x[, out])`` call: 3 for a step into a block slot.
+    ``step(T, x[, out])`` call: 3 for a step into a block slot.
     """
     calls = []
     wrap_purity_steps(monkeypatch, lambda *args: calls.append(1 + len(args)))
@@ -898,13 +915,36 @@ class TestBlockedPurity:
         else:
             T = WORKLOAD_TUPLES[name]
         got = purity(T, budget)
-        want = reference_purity(T, budget, cp=tuples_module._cp_step)
+        want = reference_purity(T, budget, cp=tuples_module._dense_step)
         assert_same_verdict(got, want)
         assert (np.float64(got.residual_norm).tobytes()
                 == np.float64(want.residual_norm).tobytes())
         if name.startswith("damped"):
             assert got.status is Purity.UNDECIDED
             assert got.iterations == budget
+
+    @pytest.mark.parametrize("name", sorted(SLOW_SHIFTS))
+    def test_weighted_shifts_match_iterated_public_steps(self, name):
+        # The bound loops take the dense step on a weighted shift too,
+        # where apply_cp_map takes the diagonal route: the iterates of
+        # cp_iterate and of the purity loop, its blocks included, are
+        # the public step's, bit for bit.
+        T = SLOW_SHIFTS[name]()
+        assert T._shift_pattern is not None
+        x = np.eye(T.h)
+        for n in range(41):
+            assert cp_iterate(T, n).tobytes() == x.tobytes()
+            x = apply_cp_map(T, x)
+        for budget in (17, 200, DEFAULT_MAX_ITER):
+            got, want = purity(T, budget), reference_purity(T, budget)
+            assert_same_verdict(got, want)
+            assert (np.float64(got.residual_norm).tobytes()
+                    == np.float64(want.residual_norm).tobytes())
+            if want.limit is not None:
+                assert got.limit.tobytes() == want.limit.tobytes()
+        if name.startswith("cyclic"):
+            # The last verdict comes from a block.
+            assert got.iterations > 16
 
     @pytest.mark.parametrize("name", sorted(WORKLOAD_TUPLES))
     def test_iterations_are_python_integers(self, name):

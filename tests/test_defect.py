@@ -24,7 +24,7 @@ from defectseq.defect import (
 )
 from defectseq.errors import ArgumentError, ConsistencyError, ContractivityError
 from defectseq.linalg import DEFAULT_TOL, RankTolerance, subspace_equal
-from defectseq.classify import purity
+from defectseq.classify import maximality_noncommutative, purity
 from defectseq.models import (
     fock_creation,
     pure_nonmaximal_example,
@@ -32,7 +32,7 @@ from defectseq.models import (
     spherical_shift_sum,
     symmetric_fock_shift,
 )
-from defectseq.tuples import OperatorTuple
+from defectseq.tuples import OperatorTuple, cp_iterate, words_of_length
 
 
 def damped_random(rng, d, h, scale=0.4):
@@ -340,6 +340,31 @@ class TestCountArguments:
         T = OperatorTuple((0.5 * np.eye(2),))
         with pytest.raises(ArgumentError, match=f"{name} must be an integer"):
             fn(T, n)
+
+    @pytest.mark.parametrize("below", [1, 4, np.int64(1)], ids=repr)
+    @pytest.mark.parametrize("call, least, message", [
+        (defect_operator, 1, "defect index must be at least 1"),
+        (defect_sequence, 1, "n_max must be at least 1"),
+        (defect_space_via_words, 1, "defect index must be at least 1"),
+        (word_image_dimension, 1, "word length must be at least 1"),
+        (rank_symmetry_check, 1, "power index must be at least 1"),
+        (lambda T, n: purity(T, n), 1, "iteration budget must be at least 1"),
+        (lambda T, n: maximality_noncommutative(T, n), 1,
+         "horizon must be at least 1"),
+        (cp_iterate, 0, "iteration count must be nonnegative"),
+        (lambda T, n: words_of_length(T.d, n), 0,
+         "word length must be nonnegative"),
+    ], ids=["defect_operator", "defect_sequence", "defect_space_via_words",
+            "word_image_dimension", "rank_symmetry_check", "purity",
+            "horizon", "cp_iterate", "words_of_length"])
+    def test_count_below_its_least_value_is_refused(self, call, least,
+                                                   message, below):
+        # One message per count, the same bytes on every call site.
+        T = OperatorTuple((0.5 * np.eye(2),))
+        call(T, least)
+        with pytest.raises(ArgumentError) as refused:
+            call(T, least - below)
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize("fn", [defect_space_via_words,
                                     word_image_dimension,

@@ -52,7 +52,7 @@ def outcome(fn, *args):
 def full_route_outcome(monkeypatch, fn, *args):
     # The call with the diagonal test switched off everywhere it is read.
     with monkeypatch.context() as patch:
-        for module in (linalg_module, tuples_module, defect_module):
+        for module in (linalg_module, defect_module):
             patch.setattr(module, "_real_diagonal", lambda m: None)
         return outcome(fn, *args)
 
@@ -228,7 +228,7 @@ class TestIdentityStep:
         T = OperatorTuple(tuple(ops / np.sqrt(2.0 * d * h)))
         for eye in (np.eye(h), np.eye(h, dtype=np.complex128)):
             assert same_bits(apply_cp_map(T, eye),
-                             tuples_module._cp_step(T, eye))
+                             tuples_module._dense_step(T, eye))
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_identity_skips_the_product_by_i(self, complex_entries,
@@ -243,9 +243,9 @@ class TestIdentityStep:
         dense_step = tuples_module._dense_step
         arguments = []
 
-        def recording(T, x, out=None):
+        def recording(T, x):
             arguments.append(x)
-            return dense_step(T, x, out)
+            return dense_step(T, x)
 
         monkeypatch.setattr(tuples_module, "_dense_step", recording)
         for x in (eye, other, 0.5 * eye):

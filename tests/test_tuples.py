@@ -2,6 +2,7 @@
 
 import base64
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import defectseq.tuples as tuples_module
 from defectseq.classify import classify
+from defectseq.defect import defect_sequence
 from defectseq.errors import ArgumentError, SizeCapError
 from defectseq.linalg import (
     DEFAULT_TOL,
@@ -27,7 +29,7 @@ from defectseq.models import (
 )
 from defectseq.tuples import (
     OperatorTuple,
-    _cp_step,
+    _dense_step,
     apply_cp_map,
     compress,
     cp_iterate,
@@ -450,7 +452,7 @@ class TestShiftPattern:
     def test_pattern_is_computed_on_first_use(self):
         T = fock_creation(2, 3)
         assert "_shift_pattern" not in vars(T)
-        cp_iterate(T, 1)
+        apply_cp_map(T, np.eye(T.h))
         assert "_shift_pattern" in vars(T)
 
     def test_complex_and_dense_tuples_have_none(self):
@@ -675,7 +677,7 @@ class TestCpKernel:
     def test_kernel_matches_the_public_step(self, T, x):
         with np.errstate(over="ignore", invalid="ignore"):
             public = apply_cp_map(T, x)
-            kernel = _cp_step(T, x)
+            kernel = _dense_step(T, x)
             dense = reference_cp(T, x)
         assert same_bits(kernel, public)
         assert same_bits(kernel, dense)
@@ -736,15 +738,15 @@ class TestCpKernel:
             assert adjoint.strides == op.conj().T.strides
             assert same_bits(adjoint, op.conj().T)
         cp_iterate(T, 3)
-        _cp_step(T, np.eye(4), np.empty((4, 4), T.dtype))
+        tuples_module._dense_stepper(T, T.dtype)(
+            np.eye(4, dtype=T.dtype), np.empty((4, 4), T.dtype))
         assert T._adjoint_stack is adjoints
 
     def test_shift_tuple_builds_no_adjoints_on_the_diagonal_route(self):
+        # The defect ladder of a weighted shift steps its diagonal alone.
         T = fock_creation(2, 3)
-        cp_iterate(T, T.h + 2)
-        block = np.zeros((2, T.h, T.h))
-        block[0] = np.eye(T.h)
-        _cp_step(T, block[0], block[1])
+        assert defect_sequence(T, T.h + 2).deltas[-1] == T.h
+        apply_cp_map(T, np.diag(np.linspace(1.0, 0.0, T.h)))
         assert "_adjoint_stack" not in vars(T)
         apply_cp_map(T, np.ones((T.h, T.h)))
         assert vars(T)["_adjoint_stack"].base is T._stack
@@ -1107,10 +1109,10 @@ class TestStackedCpStep:
     def test_both_forms_match_the_per_entry_oracle(self, case):
         T, x = case
         want = reference_cp(T, x)
-        assert same_bits(_cp_step(T, x), want)
-        assert _cp_step(T, x).tobytes() == want.tobytes()
+        assert same_bits(_dense_step(T, x), want)
+        assert _dense_step(T, x).tobytes() == want.tobytes()
         out = np.full(want.shape, np.nan, dtype=want.dtype)
-        got = _cp_step(T, x, out)
+        got = tuples_module._dense_stepper(T, x.dtype)(x, out)
         assert got is out
         assert same_bits(got, want)
         assert got.tobytes() == want.tobytes()
@@ -1120,11 +1122,12 @@ class TestStackedCpStep:
                   OperatorTuple(tuple(op.real for op in
                                       random_contractive(2, 9, 1, 22).ops))):
             x = np.eye(T.h, dtype=T.dtype)
+            step = tuples_module._dense_stepper(T, T.dtype)
             block = np.empty((2, T.h, T.h), dtype=T.dtype)
             block[0] = x
             for _ in range(T.h + 3):
                 x = reference_cp(T, x)
-                _cp_step(T, block[0], block[1])
+                step(block[0], block[1])
                 assert block[1].tobytes() == x.tobytes()
                 block[0] = block[1]
 
@@ -1172,7 +1175,7 @@ class TestBoundDenseStep:
         # buffers an earlier call wrote.
         for x in args + args:
             want = reference_cp(T, x)
-            kernel = _cp_step(T, x)
+            kernel = _dense_step(T, x)
             assert same_bits(kernel, want)
             assert kernel.tobytes() == want.tobytes()
             got = step(x)
@@ -1207,6 +1210,62 @@ class TestBoundDenseStep:
             assert same_bits(step(x), reference_cp(T, x))
         assert same_bits(step(None), want_eye)
 
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_sum_starts_from_plus_zero(self, identity, monkeypatch):
+        # The gemm here returns no -0.0 for the step's products (see
+        # _dense_stepper), so a matmul that turns every zero it returns
+        # into -0.0 stands in for one that does: the terms are summed
+        # from +0.0, so the step gives +0.0 where the per-entry sum from
+        # +0.0 does, not the -0.0 of the terms.  On a complex tuple the
+        # division by 2 of the hermitization clears a -0.0 real part
+        # either way, so a real tuple shows the rule.
+        T = fock_creation(2, 2)
+        real_matmul = np.matmul
+
+        def negative_zero_matmul(a, b, out=None):
+            out = real_matmul(a, b, out=out)
+            np.copyto(out, -0.0, where=out == 0)
+            return out
+
+        monkeypatch.setattr(np, "matmul", negative_zero_matmul)
+        x = np.eye(T.h, dtype=T.dtype)
+        acc = np.zeros((T.h, T.h), dtype=T.dtype)
+        for op in T.ops:
+            term = negative_zero_matmul(negative_zero_matmul(op, x),
+                                        op.conj().T)
+            assert np.signbit(term[term == 0]).any()
+            acc = acc + term
+        want = hermitize(acc)
+        step = tuples_module._dense_stepper(T, T.dtype)
+        assert same_bits(step(None if identity else x), want)
+
+    @pytest.mark.parametrize("T", [fock_creation(2, 2),
+                                   random_contractive(2, 4, 1, 24)],
+                             ids=["real", "complex"])
+    def test_hermitization_keeps_its_operand_order(self, T, monkeypatch):
+        # A sum of two NaNs keeps the first operand's, so NaNs of
+        # opposite signs at (0, 1) and (1, 0) show the order of
+        # acc + acc*.  The gemm here spreads a NaN of the argument over
+        # the whole product with one sign, so a matmul that writes the
+        # pair into every product stands in for one that does not.
+        real_matmul = np.matmul
+
+        def nan_pair_matmul(a, b, out=None):
+            out = real_matmul(a, b, out=out)
+            out[..., 0, 1] = np.nan
+            out[..., 1, 0] = -np.nan
+            return out
+
+        monkeypatch.setattr(np, "matmul", nan_pair_matmul)
+        x = np.eye(T.h, dtype=T.dtype)
+        acc = np.zeros((T.h, T.h), dtype=T.dtype)
+        for op in T.ops:
+            acc = acc + nan_pair_matmul(nan_pair_matmul(op, x), op.conj().T)
+        want = hermitize(acc)
+        assert np.signbit(want[0, 1].real) != np.signbit(want[1, 0].real)
+        step = tuples_module._dense_stepper(T, T.dtype)
+        assert same_bits(step(x), want)
+
     @pytest.mark.parametrize("make", [
         lambda: random_contractive(3, 7, 2, 21),
         lambda: OperatorTuple(tuple(op.real for op in
@@ -1214,16 +1273,18 @@ class TestBoundDenseStep:
         lambda: fock_creation(2, 3),
     ], ids=["complex", "real", "shift"])
     def test_loop_step_matches_the_kernel_on_every_iterate(self, make):
-        # ``_cp_stepper`` is what loops bind: the dense step, or the
-        # kernel itself for a tuple with the shift pattern.
+        # Loops bind the dense step for every tuple; the public step
+        # takes the diagonal route on a tuple with the shift pattern,
+        # with the kernel's bits.
         T = make()
-        step = tuples_module._cp_stepper(T)
+        step = tuples_module._dense_stepper(T, T.dtype)
         x = np.eye(T.h, dtype=T.dtype)
         block = np.empty((2, T.h, T.h), dtype=T.dtype)
         last, slot = block
         last[...] = x
         for _ in range(T.h + 3):
-            want = _cp_step(T, x)
+            want = apply_cp_map(T, x)
+            assert _dense_step(T, x).tobytes() == want.tobytes()
             assert step(x).tobytes() == want.tobytes()
             assert step(last, slot) is slot
             assert slot.tobytes() == want.tobytes()
@@ -1236,47 +1297,27 @@ def dense_commutators(T):
             for i in range(T.d) for j in range(i + 1, T.d)]
 
 
-def shift_commutators(T):
-    # The nonzero-built commutators, formed as h x h arrays.
-    return [tuples_module._dense_commutator(T.h, comm)
-            for comm in tuples_module._shift_commutators(T)]
-
-
 def weighted_shift(weights, h, step=1):
     # sum_k weights[k] e_{k + step} e_k^T on C^h.
     return np.diag(np.asarray(weights, dtype=float), -step)[:h, :h]
 
 
 class TestShiftCommutators:
-    """``is_commuting`` builds a shift tuple's commutators from nonzeros."""
+    """Weighted shifts take the one route of ``is_commuting``."""
 
     @settings(max_examples=80, deadline=None)
     @given(shift_tuples(), st.integers(0, 2 ** 32 - 1))
-    def test_commutators_equal_the_dense_products(self, T, seed):
+    def test_permuted_and_weighted_shifts_match_the_reference(self, T, seed):
         # Permuted and weighted shifts: conjugate by a random permutation.
         perm = np.random.default_rng(seed).permutation(T.h)
         for U in (T, OperatorTuple(tuple(op[perm][:, perm] for op in T.ops))):
             assert U._shift_pattern is not None
-            if U.d == 1:
-                continue
-            got = shift_commutators(U)
-            want = dense_commutators(U)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
             assert is_commuting(U) == reference_is_commuting(U)
 
     @pytest.mark.parametrize("T", FLAGSHIPS + (
         symmetric_fock_shift(2, 24), fock_creation(2, 6)), ids=repr)
-    def test_flagships_take_the_shift_route(self, T, monkeypatch):
-        calls = []
-        real = tuples_module._shift_commutators
-
-        def counted(U):
-            calls.append(U)
-            return real(U)
-
-        monkeypatch.setattr(tuples_module, "_shift_commutators", counted)
+    def test_flagships_match_the_reference(self, T):
         assert is_commuting(T) == reference_is_commuting(T)
-        assert len(calls) == (T.d > 1)
 
     def test_weighted_pairs(self):
         h = 7
@@ -1312,43 +1353,73 @@ class TestShiftCommutators:
             tol = RankTolerance(rtol=float(rtol))
             assert is_commuting(T, tol) == reference_is_commuting(T, tol)
 
-    def test_dense_commutators_only_for_spectral_norms(self, monkeypatch):
-        # The bounds settle the flagships from the nonzeros alone; at the
-        # exact edge the spectral norm needs the h x h array.
-        formed = []
-        real = tuples_module._dense_commutator
+    def test_flagships_settle_before_the_spectral_norms(self, monkeypatch):
+        # The Fock tuple is settled by the probe, before any commutator
+        # is formed; the symmetric shift commutes, and its commutators
+        # are settled by their column and Frobenius bounds.
+        formed, spectral = [], []
+        entry_commutators = tuples_module._entry_commutators
+        norm = np.linalg.norm
 
-        def counted(h, comm):
-            formed.append(h)
-            return real(h, comm)
+        def counted_commutators(T):
+            formed.append(T)
+            return entry_commutators(T)
 
-        monkeypatch.setattr(tuples_module, "_dense_commutator", counted)
-        for T in (fock_creation(2, 8), symmetric_fock_shift(2, 24)):
-            assert is_commuting(T) == reference_is_commuting(T)
-        assert formed == []
+        def counted_norm(x, ord=None, **kwargs):
+            if ord == 2:
+                spectral.append(x.shape)
+            return norm(x, ord, **kwargs)
+
+        monkeypatch.setattr(tuples_module, "_entry_commutators",
+                            counted_commutators)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        fock = fock_creation(2, 8)
+        assert not is_commuting(fock)
+        assert formed == [] and spectral == []
+        dshift = symmetric_fock_shift(2, 24)
+        assert is_commuting(dshift)
+        assert formed == [dshift] and spectral == []
+        # At the exact edge the spectral norm decides.
         rng = np.random.default_rng(0)
         w = rng.uniform(0.3, 0.9, 8)
         T = OperatorTuple((weighted_shift(w, 9),
                            weighted_shift(w * (1 + 1e-6 * rng.standard_normal(
                                8)), 9)))
-        max_norm = max(np.linalg.norm(op, 2) for op in T.ops)
-        edge = (np.linalg.norm(dense_commutators(T)[0], 2)
+        max_norm = max(norm(op, 2) for op in T.ops)
+        edge = (norm(dense_commutators(T)[0], 2)
                 / (1.0 + max_norm * max_norm))
         tol = RankTolerance(rtol=float(edge))
-        assert is_commuting(T, tol) == reference_is_commuting(T, tol)
-        assert formed == [9]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "norm", norm)
+            want = reference_is_commuting(T, tol)
+        assert is_commuting(T, tol) == want
+        assert (9, 9) in spectral
 
-    def test_overflowing_products_are_silent_and_match(self):
-        big = OperatorTuple((1e200 * weighted_shift(np.ones(3), 4),
-                             1e200 * weighted_shift(np.ones(2), 4, 2)))
+    @pytest.mark.parametrize("scale", [1e200, 1e154])
+    def test_overflowing_products_match_the_reference(self, scale):
+        # At 1e200 the products overflow and inf - inf leaves NaN, so
+        # both calls end in the same SVD failure; at 1e154 only the
+        # squares of the entry norms overflow.  is_commuting warns as
+        # the entry norms and the reference's products do.
+        big = OperatorTuple((scale * weighted_shift(np.ones(3), 4),
+                             scale * weighted_shift(np.ones(2), 4, 2)))
         assert big._shift_pattern is not None
-        # inf - inf in the subtraction warns on both routes.
-        with np.errstate(over="raise", invalid="ignore"):
-            got = shift_commutators(big)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = dense_commutators(big)
-        assert all(np.array_equal(a, b, equal_nan=True)
-                   for a, b in zip(got, want))
+
+        def outcome(fn, *args):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    value = fn(*args)
+                except np.linalg.LinAlgError as exc:
+                    value = repr(exc)
+            return value, [(w.category, str(w.message)) for w in caught]
+
+        got, got_warnings = outcome(is_commuting, big)
+        want, want_warnings = outcome(reference_is_commuting, big)
+        _, norm_warnings = outcome(
+            lambda T: [np.linalg.norm(op) for op in T.ops], big)
+        assert got == want
+        assert got_warnings == norm_warnings + want_warnings
 
 
 def complex_route_entries(ops):

@@ -39,6 +39,12 @@ script), then writes into OUT_DIR:
   coisometries, d = 1..3, h in {1, 3, 8, 24}, whose purity loop runs to
   its budget, and on a NotPure spherical sum with k = 2 and a unitary
   conjugate of it (see ``purity_builders``);
+* ``inputs/slow-shift-<label>.json``,
+  ``classify-slow-shift-<label>-<budget>.json`` and
+  ``defect-slow-shift-<label>.json``: ``classify --report`` at the same
+  three budgets and ``defect --n-max 200 --report`` on slow weighted
+  shifts, h in {3, 8, 24}, whose purity loop runs past its first 16
+  steps into its blocks (see ``slow_shift_builders``);
 * ``verify-<S>.json``: ``verify --suite all --samples 40 --seed S
   --report`` for S = 0..3;
 * ``<name>.out`` and ``<name>.err`` next to each report: the call's
@@ -94,6 +100,18 @@ def _call(main, name, argv):
     Path(f"{name}.out").write_text(f"{out.getvalue()}exit {code}\n",
                                    encoding="utf-8")
     Path(f"{name}.err").write_text(err.getvalue(), encoding="utf-8")
+
+
+def _budget_calls(name, path):
+    # ``classify`` on ``path`` at each of PURITY_BUDGETS, as
+    # (<name>-<budget>, argv) pairs.
+    calls = []
+    for budget in PURITY_BUDGETS:
+        argv = ["classify", path]
+        if budget != "default":
+            argv += ["--max-iter", budget]
+        calls.append((f"{name}-{budget}", argv))
+    return calls
 
 
 def dense_builders(models, OperatorTuple, direct_sum):
@@ -255,6 +273,30 @@ def purity_builders(models, OperatorTuple):
     return builders
 
 
+def slow_shift_builders(OperatorTuple):
+    """Label -> builder() of the slow weighted-shift fixtures.
+
+    With P the cyclic shift e_k -> e_(k+1 mod h): 0.999 P, whose iterates
+    0.998001^n I stay above the purity threshold, and the pair
+    (0.7 P diag(linspace(0.5, 0.9, h)), 0.69 P^2), whose iterates decay
+    slowly; h in {3, 8, 24}.
+    """
+    import numpy as np
+
+    def cyclic(h, power=1):
+        return np.roll(np.eye(h), power, axis=0)
+
+    builders = {}
+    for h in (3, 8, 24):
+        builders[f"cyclic-{h}"] = (
+            lambda h=h: OperatorTuple((0.999 * cyclic(h),)))
+        builders[f"cyclic-pair-{h}"] = (
+            lambda h=h: OperatorTuple((
+                0.7 * cyclic(h) @ np.diag(np.linspace(0.5, 0.9, h)),
+                0.69 * cyclic(h, 2))))
+    return builders
+
+
 def near_cutoff_builders(OperatorTuple):
     """Label -> (rtol, builder()) of the diagonal near-cutoff fixtures.
 
@@ -321,11 +363,13 @@ def write_outputs(tree, out_dir, seed, reverse=False):
     for label, build in purity_builders(models, OperatorTuple).items():
         path = f"inputs/purity-{label}.json"
         io.write_tuple(build(), path)
-        for budget in PURITY_BUDGETS:
-            argv = ["classify", path]
-            if budget != "default":
-                argv += ["--max-iter", budget]
-            calls.append((f"classify-purity-{label}-{budget}", argv))
+        calls += _budget_calls(f"classify-purity-{label}", path)
+    for label, build in slow_shift_builders(OperatorTuple).items():
+        path = f"inputs/slow-shift-{label}.json"
+        io.write_tuple(build(), path)
+        calls += _budget_calls(f"classify-slow-shift-{label}", path)
+        calls.append((f"defect-slow-shift-{label}",
+                      ["defect", path, "--n-max", N_MAX]))
     for s in VERIFY_SEEDS:
         calls.append((f"verify-{s}",
                       ["verify", "--suite", "all", "--samples", "40",
