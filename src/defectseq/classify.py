@@ -35,30 +35,36 @@ quarter of the stacked complex system of all 2d constraints, whose
 singular values are exactly sqrt(2) times its own; scaling by sqrt(2)
 before the cutoff keeps the rank decision the same.
 
-The system is counted on one of two routes, chosen by whether the T_i
-have an exact zero entry.  A tuple with zeros, such as a weighted
-shift, takes the structural route: the system is built from the
-nonzeros of the T_i alone and split into the connected components of
-its sparsity graph (the structural first level of the block triangular
-form of Pothen and Fan, ACM TOMS 1990), and each component gets its own
-SVD, batched by block shape.  A tuple without zeros would be one
-component of h**2 unknowns there, so it takes the eigenbasis route, the
-"random element" idea of Murota, Kanno, Kojima and Kojima (Math.
-Program. 2010) applied to the *-algebra of {T_i, T_i*}: every element
-of the commutant commutes with a seeded generic Hermitian element H of
-that algebra, so in H's eigenbasis it is block diagonal over H's
-eigenvalue clusters, and the system needs Sum k_j**2 unknowns for
-cluster sizes k_j, h for a generic dense tuple.  The rows of every pair
-of clusters collapse to the R factor of their QR; the counted values
-are those of the system on block-diagonal matrices, not its normal
-equations.  That count is kept only when the full system must give it
-at the tolerance at hand: its singular values and cutoff bound the full
-system's from one side, and the gap between clusters bounds them from
-the other.  The size cap still reads h**2 for a tuple without zeros,
-checked first: a tuple whose H has one cluster, or whose count is not
-certain at the tolerance, falls back to the structural route, which
-needs all h**2.  On either route the one cutoff is taken over the union
-of all singular values.
+One builder makes the system, from the nonzeros of a stack of d
+matrices alone, on the Hermitian matrices that are block diagonal over
+a contiguous partition of the indices, and splits it into the connected
+components of its sparsity graph (the structural first level of the
+block triangular form of Pothen and Fan, ACM TOMS 1990); each component
+gets its own SVD, batched by block shape.  The system is counted on one
+of two routes, chosen by whether the T_i have an exact zero entry.  A
+tuple with zeros, such as a weighted shift, takes the structural route:
+the builder runs on the T_i with one block, every Hermitian X.  A tuple
+without zeros would be one component of h**2 unknowns there, so it
+takes the eigenbasis route, the "random element" idea of Murota, Kanno,
+Kojima and Kojima (Math. Program. 2010) applied to the *-algebra of
+{T_i, T_i*}: every element of the commutant commutes with a seeded
+generic Hermitian element H of that algebra, so in H's eigenbasis U it
+is block diagonal over H's eigenvalue clusters, and the builder runs on
+the S_i = U* T_i U over those clusters, on Sum k_j**2 unknowns for
+cluster sizes k_j.  A generic dense tuple has h clusters of one
+eigenvalue each; then every row of a pair a < b is a multiple of
+e_b - e_a, and one row per pair, w_ab (e_b - e_a), keeps the system's
+singular values: the Gram matrix of those rows is a weighted graph
+Laplacian (Fiedler, Czech. Math. J. 1973), but the values are taken from
+the rows, not from that matrix of normal equations.  The eigenbasis
+count is kept only when the full system must give it at the tolerance
+at hand: its singular values and cutoff bound the full system's from
+one side, and the gap between clusters bounds them from the other.  The
+size cap still reads h**2 for a tuple without zeros, checked first: a
+tuple whose H has one cluster, or whose count is not certain at the
+tolerance, falls back to the structural route, which needs all h**2.
+On either route one helper takes the SVDs and the sqrt(2) scaling, and
+the one cutoff is taken over the union of all singular values.
 An overflowing system, or singular values that overflow, decide
 nothing, and either route refuses them with ArgumentError, as the
 contractivity margin refuses an I - cp(I) that overflows.
@@ -457,18 +463,18 @@ def commutant_dimension(T, tol=None):
     at least 1.
 
     A tuple with an exact zero entry is counted on the structural route.
-    The system is built from the nonzeros of the T_i (2 h nnz terms), the
-    unknowns X[p, q] and X[q, p] are grouped into one pair, and the rows
-    and pairs fall into the connected components of the system's
-    sparsity graph.  Unknowns that no row touches are zero columns and
-    count toward the nullity without an SVD; every component gets its
-    own SVD, one batched call per block shape, and the singular values
-    of all components are cut off together, with sigma_max taken over
-    all of them.  The route refuses a tuple whose largest component has
-    more real unknowns than the size cap, and, so that it never holds
-    more than the d h**2 x h**2 system of a dense tuple at h**2 = cap,
-    one with more than d * cap**2 nonzero terms or component blocks of
-    more than d * cap**2 entries in all.
+    The system is built from the nonzeros of the T_i (at most 2 h nnz
+    terms), the unknowns X[p, q] and X[q, p] are grouped into one pair,
+    and the rows and pairs fall into the connected components of the
+    system's sparsity graph.  Unknowns that no row touches are zero
+    columns and count toward the nullity without an SVD; every component
+    gets its own SVD, one batched call per block shape, and the singular
+    values of all components are cut off together, with sigma_max taken
+    over all of them.  The route refuses a tuple whose largest component
+    has more real unknowns than the size cap, and, so that it never
+    holds more than the d h**2 x h**2 system of a dense tuple at h**2 =
+    cap, one with more than d * cap**2 nonzero terms or component blocks
+    of more than d * cap**2 entries in all.
 
     A tuple without a zero entry is one component of h**2 real unknowns
     there, so the size cap is checked on h**2 first, in O(d h**2) and
@@ -479,21 +485,25 @@ def commutant_dimension(T, tol=None):
     it, and Y = U* X U is block diagonal over the clusters of H's
     eigenvalues (split where two neighbours differ by more than
     ``_CLUSTER_GAP`` times the largest modulus).  The system on such Y,
-    with blocks [S_i, Y] for S_i = U* T_i U, has Sum k_j**2 real
-    unknowns; a generic dense tuple has h one-dimensional clusters.
-    Unitary conjugation keeps the basis orthonormal, so the sqrt(2)
-    scaling stays.  Every ordered pair of clusters contributes the R
-    factor of its rows, one batched QR per block shape, and one SVD
-    takes the stack.  This system is a restriction of the full one, and
-    its sigma_max may be smaller, so its count is returned only when
-    the full system's must agree: when its smallest kept singular value
+    [S_i, Y] = 0 for S_i = U* T_i U, has Sum k_j**2 real unknowns, and
+    the structural route's builder makes it from the S_i, with X[p, q]
+    an unknown only when p and q share a cluster.  Unitary conjugation
+    keeps the basis orthonormal, so the sqrt(2) scaling stays.  A
+    generic dense tuple has h one-dimensional clusters: Y is a real
+    diagonal y, entry (a, b) of [S_i, Y] is S_i[a, b] (y_b - y_a), and
+    the system is taken as one row w_ab (e_b - e_a) per pair a < b, w_ab
+    the 2-norm of S_i[a, b] and S_i[b, a] over i, which has the same
+    Gram matrix as all the rows of the pair and so the same singular
+    values.  This system is a restriction of the full one, and its
+    sigma_max may be smaller, so its count is returned only when the
+    full system's must agree: when its smallest kept singular value
     clears the image of the cutoff at 2 sqrt(2) (Sum ||T_i||_2**2)**0.5,
     an upper bound of the full sigma_max, under the bound that the gap
     between clusters puts on the part of a near-commutant element off
     the blocks.  That holds at the default tolerance for a generic
-    tuple; a loose tolerance, or a gap of rounding size, fails it.  Then,
-    and when H has a single cluster, the structural route counts the
-    tuple.
+    tuple; a loose tolerance, or a gap of rounding size, fails it.
+    Then, and when H has a single cluster, the structural route counts
+    the tuple.
 
     Raises ArgumentError when H, either route's system or its singular
     values are not finite: entries near the float64 limit overflow
@@ -508,16 +518,23 @@ def commutant_dimension(T, tol=None):
             raise SizeCapError(
                 f"commutant system needs h^2 = {h * h} unknowns, cap is {cap}"
             )
-        count = _eigenbasis_count(T, tol)
+        count = _eigenbasis_count(T, tol, cap)
         if count is not None:
             return count
     with np.errstate(over="ignore", invalid="ignore"):
-        _, stacks = _structural_system(T, cap)
-        s = np.concatenate([
-            np.linalg.svd(_finite_system(stack), compute_uv=False).ravel()
-            for stack in stacks] or [np.empty(0)])
-        s = _finite_system(np.sqrt(2.0) * s)
+        _, stacks = _structural_system(T._stack, np.array([0, h]), cap)
+        s = _scaled_singular_values(stacks)
     return h * h - _count_above(s, tol)
+
+
+def _scaled_singular_values(stacks):
+    # The singular values of a commutant system's blocks ``stacks``, on
+    # either route, times sqrt(2), when the blocks and the values are
+    # finite.
+    s = np.concatenate([
+        np.linalg.svd(_finite_system(stack), compute_uv=False).ravel()
+        for stack in stacks] or [np.empty(0)])
+    return _finite_system(np.sqrt(2.0) * s)
 
 
 def _finite_system(a):
@@ -555,19 +572,25 @@ def _generic_element(T):
     return z, values, u
 
 
-def _eigenbasis_count(T, tol):
+def _eigenbasis_count(T, tol, cap):
     # The count on the Hermitian Y = U* X U that are block diagonal over
-    # the eigenvalue clusters of the generic element H.  None when H has
+    # the eigenvalue clusters of the generic element H, in the basis
+    # S_i = U* T_i U: the structural system over the clusters, or the
+    # pair rows when every cluster is one eigenvalue.  None when H has
     # one cluster, where the eigenbasis saves nothing, or when the count
     # could differ from the full system's.
     z, values, u = _generic_element(T)
     bounds = _cluster_bounds(values)
     if bounds.size == 2:
         return None
+    sizes = np.diff(bounds)
     with np.errstate(over="ignore", invalid="ignore"):
-        unknowns, system = _eigenbasis_system(T, u, bounds)
-        s = np.linalg.svd(_finite_system(system), compute_uv=False)
-        s = _finite_system(np.sqrt(2.0) * s)
+        ops = u.conj().T @ T._stack @ u
+        if sizes.size == T.h:
+            stacks = [_pair_rows(ops)]
+        else:
+            _, stacks = _structural_system(ops, bounds, cap)
+        s = np.sort(_scaled_singular_values(stacks))
     kept = _count_above(s, tol)
     # Keep the count only if the full h**2 system must give it too.  In
     # ascending order, the k-th singular value s_k of the full system is
@@ -596,10 +619,10 @@ def _eigenbasis_count(T, tol):
     rounding = 4.0 * T.h * np.finfo(np.float64).eps * max(-values[0],
                                                           values[-1])
     slip = (np.sqrt(2.0) * np.linalg.norm(z) * cutoff + rounding) / gap
-    if slip >= 1.0 or (kept and s[kept - 1] <= (cutoff + norm * slip)
+    if slip >= 1.0 or (kept and s[-kept] <= (cutoff + norm * slip)
                        / np.sqrt(1.0 - slip * slip)):
         return None
-    return unknowns - kept
+    return int(sizes @ sizes) - kept
 
 
 def _cluster_bounds(values):
@@ -611,86 +634,40 @@ def _cluster_bounds(values):
     return np.concatenate([[0], starts, [values.size]])
 
 
-def _eigenbasis_system(T, u, bounds):
-    # The real system of ``commutant_dimension`` on the Hermitian
-    # matrices Y = U* X U that are block diagonal over the clusters
-    # starting at ``bounds``, with its rows compressed so that it keeps
-    # their singular values.  Returns the Sum k_j**2 real unknowns and
-    # the rows; the columns are the coordinates of each cluster's block
-    # Y_j in the basis of ``_hermitian_basis``, cluster after cluster.
-    # Block (a, b) of [S_i, Y] for S_i = U* T_i U is
-    # S_i[a, b] Y_b - Y_a S_i[a, b]; every block, a = b included, is
-    # reduced to the R factor of its real rows, one batched QR per
-    # block shape.
-    s = u.conj().T @ T._stack @ u
-    sizes = np.diff(bounds)
-    cols = np.concatenate([[0], np.cumsum(sizes * sizes)])
-    a, b = np.meshgrid(np.arange(sizes.size), np.arange(sizes.size),
-                       indexing="ij")
-    a, b = a.ravel(), b.ravel()
-    rows = []
-    for p, q in sorted(set(zip(sizes[a].tolist(), sizes[b].tolist()))):
-        at = (sizes[a] == p) & (sizes[b] == q)
-        r = _block_rows(s, bounds[a[at]], bounds[b[at]], p, q)
-        block = np.zeros((r.shape[0], r.shape[1], cols[-1]))
-        pair = np.arange(r.shape[0])[:, None, None]
-        row = np.arange(r.shape[1])[None, :, None]
-        # For a = b the two column ranges meet and their parts add up.
-        block[pair, row, cols[a[at]][:, None, None] + np.arange(p * p)] += \
-            r[:, :, :p * p]
-        block[pair, row, cols[b[at]][:, None, None] + np.arange(q * q)] += \
-            r[:, :, p * p:]
-        rows.append(block.reshape(-1, cols[-1]))
-    return int(cols[-1]), np.concatenate(rows)
+def _pair_rows(ops):
+    # The system on the real diagonal y of Y when every cluster is one
+    # eigenvalue.  Entries (a, b) and (b, a) of [S_i, Y] are
+    # S_i[a, b] (y_b - y_a) and S_i[b, a] (y_a - y_b), so every row of a
+    # pair a < b is a multiple of e_b - e_a, and the one row
+    # w_ab (e_b - e_a), w_ab the 2-norm of all those S_i entries (hypot,
+    # so it overflows only where the norm does), has the same Gram
+    # matrix, and so the same singular values.
+    h = ops.shape[1]
+    a, b = np.triu_indices(h, 1)
+    w = np.hypot.reduce(np.abs(np.concatenate([ops[:, a, b], ops[:, b, a]])),
+                        axis=0)
+    rows = np.zeros((a.size, h))
+    pair = np.arange(a.size)
+    rows[pair, a] = -w
+    rows[pair, b] = w
+    return rows
 
 
-def _block_rows(s, a, b, p, q):
-    # The R factors of the real rows of the blocks S_i[a, b] Y_b -
-    # Y_a S_i[a, b] over i, for the p x p cluster blocks Y_a starting at
-    # the offsets ``a`` and the q x q blocks Y_b at ``b``: one (n, m,
-    # p**2 + q**2) stack, columns the coordinates of Y_a, then of Y_b.
-    f = s[:, (a[:, None] + np.arange(p))[:, :, None],
-          (b[:, None] + np.arange(q))[:, None, :]].transpose(1, 0, 2, 3)
-    n, d = f.shape[:2]
-    # Columns first, so the real and imaginary parts of each complex row
-    # become two adjacent real rows of a view.
-    terms = np.concatenate([
-        -np.einsum("xjk,nikl->nxijl", _hermitian_basis(p), f)
-        .reshape(n, p * p, -1),
-        np.einsum("nijk,xkl->nxijl", f, _hermitian_basis(q))
-        .reshape(n, q * q, -1),
-    ], axis=1)
-    return np.linalg.qr(terms.view(np.float64).transpose(0, 2, 1), mode="r")
-
-
-def _hermitian_basis(k):
-    # The k**2 Hermitian k x k matrices E_jj, (E_jl + E_lj)/sqrt(2) and
-    # i (E_jl - E_lj)/sqrt(2) for j < l, orthonormal in Re tr(A* B).
-    j, l = np.triu_indices(k, 1)
-    off = np.arange(j.size)
-    basis = np.zeros((k * k, k, k), dtype=np.complex128)
-    basis[np.arange(k), np.arange(k), np.arange(k)] = 1.0
-    weight = np.sqrt(0.5)
-    basis[k + off, j, l] = basis[k + off, l, j] = weight
-    basis[k + j.size + off, j, l] = 1j * weight
-    basis[k + j.size + off, l, j] = -1j * weight
-    return basis
-
-
-def _structural_system(T, cap):
-    # The real system of ``commutant_dimension`` in the Hermitian basis
-    # E_jj, (E_jk + E_kj)/sqrt(2) and i (E_jk - E_kj)/sqrt(2) for j < k,
-    # built straight from the nonzeros of the T_i and split by
+def _structural_system(ops, bounds, cap):
+    # The real system of ``commutant_dimension`` for the (d, h, h) stack
+    # ``ops`` on the Hermitian X that are block diagonal over the
+    # contiguous clusters starting at ``bounds`` ([0, h]: every X), in
+    # the basis E_jj, (E_jk + E_kj)/sqrt(2) and i (E_jk - E_kj)/sqrt(2)
+    # for j < k, built straight from the nonzeros of ``ops`` and split by
     # component.  Returns the real unknowns of each component and one
     # (count, m, n) stack of blocks per block shape; the blocks' singular
     # values together are those of the whole system.
     # Row (i, a, b) of [T_i, X] = 0 is (i*h + a)*h + b and the unknown
     # X[p, q] is p*h + q.  A nonzero T_i[r, c] = t puts +t on X[c, b] in
-    # row (i, r, b) for every b, and -t on X[a, r] in row (i, a, c) for
-    # every a.
-    h, d = T.h, T.d
+    # row (i, r, b) for every b in c's cluster, and -t on X[a, r] in row
+    # (i, a, c) for every a in r's cluster.
+    d, h = ops.shape[:2]
     hh = h * h
-    ops = T._stack
     entries = 2 * h * np.count_nonzero(ops)
     if entries > d * cap * cap:
         raise SizeCapError(
@@ -699,13 +676,16 @@ def _structural_system(T, cap):
         )
     i, r, c = np.nonzero(ops)
     t = ops[i, r, c]
-    j = np.arange(h)
-    base = (i * h)[:, None]
-    rows = np.concatenate([((base + r[:, None]) * h + j).ravel(),
-                           ((base + j) * h + c[:, None]).ravel()])
-    p = np.concatenate([np.repeat(c, h), np.tile(j, t.size)])
-    q = np.concatenate([np.tile(j, t.size), np.repeat(r, h)])
-    vals = np.concatenate([np.repeat(t, h), np.repeat(-t, h)])
+    # The start and the size of the cluster of every index.
+    sizes = np.diff(bounds)
+    start, k = np.repeat(bounds[:-1], sizes), np.repeat(sizes, sizes)
+    kc, kr = k[c], k[r]
+    b, a = _ranges(start[c], kc), _ranges(start[r], kr)
+    rows = np.concatenate([np.repeat((i * h + r) * h, kc) + b,
+                           (np.repeat(i * h, kr) + a) * h + np.repeat(c, kr)])
+    p = np.concatenate([np.repeat(c, kc), a])
+    q = np.concatenate([b, np.repeat(r, kr)])
+    vals = np.concatenate([np.repeat(t, kc), np.repeat(-t, kr)])
     # X[p, q] and X[q, p] are one pair, keyed by its upper entry.  A
     # (row, pair) holds at most two terms, so each sum below is exact
     # and equals the entry of kron(T_i, I) - kron(I, T_i^T).
@@ -768,7 +748,7 @@ def _structural_system(T, cap):
     seg_row = local_row[np.cumsum(new_row) - 1]
     seg_sym = sym_col[node]
     seg_anti = anti_col[node]
-    if T.dtype == np.float64:
+    if ops.dtype == np.float64:
         # A symmetric and an antisymmetric block per component.
         shape_m = np.concatenate([n_rows, n_rows])
         shape_n = np.concatenate([n_pairs, n_off])
@@ -813,6 +793,13 @@ def _stack_by_shape(shape_m, shape_n, block, at_row, at_col, value):
         stacks.append(buffer[begin:int(end[hi - 1])]
                       .reshape(hi - lo, int(m[lo]), int(n[lo])))
     return stacks
+
+
+def _ranges(starts, counts):
+    # start, start + 1, ..., start + count - 1 for every (start, count),
+    # one run after another.
+    return (np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            + np.arange(counts.sum()))
 
 
 def _rank_in_group(group, count):

@@ -8,11 +8,13 @@ fills a COO file's d x dim x dim stack of entries (at most 2 * cap**2
 of them).  Each of them refuses to allocate past a cap.  For the
 commutant, a tuple with zero entries is bounded by the largest
 connected component of its system.  A tuple without zero entries is
-counted in the eigenbasis of a generic Hermitian element, on Sum k_j**2
-unknowns for its eigenvalue clusters k_j, but the cap still reads h**2
-for it: that check comes before the element is built, and a tuple whose
-element has one cluster, or whose reduced count is not certain at the
-rank tolerance, falls back to the full h**2 system.  The tuple writer
+counted in the eigenbasis of a generic Hermitian element, by the same
+builder on Sum k_j**2 unknowns for its eigenvalue clusters k_j, or on
+one row per pair of eigenvalues when every cluster is a single one, but
+the cap still reads h**2 for it: that check comes before the element is
+built, and a tuple whose element has one cluster, or whose reduced
+count is not certain at the rank tolerance, falls back to the full h**2
+system.  The tuple writer
 refuses a COO stack that the reader would refuse.  The default cap is
 4096 and can be overridden through the DEFECTSEQ_SIZE_CAP environment
 variable.

@@ -554,6 +554,11 @@ def is_commuting(T, tol=None):
     the bounds max column norm <= ||A||_2 <= ||A||_F, widened by a fixed
     relative slack, cannot settle a commutator; the verdict is the one
     the spectral norms give.  Weighted shifts take the same route.
+
+    A commutator with a non-finite entry, from entries near the float64
+    limit whose products overflow, decides nothing and raises
+    ArgumentError; a finite commutator whose Frobenius norm overflows
+    keeps the spectral route.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if T.d == 1:
@@ -566,8 +571,11 @@ def is_commuting(T, tol=None):
     if _probe_exceeds(T, frob_max, bound_high):
         return False
     comms = _entry_commutators(T)
+    if not all(np.isfinite(comm).all() for comm in comms):
+        raise ArgumentError("a commutator of the tuple is not finite; "
+                            "the tuple's entries are too large")
     frobs = [float(np.linalg.norm(comm)) for comm in comms]
-    # An overflowing commutator keeps the exact route and what it gives.
+    # A finite commutator whose norm overflows keeps the exact route.
     if np.isfinite(frobs).all():
         col_max = max(_max_column_norm(op) for op in T.ops)
         # The exact bound lies above this one.

@@ -10,7 +10,9 @@ the system is built from the nonzeros of the T_i and gets one SVD per
 connected component.  A tuple without zeros takes the eigenbasis
 route: in the eigenbasis of a generic Hermitian element of the
 *-algebra, the commutant is block diagonal over the element's
-eigenvalue clusters.  Both are checked against the same oracle.
+eigenvalue clusters, and the same builder counts it over those blocks,
+or one row per pair of eigenvalues when every cluster is a single
+eigenvalue.  Both are checked against the same oracle.
 """
 
 import importlib
@@ -23,9 +25,9 @@ from hypothesis import strategies as st
 
 from defectseq.classify import (
     _cluster_bounds,
-    _eigenbasis_system,
     _generic_element,
     _one_component,
+    _pair_rows,
     _structural_system,
     commutant_dimension,
 )
@@ -194,9 +196,14 @@ class TestKnownDimensions:
         assert commutant_dimension(rotate(T)) == 1 + k * k
 
 
+def structural_system(T):
+    """The structural route's system of T on every Hermitian X."""
+    return _structural_system(T._stack, np.array([0, T.h]), size_cap())
+
+
 def component_unknowns(T):
     """Real unknowns per component on the structural route."""
-    return _structural_system(T, size_cap())[0]
+    return structural_system(T)[0]
 
 
 def permuted(T, seed):
@@ -293,7 +300,7 @@ class TestStructuralRoute:
         z = OperatorTuple((np.full((h, h), complex(0.0, imag)),) * 2)
         assert z.dtype == dtype
         assert component_unknowns(z).size == 0
-        assert _structural_system(z, size_cap())[1] == []
+        assert structural_system(z)[1] == []
         assert commutant_dimension(z) == h * h
 
     @pytest.mark.parametrize("entries", [(0.0, 0.25), (0.3 + 0.4j, 0.0),
@@ -317,7 +324,7 @@ class TestStructuralRoute:
         T = make()
         blocks = np.sqrt(2.0) * np.sort(np.concatenate(
             [np.linalg.svd(stack, compute_uv=False).ravel()
-             for stack in _structural_system(T, size_cap())[1]]))
+             for stack in structural_system(T)[1]]))
         stacked = np.sort(np.linalg.svd(stacked_system(T), compute_uv=False))
         floor = 1e-12 * stacked[-1]
         blocks, stacked = blocks[blocks > floor], stacked[stacked > floor]
@@ -488,23 +495,28 @@ class TestEigenbasisRoute:
         # Each eigenvalue of H on A + A is double; a split pair would
         # force the commutant's 2 x 2 blocks to be diagonal in an
         # arbitrary basis, and the count would need the full system.
+        # The count takes Sum k_j**2 = 16 unknowns in all (a real tuple
+        # splits them into symmetric and antisymmetric columns), never
+        # the h**2 = 64 of the full system.
         T = direct_sum(A, A)
         T = orthogonal_conjugate(real_part(T), 3) if real else haar_conjugate(T, 3)
         assert cluster_sizes(T) == [2] * 4
         widths = svd_widths(monkeypatch)
         assert commutant_dimension(T) == 4
-        assert widths == [4 * 2 ** 2]
+        assert sum(widths) == 4 * 2 ** 2
+        assert 8 ** 2 not in widths
 
     def test_a_split_cluster_goes_to_the_full_system(self, monkeypatch):
         # With no gap the double eigenvalues of H on A + A split, and the
-        # block-diagonal count alone misses commutant elements; the gap
-        # that split them is rounding, so the full system counts.
+        # block-diagonal count alone, on the pair rows of the h singleton
+        # clusters, misses commutant elements; the gap that split them
+        # is rounding, so the full system counts.
         T = haar_conjugate(direct_sum(A, A), 3)
         monkeypatch.setattr(classify_module, "_CLUSTER_GAP", 0.0)
         assert cluster_sizes(T) == [1] * 8
-        _, values, u = _generic_element(T)
-        unknowns, system = _eigenbasis_system(T, u, _cluster_bounds(values))
-        assert unknowns - numerical_rank(system) < 4
+        _, _, u = _generic_element(T)
+        rows = _pair_rows(u.conj().T @ T._stack @ u)
+        assert T.h - numerical_rank(rows) < 4
         widths = svd_widths(monkeypatch)
         assert commutant_dimension(T) == 4
         assert widths[-1] == 8 ** 2
@@ -576,6 +588,85 @@ class TestEigenbasisRoute:
         widths = svd_widths(monkeypatch)
         assert commutant_dimension(T) == 1
         assert 24 ** 2 not in widths
+
+
+def scaled_values(stacks):
+    """sqrt(2) times the singular values of a system's blocks, ascending."""
+    return np.sqrt(2.0) * np.sort(np.concatenate(
+        [np.linalg.svd(stack, compute_uv=False).ravel() for stack in stacks]
+        or [np.empty(0)]))
+
+
+def nonzero(values, top):
+    return values[values > 1e-12 * top]
+
+
+def random_partition(h, rng):
+    """Offsets of a random split of range(h) into contiguous clusters."""
+    cuts = np.flatnonzero(rng.random(h - 1) < 0.4) + 1
+    return np.concatenate([[0], cuts, [h]])
+
+
+class TestOneBuilder:
+    """The partitioned builder and the pair rows against their oracles."""
+
+    @pytest.mark.parametrize("h", [2, 3, 7, 16, 24])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_pair_rows_keep_the_singular_values(self, h, d, real):
+        # One row per pair, of weight the 2-norm of S_i[a, b] and
+        # S_i[b, a] over i, against every row of the partitioned builder
+        # on h singleton clusters.
+        T = random_contractive(d, h, 1, (80, d, h))
+        if real:
+            T = real_part(T)
+        _, _, u = _generic_element(T)
+        ops = u.conj().T @ T._stack @ u
+        pairs = scaled_values([_pair_rows(ops)])
+        built = scaled_values(
+            _structural_system(ops, np.arange(h + 1), size_cap())[1])
+        top = pairs[-1]
+        assert top > 0
+        np.testing.assert_allclose(nonzero(pairs, top), nonzero(built, top),
+                                   rtol=1e-10, atol=1e-13 * top)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_partitions_match_the_block_diagonal_stacked_system(self, seed):
+        # The stacked system restricted to the columns of X[p, q] with p
+        # and q in one cluster has sqrt(2) times the builder's values.
+        rng = np.random.default_rng((81, seed))
+        d, h = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        ops = rng.standard_normal((d, h, h))
+        if seed % 2:
+            ops = ops + 1j * rng.standard_normal((d, h, h))
+        if seed % 3 == 0:
+            ops = ops * (rng.random((d, h, h)) < 0.5)
+        T = OperatorTuple(tuple(ops))
+        bounds = random_partition(h, rng)
+        cluster = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+        p, q = np.nonzero(cluster[:, None] == cluster[None, :])
+        stacked = np.sort(np.linalg.svd(stacked_system(T)[:, p * h + q],
+                                        compute_uv=False))
+        built = scaled_values(_structural_system(T._stack, bounds,
+                                                 size_cap())[1])
+        top = stacked[-1]
+        np.testing.assert_allclose(nonzero(built, top), nonzero(stacked, top),
+                                   rtol=1e-10)
+
+    @pytest.mark.parametrize("factor, expected", [
+        (1e-300, 36), (1e-150, 36), (1e150, 1), (1e300, 1)])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_counts_at_extreme_entry_scales(self, factor, expected, real):
+        # Tiny entries leave every value below atol; large ones keep the
+        # count of 1, at 1e300 on the full system, quietly.
+        T = random_contractive(2, 6, 1, 3)
+        if real:
+            T = real_part(T)
+        T = OperatorTuple(tuple(factor * op for op in T.ops))
+        assert _one_component(T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert commutant_dimension(T) == expected
 
 
 def near_equal_sum(delta, seed):

@@ -771,6 +771,24 @@ class TestCliClassify:
         assert "h^2 = 64 unknowns, cap is 63" in err
         assert not rep.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_commutator_is_exit_two(self, tmp_path, capsys):
+        # cp(I) stays finite, so the tuple is read as not contractive, but
+        # a row of T_1 along a column of T_2 makes T_1 T_2 overflow: the
+        # commutation verdict is refused, not decided on inf entries.
+        h, m = 36, 3.1e307
+        t1, t2 = np.zeros((2, h, h))
+        t1[0, :] = np.sqrt(m / h)
+        t2[:, 1] = np.sqrt(m)
+        src = tmp_path / "in.json"
+        write_tuple(OperatorTuple((t1, t2)), src)
+        rep = tmp_path / "report.json"
+        assert main(["classify", str(src), "--report", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: a commutator of the tuple is not finite; "
+                       "the tuple's entries are too large\n")
+        assert not rep.exists()
+
     def test_zero_thresholds_are_accepted(self, tmp_path):
         src = tmp_path / "in.json"
         main(["model", "fock", "--d", "2", "--levels", "2", "-o", str(src)])

@@ -1018,10 +1018,11 @@ class TestCommutatorProbe:
     def test_overflowing_probe_decides_nothing(self, monkeypatch, real,
                                                which):
         # "products": 1e155 entries on h = 8, so c, F**2 and the products
-        # overflow, and both routes end in the SVD of a non-finite
-        # commutator.  "allowance": F**2 overflows, and with it the
-        # allowance and the bound, while the products stay finite, and
-        # both routes give the verdict of an infinite bound.
+        # overflow, and the commutator is not finite: is_commuting
+        # refuses it, where the reference ends in its SVD.  "allowance":
+        # F**2 overflows, and with it the allowance and the bound, while
+        # the real products stay finite, and both routes give the verdict
+        # of an infinite bound; the complex products overflow.
         rng = np.random.default_rng(3)
         if which == "products":
             ops = [1e155 * rng.uniform(0.5, 1.0, (8, 8)) for _ in range(2)]
@@ -1036,19 +1037,22 @@ class TestCommutatorProbe:
         def outcome(commuting):
             try:
                 return commuting(T)
-            except np.linalg.LinAlgError as exc:
+            except (np.linalg.LinAlgError, ArgumentError) as exc:
                 return type(exc)
 
         with np.errstate(all="ignore"):
             frob_max = max(float(np.linalg.norm(op)) for op in T.ops)
             bound = 1e-9 * (1.0 + frob_max * frob_max)
+            finite = np.isfinite(ops[0] @ ops[1] - ops[1] @ ops[0]).all()
         assert np.isinf(bound)
+        assert finite == (which == "allowance" and real)
         with np.errstate(all="raise"):
             # The probe is silent on its own overflow.
             assert not tuples_module._probe_exceeds(T, frob_max, bound)
         probes = spy_on(monkeypatch, "_probe_exceeds")
         with np.errstate(all="ignore"):
-            assert outcome(is_commuting) == outcome(reference_is_commuting)
+            want = outcome(reference_is_commuting) if finite else ArgumentError
+            assert outcome(is_commuting) == want
         assert probes == [False]
 
     def test_single_entry_takes_no_probe(self, monkeypatch):
@@ -1395,23 +1399,32 @@ class TestShiftCommutators:
         assert is_commuting(T, tol) == want
         assert (9, 9) in spectral
 
-    @pytest.mark.parametrize("scale", [1e200, 1e154])
-    def test_overflowing_products_match_the_reference(self, scale):
-        # At 1e200 the products overflow and inf - inf leaves NaN, so
-        # both calls end in the same SVD failure; at 1e154 only the
-        # squares of the entry norms overflow.  is_commuting warns as
-        # the entry norms and the reference's products do.
-        big = OperatorTuple((scale * weighted_shift(np.ones(3), 4),
-                             scale * weighted_shift(np.ones(2), 4, 2)))
+    def test_overflowing_commutator_is_refused(self):
+        # At 1e200 the products overflow and inf - inf leaves NaN in the
+        # commutator: the verdict is refused, as the contractivity
+        # margin refuses an I - cp(I) that overflows.
+        big = OperatorTuple((1e200 * weighted_shift(np.ones(3), 4),
+                             1e200 * weighted_shift(np.ones(2), 4, 2)))
+        assert big._shift_pattern is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ArgumentError, match="commutator of the tuple "
+                               "is not finite"):
+                is_commuting(big)
+
+    def test_overflowing_norms_match_the_reference(self):
+        # At 1e154 only the squares of the entry norms overflow; the
+        # commutators stay finite and take the spectral route.
+        # is_commuting warns as the entry norms and the reference's
+        # products do.
+        big = OperatorTuple((1e154 * weighted_shift(np.ones(3), 4),
+                             1e154 * weighted_shift(np.ones(2), 4, 2)))
         assert big._shift_pattern is not None
 
         def outcome(fn, *args):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                try:
-                    value = fn(*args)
-                except np.linalg.LinAlgError as exc:
-                    value = repr(exc)
+                value = fn(*args)
             return value, [(w.category, str(w.message)) for w in caught]
 
         got, got_warnings = outcome(is_commuting, big)

@@ -22,6 +22,13 @@ script), then writes into OUT_DIR:
   orthogonal conjugates of direct sums with equal and with distinct
   summands, of three weighted shifts and of a spherical sum, and random
   draws, real and complex (see ``dense_builders``);
+* ``inputs/cap-dense-<label>.json``, ``classify-cap-dense-<label>.json``
+  and ``defect-cap-dense-<label>.json``: both calls on tuples without
+  zero entries whose h**2 sits at or just under the default size cap:
+  unitary and orthogonal conjugates of ``fock_creation(2, 4)`` (h = 31)
+  and ``fock_creation(2, 5)`` (h = 63), whose generic element has
+  eigenvalue clusters of up to 11 and more, and real and complex dense
+  draws with h = 64 (see ``cap_dense_builders``);
 * ``inputs/large-dense-<label>.json`` and
   ``defect-large-dense-<label>.json``: ``defect --n-max 200 --report`` on
   dense tuples with h = 16..128 whose first defect has a small rank: a
@@ -169,6 +176,41 @@ def dense_builders(models, OperatorTuple, direct_sum):
             builders[f"random-3-{h}-{kind}"] = (
                 (lambda h=h: real_draw(3, h, 30 + h)) if real else
                 (lambda h=h: models.random_contractive(3, h, 2, (30, h))))
+    return builders
+
+
+def cap_dense_builders(models, OperatorTuple):
+    """Label -> builder() of the dense fixtures at the size cap, h <= 64.
+
+    Orthogonal (real) and unitary (complex) conjugates of
+    ``fock_creation(2, 4)`` and ``fock_creation(2, 5)``, and 0.9 times a
+    real row operator of norm 1 and ``random_contractive(2, 64, 1, .)``.
+    """
+    import numpy as np
+
+    def conjugate(T, seed, real):
+        rng = np.random.default_rng(seed)
+        if real:
+            u, _ = np.linalg.qr(rng.standard_normal((T.h, T.h)))
+        else:
+            u = models.haar_unitary(T.h, rng)
+        return OperatorTuple(tuple(u.conj().T @ op @ u for op in T.ops))
+
+    def real_draw(d, h, seed):
+        row = np.random.default_rng(seed).standard_normal((h, d * h))
+        row *= 0.9 / np.linalg.norm(row, 2)
+        return OperatorTuple(tuple(row[:, i * h:(i + 1) * h]
+                                   for i in range(d)))
+
+    builders = {}
+    for real, kind in ((False, "complex"), (True, "real")):
+        for levels in (4, 5):
+            builders[f"fock-2-{levels}-{kind}"] = (
+                lambda levels=levels, real=real: conjugate(
+                    models.fock_creation(2, levels), 90 + levels, real))
+    builders["random-2-64-complex"] = (
+        lambda: models.random_contractive(2, 64, 1, 91))
+    builders["random-2-64-real"] = lambda: real_draw(2, 64, 92)
     return builders
 
 
@@ -345,6 +387,12 @@ def write_outputs(tree, out_dir, seed, reverse=False):
         io.write_tuple(build(), path)
         calls.append((f"classify-dense-{label}", ["classify", path]))
         calls.append((f"defect-dense-{label}",
+                      ["defect", path, "--n-max", N_MAX]))
+    for label, build in cap_dense_builders(models, OperatorTuple).items():
+        path = f"inputs/cap-dense-{label}.json"
+        io.write_tuple(build(), path)
+        calls.append((f"classify-cap-dense-{label}", ["classify", path]))
+        calls.append((f"defect-cap-dense-{label}",
                       ["defect", path, "--n-max", N_MAX]))
     for label, build in large_dense_builders(models, OperatorTuple,
                                              direct_sum).items():
