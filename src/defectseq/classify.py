@@ -890,9 +890,11 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
         raise ArgumentError(
             f"eps_conv must be below 1 to certify convergence, got {eps_conv}")
     tol = DEFAULT_TOL if tol is None else tol
+    # Commutation goes first: entries so large that a commutator
+    # overflows are refused as such, even where the margin overflows too.
+    commuting = is_commuting(T, tol)
     margin, ladder = _margin_and_deltas(T, tol)
     contractive = _margin_is_contractive(margin, tol)
-    commuting = is_commuting(T, tol)
     if not contractive:
         return ClassificationReport(
             contractive=False,

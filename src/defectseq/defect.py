@@ -35,7 +35,16 @@ pattern:
   updated from the d products T_i G_n (low-rank Smith iteration).  The
   factor of a dense D_n, D_1 among them, comes from a randomized range
   sketch of its r eigenvalues above the rounding floor when r + 10 < h,
-  O(h^2 r), and from an h x h eigh otherwise.
+  O(h^2 r), and from an h x h eigh otherwise.  A step whose
+  M = [G_1, T_1 G_n, ..., T_d G_n] is narrower than h takes the
+  eigenvalues of the small R J R* from M = QR, with no eigenvectors;
+  when all of them clear the floor no column is dropped, and M itself
+  is the next factor, since M J M* = D_{n+1} (the factor grows as M in
+  the Smith iteration of Penzl 2000).  Compression to Q times the
+  eigenvectors of R J R* happens only at the first step that finds a
+  value at the floor and at every later step of that ladder, which go
+  straight to it; a maximal ladder, such as a generic dense draw's,
+  never compresses below h.
 
 Both count the eigenvalues of D_n above the one cutoff of
 ``numerical_rank``.  ``_ladder`` checks contractivity when it is called,
@@ -118,12 +127,13 @@ _SKETCH_SEED = 2011
 def contractivity_margin(T):
     """Smallest eigenvalue of I - cp(I); nonnegative means contractive.
 
-    Raises ArgumentError when I - cp(I) overflows, because no margin,
-    and so no contractivity verdict, can be read from it.  The margin is
-    computed once per tuple object and kept on it; an equal tuple built
-    separately computes its own, and an error is raised afresh on every
-    call.  The defect ladder of a tuple without the weighted-shift
-    pattern keeps the same value, read off its own D_1.
+    Raises ArgumentError when I - cp(I) or its eigenvalues overflow,
+    because no margin, and so no contractivity verdict, can be read from
+    it.  The margin is computed once per tuple object and kept on it; an
+    equal tuple built separately computes its own, and an error is
+    raised afresh on every call.  The defect ladder of a tuple without
+    the weighted-shift pattern keeps the same value, read off its own
+    D_1.
     """
     margin = vars(T).get("_contractivity_margin")
     return float(_first_defect(T)[1][0]) if margin is None else margin
@@ -145,6 +155,13 @@ def _first_defect(T):
         )
     d_1 = _identity_minus(x, diag)
     values = _hermitian_eigvals(d_1)
+    # A finite I - cp(I) near the float64 limit can still overflow in
+    # eigvalsh, which then gives no margin either.
+    if not np.isfinite(values).all():
+        raise ArgumentError(
+            "the eigenvalues of I - cp(I) are not finite; the tuple's "
+            "entries are too large"
+        )
     vars(T)["_contractivity_margin"] = float(values[0])
     return d_1, values
 
@@ -369,17 +386,19 @@ def _factored_deltas(T, tol):
     # the step's value, so the last step builds none.  A step holds
     # either the dense D_n (``d_n``), whose factor _dense_factor sketches
     # from its eigenvalues when they leave room, or
-    # D_n = Q (V diag(values) V*) Q*.  Before the values, the generator
-    # yields the contractivity margin, read off D_1 = _first_defect(T).
+    # D_n = Q (V diag(values) V*) Q*, or M itself (``g``, ``j``).
+    # Before the values, the generator yields the contractivity margin,
+    # read off D_1 = _first_defect(T).
     floor = T.h * np.finfo(np.float64).eps
     d_n, values = _first_defect(T)
     yield float(values[0])
-    g_1 = j_1 = None
+    g_1 = j_1 = g = j = None
+    compressing = False
     while True:
         yield _count_above(np.abs(values), tol)
         if d_n is not None:
             g, j = _dense_factor(d_n, values, floor)
-        else:
+        elif g is None:
             g, j = _signed_factor(values, v, floor)
             g = q @ g
         if g_1 is None:
@@ -388,7 +407,7 @@ def _factored_deltas(T, tol):
         d_n = values = q = v = None
         m = _defect_columns(T, g_1, g)
         signature = np.concatenate([j_1] + [j] * T.d)
-        g = None
+        g = j = None
         if m.shape[1] >= T.h:
             # M is conjugated in place, so no copy of M* sits next to the
             # copy of M J.
@@ -397,10 +416,28 @@ def _factored_deltas(T, tol):
             values = _hermitian_eigvals(d_n)
         else:
             # M = QR, so D_{n+1} = Q (R J R*) Q*: its eigenvalues are
-            # those of the small matrix R J R* and h - k zeros.
-            q, r = np.linalg.qr(m)
-            values, v = np.linalg.eigh(hermitize((r * signature) @ r.conj().T))
+            # those of the small matrix R J R* and h - k zeros.  Until a
+            # step of this ladder drops a column, R alone gives the
+            # values first; when all of them clear the floor,
+            # _signed_factor would keep every column, and M itself is the
+            # next factor: M J M* = D_{n+1}.  Otherwise the step, and
+            # every later one, takes the factor Q V |values|^(1/2) from
+            # the eigenvectors V of R J R*.
+            if not compressing:
+                values = np.linalg.eigvalsh(
+                    _signed_gram(np.linalg.qr(m, mode="r"), signature))
+                compressing = not (np.abs(values) > floor).all()
+                if not compressing:
+                    g, j = m, signature
+            if compressing:
+                q, r = np.linalg.qr(m)
+                values, v = np.linalg.eigh(_signed_gram(r, signature))
         m = r = None
+
+
+def _signed_gram(r, signature):
+    # R J R*, exactly Hermitian, for the triangular factor R of M.
+    return hermitize((r * signature) @ r.conj().T)
 
 
 def _dense_factor(d_n, values, floor):

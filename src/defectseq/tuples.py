@@ -558,38 +558,42 @@ def is_commuting(T, tol=None):
     A commutator with a non-finite entry, from entries near the float64
     limit whose products overflow, decides nothing and raises
     ArgumentError; a finite commutator whose Frobenius norm overflows
-    keeps the spectral route.
+    keeps the spectral route.  Neither overflow warns.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if T.d == 1:
         return True
-    frob_max = max(float(np.linalg.norm(op)) for op in T.ops)
-    below = 1.0 - _BOUND_SLACK
-    above = 1.0 + _BOUND_SLACK
-    # The exact bound lies below this one.
-    bound_high = tol.rtol * (1.0 + frob_max * frob_max) * above
-    if _probe_exceeds(T, frob_max, bound_high):
-        return False
-    comms = _entry_commutators(T)
-    if not all(np.isfinite(comm).all() for comm in comms):
-        raise ArgumentError("a commutator of the tuple is not finite; "
-                            "the tuple's entries are too large")
-    frobs = [float(np.linalg.norm(comm)) for comm in comms]
-    # A finite commutator whose norm overflows keeps the exact route.
-    if np.isfinite(frobs).all():
-        col_max = max(_max_column_norm(op) for op in T.ops)
-        # The exact bound lies above this one.
-        bound_low = tol.rtol * (1.0 + col_max * col_max) * below
-        if any(_max_column_norm(comm) * below > bound_high
-               for comm in comms):
+    # Entries near the float64 limit overflow in the norms and the
+    # products; every such overflow is decided or refused below, so
+    # none of them warns.
+    with np.errstate(over="ignore", invalid="ignore"):
+        frob_max = max(float(np.linalg.norm(op)) for op in T.ops)
+        below = 1.0 - _BOUND_SLACK
+        above = 1.0 + _BOUND_SLACK
+        # The exact bound lies below this one.
+        bound_high = tol.rtol * (1.0 + frob_max * frob_max) * above
+        if _probe_exceeds(T, frob_max, bound_high):
             return False
-        comms = [comm for comm, frob in zip(comms, frobs)
-                 if frob * above > bound_low]
-        if not comms:
-            return True
-    max_norm = max(float(np.linalg.norm(op, 2)) for op in T.ops)
-    bound = tol.rtol * (1.0 + max_norm * max_norm)
-    return all(float(np.linalg.norm(comm, 2)) <= bound for comm in comms)
+        comms = _entry_commutators(T)
+        if not all(np.isfinite(comm).all() for comm in comms):
+            raise ArgumentError("a commutator of the tuple is not finite; "
+                                "the tuple's entries are too large")
+        frobs = [float(np.linalg.norm(comm)) for comm in comms]
+        # A finite commutator whose norm overflows keeps the exact route.
+        if np.isfinite(frobs).all():
+            col_max = max(_max_column_norm(op) for op in T.ops)
+            # The exact bound lies above this one.
+            bound_low = tol.rtol * (1.0 + col_max * col_max) * below
+            if any(_max_column_norm(comm) * below > bound_high
+                   for comm in comms):
+                return False
+            comms = [comm for comm, frob in zip(comms, frobs)
+                     if frob * above > bound_low]
+            if not comms:
+                return True
+        max_norm = max(float(np.linalg.norm(op, 2)) for op in T.ops)
+        bound = tol.rtol * (1.0 + max_norm * max_norm)
+        return all(float(np.linalg.norm(comm, 2)) <= bound for comm in comms)
 
 
 def _probe_exceeds(T, frob_max, bound):

@@ -33,6 +33,7 @@ from defectseq.models import (
     symmetric_fock_shift,
 )
 from defectseq.tuples import OperatorTuple, cp_iterate, words_of_length
+from tuple_files import overflowing_pair
 
 
 def damped_random(rng, d, h, scale=0.4):
@@ -186,6 +187,23 @@ class TestMarginCache:
         for check in (contractivity_margin, is_contractive,
                       require_contractive, contractivity_margin):
             with pytest.raises(ArgumentError, match="not finite"):
+                check(T)
+        assert "_contractivity_margin" not in vars(T)
+        assert calls == {"margin": 4, "apply_cp_map": 4}
+
+    @pytest.mark.parametrize("h, m", [(16, 3.1e307), (36, 3.1e307),
+                                      (64, 3e307)])
+    def test_overflowing_spectrum_raises_on_every_call(self, monkeypatch,
+                                                       h, m):
+        # cp(I) is finite, but eigvalsh of I - cp(I) overflows: no margin
+        # is read off it, and none is kept.
+        calls = self.counting_shims(monkeypatch)
+        T = overflowing_pair(h, m)
+        assert T._shift_pattern is None
+        for check in (contractivity_margin, is_contractive,
+                      require_contractive, lambda T: defect_sequence(T, 3)):
+            with pytest.raises(ArgumentError, match=r"the eigenvalues of "
+                               r"I - cp\(I\) are not finite"):
                 check(T)
         assert "_contractivity_margin" not in vars(T)
         assert calls == {"margin": 4, "apply_cp_map": 4}
@@ -458,10 +476,13 @@ class TestDefectSequence:
         # A fixed real orthogonal conjugate of fock_creation(2, 3) takes
         # the factored route: D_1 applies the cp map once and takes the
         # eigenvalues of I - cp(I), which also give the contractivity
-        # margin, and no later step applies the map.  Steps 2 and 3 (M
-        # of width 3 and 7) rank R J R* after a QR; step 4 (width
-        # 15 = h) takes the eigenvalues of the dense M J M*.  Each step
-        # is one rank count, and the last step builds no factor.
+        # margin, and no later step applies the map.  D_1's factor is
+        # sketched from Delta_1 + 10 = 11 columns: one eigh of order 11
+        # and one _signed_factor.  Steps 2 and 3 (M of width 3 and 7)
+        # take only the eigenvalues of R J R*, all above the floor, so M
+        # is the next factor with no eigh and no _signed_factor; step 4
+        # (width 15 = h) takes the eigenvalues of the dense M J M*.  Each
+        # step is one rank count, and the last step builds no factor.
         import defectseq.defect as defect
         T = orthogonal_conjugate(fock_creation(2, 3), 0)
         assert T._shift_pattern is None
@@ -481,11 +502,20 @@ class TestDefectSequence:
 
         for name in calls:
             monkeypatch.setattr(defect, name, counting(name))
+        eigh_orders = []
+        eigh = np.linalg.eigh
+
+        def recorded_eigh(a, *args, **kwargs):
+            eigh_orders.append(a.shape[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
         rep = defect.defect_sequence(T, 5)
         assert rep.deltas == (1, 3, 7, 15)
         assert calls == {"apply_cp_map": 1, "numerical_rank": 0,
                          "_count_above": 4, "_hermitian_eigvals": 2,
-                         "_signed_factor": 3}
+                         "_signed_factor": 1}
+        assert eigh_orders == [11]
 
     def test_benchmark_tracer_self_test_passes(self, monkeypatch):
         # The benchmark marks its runs incorrect when this fixture fails:

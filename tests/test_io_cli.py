@@ -4,6 +4,7 @@ import base64
 import gc
 import importlib
 import json
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -28,6 +29,7 @@ from tuple_files import (
     DATA,
     V1_FILES,
     V1_META,
+    overflowing_pair,
     same_bits,
     v1_payload,
     v1_real_tuple,
@@ -798,6 +800,40 @@ class TestCliClassify:
         payload = json.loads(rep.read_text())
         assert payload["flags"]["eps_pure"] == 0.0
         assert payload["result"]["purity"]["status"] == "Pure"
+
+
+EIGENVALUES_OVERFLOW = ("error: the eigenvalues of I - cp(I) are not finite; "
+                        "the tuple's entries are too large\n")
+COMMUTATOR_OVERFLOW = ("error: a commutator of the tuple is not finite; "
+                       "the tuple's entries are too large\n")
+
+
+class TestCliOverflowingPair:
+    @pytest.mark.parametrize("h, m, classify_err", [
+        (16, 3.1e307, EIGENVALUES_OVERFLOW),
+        (36, 3.1e307, COMMUTATOR_OVERFLOW),
+        (64, 3e307, COMMUTATOR_OVERFLOW)], ids=["h16", "h36", "h64"])
+    @pytest.mark.parametrize("argv", [["defect", "--n-max", "3"],
+                                      ["classify"]], ids=["defect", "classify"])
+    def test_exit_two_with_one_error_line_and_no_warning(
+            self, tmp_path, capsys, h, m, classify_err, argv):
+        # cp(I) is finite and its eigenvalues are not: both commands
+        # refuse the tuple with one error line and no numpy warning.
+        # classify checks commutation first, so a commutator that
+        # overflows too is the one named.
+        src = tmp_path / "in.json"
+        write_tuple(overflowing_pair(h, m), src)
+        rep = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([argv[0], str(src), *argv[1:], "--report", str(rep)])
+        assert code == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == (EIGENVALUES_OVERFLOW if argv[0] == "defect"
+                                else classify_err)
+        assert captured.out == ""
+        assert not rep.exists()
 
 
 class TestCliMalformedTupleFile:

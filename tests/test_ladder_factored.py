@@ -7,6 +7,7 @@ I - cp^n(I) built by n dense cp steps, up to the point where the ladder
 stops.
 """
 
+import math
 from itertools import islice
 
 import numpy as np
@@ -22,6 +23,8 @@ from defectseq.defect import (
     _first_defect,
     _ladder,
     _signed_factor,
+    contractivity_margin,
+    defect_dimension,
     defect_operator,
     defect_sequence,
     is_contractive,
@@ -35,8 +38,13 @@ from defectseq.linalg import (
     hermitize,
     numerical_rank,
 )
-from defectseq.models import fock_creation, haar_unitary, random_contractive
-from defectseq.tuples import OperatorTuple, apply_cp_map, direct_sum
+from defectseq.models import (
+    fock_creation,
+    haar_unitary,
+    random_contractive,
+    symmetric_fock_shift,
+)
+from defectseq.tuples import OperatorTuple, apply_cp_map, direct_sum, is_commuting
 
 KINDS = ("complex", "real", "coisometry", "direct-sum", "scaled",
          "nilpotent", "inflated")
@@ -359,3 +367,139 @@ class TestSketchedFactor:
         assert list(islice(_ladder(T, DEFAULT_TOL), 2)) == [3, 9]
         assert sizes.count(h) == calls
         assert all(size <= h for size in sizes)
+
+
+def dimension_oracle(T, n):
+    # defect_dimension(T, k) for k = 1..n: each a fresh dense D_k from k
+    # cp steps, apart from the factored ladder.
+    return tuple(defect_dimension(T, k) for k in range(1, n + 1))
+
+
+def qr_modes(monkeypatch):
+    # Record the mode of every np.linalg.qr call from now on.
+    modes = []
+    original = np.linalg.qr
+
+    def recorded(a, mode="reduced"):
+        modes.append(mode)
+        return original(a, mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    return modes
+
+
+def conjugate(T, seed, real):
+    # u* T_i u for a seeded real orthogonal or Haar unitary u.
+    rng = np.random.default_rng(seed)
+    u = orthogonal(rng, T.h) if real else haar_unitary(T.h, rng)
+    return OperatorTuple(tuple(u.conj().T @ op @ u for op in T.ops))
+
+
+def signed_draw(d, h, rank, seed, real):
+    # The construction of random_contractive with one singular value
+    # 1 + 2e-9: D_1 has one eigenvalue of about -4e-9, above the cutoff,
+    # so the factor of D_1 carries a -1 in its signature, and the tuple
+    # is contractive only within the slack.
+    rng = np.random.default_rng(seed)
+    sigma = np.concatenate([[1.0 + 2e-9], np.ones(h - rank - 1),
+                            rng.uniform(0.2, 0.9, rank)])
+    if real:
+        w, u = orthogonal(rng, h), orthogonal(rng, d * h)[:, :h]
+    else:
+        w, u = haar_unitary(h, rng), haar_unitary(d * h, rng)[:, :h]
+    row = (w * sigma) @ u.conj().T
+    return OperatorTuple(tuple(row[:, i * h:(i + 1) * h] for i in range(d)))
+
+
+class TestFactorKeptWhole:
+    """A step whose M = [G_1, T_1 G_n, ..., T_d G_n] keeps every column.
+
+    Such a step takes only the eigenvalues of R J R* from M = QR and
+    carries M itself as the next factor; the first step that drops a
+    column takes Q and the eigenvectors, and so does every later step of
+    that ladder.  Each ladder must equal ``defect_dimension``, a fresh
+    dense D_n per value, and stop where that sequence first repeats or
+    reaches h.
+    """
+
+    def check(self, T, deltas):
+        assert deltas == dimension_oracle(T, len(deltas))
+        assert deltas[-1] == T.h or deltas[-1] == deltas[-2]
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("h, rank", [(16, 1), (16, 3), (64, 1), (64, 3)])
+    def test_long_single_entry_ladders(self, monkeypatch, h, rank, real):
+        # Delta_n = min(n rank, h): every step up to the dense last one
+        # keeps M, so the only eigh is of D_1's sketched factor.
+        if real:
+            T = real_contractive(np.random.default_rng((h, rank)), 1, h, rank)
+        else:
+            T = random_contractive(1, h, rank, (h, rank))
+        sizes = eigh_sizes(monkeypatch)
+        deltas = defect_sequence(T, h + 1).deltas
+        assert sizes == [rank + _SKETCH_OVERSAMPLING]
+        assert deltas == tuple(range(rank, h, rank)) + (h,)
+        self.check(T, deltas)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_long_conjugated_shift(self, monkeypatch, real):
+        # fock_creation(1, 63) on h = 64 has the ladder 1, 2, ..., 64; a
+        # dense conjugate takes the factored route, and its M, 64 columns
+        # at the last narrow step, is never compressed.
+        T = conjugate(fock_creation(1, 63), 3, real)
+        assert T._shift_pattern is None
+        sizes = eigh_sizes(monkeypatch)
+        deltas = defect_sequence(T, 100).deltas
+        assert sizes == [1 + _SKETCH_OVERSAMPLING]
+        assert deltas == tuple(range(1, 65))
+        self.check(T, deltas)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_commuting_ladder_compresses_from_its_first_drop(
+            self, monkeypatch, k, real):
+        # The symmetric shift's ladder 1, 3, 6, 10, ... grows by less
+        # than M's width from step 3 on: step 2 keeps M, step 3 drops a
+        # column after its values-only check, and later steps go to the
+        # compressing path at once.
+        T = conjugate(symmetric_fock_shift(2, k), k, real)
+        assert is_commuting(T)
+        modes = qr_modes(monkeypatch)
+        rep = defect_sequence(T, 100)
+        assert rep.deltas == tuple(math.comb(n + 1, 2)
+                                   for n in range(1, k + 2))
+        assert all(rep.bound_ok_comm)
+        # Two QRs of D_1's sketch, then steps 2 and 3 test R alone.
+        assert modes[:5] == ["reduced", "reduced", "r", "r", "reduced"]
+        assert "r" not in modes[5:]
+        self.check(T, rep.deltas)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_first_defect(self, d, real):
+        # Delta_1 = 0: the factors are empty, and the step from an empty
+        # M keeps it, with no eigenvalue to test.
+        if real:
+            T = real_contractive(np.random.default_rng(d), d, 8, 0)
+        else:
+            T = random_contractive(d, 8, 0, d)
+        deltas = defect_sequence(T, 10).deltas
+        assert deltas == (0, 0)
+        self.check(T, deltas)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("d, h, rank", [(1, 16, 1), (2, 24, 2),
+                                            (3, 32, 1)])
+    def test_negative_signature_is_carried_in_m(self, monkeypatch, d, h,
+                                                rank, real):
+        # M's signature repeats J_1, which holds the -1 of D_1's
+        # eigenvalue near -4e-9; no narrow step drops a column, so the
+        # only eigh of an order below h is D_1's factor.
+        T = signed_draw(d, h, rank, (d, h, rank), real)
+        margin = contractivity_margin(T)
+        assert -5e-9 < margin < -3e-9
+        sizes = eigh_sizes(monkeypatch)
+        deltas = defect_sequence(T, h + 1).deltas
+        assert [size for size in sizes if size < h] == [
+            rank + 1 + _SKETCH_OVERSAMPLING]
+        self.check(T, deltas)

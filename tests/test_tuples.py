@@ -43,7 +43,7 @@ from defectseq.tuples import (
     word_index,
     words_of_length,
 )
-from tuple_files import DATA, v1_payload
+from tuple_files import DATA, overflowing_pair, v1_payload
 
 
 def random_tuple(rng, d, h, scale=0.4):
@@ -1414,9 +1414,9 @@ class TestShiftCommutators:
 
     def test_overflowing_norms_match_the_reference(self):
         # At 1e154 only the squares of the entry norms overflow; the
-        # commutators stay finite and take the spectral route.
-        # is_commuting warns as the entry norms and the reference's
-        # products do.
+        # commutators stay finite and take the spectral route.  The entry
+        # norms warn of that overflow; is_commuting gives the reference's
+        # verdict without a warning.
         big = OperatorTuple((1e154 * weighted_shift(np.ones(3), 4),
                              1e154 * weighted_shift(np.ones(2), 4, 2)))
         assert big._shift_pattern is not None
@@ -1432,7 +1432,28 @@ class TestShiftCommutators:
         _, norm_warnings = outcome(
             lambda T: [np.linalg.norm(op) for op in T.ops], big)
         assert got == want
-        assert got_warnings == norm_warnings + want_warnings
+        assert norm_warnings
+        assert got_warnings == want_warnings == []
+
+    @pytest.mark.parametrize("h, m", [(16, 3.1e307), (36, 3.1e307),
+                                      (64, 3e307)])
+    def test_overflowing_pair_warns_nothing(self, h, m):
+        # The entry norms overflow at every h, and from h = 36 the
+        # products too, where the call refuses the pair; no overflow
+        # warns either way.
+        T = overflowing_pair(h, m)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                got = is_commuting(T)
+            except ArgumentError as exc:
+                got = str(exc)
+        assert caught == []
+        if h == 16:
+            assert isinstance(got, bool)
+        else:
+            assert got == ("a commutator of the tuple is not finite; "
+                           "the tuple's entries are too large")
 
 
 def complex_route_entries(ops):

@@ -4,7 +4,8 @@
 version 1 writer and are kept byte for byte, so every release must read
 them to the tuples below.  ``v1_payload`` builds the same version 1
 object for any tuple; ``tests/test_io_cli.py`` checks that it reproduces
-both files exactly.
+both files exactly.  ``overflowing_pair`` builds a pair whose entries
+lie near the float64 limit, for the overflow refusals.
 """
 
 from pathlib import Path
@@ -62,3 +63,16 @@ def same_bits(S, T):
     return (S.dtype == T.dtype and S.d == T.d and S.h == T.h
             and all(np.array_equal(x.view(np.uint64), y.view(np.uint64))
                     for x, y in zip(S.ops, T.ops)))
+
+
+def overflowing_pair(h, m):
+    """(T_1, T_2) on C^h: a row of T_1 along a column of T_2, scale m.
+
+    cp(I) = T_1 T_1* + T_2 T_2* has the entries m and 2 m, finite for m
+    near 3e307, but its largest eigenvalue, about h m, overflows, and at
+    m = 3.1e307 from h = 36 on so does the entry sqrt(h) m of T_1 T_2.
+    """
+    t1, t2 = np.zeros((2, h, h))
+    t1[0, :] = np.sqrt(m / h)
+    t2[:, 1] = np.sqrt(m)
+    return OperatorTuple((t1, t2))

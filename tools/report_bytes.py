@@ -33,8 +33,10 @@ script), then writes into OUT_DIR:
   ``defect-large-dense-<label>.json``: ``defect --n-max 200 --report`` on
   dense tuples with h = 16..128 whose first defect has a small rank: a
   unitary conjugate of ``fock_creation(2, 5)``, real and complex draws
-  with Delta_1 in {1, 3}, and a tuple accepted only within the
-  contractivity slack, whose ladder falls (see ``large_dense_builders``);
+  with Delta_1 in {1, 3}, two long single-entry ladders (a complex
+  draw with h = 64 and an orthogonal conjugate of ``fock_creation(1,
+  127)``), and a tuple accepted only within the contractivity slack,
+  whose ladder falls (see ``large_dense_builders``);
 * ``inputs/near-cutoff-<label>.json``, ``classify-near-cutoff-<label>.json``
   and ``defect-near-cutoff-<label>.json``: both calls, with ``--rtol R
   --atol 0``, on the 1-tuples diag(0, g, s) with a gap g one part in
@@ -219,8 +221,11 @@ def large_dense_builders(models, OperatorTuple, direct_sum):
 
     Tuples without zero entries whose D_1 has rank 1..3, far below h:
     a unitary conjugate of ``fock_creation(2, 5)`` (h = 63, ladder
-    1, 3, ..., 63), real and complex draws with Delta_1 in {1, 3}, and
-    a conjugated 1-tuple accepted only within the contractivity slack,
+    1, 3, ..., 63), real and complex draws with Delta_1 in {1, 3}, a
+    complex draw with d = 1, h = 64 and Delta_1 = 1 and an orthogonal
+    conjugate of ``fock_creation(1, 127)`` (ladders 1, 2, ..., h of 64
+    and 128 steps, whose factor grows by one column a step), and a
+    conjugated 1-tuple accepted only within the contractivity slack,
     whose D_1 has the eigenvalues -4e-9 and 1 and whose ladder falls
     (2, 1, 2, 2), on h = 16 (orthogonal) and h = 20 (unitary).
     """
@@ -267,6 +272,11 @@ def large_dense_builders(models, OperatorTuple, direct_sum):
             builders[f"random-{d}-{h}-{rank}-complex"] = (
                 lambda d=d, h=h, rank=rank: models.random_contractive(
                     d, h, rank, (62, d, h, rank)))
+    builders["random-1-64-1-complex"] = lambda: models.random_contractive(
+        1, 64, 1, (62, 1, 64, 1))
+    builders["fock-1-127-orthogonal"] = lambda: conjugate(
+        models.fock_creation(1, 127),
+        orthogonal(np.random.default_rng(63), 128))
     builders["slack-16-real"] = lambda: slack(16, True)
     builders["slack-20-complex"] = lambda: slack(20, False)
     return builders
