@@ -44,7 +44,16 @@ pattern:
   eigenvectors of R J R* happens only at the first step that finds a
   value at the floor and at every later step of that ladder, which go
   straight to it; a maximal ladder, such as a generic dense draw's,
-  never compresses below h.
+  never compresses below h.  A step whose signature is all +1 first
+  tries one Cholesky factorization of A - s I, for its R J R* or its
+  dense M J M* as A, with s above the rank cutoff by the backward
+  errors of eigvalsh and of Cholesky (``linalg._certified_full``).
+  When it succeeds, every eigenvalue eigvalsh would give A clears the
+  cutoff and the floor, so the count is A's width (h for a dense step),
+  no column drops, and no eigenvalue is taken: each step of a maximal
+  ladder costs a QR and a Cholesky.  D_1 is never certified, since its
+  smallest eigenvalue is the contractivity margin, reported bit for
+  bit.
 
 Both count the eigenvalues of D_n above the one cutoff of
 ``numerical_rank``.  ``_ladder`` checks contractivity when it is called,
@@ -81,6 +90,7 @@ from .errors import ArgumentError, ConsistencyError, ContractivityError, SizeCap
 from .linalg import (
     DEFAULT_TOL,
     RankTolerance,
+    _certified_full,
     _count_above,
     _hermitian_eigvals,
     _real_diagonal,
@@ -387,16 +397,25 @@ def _factored_deltas(T, tol):
     # either the dense D_n (``d_n``), whose factor _dense_factor sketches
     # from its eigenvalues when they leave room, or
     # D_n = Q (V diag(values) V*) Q*, or M itself (``g``, ``j``).
-    # Before the values, the generator yields the contractivity margin,
-    # read off D_1 = _first_defect(T).
+    # A step whose J is all +1 and whose R J R* or dense M J M* passes
+    # _certified_full has the count its width (``count``) and no values:
+    # eigvalsh would give every eigenvalue above the cutoff and the
+    # floor, so the count and the choice of M as the factor are the ones
+    # the values give.  A certified dense step takes its values only if
+    # the generator is resumed after it, which _stabilized, stopping at
+    # h, never does.  Before the values, the generator yields the
+    # contractivity margin, read off D_1 = _first_defect(T), which is
+    # never certified.
     floor = T.h * np.finfo(np.float64).eps
     d_n, values = _first_defect(T)
     yield float(values[0])
-    g_1 = j_1 = g = j = None
+    g_1 = j_1 = g = j = count = None
     compressing = False
     while True:
-        yield _count_above(np.abs(values), tol)
+        yield _count_above(np.abs(values), tol) if count is None else count
         if d_n is not None:
+            if values is None:
+                values = _hermitian_eigvals(d_n)
             g, j = _dense_factor(d_n, values, floor)
         elif g is None:
             g, j = _signed_factor(values, v, floor)
@@ -404,40 +423,46 @@ def _factored_deltas(T, tol):
         if g_1 is None:
             g_1, j_1 = g, j
         # Let this step's arrays go before the next step's are built.
-        d_n = values = q = v = None
+        d_n = values = q = v = count = None
         m = _defect_columns(T, g_1, g)
         signature = np.concatenate([j_1] + [j] * T.d)
         g = j = None
+        positive = (signature > 0).all()
         if m.shape[1] >= T.h:
-            # M is conjugated in place, so no copy of M* sits next to the
-            # copy of M J.
-            d_n = hermitize(np.matmul(m * signature,
-                                      np.conjugate(m, out=m).T))
-            values = _hermitian_eigvals(d_n)
+            d_n, m = _signed_gram(m, signature), None
+            if positive and _certified_full(d_n, tol, floor):
+                count = T.h
+            else:
+                values = _hermitian_eigvals(d_n)
         else:
             # M = QR, so D_{n+1} = Q (R J R*) Q*: its eigenvalues are
             # those of the small matrix R J R* and h - k zeros.  Until a
             # step of this ladder drops a column, R alone gives the
-            # values first; when all of them clear the floor,
-            # _signed_factor would keep every column, and M itself is the
-            # next factor: M J M* = D_{n+1}.  Otherwise the step, and
-            # every later one, takes the factor Q V |values|^(1/2) from
-            # the eigenvectors V of R J R*.
+            # certified count or the values first; when all of them
+            # clear the floor, _signed_factor would keep every column,
+            # and M itself is the next factor: M J M* = D_{n+1}.
+            # Otherwise the step, and every later one, takes the factor
+            # Q V |values|^(1/2) from the eigenvectors V of R J R*.
             if not compressing:
-                values = np.linalg.eigvalsh(
-                    _signed_gram(np.linalg.qr(m, mode="r"), signature))
-                compressing = not (np.abs(values) > floor).all()
+                gram = _signed_gram(np.linalg.qr(m, mode="r"), signature)
+                if positive and _certified_full(gram, tol, floor):
+                    count = m.shape[1]
+                else:
+                    values = np.linalg.eigvalsh(gram)
+                    compressing = not (np.abs(values) > floor).all()
                 if not compressing:
                     g, j = m, signature
             if compressing:
                 q, r = np.linalg.qr(m)
                 values, v = np.linalg.eigh(_signed_gram(r, signature))
-        m = r = None
+        m = r = gram = None
 
 
-def _signed_gram(r, signature):
-    # R J R*, exactly Hermitian, for the triangular factor R of M.
-    return hermitize((r * signature) @ r.conj().T)
+def _signed_gram(m, signature):
+    # M J M*, exactly Hermitian, for J = diag(signature).  M is
+    # conjugated in place, so that no copy of M* sits next to the copy
+    # M J, and the caller lets it go.
+    return hermitize(np.matmul(m * signature, np.conjugate(m, out=m).T))
 
 
 def _dense_factor(d_n, values, floor):

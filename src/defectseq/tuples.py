@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -558,7 +559,11 @@ def is_commuting(T, tol=None):
     A commutator with a non-finite entry, from entries near the float64
     limit whose products overflow, decides nothing and raises
     ArgumentError; a finite commutator whose Frobenius norm overflows
-    keeps the spectral route.  Neither overflow warns.
+    keeps the spectral route.  When every commutator is finite but the
+    bound is not, the entries are scaled by 2**-k, for the exponent k of
+    their largest part, and the commutators by 4**-k, both exact, and
+    compared with ``rtol * (4**-k + max_i ||2**-k T_i||^2)``.  No
+    overflow warns.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if T.d == 1:
@@ -578,12 +583,23 @@ def is_commuting(T, tol=None):
         if not all(np.isfinite(comm).all() for comm in comms):
             raise ArgumentError("a commutator of the tuple is not finite; "
                                 "the tuple's entries are too large")
+        ops, one = T.ops, 1.0
+        if not np.isfinite(bound_high):
+            # The parts of 2**-k T lie below 1 in modulus, so its bounds
+            # are finite.
+            k = math.frexp(float(np.max(np.abs(T._stack.view(np.float64)))))[1]
+            scale = math.ldexp(1.0, -k)
+            ops = [scale * op for op in ops]
+            comms = [scale * (scale * comm) for comm in comms]
+            one = scale * scale
+            frob_max = max(float(np.linalg.norm(op)) for op in ops)
+            bound_high = tol.rtol * (one + frob_max * frob_max) * above
         frobs = [float(np.linalg.norm(comm)) for comm in comms]
         # A finite commutator whose norm overflows keeps the exact route.
         if np.isfinite(frobs).all():
-            col_max = max(_max_column_norm(op) for op in T.ops)
+            col_max = max(_max_column_norm(op) for op in ops)
             # The exact bound lies above this one.
-            bound_low = tol.rtol * (1.0 + col_max * col_max) * below
+            bound_low = tol.rtol * (one + col_max * col_max) * below
             if any(_max_column_norm(comm) * below > bound_high
                    for comm in comms):
                 return False
@@ -591,8 +607,8 @@ def is_commuting(T, tol=None):
                      if frob * above > bound_low]
             if not comms:
                 return True
-        max_norm = max(float(np.linalg.norm(op, 2)) for op in T.ops)
-        bound = tol.rtol * (1.0 + max_norm * max_norm)
+        max_norm = max(float(np.linalg.norm(op, 2)) for op in ops)
+        bound = tol.rtol * (one + max_norm * max_norm)
         return all(float(np.linalg.norm(comm, 2)) <= bound for comm in comms)
 
 

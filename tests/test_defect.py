@@ -476,20 +476,21 @@ class TestDefectSequence:
         # A fixed real orthogonal conjugate of fock_creation(2, 3) takes
         # the factored route: D_1 applies the cp map once and takes the
         # eigenvalues of I - cp(I), which also give the contractivity
-        # margin, and no later step applies the map.  D_1's factor is
-        # sketched from Delta_1 + 10 = 11 columns: one eigh of order 11
-        # and one _signed_factor.  Steps 2 and 3 (M of width 3 and 7)
-        # take only the eigenvalues of R J R*, all above the floor, so M
-        # is the next factor with no eigh and no _signed_factor; step 4
-        # (width 15 = h) takes the eigenvalues of the dense M J M*.  Each
-        # step is one rank count, and the last step builds no factor.
+        # margin and the one rank count, and no later step applies the
+        # map.  D_1's factor is sketched from Delta_1 + 10 = 11 columns:
+        # one eigh of order 11 and one _signed_factor.  Steps 2 to 4 have
+        # the signature +1 throughout, and a shifted Cholesky certifies
+        # each count full: R J R* of order 3 and 7 (M is the next factor,
+        # with no eigh and no _signed_factor), then the dense M J M* of
+        # order 15 = h, whose eigenvalues are never taken, since the last
+        # step builds no factor.
         import defectseq.defect as defect
         T = orthogonal_conjugate(fock_creation(2, 3), 0)
         assert T._shift_pattern is None
         assert fock_creation(2, 3)._shift_pattern is not None
         calls = {name: 0 for name in (
             "apply_cp_map", "numerical_rank", "_count_above",
-            "_hermitian_eigvals", "_signed_factor")}
+            "_hermitian_eigvals", "_signed_factor", "_certified_full")}
 
         def counting(name):
             original = getattr(defect, name)
@@ -513,8 +514,8 @@ class TestDefectSequence:
         rep = defect.defect_sequence(T, 5)
         assert rep.deltas == (1, 3, 7, 15)
         assert calls == {"apply_cp_map": 1, "numerical_rank": 0,
-                         "_count_above": 4, "_hermitian_eigvals": 2,
-                         "_signed_factor": 1}
+                         "_count_above": 1, "_hermitian_eigvals": 1,
+                         "_signed_factor": 1, "_certified_full": 3}
         assert eigh_orders == [11]
 
     def test_benchmark_tracer_self_test_passes(self, monkeypatch):

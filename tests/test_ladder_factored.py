@@ -503,3 +503,157 @@ class TestFactorKeptWhole:
         assert [size for size in sizes if size < h] == [
             rank + 1 + _SKETCH_OVERSAMPLING]
         self.check(T, deltas)
+
+
+def certificates(monkeypatch):
+    # Record every defect._certified_full call from now on: the verdicts,
+    # and a copy of each matrix it was given.
+    verdicts, matrices = [], []
+    original = defect_module._certified_full
+
+    def recorded(a, tol, floor):
+        matrices.append(a.copy())
+        verdicts.append(original(a, tol, floor))
+        return verdicts[-1]
+
+    monkeypatch.setattr(defect_module, "_certified_full", recorded)
+    return verdicts, matrices
+
+
+def between_cutoff_and_shift(seed, h, real, offset=3e-14):
+    # U diag(0, t, ..., t) U* with e (2 - e) = 1e-9 + offset for
+    # e = 1 - t**2: D_1 has the eigenvalue 1 and h - 1 copies of
+    # e < 1e-9, under the cutoff, so Delta_1 = 1, and D_2, the dense
+    # M J M* of the second step, has the eigenvalue 1 and h - 1 copies of
+    # 1e-9 + offset, which eigvalsh counts.  The certificate's shift lies
+    # 8 h**2 eps ||D_2||_F (1.1e-13 at h = 8) above the cutoff.
+    lam = 1e-9 + offset
+    e = lam / (1.0 + np.sqrt(1.0 - lam))
+    diag = np.diag(np.concatenate([[0.0], np.full(h - 1, np.sqrt(1.0 - e))]))
+    rng = np.random.default_rng(seed)
+    u = orthogonal(rng, h) if real else haar_unitary(h, rng)
+    return OperatorTuple((u @ diag @ u.conj().T,))
+
+
+class TestCertifiedSteps:
+    """Steps whose count one shifted Cholesky factorization certifies.
+
+    A step whose signature is all +1 takes Cholesky of A - s I for its
+    R J R* or its dense M J M* (``linalg._certified_full``) and, when it
+    succeeds, the width of A as its count, in place of eigvalsh; any
+    other step, and any step whose factorization fails, takes the
+    eigenvalues.  Every ladder must equal ``defect_dimension``, a fresh
+    dense D_n per value.
+    """
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("d, h, rank", [(1, 16, 2), (2, 24, 1),
+                                            (2, 64, 3), (3, 40, 1),
+                                            (3, 64, 2)])
+    def test_maximal_draws_certify_every_step(self, monkeypatch, d, h,
+                                              rank, real):
+        # Delta_{n+1} = min(Delta_1 + d Delta_n, h), the bound of a
+        # maximal tuple, at every step after the first.
+        if real:
+            T = real_contractive(np.random.default_rng((d, h, rank)), d, h,
+                                 rank)
+        else:
+            T = random_contractive(d, h, rank, (d, h, rank))
+        verdicts, _ = certificates(monkeypatch)
+        deltas = defect_sequence(T, h + 1).deltas
+        assert deltas == dimension_oracle(T, len(deltas))
+        assert deltas[0] == rank and deltas[-1] == h
+        assert all(b == min(rank + d * a, h)
+                   for a, b in zip(deltas, deltas[1:]))
+        assert verdicts == [True] * (len(deltas) - 1)
+
+    def test_seeded_draws_against_the_dense_oracle(self, monkeypatch):
+        # d = 1..3, h up to 64, every kind of draw_tuple, maximal or not;
+        # the certificate both succeeds and declines among them.
+        verdicts, _ = certificates(monkeypatch)
+        for seed in range(28):
+            rng = np.random.default_rng((28, seed))
+            T = draw_tuple(seed, 1 + seed % 3,
+                           int(rng.choice([5, 16, 33, 64])),
+                           KINDS[seed % len(KINDS)])
+            deltas = ladder(T)
+            assert tuple(deltas) == dimension_oracle(T, len(deltas)), seed
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eigenvalue_between_cutoff_and_shift_falls_back(
+            self, monkeypatch, seed, real):
+        # eigvalsh counts the h - 1 eigenvalues 1e-9 + 3e-14 of D_2, and
+        # the certificate, whose shift lies above them, must decline.
+        T = between_cutoff_and_shift(seed, 8, real)
+        verdicts, matrices = certificates(monkeypatch)
+        assert ladder(T) == oracle_ladder(T) == [1, 8]
+        assert verdicts == [False]
+        values = np.linalg.eigvalsh(matrices[0])
+        cutoff = DEFAULT_TOL.cutoff(np.max(np.abs(values)))
+        assert (cutoff < values[:-1]).all()
+        assert (values[:-1] < cutoff + 1e-13).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_negative_signature_never_reaches_the_certificate(
+            self, monkeypatch, seed):
+        # The slack family (2, 1, 2, 2) and M carrying D_1's -1: every
+        # step's signature holds a -1.
+        verdicts, _ = certificates(monkeypatch)
+        q = orthogonal(np.random.default_rng(seed), 3)
+        T = OperatorTuple((q @ falling_core() @ q.T,))
+        assert ladder(T) == oracle_ladder(T) == [2, 1, 2, 2]
+        for real in (True, False):
+            T = signed_draw(2, 24, 2, (seed, 24), real)
+            deltas = defect_sequence(T, 25).deltas
+            assert deltas == dimension_oracle(T, len(deltas))
+        assert verdicts == []
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_generator_resumed_past_a_certified_wide_step(self, monkeypatch,
+                                                          real):
+        # _stabilized stops at Delta = h, but the generator, resumed,
+        # takes the certified step's eigenvalues for its factor and goes
+        # on as it does with every certificate declined.
+        if real:
+            T = real_contractive(np.random.default_rng(7), 2, 16, 3)
+        else:
+            T = random_contractive(2, 16, 3, 7)
+
+        def values():
+            return list(islice(defect_module._factored_deltas(T, DEFAULT_TOL),
+                               7))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(defect_module, "_certified_full",
+                          lambda a, tol, floor: False)
+            declined = values()
+        verdicts, matrices = certificates(monkeypatch)
+        assert values() == declined
+        assert declined[1:] == [3, 9, 16, 16, 16, 16]
+        assert verdicts == [True] * 5
+        assert [a.shape[0] for a in matrices] == [9, 16, 16, 16, 16]
+
+
+class TestSignedGram:
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("rows, cols", [(7, 3), (15, 15), (64, 130),
+                                            (300, 255)])
+    @pytest.mark.parametrize("signs", ["positive", "mixed"])
+    def test_bits_of_the_product_with_a_copy_of_m_star(self, rows, cols,
+                                                       signs, real):
+        # M is conjugated in place for M*, and M J is the one copy: the
+        # gemm of (M J) and a copy of M*, bit for bit.  A product of one
+        # float64 buffer with its own transpose goes to syrk, whose bits
+        # differ, so the positive signature still takes the copy M J.
+        rng = np.random.default_rng((rows, cols))
+        m = rng.standard_normal((rows, cols))
+        if not real:
+            m = m + 1j * rng.standard_normal((rows, cols))
+        signature = np.ones(cols)
+        if signs == "mixed":
+            signature[::3] = -1.0
+        want = hermitize((m * signature) @ m.conj().T.copy())
+        got = defect_module._signed_gram(m.copy(), signature)
+        assert got.tobytes() == want.tobytes()

@@ -11,6 +11,8 @@ from defectseq.linalg import (
     DEFAULT_TOL,
     RankTolerance,
     Subspace,
+    _certified_full,
+    _count_above,
     _hermitian_eigvals,
     as_operator_matrix,
     coordinate_subspace,
@@ -189,6 +191,70 @@ class TestHermitianRankRoute:
         assert q.dtype == np.float64
         assert np.allclose(w, [1.0, 3.0])
         assert require_hermitian(m.astype(np.complex128)).dtype == np.complex128
+
+
+@st.composite
+def spectra_near_the_cutoff(draw):
+    """(eigenvalues, real?, seed) whose smallest lies near the cutoff."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    top = draw(st.floats(min_value=1e-3, max_value=1e3))
+    rest = draw(st.lists(st.floats(min_value=-9.0, max_value=0.0),
+                         min_size=n - 1, max_size=n - 1))
+    near = DEFAULT_TOL.cutoff(top) * draw(st.floats(0.999, 30.0))
+    lam = np.array([top, *(top * 10.0 ** e for e in rest)])
+    lam[-1] = near if n > 1 else top
+    if draw(st.booleans()):
+        lam[-1] = -lam[-1]
+    return lam, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestCertifiedFull:
+    """One shifted Cholesky factorization stands in for eigvalsh.
+
+    ``_certified_full(a, tol, floor)`` may say True only when every
+    eigvalsh value of ``a`` exceeds ``floor`` and the cutoff that
+    ``_count_above`` takes from their moduli, and it leaves the bits of
+    ``a`` as they were, whatever it says.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(spectra_near_the_cutoff(), st.sampled_from([0.0, 1e-14, 1e-9]))
+    def test_certified_counts_are_full(self, case, floor):
+        lam, real, seed = case
+        a = hermitian_with_spectrum(lam, real, seed)
+        before = a.copy()
+        certified = _certified_full(a, DEFAULT_TOL, floor)
+        assert a.tobytes() == before.tobytes()
+        values = np.abs(np.linalg.eigvalsh(a))
+        if certified:
+            assert _count_above(values, DEFAULT_TOL) == a.shape[0]
+            assert (values > floor).all()
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 3, 8, 40])
+    def test_clearly_positive_matrices_are_certified(self, n, real):
+        rng = np.random.default_rng(n)
+        lam = rng.uniform(1e-6, 1.0, n)
+        a = hermitian_with_spectrum(lam, real, n)
+        assert _certified_full(a, DEFAULT_TOL, n * np.finfo(float).eps)
+
+    def test_floor_above_the_cutoff_declines(self):
+        # At rtol 1e-15 and atol 0 the cutoff of diag(1, 1e-13) is 1e-15,
+        # which 1e-13 clears, but a floor of 1e-12 does not.
+        a = np.diag([1.0, 1e-13])
+        tol = RankTolerance(rtol=1e-15, atol=0.0)
+        assert _certified_full(a, tol, 0.0)
+        assert not _certified_full(a, tol, 1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    def test_non_finite_norm_declines(self, bad):
+        a = np.diag([bad, 1.0])
+        before = a.copy()
+        assert not _certified_full(a, DEFAULT_TOL, 0.0)
+        assert a.tobytes() == before.tobytes()
+
+    def test_empty_matrix_counts_zero(self):
+        assert _certified_full(np.zeros((0, 0)), DEFAULT_TOL, 1e-15)
 
 
 def same_bits(a, b):

@@ -1456,6 +1456,88 @@ class TestShiftCommutators:
                            "the tuple's entries are too large")
 
 
+def scaled_reference_is_commuting(T, tol, k):
+    # reference_is_commuting on S = 2**-k T, with the commutators of S,
+    # 4**-k times those of T, against rtol * (4**-k + max ||S_i||_2**2):
+    # the verdict of T itself, taken where nothing overflows.
+    scale = 2.0 ** -k
+    ops = [scale * op for op in T.ops]
+    max_norm = max(float(np.linalg.norm(op, 2)) for op in ops)
+    bound = tol.rtol * (scale * scale + max_norm * max_norm)
+    return all(float(np.linalg.norm(ops[i] @ ops[j] - ops[j] @ ops[i], 2))
+               <= bound for i in range(T.d) for j in range(i + 1, T.d))
+
+
+def largest_part_exponent(T):
+    # The exponent k of the largest |real or imaginary part| of an entry.
+    return int(np.frexp(np.max(np.abs(T._stack.view(np.float64))))[1])
+
+
+class TestInfiniteBound:
+    """Commutators that are finite against a bound that overflows.
+
+    From entry norms near 1.34e154 on, F**2 and so rtol * (1 + F**2)
+    overflow while the products T_i T_j can stay finite.  is_commuting
+    then scales the entries by 2**-k and the commutators by 4**-k, and
+    its verdict must be the one every spectral norm gives on the scaled
+    tuple.
+    """
+
+    def test_overflowing_pair_does_not_commute(self):
+        # The commutator of overflowing_pair(16, 3.1e307) has spectral
+        # norm about 1.24e308, a quarter of the largest squared entry
+        # norm; the infinite bound used to accept it.
+        T = overflowing_pair(16, 3.1e307)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = is_commuting(T)
+        assert caught == []
+        assert got is False
+        assert got == scaled_reference_is_commuting(
+            T, DEFAULT_TOL, largest_part_exponent(T))
+        assert is_commuting(overflowing_pair(16, 1e300)) is False
+        assert is_commuting(OperatorTuple(
+            tuple(1e-154 * op for op in T.ops))) is False
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("kind", ["commuting", "random", "above", "below"])
+    def test_verdict_of_the_scaled_tuple(self, kind, real):
+        # Dense pairs on h = 16 scaled until F**2 is 2**1027: the squares
+        # of the spectral norms, about F**2 / 4, overflow too, and the
+        # product entries, about F**2 / 64, stay finite.  "above" and
+        # "below" put rtol a part in 10**6 above and below the ratio at
+        # which the random pair starts to commute.
+        rng = np.random.default_rng(16)
+        if kind == "commuting":
+            T = commuting_draw(rng, 2, 16, real)
+        else:
+            T = OperatorTuple(tuple(
+                rng.standard_normal((16, 16))
+                + (0 if real else 1j * rng.standard_normal((16, 16)))
+                for _ in range(2)))
+        frob = max(float(np.linalg.norm(op)) for op in T.ops)
+        T = OperatorTuple(tuple(2.0 ** 513.5 / frob * op for op in T.ops))
+        k = largest_part_exponent(T)
+        tol = DEFAULT_TOL
+        if kind in ("above", "below"):
+            ops = [2.0 ** -k * op for op in T.ops]
+            ratio = (np.linalg.norm(ops[0] @ ops[1] - ops[1] @ ops[0], 2)
+                     / (4.0 ** -k + max(np.linalg.norm(op, 2) ** 2
+                                        for op in ops)))
+            tol = RankTolerance(rtol=float(ratio) * (
+                1.0 + (1e-6 if kind == "above" else -1e-6)))
+        with np.errstate(all="ignore"):
+            assert np.isinf(max(np.linalg.norm(op, 2) for op in T.ops) ** 2)
+            assert all(np.isfinite(op @ other).all()
+                       for op in T.ops for other in T.ops)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = is_commuting(T, tol)
+        assert caught == []
+        assert got == scaled_reference_is_commuting(T, tol, k)
+        assert got == (kind in ("commuting", "above"))
+
+
 def complex_route_entries(ops):
     # How every tuple was stored before real input skipped complex128:
     # convert to complex128, keep the real parts when every imaginary

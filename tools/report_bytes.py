@@ -31,12 +31,15 @@ script), then writes into OUT_DIR:
   draws with h = 64 (see ``cap_dense_builders``);
 * ``inputs/large-dense-<label>.json`` and
   ``defect-large-dense-<label>.json``: ``defect --n-max 200 --report`` on
-  dense tuples with h = 16..128 whose first defect has a small rank: a
+  dense tuples with h = 8..300 whose first defect has a small rank: a
   unitary conjugate of ``fock_creation(2, 5)``, real and complex draws
-  with Delta_1 in {1, 3}, two long single-entry ladders (a complex
-  draw with h = 64 and an orthogonal conjugate of ``fock_creation(1,
-  127)``), and a tuple accepted only within the contractivity slack,
-  whose ladder falls (see ``large_dense_builders``);
+  with Delta_1 in {1, 3}, a real draw with d = 2, h = 300 and
+  Delta_1 = 1, two long single-entry ladders (a complex draw with
+  h = 64 and an orthogonal conjugate of ``fock_creation(1, 127)``), a
+  tuple accepted only within the contractivity slack, whose ladder
+  falls, and conjugated 1-tuples whose D_2 has eigenvalues between the
+  rank cutoff and the shift of the ladder's Cholesky certificate (see
+  ``large_dense_builders``);
 * ``inputs/near-cutoff-<label>.json``, ``classify-near-cutoff-<label>.json``
   and ``defect-near-cutoff-<label>.json``: both calls, with ``--rtol R
   --atol 0``, on the 1-tuples diag(0, g, s) with a gap g one part in
@@ -217,17 +220,24 @@ def cap_dense_builders(models, OperatorTuple):
 
 
 def large_dense_builders(models, OperatorTuple, direct_sum):
-    """Label -> builder() of the large dense defect fixtures, h = 16..128.
+    """Label -> builder() of the large dense defect fixtures, h = 8..300.
 
     Tuples without zero entries whose D_1 has rank 1..3, far below h:
     a unitary conjugate of ``fock_creation(2, 5)`` (h = 63, ladder
     1, 3, ..., 63), real and complex draws with Delta_1 in {1, 3}, a
-    complex draw with d = 1, h = 64 and Delta_1 = 1 and an orthogonal
-    conjugate of ``fock_creation(1, 127)`` (ladders 1, 2, ..., h of 64
-    and 128 steps, whose factor grows by one column a step), and a
-    conjugated 1-tuple accepted only within the contractivity slack,
-    whose D_1 has the eigenvalues -4e-9 and 1 and whose ladder falls
-    (2, 1, 2, 2), on h = 16 (orthogonal) and h = 20 (unitary).
+    real draw with d = 2, h = 300 and Delta_1 = 1 (the real twin of the
+    ``ladder`` workload's ``random_contractive(2, 300, 1)``, whose
+    steps are all certified by a Cholesky factorization, up to R J R*
+    of order 255 and the dense last step), a complex draw with d = 1,
+    h = 64 and Delta_1 = 1 and an orthogonal conjugate of
+    ``fock_creation(1, 127)`` (ladders 1, 2, ..., h of 64 and 128 steps,
+    whose factor grows by one column a step), a conjugated 1-tuple
+    accepted only within the contractivity slack, whose D_1 has the
+    eigenvalues -4e-9 and 1 and whose ladder falls (2, 1, 2, 2), on
+    h = 16 (orthogonal) and h = 20 (unitary), and U diag(0, t, ..., t)
+    U* on h = 8, orthogonal and unitary, whose D_2 has seven eigenvalues
+    1e-9 + 3e-14, which eigvalsh counts, between the cutoff and the
+    certificate's shift, so that step falls back to eigvalsh.
     """
     import numpy as np
 
@@ -277,8 +287,23 @@ def large_dense_builders(models, OperatorTuple, direct_sum):
     builders["fock-1-127-orthogonal"] = lambda: conjugate(
         models.fock_creation(1, 127),
         orthogonal(np.random.default_rng(63), 128))
+    def between_cutoff_and_shift(real):
+        # e (2 - e) = 1e-9 + 3e-14 for e = 1 - t**2.
+        lam = 1e-9 + 3e-14
+        e = lam / (1.0 + np.sqrt(1.0 - lam))
+        diag = np.diag([0.0] + [np.sqrt(1.0 - e)] * 7)
+        rng = np.random.default_rng(64)
+        u = orthogonal(rng, 8) if real else models.haar_unitary(8, rng)
+        return OperatorTuple((u @ diag @ u.conj().T,))
+
     builders["slack-16-real"] = lambda: slack(16, True)
     builders["slack-20-complex"] = lambda: slack(20, False)
+    builders["random-2-300-1-real"] = lambda: real_draw(2, 300, 1,
+                                                        (61, 2, 300, 1))
+    builders["between-cutoff-and-shift-real"] = (
+        lambda: between_cutoff_and_shift(True))
+    builders["between-cutoff-and-shift-complex"] = (
+        lambda: between_cutoff_and_shift(False))
     return builders
 
 
