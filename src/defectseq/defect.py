@@ -33,27 +33,34 @@ pattern:
   defect spaces is the identity D_{n+1} = D_1 + cp(D_n), so D_n, of rank
   Delta_n, is held as a thin signed factor G_n diag(+-1) G_n* and
   updated from the d products T_i G_n (low-rank Smith iteration).  The
-  factor of a dense D_n, D_1 among them, comes from a randomized range
-  sketch of its r eigenvalues above the rounding floor when r + 10 < h,
-  O(h^2 r), and from an h x h eigh otherwise.  A step whose
-  M = [G_1, T_1 G_n, ..., T_d G_n] is narrower than h takes the
-  eigenvalues of the small R J R* from M = QR, with no eigenvectors;
-  when all of them clear the floor no column is dropped, and M itself
-  is the next factor, since M J M* = D_{n+1} (the factor grows as M in
-  the Smith iteration of Penzl 2000).  Compression to Q times the
-  eigenvectors of R J R* happens only at the first step that finds a
-  value at the floor and at every later step of that ladder, which go
-  straight to it; a maximal ladder, such as a generic dense draw's,
-  never compresses below h.  A step whose signature is all +1 first
-  tries one Cholesky factorization of A - s I, for its R J R* or its
-  dense M J M* as A, with s above the rank cutoff by the backward
-  errors of eigvalsh and of Cholesky (``linalg._certified_full``).
-  When it succeeds, every eigenvalue eigvalsh would give A clears the
-  cutoff and the floor, so the count is A's width (h for a dense step),
-  no column drops, and no eigenvalue is taken: each step of a maximal
-  ladder costs a QR and a Cholesky.  D_1 is never certified, since its
-  smallest eigenvalue is the contractivity margin, reported bit for
-  bit.
+  factor of a dense D_n, D_1 among them, comes from a range sketch of
+  its r eigenvalues above the rounding floor, on a fixed test matrix,
+  when r + 10 < h, O(h^2 r), and from an h x h eigh otherwise.  While
+  no column drops, the factor of D_n is M_n, the word levels T_w G_1,
+  |w| < n, level by level in one column buffer (the factor grows as M
+  in the Smith iteration of Penzl 2000): M_{n+1} = [M_n, T_1 F, ...,
+  T_d F] for the newest level F, so a step multiplies F alone.  A step
+  whose M is narrower than h and whose signature is all +1 is
+  certified on the Gram matrix A = M* M, grown by its new rows, which
+  has the nonzero eigenvalues of M M* = D_{n+1}: one Cholesky
+  factorization of A - s I, with s above the rank cutoff by the
+  backward errors of eigvalsh and of Cholesky and by the rounding of A
+  and of the QR route it stands in for (``linalg._certified_full``).
+  When it succeeds, every eigenvalue that route would give clears the
+  cutoff and the floor, so the count is A's width and M stays the
+  factor, with no QR and no eigenvalue.  The last word step, whose M
+  reaches width h, is certified on the square S of M's first h
+  columns, since D_{n+1} = M M* >= S S* for J = +1, and its dense
+  D_{n+1} is built only if a later value is asked for.  Any other step
+  takes the eigenvalues of the small R J R* for M = QR, from R alone,
+  or, at width h, of the dense M J M*, which first tries the same
+  certificate; the first step that finds a value at the floor
+  compresses to Q times the eigenvectors of R J R*, and every later
+  step of that ladder stacks [G_1, T_1 G_n, ..., T_d G_n] and
+  compresses again.  A maximal ladder,
+  such as a generic dense draw's, multiplies each word once and never
+  compresses below h.  D_1 is never certified, since its smallest
+  eigenvalue is the contractivity margin, reported bit for bit.
 
 Both count the eigenvalues of D_n above the one cutoff of
 ``numerical_rank``.  ``_ladder`` checks contractivity when it is called,
@@ -90,6 +97,7 @@ from .errors import ArgumentError, ConsistencyError, ContractivityError, SizeCap
 from .linalg import (
     DEFAULT_TOL,
     RankTolerance,
+    _BOUND_SLACK,
     _certified_full,
     _count_above,
     _hermitian_eigvals,
@@ -127,11 +135,8 @@ __all__ = [
 # absorbs rounding in models built from exactly contractive data.
 CONTRACTIVITY_SLACK = 10.0
 
-# Oversampling of the sketched factor of a dense D_n, and the seed of its
-# Gaussian test matrix, drawn afresh per factor like the generic element
-# of classify._ELEMENT_SEED.
+# Oversampling of the sketched factor of a dense D_n.
 _SKETCH_OVERSAMPLING = 10
-_SKETCH_SEED = 2011
 
 
 def contractivity_margin(T):
@@ -392,70 +397,183 @@ def _factored_deltas(T, tol):
     # what I - cp^n(I) holds.  Columns are dropped only at the rounding
     # floor h * eps of a matrix of norm about 1, never at the rank
     # cutoff: a defect below the cutoff still adds up over the steps.
-    # A step's factor is built only when the generator is resumed after
-    # the step's value, so the last step builds none.  A step holds
-    # either the dense D_n (``d_n``), whose factor _dense_factor sketches
-    # from its eigenvalues when they leave room, or
-    # D_n = Q (V diag(values) V*) Q*, or M itself (``g``, ``j``).
-    # A step whose J is all +1 and whose R J R* or dense M J M* passes
-    # _certified_full has the count its width (``count``) and no values:
-    # eigvalsh would give every eigenvalue above the cutoff and the
-    # floor, so the count and the choice of M as the factor are the ones
-    # the values give.  A certified dense step takes its values only if
-    # the generator is resumed after it, which _stabilized, stopping at
-    # h, never does.  Before the values, the generator yields the
-    # contractivity margin, read off D_1 = _first_defect(T), which is
-    # never certified.
+    # Before the values, the generator yields the contractivity margin,
+    # read off D_1 = _first_defect(T), whose count takes its eigenvalues
+    # and whose factor G_1 is sketched from them.  _word_steps takes the
+    # steps that follow while M stays the factor, on word levels, and
+    # hands this loop the state of the step after which it stops: the
+    # dense D_n (``d_n``), with its eigenvalues or, if it was certified,
+    # without; or D_n = Q (V diag(values) V*) Q*.  Each later step
+    # builds its factor G_n from that state, only when the generator is
+    # resumed after the step's value, and holds such a state in turn: a
+    # step whose M is at least h wide the dense M J M*, certified full
+    # when its J is all +1 and _certified_full passes it, and a narrower
+    # one the eigenvalues and eigenvectors V of R J R* for M = QR, whose
+    # columns above the floor give the next factor Q V |values|^(1/2).
     floor = T.h * np.finfo(np.float64).eps
     d_n, values = _first_defect(T)
     yield float(values[0])
-    g_1 = j_1 = g = j = count = None
-    compressing = False
+    yield _count_above(np.abs(values), tol)
+    g_1, j_1 = _dense_factor(d_n, values, floor)
+    # Let D_1 go before the second step's arrays are built.
+    d_n = values = None
+    d_n, values, q, v = yield from _word_steps(T, tol, floor, g_1, j_1)
     while True:
-        yield _count_above(np.abs(values), tol) if count is None else count
         if d_n is not None:
             if values is None:
                 values = _hermitian_eigvals(d_n)
             g, j = _dense_factor(d_n, values, floor)
-        elif g is None:
+        else:
             g, j = _signed_factor(values, v, floor)
             g = q @ g
-        if g_1 is None:
-            g_1, j_1 = g, j
         # Let this step's arrays go before the next step's are built.
         d_n = values = q = v = count = None
         m = _defect_columns(T, g_1, g)
         signature = np.concatenate([j_1] + [j] * T.d)
         g = j = None
-        positive = (signature > 0).all()
         if m.shape[1] >= T.h:
             d_n, m = _signed_gram(m, signature), None
-            if positive and _certified_full(d_n, tol, floor):
-                count = T.h
-            else:
-                values = _hermitian_eigvals(d_n)
+            count, values = _dense_count(d_n, (signature > 0).all(), tol,
+                                         floor)
         else:
-            # M = QR, so D_{n+1} = Q (R J R*) Q*: its eigenvalues are
-            # those of the small matrix R J R* and h - k zeros.  Until a
-            # step of this ladder drops a column, R alone gives the
-            # certified count or the values first; when all of them
-            # clear the floor, _signed_factor would keep every column,
-            # and M itself is the next factor: M J M* = D_{n+1}.
-            # Otherwise the step, and every later one, takes the factor
-            # Q V |values|^(1/2) from the eigenvectors V of R J R*.
-            if not compressing:
-                gram = _signed_gram(np.linalg.qr(m, mode="r"), signature)
-                if positive and _certified_full(gram, tol, floor):
-                    count = m.shape[1]
-                else:
-                    values = np.linalg.eigvalsh(gram)
-                    compressing = not (np.abs(values) > floor).all()
-                if not compressing:
-                    g, j = m, signature
-            if compressing:
-                q, r = np.linalg.qr(m)
-                values, v = np.linalg.eigh(_signed_gram(r, signature))
-        m = r = gram = None
+            q, r = np.linalg.qr(m)
+            m = None
+            values, v = np.linalg.eigh(_signed_gram(r, signature))
+            r = None
+        yield _count_above(np.abs(values), tol) if count is None else count
+
+
+def _word_steps(T, tol, floor, g_1, j_1):
+    # Steps 2, 3, ... of _factored_deltas while M, kept whole, is the
+    # factor: M_n holds the word levels T_w G_1, |w| < n, as columns of
+    # one buffer, level by level, each with J_1's signs, so
+    # M_{n+1} = [M_n, T_1 F, ..., T_d F] for the newest level F and a
+    # step multiplies F alone (_next_level): d h^2 |F| work where the
+    # full M = [G_1, T_1 M_n, ..., T_d M_n] takes d h^2 |M_n|.  This is
+    # the word-span description of the defect spaces.  Yields each
+    # step's count and returns the state _factored_deltas goes on from
+    # (d_n, values, q, v) once a step compresses or M reaches width h.
+    #
+    # A narrow step (width w < h) with J_1 all +1 is certified on the
+    # Gram matrix A = M* M, grown by its new rows N* M (_extended_gram),
+    # whose nonzero eigenvalues are those of M M* = D_{n+1}: with no QR
+    # and no R J R* (_certified_words).  Any other narrow step takes the
+    # route the certificate stands in for, on the buffer: eigvalsh of
+    # R J R* for M = QR, and M stays the factor while every value clears
+    # the floor; a step that finds one at the floor compresses and hands
+    # over.  A signature with a -1 never builds A.
+    #
+    # The last word step, whose width W reaches h, is certified on the
+    # square S of M's first h columns: D = M M* >= S S* for J = +1, and
+    # S S* has the eigenvalues of S* S, A grown to order h.  D is then
+    # built only if the generator is resumed; a step that is not
+    # certified builds it and goes the way of a dense step in
+    # _factored_deltas.
+    h = T.h
+    m, signature, start = g_1, j_1, 0
+    positive = bool((j_1 > 0).all())
+    gram = (_extended_gram(np.empty((0, 0), T.dtype), m, 0, m.shape[1])
+            if positive else None)
+    while True:
+        width = m.shape[1]
+        m = _next_level(T, m, start)
+        signature = np.concatenate([signature] + [signature[start:]] * T.d)
+        start, w = width, m.shape[1]
+        if w >= h:
+            break
+        if positive:
+            gram = _extended_gram(gram, m, width, w)
+            if _certified_words(gram, m, tol, floor):
+                yield w
+                continue
+        values = np.linalg.eigvalsh(
+            _signed_gram(np.linalg.qr(m, mode="r"), signature))
+        if (np.abs(values) > floor).all():
+            yield _count_above(np.abs(values), tol)
+            continue
+        gram = None
+        q, r = np.linalg.qr(m)
+        m = None
+        values, v = np.linalg.eigh(_signed_gram(r, signature))
+        yield _count_above(np.abs(values), tol)
+        return None, values, q, v
+    certified = positive and _certified_words(
+        _extended_gram(gram, m, width, h), m, tol, floor)
+    gram = None
+    if certified:
+        yield h
+        return _signed_gram(m, signature), None, None, None
+    d_n, m = _signed_gram(m, signature), None
+    count, values = _dense_count(d_n, positive, tol, floor)
+    yield _count_above(np.abs(values), tol) if count is None else count
+    return d_n, values, None, None
+
+
+def _certified_words(a, m, tol, floor):
+    # _certified_full for a word step of _word_steps: M has W columns,
+    # and ``a`` is the Gram matrix of its first w: all of them on a
+    # narrow step (w = W < h), the first h on the last word step
+    # (w = h <= W).  U is the computed ||M||_F**2 = trace M M* times
+    # 1 + _BOUND_SLACK, so U >= ||D||_2.  The route a certificate stands
+    # in for takes eigvalsh of hermitize(R J R*) for M = QR on a narrow
+    # step and of hermitize(M J M*) on the last, so with C = M* M
+    # (narrow) or S* S (last), exact, and a length-n dot product rounded
+    # by at most (n + 2) eps |x| |y| (sqrt(2) gamma_{n+2} for complex
+    # data, Higham 3.6), the formation term is, in units of eps U:
+    #   h W + 2    the rounding of ||M||_F**2;
+    #   h + 2      A against C, entrywise, so in the Frobenius norm;
+    #   16.1 h w   (narrow) Householder QR, whose computed R is that of
+    #              M + dM with ||dM||_F <= gamma~_{hw} ||M||_F (Higham,
+    #              Thm 19.4, taken with c = 16), which moves each
+    #              sigma_i(M)**2 by at most 2.001 gamma~_{hw} ||M||_F**2;
+    #   w + 2      (narrow) the product R J R*, or
+    #   W + 2      (last) the product M J M*, whose least eigenvalue is
+    #              at least that of S S*, which has C's eigenvalues;
+    #   1          hermitize.
+    # So a certificate implies the count, w, that the values would give,
+    # and that every value clears the floor.
+    h, wide = m.shape
+    w = a.shape[0]
+    units = h * wide + h + 7.0
+    units += 16.1 * h * w + w if w < h else wide
+    top = np.vdot(m, m).real * (1.0 + _BOUND_SLACK)
+    formation = units * np.finfo(np.float64).eps * top
+    return _certified_full(a, tol, floor, top, formation)
+
+
+def _next_level(T, m, start):
+    # [M, T_1 F, ..., T_d F] for the newest level F = M[:, start:], in a
+    # new buffer sized to it; the batched product writes each block
+    # T_i F into its columns in place, as _defect_columns does.
+    h, width = m.shape
+    r = width - start
+    grown = np.empty((h, width + T.d * r), dtype=T.dtype)
+    grown[:, :width] = m
+    np.matmul(T._stack, m[:, start:],
+              out=grown[:, width:].reshape(h, T.d, r).transpose(1, 0, 2))
+    return grown
+
+
+def _extended_gram(gram, m, width, size):
+    # The Gram matrix of M's first ``size`` columns from ``gram``, that of
+    # its first ``width``: the new rows N* M for N = M[:, width:size] are
+    # the one product, and the block above them is their adjoint, so
+    # the result is Hermitian off N* N.
+    rows = np.conjugate(m[:, width:size]).T @ m[:, :size]
+    out = np.empty((size, size), dtype=m.dtype)
+    out[:width, :width] = gram
+    out[width:] = rows
+    out[:width, width:] = np.conjugate(rows[:, :width]).T
+    return out
+
+
+def _dense_count(d_n, positive, tol, floor):
+    # (count, values) of a dense step: (h, None) when its signature is
+    # all +1 and _certified_full certifies D_n, else (None, the
+    # eigenvalues of D_n).
+    if positive and _certified_full(d_n, tol, floor):
+        return d_n.shape[0], None
+    return None, _hermitian_eigvals(d_n)
 
 
 def _signed_gram(m, signature):
@@ -469,19 +587,25 @@ def _dense_factor(d_n, values, floor):
     # _signed_factor of the dense D_n, whose eigenvalues ``values`` are
     # in hand.  When r + p < h, for the r eigenvalues of modulus above
     # ``floor`` and the oversampling p, the range of D_n is found from
-    # r + p seeded Gaussian columns by one step of subspace iteration,
+    # r + p fixed columns Omega by one step of subspace iteration,
     # Q = orth(D_n orth(D_n Omega)), and the factor is Q times the
     # signed factor of Q* D_n Q, whose eigenvalues are D_n's up to its
     # part below the floor (Halko, Martinsson & Tropp 2011, Algorithms
-    # 4.4 and 5.3): O(h^2 (r + p)) in place of an h x h eigh.  The QR
-    # between the two products keeps eigenvalues far below
+    # 4.4 and 5.3): O(h^2 (r + p)) in place of an h x h eigh.
+    # The QR between the two products keeps eigenvalues far below
     # sqrt(eps) ||D_n||, such as the -4e-9 of a tuple accepted within
     # the slack, which D_n (D_n Omega) would round away.
     h = d_n.shape[0]
     s = np.count_nonzero(np.abs(values) > floor) + _SKETCH_OVERSAMPLING
     if s >= h:
         return _signed_factor(*np.linalg.eigh(d_n), floor)
-    q = np.random.default_rng(_SKETCH_SEED).standard_normal((h, s))
+    # Omega is fixed: cos(sqrt(2) k**2) at the row-major index k of each
+    # entry, without the rank 2 of cos(a i + b j), its entries spread
+    # over [-1, 1] as a Weyl sequence.  Any Omega whose columns reach the
+    # range of D_n keeps the factor, and a fixed one needs no random
+    # generator, so a one-shot call never imports numpy.random.
+    k = np.arange(h * s, dtype=np.float64)
+    q = np.cos(np.sqrt(2.0) * k * k).reshape(h, s)
     for _ in range(2):
         q = np.linalg.qr(d_n @ q)[0]
     g, j = _signed_factor(*np.linalg.eigh(hermitize(q.conj().T @ (d_n @ q))),

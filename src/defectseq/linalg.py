@@ -384,35 +384,47 @@ def _count_above(values, tol):
     return int(np.count_nonzero(values > tol.cutoff(np.max(values))))
 
 
-def _certified_full(a, tol, floor):
-    # Whether every eigenvalue np.linalg.eigvalsh gives the exactly
-    # Hermitian w x w matrix ``a`` exceeds ``floor`` and the cutoff
-    # _count_above takes from their moduli, so that it would count w:
-    # one Cholesky factorization of a - s I in place of the eigenvalues
-    # (Rump, BIT 46, 2006).  U = ||a||_F (1 + _BOUND_SLACK) bounds
-    # ||a||_2, and at eps = 2**-52 five errors add up to at most
-    # 5.03 w**2 eps U: eigvalsh's backward error, which moves each
-    # eigenvalue by as much (Weyl), about w**2 eps ||a||_2 for a
-    # Householder tridiagonal reduction (Higham, Accuracy and Stability
-    # of Numerical Algorithms, 19.3); Cholesky's, as a factorization that
-    # completes on the computed a - s I proves it positive definite up
-    # to E with ||E||_2 <= gamma_{w+1} ||R||_F**2 <= 1.03 w**2 eps U
-    # (Demmel 1989; Higham, Thm 10.3; ||R||_F**2 is the trace up to
-    # gamma_{w+1}, at most w U); the rounding of the shifted diagonal and
-    # of s, 2.5 eps U, since a success implies s < 2 U; and the rounding
-    # of ||a||_F, w**2 eps U / 2.  So with delta = 8 w**2 eps U, a
+def _certified_full(a, tol, floor, top=None, formation=0.0):
+    # Whether every eigenvalue np.linalg.eigvalsh gives a w x w matrix B
+    # exceeds ``floor`` and the cutoff _count_above takes from their
+    # moduli, so that it would count w: one Cholesky factorization of
+    # a - s I in place of the eigenvalues (Rump, BIT 46, 2006).  B is
+    # ``a`` itself by default.  A caller that certifies a B it does not
+    # form passes ``top``, a bound U on ||B||_2 and on ||a||_2, and
+    # ``formation``, a bound on the sum of two distances from one
+    # exactly Hermitian matrix C: how far the eigenvalues of B can lie
+    # below C's, in order, and how far ``a``, as Cholesky reads it, lies
+    # from C in the 2-norm.  By default
+    # U = ||a||_F (1 + _BOUND_SLACK), which bounds ||a||_2.  At
+    # eps = 2**-52 five errors add up to at most 5.03 w**2 eps U:
+    # eigvalsh's backward error, which moves each eigenvalue by as much
+    # (Weyl), about w**2 eps ||B||_2 for a Householder tridiagonal
+    # reduction (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 19.3); Cholesky's, as a factorization that completes on the
+    # computed a - s I proves it positive definite up to E with
+    # ||E||_2 <= gamma_{w+1} ||R||_F**2 <= 1.03 w**2 eps U (Demmel 1989;
+    # Higham, Thm 10.3; ||R||_F**2 is the trace up to gamma_{w+1}, at
+    # most w U); the rounding of the shifted diagonal and of s, 2.5 eps U,
+    # since a success implies s < U; and the rounding of ||a||_F,
+    # w**2 eps U / 2.  So with delta = 8 w**2 eps U + formation, a
     # success puts every eigvalsh value above max(cutoff(U + delta),
     # floor), where U + delta exceeds their largest modulus, so the
-    # cutoff is at least _count_above's.  A non-finite U proves nothing.
-    # The diagonal is shifted in place and written back bit for bit, so a
-    # caller that falls back ranks the same matrix.
+    # cutoff is at least _count_above's.  A non-finite U proves nothing,
+    # and neither does a diagonal entry at or below s, whose real part
+    # bounds the least eigenvalue of a from above: both decline before
+    # any factorization.  The diagonal is shifted in place and written
+    # back bit for bit, so a caller that falls back ranks the same
+    # matrix.
     w = a.shape[0]
-    top = math.sqrt(np.vdot(a, a).real) * (1.0 + _BOUND_SLACK)
+    if top is None:
+        top = math.sqrt(np.vdot(a, a).real) * (1.0 + _BOUND_SLACK)
     if not math.isfinite(top):
         return False
-    delta = 8.0 * w * w * np.finfo(np.float64).eps * top
+    delta = 8.0 * w * w * np.finfo(np.float64).eps * top + formation
     shift = max(tol.cutoff(top + delta), floor) + delta
     diagonal = a.flat[:: w + 1]
+    if (diagonal.real <= shift).any():
+        return False
     a.flat[:: w + 1] = diagonal - shift
     try:
         np.linalg.cholesky(a)

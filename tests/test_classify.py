@@ -445,10 +445,10 @@ class TestSingleContractivityCheck:
             self, monkeypatch):
         # classify builds D_1 before the commutant count; the ladder's
         # first step is its only reader, so D_1 and its eigenvalues are
-        # gone by the time the second step's factor is built.
+        # gone by the time the second step's first word level is built.
         defect_module = importlib.import_module("defectseq.defect")
         first_defect = defect_module._first_defect
-        defect_columns = defect_module._defect_columns
+        next_level = defect_module._next_level
         refs, alive = [], []
 
         def kept(T):
@@ -456,12 +456,12 @@ class TestSingleContractivityCheck:
             refs.extend((weakref.ref(d_1), weakref.ref(values)))
             return d_1, values
 
-        def columns(*args):
+        def level(*args):
             alive.append([ref() is not None for ref in refs])
-            return defect_columns(*args)
+            return next_level(*args)
 
         monkeypatch.setattr(defect_module, "_first_defect", kept)
-        monkeypatch.setattr(defect_module, "_defect_columns", columns)
+        monkeypatch.setattr(defect_module, "_next_level", level)
         rep = classify(random_contractive(3, 24, 2, 0))
         assert rep.delta_1 < 24 and len(refs) == 2
         assert alive and alive[0] == [False, False]

@@ -478,19 +478,21 @@ class TestDefectSequence:
         # eigenvalues of I - cp(I), which also give the contractivity
         # margin and the one rank count, and no later step applies the
         # map.  D_1's factor is sketched from Delta_1 + 10 = 11 columns:
-        # one eigh of order 11 and one _signed_factor.  Steps 2 to 4 have
-        # the signature +1 throughout, and a shifted Cholesky certifies
-        # each count full: R J R* of order 3 and 7 (M is the next factor,
-        # with no eigh and no _signed_factor), then the dense M J M* of
-        # order 15 = h, whose eigenvalues are never taken, since the last
-        # step builds no factor.
+        # two QRs, one eigh of order 11 and one _signed_factor.  Steps 2
+        # to 4 each append one word level to M (_next_level) and have the
+        # signature +1 throughout, and a shifted Cholesky certifies each
+        # count full: the Gram matrices M* M of order 3 and 7 (M is the
+        # next factor, with no QR, no eigh and no _signed_factor), then
+        # the square of M's first 15 = h columns, M itself, whose dense
+        # M J M* is never built, since the last step builds no factor.
         import defectseq.defect as defect
         T = orthogonal_conjugate(fock_creation(2, 3), 0)
         assert T._shift_pattern is None
         assert fock_creation(2, 3)._shift_pattern is not None
         calls = {name: 0 for name in (
             "apply_cp_map", "numerical_rank", "_count_above",
-            "_hermitian_eigvals", "_signed_factor", "_certified_full")}
+            "_hermitian_eigvals", "_signed_factor", "_certified_full",
+            "_next_level", "_defect_columns", "_signed_gram")}
 
         def counting(name):
             original = getattr(defect, name)
@@ -503,20 +505,27 @@ class TestDefectSequence:
 
         for name in calls:
             monkeypatch.setattr(defect, name, counting(name))
-        eigh_orders = []
-        eigh = np.linalg.eigh
+        orders = {"eigh": [], "qr": []}
 
-        def recorded_eigh(a, *args, **kwargs):
-            eigh_orders.append(a.shape[-1])
-            return eigh(a, *args, **kwargs)
+        def recorder(name):
+            original = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+            def recorded(a, *args, **kwargs):
+                orders[name].append(a.shape[-1])
+                return original(a, *args, **kwargs)
+
+            return recorded
+
+        for name in orders:
+            monkeypatch.setattr(np.linalg, name, recorder(name))
         rep = defect.defect_sequence(T, 5)
         assert rep.deltas == (1, 3, 7, 15)
         assert calls == {"apply_cp_map": 1, "numerical_rank": 0,
                          "_count_above": 1, "_hermitian_eigvals": 1,
-                         "_signed_factor": 1, "_certified_full": 3}
-        assert eigh_orders == [11]
+                         "_signed_factor": 1, "_certified_full": 3,
+                         "_next_level": 3, "_defect_columns": 0,
+                         "_signed_gram": 0}
+        assert orders == {"eigh": [11], "qr": [11, 11]}
 
     def test_benchmark_tracer_self_test_passes(self, monkeypatch):
         # The benchmark marks its runs incorrect when this fixture fails:

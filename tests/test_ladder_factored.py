@@ -8,7 +8,11 @@ stops.
 """
 
 import math
+import os
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from defectseq.io import write_tuple
 from defectseq.linalg import (
     DEFAULT_TOL,
     RankTolerance,
+    _count_above,
     hermitize,
     numerical_rank,
 )
@@ -46,6 +51,7 @@ from defectseq.models import (
 )
 from defectseq.tuples import OperatorTuple, apply_cp_map, direct_sum, is_commuting
 
+ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("complex", "real", "coisometry", "direct-sum", "scaled",
          "nilpotent", "inflated")
 
@@ -369,6 +375,28 @@ class TestSketchedFactor:
         assert all(size <= h for size in sizes)
 
 
+def test_one_shot_defect_never_imports_numpy_random(tmp_path):
+    # The sketch of a dense D_1 (Delta_1 + 10 < h) takes a fixed test
+    # matrix, so a fresh process that runs ``defect`` on a dense tuple
+    # never loads numpy.random.
+    T = random_contractive(2, 40, 1, 3)
+    assert T._shift_pattern is None
+    path = tmp_path / "dense.json"
+    write_tuple(T, path)
+    code = ("import sys\n"
+            "from defectseq.cli import main\n"
+            "before = 'numpy.random' in sys.modules\n"
+            f"code = main(['defect', {str(path)!r}, '--n-max', '50'])\n"
+            "print(before, code, 'numpy.random' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False 0 False"
+
+
 def dimension_oracle(T, n):
     # defect_dimension(T, k) for k = 1..n: each a fresh dense D_k from k
     # cp steps, apart from the factored ladder.
@@ -459,19 +487,22 @@ class TestFactorKeptWhole:
     def test_commuting_ladder_compresses_from_its_first_drop(
             self, monkeypatch, k, real):
         # The symmetric shift's ladder 1, 3, 6, 10, ... grows by less
-        # than M's width from step 3 on: step 2 keeps M, step 3 drops a
-        # column after its values-only check, and later steps go to the
-        # compressing path at once.
+        # than M's width from step 3 on: step 2 keeps M on the Gram
+        # certificate, step 3 drops a column after the certificate
+        # declines and R alone gives its values, and later steps go to
+        # the compressing path at once.
         T = conjugate(symmetric_fock_shift(2, k), k, real)
         assert is_commuting(T)
         modes = qr_modes(monkeypatch)
+        verdicts, _ = certificates(monkeypatch)
         rep = defect_sequence(T, 100)
         assert rep.deltas == tuple(math.comb(n + 1, 2)
                                    for n in range(1, k + 2))
         assert all(rep.bound_ok_comm)
-        # Two QRs of D_1's sketch, then steps 2 and 3 test R alone.
-        assert modes[:5] == ["reduced", "reduced", "r", "r", "reduced"]
-        assert "r" not in modes[5:]
+        # Two QRs of D_1's sketch, then step 3 tests R alone.
+        assert modes[:4] == ["reduced", "reduced", "r", "reduced"]
+        assert "r" not in modes[4:]
+        assert verdicts[:2] == [True, False]
         self.check(T, rep.deltas)
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -511,9 +542,9 @@ def certificates(monkeypatch):
     verdicts, matrices = [], []
     original = defect_module._certified_full
 
-    def recorded(a, tol, floor):
+    def recorded(a, tol, floor, *bound):
         matrices.append(a.copy())
-        verdicts.append(original(a, tol, floor))
+        verdicts.append(original(a, tol, floor, *bound))
         return verdicts[-1]
 
     monkeypatch.setattr(defect_module, "_certified_full", recorded)
@@ -538,12 +569,14 @@ def between_cutoff_and_shift(seed, h, real, offset=3e-14):
 class TestCertifiedSteps:
     """Steps whose count one shifted Cholesky factorization certifies.
 
-    A step whose signature is all +1 takes Cholesky of A - s I for its
-    R J R* or its dense M J M* (``linalg._certified_full``) and, when it
-    succeeds, the width of A as its count, in place of eigvalsh; any
-    other step, and any step whose factorization fails, takes the
-    eigenvalues.  Every ladder must equal ``defect_dimension``, a fresh
-    dense D_n per value.
+    A word step whose signature is all +1 takes Cholesky of A - s I for
+    the Gram matrix A = M* M of its word levels, or of the square S of
+    M's first h columns at the last word step
+    (``linalg._certified_full``), and, when it succeeds, the width of A
+    as its count, in place of QR and eigvalsh; a later step does the
+    same for its R J R* or its dense M J M*.  Any other step, and any
+    step whose factorization fails, takes the eigenvalues.  Every ladder
+    must equal ``defect_dimension``, a fresh dense D_n per value.
     """
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -585,12 +618,15 @@ class TestCertifiedSteps:
     def test_eigenvalue_between_cutoff_and_shift_falls_back(
             self, monkeypatch, seed, real):
         # eigvalsh counts the h - 1 eigenvalues 1e-9 + 3e-14 of D_2, and
-        # the certificate, whose shift lies above them, must decline.
+        # both certificates, whose shifts lie above them, must decline:
+        # that of the last word step, on G_1* G_1 (D_1's eigenvalues),
+        # and that of the dense D_2 it falls back to.
         T = between_cutoff_and_shift(seed, 8, real)
         verdicts, matrices = certificates(monkeypatch)
         assert ladder(T) == oracle_ladder(T) == [1, 8]
-        assert verdicts == [False]
-        values = np.linalg.eigvalsh(matrices[0])
+        assert verdicts == [False, False]
+        assert [a.shape for a in matrices] == [(8, 8), (8, 8)]
+        values = np.linalg.eigvalsh(matrices[1])
         cutoff = DEFAULT_TOL.cutoff(np.max(np.abs(values)))
         assert (cutoff < values[:-1]).all()
         assert (values[:-1] < cutoff + 1e-13).all()
@@ -627,7 +663,7 @@ class TestCertifiedSteps:
 
         with monkeypatch.context() as patch:
             patch.setattr(defect_module, "_certified_full",
-                          lambda a, tol, floor: False)
+                          lambda *args: False)
             declined = values()
         verdicts, matrices = certificates(monkeypatch)
         assert values() == declined
@@ -657,3 +693,275 @@ class TestSignedGram:
         want = hermitize((m * signature) @ m.conj().T.copy())
         got = defect_module._signed_gram(m.copy(), signature)
         assert got.tobytes() == want.tobytes()
+
+
+def mix(T, u):
+    # T'_i = sum_j u_ij T_j: for a unitary u, sum_i T'_i X T'_i* equals
+    # sum_j T_j X T_j*, so T' has T's cp map and every D_n of T.
+    return OperatorTuple(tuple(sum(u[i, j] * T.ops[j] for j in range(T.d))
+                               for i in range(T.d)))
+
+
+def mixing_matrix(d, seed, real):
+    rng = np.random.default_rng(seed)
+    return orthogonal(rng, d) if real else haar_unitary(d, rng)
+
+
+class TestMixing:
+    """Mixing a tuple by a unitary d x d matrix keeps every D_n.
+
+    So the ladder must not move, although a mixed weighted shift has no
+    shift pattern and goes down the factored route.
+    """
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("build", [lambda: fock_creation(2, 5),
+                                       lambda: symmetric_fock_shift(2, 6)],
+                             ids=["fock-2-5", "dshift-2-6"])
+    def test_mixed_weighted_shifts(self, build, seed, real):
+        T = build()
+        mixed = mix(T, mixing_matrix(2, seed, real))
+        assert T._shift_pattern is not None
+        assert mixed._shift_pattern is None
+        assert (defect_sequence(mixed, 100).deltas
+                == defect_sequence(T, 100).deltas)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mixed_dense_draws(self, seed, real):
+        rng = np.random.default_rng((90, seed))
+        d, h = int(rng.integers(2, 4)), int(rng.choice([6, 17, 40]))
+        T = draw_tuple(seed, d, h, KINDS[seed % len(KINDS)])
+        mixed = mix(T, mixing_matrix(T.d, (91, seed), real))
+        assert ladder(mixed) == ladder(T)
+
+
+class TestWordLevels:
+    """The factored ladder's word steps: M_{n+1} = [M_n, T_1 F, ..., T_d F].
+
+    Each step multiplies only the newest word level F; a narrow step with
+    signature +1 is certified on the Gram matrix M* M, the last word
+    step, whose width reaches h, on the square of M's first h columns,
+    and anything else takes QR and eigvalsh as before.  Every ladder must
+    equal ``defect_dimension``, a fresh dense D_n per value.
+    """
+
+    def test_random_300_multiplies_only_the_newest_level(self, monkeypatch):
+        # The benchmark's lead ladder: one cp map, the QRs and the eigh
+        # of D_1's sketch, D_1's eigvalsh, and after that only the
+        # products T_i F of the levels F of 1, 2, 4, ..., 128 columns
+        # (apart from the cp map's own stack of products) and one
+        # Cholesky a step.
+        T = random_contractive(2, 300, 1, (0, 0))
+        calls = {"apply_cp_map": 0}
+        cp_map = defect_module.apply_cp_map
+
+        def counted(*args):
+            calls["apply_cp_map"] += 1
+            return cp_map(*args)
+
+        monkeypatch.setattr(defect_module, "apply_cp_map", counted)
+        orders = {name: [] for name in ("qr", "eigvalsh", "eigh")}
+
+        def recorder(name):
+            original = getattr(np.linalg, name)
+
+            def recorded(a, *args, **kwargs):
+                orders[name].append(a.shape[-1])
+                return original(a, *args, **kwargs)
+
+            return recorded
+
+        for name in orders:
+            monkeypatch.setattr(np.linalg, name, recorder(name))
+        levels = []
+        matmul = np.matmul
+
+        def recorded_matmul(a, b, *args, **kwargs):
+            if a is T._stack and b.ndim == 2:
+                levels.append(b.shape[1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recorded_matmul)
+        verdicts, matrices = certificates(monkeypatch)
+        assert list(_ladder(T, DEFAULT_TOL)) == [
+            1, 3, 7, 15, 31, 63, 127, 255, 300]
+        assert calls == {"apply_cp_map": 1}
+        assert orders == {"qr": [11, 11], "eigvalsh": [300], "eigh": [11]}
+        assert levels == [1, 2, 4, 8, 16, 32, 64, 128]
+        assert verdicts == [True] * 8
+        assert [a.shape[0] for a in matrices] == [
+            3, 7, 15, 31, 63, 127, 255, 300]
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_last_word_step_crosses_h_mid_level(self, monkeypatch, real):
+        # Levels of 2, 6, 18, 54 and 162 columns: the last word step
+        # certifies the 80 columns of M_4 and the first 20 of its new
+        # level, and a resumed generator builds D_5 from all 242 and
+        # goes on with dense steps.
+        if real:
+            T = real_contractive(np.random.default_rng(100), 3, 100, 2)
+        else:
+            T = random_contractive(3, 100, 2, 100)
+        verdicts, matrices = certificates(monkeypatch)
+        values = list(islice(defect_module._factored_deltas(T, DEFAULT_TOL),
+                             8))[1:]
+        assert values == [2, 8, 26, 80, 100, 100, 100]
+        assert tuple(values) == dimension_oracle(T, 7)
+        if real:
+            # The square's least eigenvalue, 4e-10 of its trace, lies
+            # under the shift: the step falls back to the dense D_5,
+            # which is certified.
+            assert verdicts == [True, True, True, False, True, True, True]
+        else:
+            assert verdicts == [True] * 6
+        assert all(a.shape[0] == 100 for a in matrices[3:])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forced_declines_mid_way(self, monkeypatch, seed):
+        # A certificate declined at one step sends that step to the
+        # route it stands in for, QR and eigvalsh on the buffer, or the
+        # dense M J M* at the last word step, and the ladder goes on.
+        rng = np.random.default_rng((101, seed))
+        d = 1 + seed % 3
+        h = int(rng.choice([16, 33, 48]))
+        T = (real_contractive(rng, d, h, 1 + seed % 2) if seed % 2
+             else random_contractive(d, h, 1 + seed % 2, (101, seed)))
+        want = ladder(T)
+        original = defect_module._certified_full
+        for declined in range(len(want) - 1):
+            seen = []
+
+            def declining(a, *args, declined=declined):
+                seen.append(a.shape[0])
+                return len(seen) - 1 != declined and original(a, *args)
+
+            monkeypatch.setattr(defect_module, "_certified_full", declining)
+            assert ladder(T) == want
+        assert tuple(want) == dimension_oracle(T, len(want))
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("d, h, rank", [(1, 16, 1), (2, 24, 2),
+                                            (3, 40, 1)])
+    def test_mixed_signature_builds_no_gram(self, monkeypatch, d, h, rank,
+                                            real):
+        # A tuple accepted within the slack: J_1 holds a -1, every level
+        # repeats it, and no step builds a Gram matrix or certifies.
+        T = signed_draw(d, h, rank, (102, d, h), real)
+        built = []
+        extended = defect_module._extended_gram
+        monkeypatch.setattr(defect_module, "_extended_gram",
+                            lambda *args: built.append(1) or extended(*args))
+        verdicts, _ = certificates(monkeypatch)
+        deltas = defect_sequence(T, h + 1).deltas
+        assert deltas == dimension_oracle(T, len(deltas))
+        assert built == [] and verdicts == []
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    @pytest.mark.parametrize("h", [64, 127])
+    def test_single_entry_ladders(self, h, real):
+        # d = 1 adds one column a step: h steps, each certified on a Gram
+        # matrix one order larger.  At h = 127 the whole ladder is held
+        # to the stepped oracle, which has defect_operator's bits, and
+        # three values to defect_dimension.
+        for T in (conjugate(fock_creation(1, h - 1), h, real),
+                  real_contractive(np.random.default_rng(h), 1, h, 1)
+                  if real else random_contractive(1, h, 1, h)):
+            deltas = defect_sequence(T, h + 1).deltas
+            assert deltas == tuple(range(1, h + 1))
+            if h == 64:
+                assert deltas == dimension_oracle(T, h)
+            else:
+                assert list(deltas) == stepped_oracle_ladder(T)
+                for n in (h // 2, h - 1, h):
+                    assert deltas[n - 1] == defect_dimension(T, n)
+
+
+@st.composite
+def word_steps_near_the_cutoff(draw):
+    """(M, w) whose Gram certificate has a value near the cutoff.
+
+    M is h x W: on a narrow step (w = W < h) its w singular values, on a
+    last word step (w = h <= W) those of its first h columns, are the
+    largest t and others down to 1e-9 t, with the square of one of them
+    near the cutoff rtol t**2 of today's route; a last word step's other
+    columns, along its first singular vector and of norm up to 10 t in
+    all, can lift that cutoff.
+    """
+    h = draw(st.integers(2, 24))
+    square = draw(st.booleans())
+    w = h if square else draw(st.integers(1, h - 1))
+    top = draw(st.floats(1e-3, 1e3))
+    exps = draw(st.lists(st.floats(-4.5, 0.0), min_size=w - 1,
+                         max_size=w - 1))
+    sigma = np.array([top] + [top * 10.0 ** e for e in exps])
+    sigma[-1] = np.sqrt(DEFAULT_TOL.cutoff(top * top)
+                        * draw(st.floats(0.999, 30.0)))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def orthonormal(rows, cols):
+        g = rng.standard_normal((rows, cols))
+        if not real:
+            g = g + 1j * rng.standard_normal((rows, cols))
+        return np.linalg.qr(g)[0]
+
+    u = orthonormal(h, w)
+    m = (u * sigma) @ orthonormal(w, w).conj().T
+    if square:
+        # Columns along the first one's direction lift the largest
+        # eigenvalue of D = M M*, and so its cutoff, and leave its least.
+        extra = draw(st.integers(0, h))
+        scale = top * 10.0 ** draw(st.floats(-3.0, 1.0))
+        coeffs = rng.standard_normal(extra)
+        rest = u[:, :1] * (scale / max(np.linalg.norm(coeffs), 1.0) * coeffs)
+        m = np.hstack([m, rest])
+    return np.ascontiguousarray(m), w
+
+
+class TestWordCertificate:
+    """``_certified_words`` implies the count of the route it stands in for.
+
+    A narrow step stands in for eigvalsh of R J R* from M = QR, a last
+    word step for eigvalsh of the dense M J M*; a certificate on the
+    Gram matrix of M's first w columns must mean that route counts w and
+    finds every value above the floor.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_steps_near_the_cutoff())
+    def test_certificate_implies_the_full_count(self, case):
+        m, w = case
+        h = m.shape[0]
+        floor = h * np.finfo(np.float64).eps
+        gram = defect_module._extended_gram(np.empty((0, 0), m.dtype), m, 0,
+                                            w)
+        certified = defect_module._certified_words(gram, m, DEFAULT_TOL,
+                                                   floor)
+        signature = np.ones(m.shape[1])
+        if w < h:
+            values = np.linalg.eigvalsh(defect_module._signed_gram(
+                np.linalg.qr(m, mode="r"), signature))
+        else:
+            values = np.linalg.eigvalsh(
+                defect_module._signed_gram(m.copy(), signature))
+        if certified:
+            assert _count_above(np.abs(values), DEFAULT_TOL) == w
+            assert (np.abs(values) > floor).all()
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_grown_gram_has_the_bits_of_its_rows(self, real):
+        # The Gram matrix grown level by level holds, in each row block,
+        # the product of that block's columns with all before them.
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((12, 9))
+        if not real:
+            m = m + 1j * rng.standard_normal((12, 9))
+        gram = np.empty((0, 0), m.dtype)
+        for width, size in ((0, 1), (1, 3), (3, 9)):
+            gram = defect_module._extended_gram(gram, m, width, size)
+        assert np.allclose(gram, m.conj().T @ m, rtol=0, atol=1e-13)
+        want = np.conjugate(m[:, 3:9]).T @ m
+        assert gram[3:].tobytes() == want.tobytes()
+        assert np.array_equal(gram[:3, 3:], gram[3:, :3].conj().T)

@@ -256,6 +256,32 @@ class TestCertifiedFull:
     def test_empty_matrix_counts_zero(self):
         assert _certified_full(np.zeros((0, 0)), DEFAULT_TOL, 1e-15)
 
+    def test_diagonal_at_the_shift_declines_before_cholesky(self,
+                                                           monkeypatch):
+        # A diagonal entry at or below the shift bounds an eigenvalue of
+        # a - s I from above by a value <= 0: no factorization is tried.
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(a.shape) or cholesky(a))
+        a = np.array([[1.0, 1e-12], [1e-12, 5e-10]])
+        before = a.copy()
+        assert not _certified_full(a, DEFAULT_TOL, 0.0)
+        assert calls == [] and a.tobytes() == before.tobytes()
+        assert _certified_full(np.diag([1.0, 0.5]), DEFAULT_TOL, 0.0)
+        assert calls == [(2, 2)]
+
+    def test_bound_and_formation_raise_the_shift(self):
+        # diag(1, 3e-9) clears the shift 1e-9 (1 + 1e-14) at U = ||a||_F;
+        # U = 10 lifts the cutoff to 1e-8, and a formation term of 5e-9
+        # lifts the shift to 6e-9, both above 3e-9.
+        a = np.diag([1.0, 3e-9])
+        assert _certified_full(a, DEFAULT_TOL, 0.0)
+        assert _certified_full(a, DEFAULT_TOL, 0.0, 1.0, 1e-9)
+        assert not _certified_full(a, DEFAULT_TOL, 0.0, 10.0)
+        assert not _certified_full(a, DEFAULT_TOL, 0.0, 1.0, 5e-9)
+        assert not _certified_full(a, DEFAULT_TOL, 0.0, np.inf)
+
 
 def same_bits(a, b):
     return (a.dtype == b.dtype and np.array_equal(a, b)

@@ -40,6 +40,13 @@ script), then writes into OUT_DIR:
   falls, and conjugated 1-tuples whose D_2 has eigenvalues between the
   rank cutoff and the shift of the ladder's Cholesky certificate (see
   ``large_dense_builders``);
+* ``inputs/words-<label>.json``, ``defect-words-<label>.json`` and
+  ``classify-words-<label>.json``: ``defect --n-max 200 --report`` on
+  tuples whose ladder runs on word levels, and ``classify --report`` on
+  the first: ``fock_creation(2, 5)`` mixed by a Haar unitary 2 x 2
+  matrix, which keeps every D_n and removes the shift pattern, and a
+  complex draw with d = 3, h = 100 and Delta_1 = 2, whose last word step
+  reaches h in the middle of a level (see ``word_builders``);
 * ``inputs/near-cutoff-<label>.json``, ``classify-near-cutoff-<label>.json``
   and ``defect-near-cutoff-<label>.json``: both calls, with ``--rtol R
   --atol 0``, on the 1-tuples diag(0, g, s) with a gap g one part in
@@ -307,6 +314,30 @@ def large_dense_builders(models, OperatorTuple, direct_sum):
     return builders
 
 
+def word_builders(models, OperatorTuple):
+    """Label -> (classify?, builder()) of the word-level ladder fixtures.
+
+    ``fock_creation(2, 5)`` with T'_i = sum_j u_ij T_j for a Haar unitary
+    u, which has the same cp map, and ``random_contractive(3, 100, 2)``,
+    whose word levels of 2, 6, 18, 54 and 162 columns reach h = 100 at
+    the fifth step, 20 columns into the last level.
+    """
+    import numpy as np
+
+    def mixed(T, seed):
+        u = models.haar_unitary(T.d, np.random.default_rng(seed))
+        return OperatorTuple(tuple(
+            sum(u[i, j] * T.ops[j] for j in range(T.d))
+            for i in range(T.d)))
+
+    return {
+        "fock-2-5-mixed": (True, lambda: mixed(models.fock_creation(2, 5),
+                                               80)),
+        "random-3-100-2-complex": (False, lambda: models.random_contractive(
+            3, 100, 2, (81, 3, 100, 2))),
+    }
+
+
 def purity_builders(models, OperatorTuple):
     """Label -> builder() of the purity fixtures.
 
@@ -435,6 +466,14 @@ def write_outputs(tree, out_dir, seed, reverse=False):
         io.write_tuple(build(), path)
         calls.append((f"defect-large-dense-{label}",
                       ["defect", path, "--n-max", N_MAX]))
+    for label, (classify, build) in word_builders(models,
+                                                  OperatorTuple).items():
+        path = f"inputs/words-{label}.json"
+        io.write_tuple(build(), path)
+        calls.append((f"defect-words-{label}",
+                      ["defect", path, "--n-max", N_MAX]))
+        if classify:
+            calls.append((f"classify-words-{label}", ["classify", path]))
     for label, (rtol, build) in near_cutoff_builders(OperatorTuple).items():
         path = f"inputs/near-cutoff-{label}.json"
         io.write_tuple(build(), path)
