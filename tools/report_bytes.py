@@ -37,8 +37,10 @@ script), then writes into OUT_DIR:
   Delta_1 = 1, two long single-entry ladders (a complex draw with
   h = 64 and an orthogonal conjugate of ``fock_creation(1, 127)``), a
   tuple accepted only within the contractivity slack, whose ladder
-  falls, and conjugated 1-tuples whose D_2 has eigenvalues between the
-  rank cutoff and the shift of the ladder's Cholesky certificate (see
+  falls, conjugated 1-tuples whose D_2 has eigenvalues between the
+  rank cutoff and the shift of the ladder's Cholesky certificate, and
+  two long ladders of draws accepted only within the contractivity
+  slack, whose D_1 has an eigenvalue of about -4e-9 (see
   ``large_dense_builders``);
 * ``inputs/words-<label>.json``, ``defect-words-<label>.json`` and
   ``classify-words-<label>.json``: ``defect --n-max 200 --report`` on
@@ -244,7 +246,10 @@ def large_dense_builders(models, OperatorTuple, direct_sum):
     h = 16 (orthogonal) and h = 20 (unitary), and U diag(0, t, ..., t)
     U* on h = 8, orthogonal and unitary, whose D_2 has seven eigenvalues
     1e-9 + 3e-14, which eigvalsh counts, between the cutoff and the
-    certificate's shift, so that step falls back to eigvalsh.
+    certificate's shift, so that step falls back to eigvalsh, and two
+    draws with one singular value 1 + 2e-9 and Delta_1 = 1 + 1, a real
+    one with d = 1, h = 64 and a complex one with d = 2, h = 128, whose
+    word levels all carry D_1's -1 (ladders of 27 and 8 steps).
     """
     import numpy as np
 
@@ -303,6 +308,22 @@ def large_dense_builders(models, OperatorTuple, direct_sum):
         u = orthogonal(rng, 8) if real else models.haar_unitary(8, rng)
         return OperatorTuple((u @ diag @ u.conj().T,))
 
+    def signed_draw(d, h, rank, seed, real):
+        # real_draw and random_contractive with one singular value
+        # 1 + 2e-9: D_1 has an eigenvalue of about -4e-9, above the
+        # cutoff, so the factor of D_1 carries a -1 in its signature.
+        rng = np.random.default_rng(seed)
+        sigma = np.concatenate([[1.0 + 2e-9], np.ones(h - rank - 1),
+                                rng.uniform(0.2, 0.9, rank)])
+        if real:
+            w, u = orthogonal(rng, h), orthogonal(rng, d * h)[:, :h]
+        else:
+            w = models.haar_unitary(h, rng)
+            u = models.haar_unitary(d * h, rng)[:, :h]
+        row = (w * sigma) @ u.conj().T
+        return OperatorTuple(tuple(row[:, i * h:(i + 1) * h]
+                                   for i in range(d)))
+
     builders["slack-16-real"] = lambda: slack(16, True)
     builders["slack-20-complex"] = lambda: slack(20, False)
     builders["random-2-300-1-real"] = lambda: real_draw(2, 300, 1,
@@ -311,6 +332,10 @@ def large_dense_builders(models, OperatorTuple, direct_sum):
         lambda: between_cutoff_and_shift(True))
     builders["between-cutoff-and-shift-complex"] = (
         lambda: between_cutoff_and_shift(False))
+    builders["signed-1-64-1-real"] = lambda: signed_draw(
+        1, 64, 1, (65, 1, 64, 1), True)
+    builders["signed-2-128-1-complex"] = lambda: signed_draw(
+        2, 128, 1, (65, 2, 128, 1), False)
     return builders
 
 
