@@ -51,16 +51,18 @@ pattern:
   factor, with no QR and no eigenvalue.  The last word step, whose M
   reaches width h, is certified on the square S of M's first h
   columns, since D_{n+1} = M M* >= S S* for J = +1, and its dense
-  D_{n+1} is built only if a later value is asked for.  Any other step
-  takes the eigenvalues of the small R J R* for M = QR, from R alone,
-  or, at width h, of the dense M J M*, which first tries the same
-  certificate; the first step that finds a value at the floor
-  compresses to Q times the eigenvectors of R J R*, and every later
-  step of that ladder stacks [G_1, T_1 G_n, ..., T_d G_n] and
-  compresses again.  A maximal ladder,
-  such as a generic dense draw's, multiplies each word once and never
-  compresses below h.  D_1 is never certified, since its smallest
-  eigenvalue is the contractivity margin, reported bit for bit.
+  D_{n+1} is built only if a later value is asked for.  A signature
+  with a -1 takes the eigenvalues of the small R J R* for M = QR, from
+  R alone, and keeps M while they all clear the floor.  Every other
+  step, a declined certificate among them, is one step kernel,
+  ``_step``: the eigenvalues and eigenvectors of R J R*, which
+  compress M to Q times the eigenvectors, or, at width h, the dense
+  M J M*, which first tries the same certificate; every later step of
+  that ladder stacks [G_1, T_1 G_n, ..., T_d G_n] and goes through it
+  again.  A maximal ladder, such as a generic dense draw's, multiplies
+  each word once and never compresses below h.  D_1 is never
+  certified, since its smallest eigenvalue is the contractivity
+  margin, reported bit for bit.
 
 Both count the eigenvalues of D_n above the one cutoff of
 ``numerical_rank``.  ``_ladder`` checks contractivity when it is called,
@@ -219,10 +221,8 @@ def require_contractive(T, tol=None):
 
 def geometric_bound(d, n, delta_1):
     """(1 + d + ... + d**(n-1)) * delta_1, the general growth bound."""
-    if d < 1:
-        raise ArgumentError("need at least one operator")
-    if n < 1:
-        raise ArgumentError("bound index must be at least 1")
+    _require_integer(d, "operator count", 1)
+    _require_integer(n, "bound index", 1)
     return sum(d ** k for k in range(n)) * delta_1
 
 
@@ -233,10 +233,8 @@ def commuting_bound(d, n, delta_1):
     monomials of degree below n in d variables and is much smaller than
     the geometric bound once n grows.
     """
-    if d < 1:
-        raise ArgumentError("need at least one operator")
-    if n < 1:
-        raise ArgumentError("bound index must be at least 1")
+    _require_integer(d, "operator count", 1)
+    _require_integer(n, "bound index", 1)
     return sum(math.comb(k + d - 1, d - 1) for k in range(n)) * delta_1
 
 
@@ -401,46 +399,52 @@ def _factored_deltas(T, tol):
     # read off D_1 = _first_defect(T), whose count takes its eigenvalues
     # and whose factor G_1 is sketched from them.  _word_steps takes the
     # steps that follow while M stays the factor, on word levels, and
-    # hands this loop the state of the step after which it stops: the
-    # dense D_n (``d_n``), with its eigenvalues or, if it was certified,
-    # without; or D_n = Q (V diag(values) V*) Q*.  Each later step
-    # builds its factor G_n from that state, only when the generator is
-    # resumed after the step's value, and holds such a state in turn: a
-    # step whose M is at least h wide the dense M J M*, certified full
-    # when its J is all +1 and _certified_full passes it, and a narrower
-    # one the eigenvalues and eigenvectors V of R J R* for M = QR, whose
-    # columns above the floor give the next factor Q V |values|^(1/2).
+    # returns the factor (G_n, J_n) of the step after which it stops;
+    # every later step stacks M from it (_next_level) and goes through
+    # _step, which returns the next factor in turn.
     floor = T.h * np.finfo(np.float64).eps
-    d_n, values = _first_defect(T)
+    d_1, values = _first_defect(T)
     yield float(values[0])
     yield _count_above(np.abs(values), tol)
-    g_1, j_1 = _dense_factor(d_n, values, floor)
+    g_1, j_1 = _dense_factor(d_1, values, floor)
     # Let D_1 go before the second step's arrays are built.
-    d_n = values = None
-    d_n, values, q, v = yield from _word_steps(T, tol, floor, g_1, j_1)
+    d_1 = values = None
+    g, j = yield from _word_steps(T, tol, floor, g_1, j_1)
     while True:
-        if d_n is not None:
-            if values is None:
-                values = _hermitian_eigvals(d_n)
-            g, j = _dense_factor(d_n, values, floor)
-        else:
-            g, j = _signed_factor(values, v, floor)
-            g = q @ g
-        # Let this step's arrays go before the next step's are built.
-        d_n = values = q = v = count = None
-        m = _defect_columns(T, g_1, g)
-        signature = np.concatenate([j_1] + [j] * T.d)
+        step = _step(_next_level(T, g_1, g),
+                     np.concatenate([j_1] + [j] * T.d), tol, floor)
+        # Let this factor go before the next one is built.
         g = j = None
-        if m.shape[1] >= T.h:
-            d_n, m = _signed_gram(m, signature), None
-            count, values = _dense_count(d_n, (signature > 0).all(), tol,
-                                         floor)
-        else:
-            q, r = np.linalg.qr(m)
-            m = None
-            values, v = np.linalg.eigh(_signed_gram(r, signature))
-            r = None
-        yield _count_above(np.abs(values), tol) if count is None else count
+        g, j = yield from step
+
+
+def _step(m, signature, tol, floor):
+    # One ladder step that no certificate of _word_steps settles, on M,
+    # which it overwrites and lets go, so the caller keeps no reference:
+    # yields the count of D = M J M* and, only when resumed, returns D's
+    # factor (G, J), with the columns whose eigenvalue lies at the floor
+    # dropped.  An M narrower than h takes the eigenvalues and
+    # eigenvectors V of R J R* for M = QR, and G = Q V |values|^(1/2); a
+    # wider one the dense D, certified full when J is all +1 and
+    # _certified_full passes it, and D's eigenvalues for its count or
+    # its factor.
+    h, w = m.shape
+    if w < h:
+        q, r = np.linalg.qr(m)
+        m = None
+        values, v = np.linalg.eigh(_signed_gram(r, signature))
+        r = None
+        yield _count_above(np.abs(values), tol)
+        g, j = _signed_factor(values, v, floor)
+        return q @ g, j
+    d_n, m = _signed_gram(m, signature), None
+    if (signature > 0).all() and _certified_full(d_n, tol, floor):
+        yield h
+        values = _hermitian_eigvals(d_n)
+    else:
+        values = _hermitian_eigvals(d_n)
+        yield _count_above(np.abs(values), tol)
+    return _dense_factor(d_n, values, floor)
 
 
 def _word_steps(T, tol, floor, g_1, j_1):
@@ -451,24 +455,21 @@ def _word_steps(T, tol, floor, g_1, j_1):
     # step multiplies F alone (_next_level): d h^2 |F| work where the
     # full M = [G_1, T_1 M_n, ..., T_d M_n] takes d h^2 |M_n|.  This is
     # the word-span description of the defect spaces.  Yields each
-    # step's count and returns the state _factored_deltas goes on from
-    # (d_n, values, q, v) once a step compresses or M reaches width h.
+    # step's count and returns the factor (G, J) of the step after which
+    # it stops, built only when the generator is resumed.
     #
-    # A narrow step (width w < h) with J_1 all +1 is certified on the
-    # Gram matrix A = M* M, grown by its new rows N* M (_extended_gram),
-    # whose nonzero eigenvalues are those of M M* = D_{n+1}: with no QR
-    # and no R J R* (_certified_words).  Any other narrow step takes the
-    # route the certificate stands in for, on the buffer: eigvalsh of
-    # R J R* for M = QR, and M stays the factor while every value clears
-    # the floor; a step that finds one at the floor compresses and hands
-    # over.  A signature with a -1 never builds A.
-    #
-    # The last word step, whose width W reaches h, is certified on the
-    # square S of M's first h columns: D = M M* >= S S* for J = +1, and
-    # S S* has the eigenvalues of S* S, A grown to order h.  D is then
-    # built only if the generator is resumed; a step that is not
-    # certified builds it and goes the way of a dense step in
-    # _factored_deltas.
+    # A step with J_1 all +1 is certified on the Gram matrix A = M* M,
+    # grown by its new rows N* M (_extended_gram), whose nonzero
+    # eigenvalues are those of M M* = D_{n+1}: with no QR and no R J R*
+    # (_certified_words).  The last word step, whose width W reaches h,
+    # is certified on the square S of M's first h columns:
+    # D = M M* >= S S* for J = +1, and S S* has the eigenvalues of S* S,
+    # A grown to order h; D is built only if the generator is resumed.
+    # A step the certificate declines goes through _step at once.  A
+    # signature with a -1 never builds A: a narrow step takes eigvalsh
+    # of R J R* for M = QR, from R alone, and M stays the factor while
+    # every value clears the floor; a step that finds one at the floor,
+    # or the last word step, goes through _step.
     h = T.h
     m, signature, start = g_1, j_1, 0
     positive = bool((j_1 > 0).all())
@@ -476,37 +477,27 @@ def _word_steps(T, tol, floor, g_1, j_1):
             if positive else None)
     while True:
         width = m.shape[1]
-        m = _next_level(T, m, start)
+        m = _next_level(T, m, m[:, start:])
         signature = np.concatenate([signature] + [signature[start:]] * T.d)
-        start, w = width, m.shape[1]
-        if w >= h:
-            break
+        start, w = width, min(m.shape[1], h)
         if positive:
             gram = _extended_gram(gram, m, width, w)
-            if _certified_words(gram, m, tol, floor):
-                yield w
-                continue
-        values = np.linalg.eigvalsh(
-            _signed_gram(np.linalg.qr(m, mode="r"), signature))
-        if (np.abs(values) > floor).all():
-            yield _count_above(np.abs(values), tol)
-            continue
-        gram = None
-        q, r = np.linalg.qr(m)
-        m = None
-        values, v = np.linalg.eigh(_signed_gram(r, signature))
-        yield _count_above(np.abs(values), tol)
-        return None, values, q, v
-    certified = positive and _certified_words(
-        _extended_gram(gram, m, width, h), m, tol, floor)
-    gram = None
-    if certified:
-        yield h
-        return _signed_gram(m, signature), None, None, None
-    d_n, m = _signed_gram(m, signature), None
-    count, values = _dense_count(d_n, positive, tol, floor)
-    yield _count_above(np.abs(values), tol) if count is None else count
-    return d_n, values, None, None
+            if not _certified_words(gram, m, tol, floor):
+                break
+            yield w
+        elif w < h:
+            values = np.abs(np.linalg.eigvalsh(
+                _signed_gram(np.linalg.qr(m, mode="r"), signature)))
+            if (values <= floor).any():
+                break
+            yield _count_above(values, tol)
+        else:
+            break
+        if w == h:
+            d_n, m, gram = _signed_gram(m, signature), None, None
+            return _dense_factor(d_n, _hermitian_eigvals(d_n), floor)
+    step, m, gram = _step(m, signature, tol, floor), None, None
+    return (yield from step)
 
 
 def _certified_words(a, m, tol, floor):
@@ -515,8 +506,10 @@ def _certified_words(a, m, tol, floor):
     # narrow step (w = W < h), the first h on the last word step
     # (w = h <= W).  U is the computed ||M||_F**2 = trace M M* times
     # 1 + _BOUND_SLACK, so U >= ||D||_2.  The route a certificate stands
-    # in for takes eigvalsh of hermitize(R J R*) for M = QR on a narrow
-    # step and of hermitize(M J M*) on the last, so with C = M* M
+    # in for, _step, takes the eigenvalues of hermitize(R J R*) for
+    # M = QR on a narrow step, by eigh, whose Householder tridiagonal
+    # reduction is eigvalsh's, and eigvalsh of hermitize(M J M*) on the
+    # last, so with C = M* M
     # (narrow) or S* S (last), exact, and a length-n dot product rounded
     # by at most (n + 2) eps |x| |y| (sqrt(2) gamma_{n+2} for complex
     # data, Higham 3.6), the formation term is, in units of eps U:
@@ -541,17 +534,16 @@ def _certified_words(a, m, tol, floor):
     return _certified_full(a, tol, floor, top, formation)
 
 
-def _next_level(T, m, start):
-    # [M, T_1 F, ..., T_d F] for the newest level F = M[:, start:], in a
-    # new buffer sized to it; the batched product writes each block
-    # T_i F into its columns in place, as _defect_columns does.
-    h, width = m.shape
-    r = width - start
-    grown = np.empty((h, width + T.d * r), dtype=T.dtype)
-    grown[:, :width] = m
-    np.matmul(T._stack, m[:, start:],
-              out=grown[:, width:].reshape(h, T.d, r).transpose(1, 0, 2))
-    return grown
+def _next_level(T, head, f):
+    # [head, T_1 f, ..., T_d f] as one new h x (k + d r) buffer, for the
+    # k columns of ``head`` and the r of ``f``; the batched product
+    # writes each block T_i f into its columns in place.
+    h, k, r = T.h, head.shape[1], f.shape[1]
+    m = np.empty((h, k + T.d * r), dtype=T.dtype)
+    m[:, :k] = head
+    # Splitting the last axis of a slice is a view, so out= reaches m.
+    np.matmul(T._stack, f, out=m[:, k:].reshape(h, T.d, r).transpose(1, 0, 2))
+    return m
 
 
 def _extended_gram(gram, m, width, size):
@@ -565,15 +557,6 @@ def _extended_gram(gram, m, width, size):
     out[width:] = rows
     out[:width, width:] = np.conjugate(rows[:, :width]).T
     return out
-
-
-def _dense_count(d_n, positive, tol, floor):
-    # (count, values) of a dense step: (h, None) when its signature is
-    # all +1 and _certified_full certifies D_n, else (None, the
-    # eigenvalues of D_n).
-    if positive and _certified_full(d_n, tol, floor):
-        return d_n.shape[0], None
-    return None, _hermitian_eigvals(d_n)
 
 
 def _signed_gram(m, signature):
@@ -618,18 +601,6 @@ def _signed_factor(w, v, floor):
     # modulus at most ``floor``, which are dropped.
     keep = np.abs(w) > floor
     return v[:, keep] * np.sqrt(np.abs(w[keep])), np.sign(w[keep])
-
-
-def _defect_columns(T, g_1, g):
-    # M = [G_1, T_1 G, ..., T_d G] as one h x (r_1 + d r) array; the
-    # batched product writes each block T_i G into its columns in place.
-    h, r_1, r = T.h, g_1.shape[1], g.shape[1]
-    m = np.empty((h, r_1 + T.d * r), dtype=T.dtype)
-    m[:, :r_1] = g_1
-    # Splitting the last axis of a slice is a view, so out= reaches m.
-    np.matmul(T._stack, g,
-              out=m[:, r_1:].reshape(h, T.d, r).transpose(1, 0, 2))
-    return m
 
 
 def defect_sequence(T, n_max, tol=None):

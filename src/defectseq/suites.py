@@ -47,6 +47,7 @@ from .errors import ArgumentError, ConsistencyError
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
+    _require_integer,
     coordinate_subspace,
     numerical_rank,
     subspace_equal,
@@ -754,10 +755,8 @@ def run_suite(name, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, tol=None):
         raise ArgumentError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all"
         )
-    if samples < 1:
-        raise ArgumentError("sample count must be at least 1")
-    if seed < 0:
-        raise ArgumentError("seed must be a nonnegative integer")
+    _require_integer(samples, "sample count", 1)
+    _require_integer(seed, "seed", 0)
     tol = DEFAULT_TOL if tol is None else tol
     fn, description = _SUITES[name]
     salt = SUITE_NAMES.index(name)

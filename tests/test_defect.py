@@ -101,6 +101,13 @@ class TestBounds:
         with pytest.raises(ArgumentError):
             commuting_bound(0, 2, 1)
 
+    @pytest.mark.parametrize("bound", [geometric_bound, commuting_bound])
+    @pytest.mark.parametrize("d, n", [(2, 2.5), (2.0, 2), (True, 2),
+                                      (2, "3")])
+    def test_rejects_non_integer_indices(self, bound, d, n):
+        with pytest.raises(ArgumentError, match="must be an integer"):
+            bound(d, n, 1)
+
 
 class TestContractivity:
     def test_margin_of_an_isometry_column(self):
@@ -492,7 +499,7 @@ class TestDefectSequence:
         calls = {name: 0 for name in (
             "apply_cp_map", "numerical_rank", "_count_above",
             "_hermitian_eigvals", "_signed_factor", "_certified_full",
-            "_next_level", "_defect_columns", "_signed_gram")}
+            "_next_level", "_signed_gram")}
 
         def counting(name):
             original = getattr(defect, name)
@@ -523,8 +530,7 @@ class TestDefectSequence:
         assert calls == {"apply_cp_map": 1, "numerical_rank": 0,
                          "_count_above": 1, "_hermitian_eigvals": 1,
                          "_signed_factor": 1, "_certified_full": 3,
-                         "_next_level": 3, "_defect_columns": 0,
-                         "_signed_gram": 0}
+                         "_next_level": 3, "_signed_gram": 0}
         assert orders == {"eigh": [11], "qr": [11, 11]}
 
     def test_benchmark_tracer_self_test_passes(self, monkeypatch):

@@ -442,12 +442,13 @@ def signed_draw(d, h, rank, seed, real):
 class TestFactorKeptWhole:
     """A step whose M = [G_1, T_1 G_n, ..., T_d G_n] keeps every column.
 
-    Such a step takes only the eigenvalues of R J R* from M = QR and
-    carries M itself as the next factor; the first step that drops a
-    column takes Q and the eigenvectors, and so does every later step of
-    that ladder.  Each ladder must equal ``defect_dimension``, a fresh
-    dense D_n per value, and stop where that sequence first repeats or
-    reaches h.
+    Such a step carries M itself as the next factor: with signature +1
+    when the Gram certificate passes it, with a -1 when the eigenvalues
+    of R J R* from M = QR, taken from R alone, all clear the floor.  A
+    declined certificate, or a value at the floor, sends the step to Q
+    and the eigenvectors, and so does every later step of that ladder.
+    Each ladder must equal ``defect_dimension``, a fresh dense D_n per
+    value, and stop where that sequence first repeats or reaches h.
     """
 
     def check(self, T, deltas):
@@ -488,9 +489,8 @@ class TestFactorKeptWhole:
             self, monkeypatch, k, real):
         # The symmetric shift's ladder 1, 3, 6, 10, ... grows by less
         # than M's width from step 3 on: step 2 keeps M on the Gram
-        # certificate, step 3 drops a column after the certificate
-        # declines and R alone gives its values, and later steps go to
-        # the compressing path at once.
+        # certificate, the certificate declines step 3, which compresses
+        # at once, and later steps stack [G_1, T_1 G_n, ..., T_d G_n].
         T = conjugate(symmetric_fock_shift(2, k), k, real)
         assert is_commuting(T)
         modes = qr_modes(monkeypatch)
@@ -499,9 +499,9 @@ class TestFactorKeptWhole:
         assert rep.deltas == tuple(math.comb(n + 1, 2)
                                    for n in range(1, k + 2))
         assert all(rep.bound_ok_comm)
-        # Two QRs of D_1's sketch, then step 3 tests R alone.
-        assert modes[:4] == ["reduced", "reduced", "r", "reduced"]
-        assert "r" not in modes[4:]
+        # Two QRs of D_1's sketch, then step 3 takes Q and R at once.
+        assert modes[:3] == ["reduced", "reduced", "reduced"]
+        assert "r" not in modes
         assert verdicts[:2] == [True, False]
         self.check(T, rep.deltas)
 
@@ -742,9 +742,12 @@ class TestWordLevels:
 
     Each step multiplies only the newest word level F; a narrow step with
     signature +1 is certified on the Gram matrix M* M, the last word
-    step, whose width reaches h, on the square of M's first h columns,
-    and anything else takes QR and eigvalsh as before.  Every ladder must
-    equal ``defect_dimension``, a fresh dense D_n per value.
+    step, whose width reaches h, on the square of M's first h columns.
+    A declined certificate compresses at once, through the one step of
+    the later ladder (QR and eigh, or the dense M J M*); a signature
+    with a -1 takes eigvalsh of R J R* from R alone, and compresses
+    only at the floor.  Every ladder must equal ``defect_dimension``, a
+    fresh dense D_n per value.
     """
 
     def test_random_300_multiplies_only_the_newest_level(self, monkeypatch):
@@ -752,16 +755,22 @@ class TestWordLevels:
         # of D_1's sketch, D_1's eigvalsh, and after that only the
         # products T_i F of the levels F of 1, 2, 4, ..., 128 columns
         # (apart from the cp map's own stack of products) and one
-        # Cholesky a step.
+        # Cholesky a step; the dense D of the certified last step, which
+        # only a resumed generator builds, is never formed.
         T = random_contractive(2, 300, 1, (0, 0))
-        calls = {"apply_cp_map": 0}
-        cp_map = defect_module.apply_cp_map
+        calls = {"apply_cp_map": 0, "_signed_gram": 0}
 
-        def counted(*args):
-            calls["apply_cp_map"] += 1
-            return cp_map(*args)
+        def counting(name):
+            original = getattr(defect_module, name)
 
-        monkeypatch.setattr(defect_module, "apply_cp_map", counted)
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(defect_module, name, counting(name))
         orders = {name: [] for name in ("qr", "eigvalsh", "eigh")}
 
         def recorder(name):
@@ -787,7 +796,7 @@ class TestWordLevels:
         verdicts, matrices = certificates(monkeypatch)
         assert list(_ladder(T, DEFAULT_TOL)) == [
             1, 3, 7, 15, 31, 63, 127, 255, 300]
-        assert calls == {"apply_cp_map": 1}
+        assert calls == {"apply_cp_map": 1, "_signed_gram": 0}
         assert orders == {"qr": [11, 11], "eigvalsh": [300], "eigh": [11]}
         assert levels == [1, 2, 4, 8, 16, 32, 64, 128]
         assert verdicts == [True] * 8
@@ -840,6 +849,31 @@ class TestWordLevels:
             monkeypatch.setattr(defect_module, "_certified_full", declining)
             assert ladder(T) == want
         assert tuple(want) == dimension_oracle(T, len(want))
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_declined_positive_step_compresses_at_once(self, monkeypatch,
+                                                       real):
+        # A declined certificate on a narrow step with signature +1
+        # takes one reduced QR of M and the eigh of R J R*, with no
+        # mode="r" QR to test R alone first; the steps after it do the
+        # same on [G_1, T_1 G_n, T_2 G_n].
+        if real:
+            T = real_contractive(np.random.default_rng(103), 2, 24, 1)
+        else:
+            T = random_contractive(2, 24, 1, 103)
+        monkeypatch.setattr(defect_module, "_certified_full",
+                            lambda *args: False)
+        deltas = defect_module._factored_deltas(T, DEFAULT_TOL)
+        assert list(islice(deltas, 2))[1:] == [1]
+        modes = qr_modes(monkeypatch)
+        sizes = eigh_sizes(monkeypatch)
+        # D_1's sketch, two QRs and one eigh of order 11, then step 2.
+        assert next(deltas) == 3
+        assert modes == ["reduced"] * 3
+        assert sizes == [1 + _SKETCH_OVERSAMPLING, 3]
+        assert list(islice(deltas, 3)) == [7, 15, 24]
+        assert "r" not in modes
+        assert dimension_oracle(T, 5) == (1, 3, 7, 15, 24)
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     @pytest.mark.parametrize("d, h, rank", [(1, 16, 1), (2, 24, 2),

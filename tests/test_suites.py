@@ -42,6 +42,17 @@ class TestRunSuite:
         with pytest.raises(ArgumentError):
             run_suite("models", seed=-1)
 
+    @pytest.mark.parametrize("run, names", [(run_suite, "models"),
+                                            (run_suites, ["models"])],
+                             ids=["run_suite", "run_suites"])
+    @pytest.mark.parametrize("params", [{"samples": 2.5}, {"seed": 1.5},
+                                        {"seed": "1"}, {"samples": True}],
+                             ids=["float-samples", "float-seed",
+                                  "str-seed", "bool-samples"])
+    def test_non_integer_parameters_rejected(self, run, names, params):
+        with pytest.raises(ArgumentError, match="must be an integer"):
+            run(names, **params)
+
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_every_suite_passes_at_small_scale(self, name):
         res = run_suite(name, samples=4, seed=0)
