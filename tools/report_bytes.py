@@ -68,9 +68,14 @@ script), then writes into OUT_DIR:
   steps into its blocks (see ``slow_shift_builders``);
 * ``verify-<S>.json``: ``verify --suite all --samples 40 --seed S
   --report`` for S = 0..3;
-* ``<name>.out`` and ``<name>.err`` next to each report: the call's
-  stdout and exit code, and its stderr (error messages and any Python
-  warning);
+* ``model-<label>.json``: the tuple file of ``model -o`` for every
+  model kind, with its defaulted flags left out and given, and for calls
+  that a missing required flag, a malformed ``--phi`` or ``--lambdas``,
+  a value the builder refuses or an unknown kind stops, which write none
+  (see ``model_calls``);
+* ``<name>.out`` and ``<name>.err`` next to each report and model tuple
+  file: the call's stdout and exit code, and its stderr (error messages,
+  usage errors and any Python warning);
 * ``demo-<script>.out``: each script in DIR/demos run in a fresh
   process, its stdout and exit code.
 
@@ -113,11 +118,16 @@ PURITY_BUDGETS = ("default", "17", "200")
 
 
 def _call(main, name, argv):
-    # One in-process CLI call: the report goes to <name>.json, stdout and
-    # the exit code to <name>.out, stderr to <name>.err.
+    # One in-process CLI call: the report (the tuple file of ``model``)
+    # goes to <name>.json, stdout and the exit code, also that of a usage
+    # error, to <name>.out, stderr to <name>.err.
+    flag = "-o" if argv[0] == "model" else "--report"
     out, err = textio.StringIO(), textio.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--report", f"{name}.json"])
+        try:
+            code = main(argv + [flag, f"{name}.json"])
+        except SystemExit as exc:
+            code = exc.code
     Path(f"{name}.out").write_text(f"{out.getvalue()}exit {code}\n",
                                    encoding="utf-8")
     Path(f"{name}.err").write_text(err.getvalue(), encoding="utf-8")
@@ -451,6 +461,89 @@ def near_cutoff_builders(OperatorTuple):
     return builders
 
 
+def model_calls():
+    """Label -> argv of the ``model`` calls, small sizes.
+
+    Every kind with only its required flags and with every flag it reads
+    given; a flag the kind does not read; each kind's required flags
+    missing in turn, first to last; malformed ``--phi`` and ``--lambdas``
+    text; values the builders refuse; an unknown kind.
+    """
+    half = "0.7071067811865476"
+    return {
+        "fock-2-3": ["fock", "--d", "2", "--levels", "3"],
+        "fock-1-5": ["fock", "--d", "1", "--levels", "5"],
+        "fock-2-2-unread-flags": ["fock", "--d", "2", "--levels", "2",
+                                  "--seed", "5", "--r", "0.25"],
+        "dshift-2-4": ["dshift", "--d", "2", "--degree", "4"],
+        "dshift-3-2": ["dshift", "--d", "3", "--degree", "2"],
+        "rj-2-3-1": ["rj", "--d", "2", "--levels", "3", "--j", "1"],
+        "rj-3-2-3": ["rj", "--d", "3", "--levels", "2", "--j", "3"],
+        "phi-2-3": ["phi", "--d", "2", "--levels", "3",
+                    "--phi", f"1={half},2={half}"],
+        "phi-2-3-dotted": ["phi", "--d", "2", "--levels", "3",
+                           "--phi", " 1.2=0.6, 21 = 0.8j ,"],
+        "phi-2-2-repeated": ["phi", "--d", "2", "--levels", "2",
+                             "--phi", "12=0.3,12=0.3,2=0.8"],
+        "pure-nonmax-3-2": ["pure-nonmax", "--d", "3", "--levels", "2"],
+        "pure-nonmax-3-2-r": ["pure-nonmax", "--d", "3", "--levels", "2",
+                              "--r", "0.25"],
+        "spherical-sum-2-3": ["spherical-sum", "--d", "2", "--degree", "3",
+                              "--lambdas", "0.6,0.8"],
+        "spherical-sum-2-3-k": ["spherical-sum", "--d", "2", "--degree", "3",
+                                "--lambdas", "0.6j, 0.8,", "--k", "2"],
+        "random-2-5-2": ["random", "--d", "2", "--dim", "5",
+                         "--defect-rank", "2"],
+        "random-2-5-2-seed": ["random", "--d", "2", "--dim", "5",
+                              "--defect-rank", "2", "--seed", "7"],
+        "random-coinv-2-3": ["random-coinv", "--d", "2", "--levels", "3"],
+        "random-coinv-2-3-given": ["random-coinv", "--d", "2", "--levels",
+                                   "3", "--generators", "1", "--seed", "3"],
+        "missing-fock-levels": ["fock", "--d", "2"],
+        "missing-fock-d": ["fock", "--levels", "2"],
+        "missing-dshift-degree": ["dshift", "--d", "2"],
+        "missing-rj-j": ["rj", "--d", "2", "--levels", "3"],
+        "missing-phi-all": ["phi"],
+        "missing-phi-phi": ["phi", "--d", "2", "--levels", "3"],
+        "missing-pure-nonmax-d": ["pure-nonmax", "--levels", "2"],
+        "missing-spherical-sum-degree": ["spherical-sum", "--d", "2",
+                                         "--lambdas", "1,0"],
+        "missing-spherical-sum-lambdas": ["spherical-sum", "--d", "2",
+                                          "--degree", "2"],
+        "missing-random-defect-rank": ["random", "--d", "2", "--dim", "4"],
+        "missing-random-coinv-levels": ["random-coinv", "--d", "2"],
+        "bad-phi-no-equals": ["phi", "--d", "2", "--levels", "3",
+                              "--phi", "1:0.6,2=0.8"],
+        "bad-phi-word": ["phi", "--d", "2", "--levels", "3",
+                         "--phi", "x=1"],
+        "bad-phi-coeff": ["phi", "--d", "2", "--levels", "3",
+                          "--phi", "1=abc"],
+        "bad-phi-empty": ["phi", "--d", "2", "--levels", "3",
+                          "--phi", " , "],
+        "bad-phi-empty-word": ["phi", "--d", "2", "--levels", "3",
+                               "--phi", "=1"],
+        "bad-lambdas-number": ["spherical-sum", "--d", "2", "--degree", "2",
+                               "--lambdas", "0.6,abc"],
+        "bad-lambdas-empty": ["spherical-sum", "--d", "2", "--degree", "2",
+                              "--lambdas", ","],
+        "refused-phi-norm": ["phi", "--d", "2", "--levels", "3",
+                             "--phi", "1=0.5"],
+        "refused-phi-letter": ["phi", "--d", "2", "--levels", "3",
+                               "--phi", "3=1"],
+        "refused-rj-letter": ["rj", "--d", "2", "--levels", "3", "--j", "3"],
+        "refused-lambdas-norm": ["spherical-sum", "--d", "2", "--degree",
+                                 "2", "--lambdas", "0.6,0.6"],
+        "refused-lambdas-count": ["spherical-sum", "--d", "3", "--degree",
+                                  "2", "--lambdas", "0.6,0.8"],
+        "refused-fock-d": ["fock", "--d", "0", "--levels", "2"],
+        "refused-random-rank": ["random", "--d", "2", "--dim", "3",
+                                "--defect-rank", "4"],
+        "refused-pure-nonmax-r": ["pure-nonmax", "--d", "2", "--levels",
+                                  "2", "--r", "1"],
+        "unknown-kind": ["nosuch", "--d", "2"],
+    }
+
+
 def write_outputs(tree, out_dir, seed, reverse=False):
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import workloads
@@ -517,6 +610,8 @@ def write_outputs(tree, out_dir, seed, reverse=False):
         calls += _budget_calls(f"classify-slow-shift-{label}", path)
         calls.append((f"defect-slow-shift-{label}",
                       ["defect", path, "--n-max", N_MAX]))
+    for label, argv in model_calls().items():
+        calls.append((f"model-{label}", ["model"] + argv))
     for s in VERIFY_SEEDS:
         calls.append((f"verify-{s}",
                       ["verify", "--suite", "all", "--samples", "40",
