@@ -8,6 +8,11 @@ Five subcommands cover the workflow end to end:
 * ``verify``    run named property suites over seeded ensembles
 * ``product``   combine two tuple files into their product tuple
 
+One table, ``_MODELS``, names each model kind with its builder and its
+flags; a tuple file written by ``model`` records the kind and those
+flags' values as its meta.  Every ``--report`` file opens with the same
+header (format, kind, tool, flags) and is written in one place.
+
 Exit codes follow one contract everywhere: 0 means success (and, for
 ``verify``, that every property passed); 1 means a property failed or
 the analyzed tuple was not contractive; 2 means the input could not be
@@ -50,22 +55,6 @@ from .suites import suite_descriptions
 from .tuples import tuple_product
 
 __all__ = ["build_parser", "main"]
-
-_MODEL_KINDS = (
-    "fock",
-    "dshift",
-    "rj",
-    "phi",
-    "pure-nonmax",
-    "spherical-sum",
-    "random",
-    "random-coinv",
-)
-
-
-def _tool_stamp():
-    return {"name": "defectseq", "version": VERSION}
-
 
 def _parse_complex(text):
     try:
@@ -113,76 +102,75 @@ def _parse_lambdas(text):
     return tuple(_parse_complex(p) for p in parts)
 
 
-def _need(args, kind, *names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise ArgumentError(f"model {kind} requires --{name}")
-
-
 def _describe(T, path=None):
     tag = T.label or "(unlabeled)"
     src = f" from {path}" if path is not None else ""
     return f"tuple: {tag}{src}  [d = {T.d}, dim = {T.h}]"
 
 
+def _phi_compression(d, levels, phi):
+    return models.finite_phi_compression(d, levels, _parse_phi_spec(phi))
+
+
+def _spherical_sum(d, degree, lambdas, k):
+    return models.spherical_shift_sum(d, degree, _parse_lambdas(lambdas), k)
+
+
+# kind -> (builder, required flags, defaulted flags), each flag by its
+# argparse dest and in the builder's argument order.  ``--phi`` and
+# ``--lambdas`` reach their builders as text, which the meta keeps.
+_MODELS = {
+    "fock": (models.fock_creation, ("d", "levels"), ()),
+    "dshift": (models.symmetric_fock_shift, ("d", "degree"), ()),
+    "rj": (models.right_creation_compression, ("d", "levels", "j"), ()),
+    "phi": (_phi_compression, ("d", "levels", "phi"), ()),
+    "pure-nonmax": (models.pure_nonmaximal_example, ("d", "levels"),
+                    ("r",)),
+    "spherical-sum": (_spherical_sum, ("d", "degree", "lambdas"), ("k",)),
+    "random": (models.random_contractive, ("d", "dim", "defect_rank"),
+               ("seed",)),
+    "random-coinv": (models.random_coinvariant_compression,
+                     ("d", "levels"), ("generators", "seed")),
+}
+
+
 def _cmd_model(args):
-    kind = args.kind
-    meta = {"generator": kind}
-    if kind == "fock":
-        _need(args, kind, "d", "levels")
-        T = models.fock_creation(args.d, args.levels)
-        meta.update(d=args.d, levels=args.levels)
-    elif kind == "dshift":
-        _need(args, kind, "d", "degree")
-        T = models.symmetric_fock_shift(args.d, args.degree)
-        meta.update(d=args.d, degree=args.degree)
-    elif kind == "rj":
-        _need(args, kind, "d", "levels", "j")
-        T = models.right_creation_compression(args.d, args.levels, args.j)
-        meta.update(d=args.d, levels=args.levels, j=args.j)
-    elif kind == "phi":
-        _need(args, kind, "d", "levels", "phi")
-        T = models.finite_phi_compression(
-            args.d, args.levels, _parse_phi_spec(args.phi))
-        meta.update(d=args.d, levels=args.levels, phi=args.phi)
-    elif kind == "pure-nonmax":
-        _need(args, kind, "d", "levels")
-        T = models.pure_nonmaximal_example(args.d, args.levels, args.r)
-        meta.update(d=args.d, levels=args.levels, r=args.r)
-    elif kind == "spherical-sum":
-        _need(args, kind, "d", "degree", "lambdas")
-        lams = _parse_lambdas(args.lambdas)
-        T = models.spherical_shift_sum(args.d, args.degree, lams, args.k)
-        meta.update(d=args.d, degree=args.degree, lambdas=args.lambdas,
-                    k=args.k)
-    elif kind == "random":
-        _need(args, kind, "d", "dim", "defect-rank")
-        T = models.random_contractive(args.d, args.dim, args.defect_rank,
-                                      args.seed)
-        meta.update(d=args.d, dim=args.dim, defect_rank=args.defect_rank,
-                    seed=args.seed)
-    else:  # random-coinv
-        _need(args, kind, "d", "levels")
-        T = models.random_coinvariant_compression(
-            args.d, args.levels, args.generators, args.seed)
-        meta.update(d=args.d, levels=args.levels, generators=args.generators,
-                    seed=args.seed)
-    io.write_tuple(T, args.out, meta)
+    build, required, defaulted = _MODELS[args.kind]
+    flags = {name: getattr(args, name) for name in required + defaulted}
+    for name in required:
+        if flags[name] is None:
+            raise ArgumentError(
+                f"model {args.kind} requires --{name.replace('_', '-')}")
+    T = build(*flags.values())
+    io.write_tuple(T, args.out, {"generator": args.kind, **flags})
     print(f"wrote {args.out}")
     print(_describe(T))
     return 0
 
 
+def _report(kind, flags, **fields):
+    # A report payload: the header every report opens with, then ``fields``.
+    return {"format": "defectseq-report", "kind": kind,
+            "tool": {"name": "defectseq", "version": VERSION},
+            "flags": flags, **fields}
+
+
+def _input(args, T):
+    return {"path": str(args.input), "label": T.label, "d": T.d, "dim": T.h}
+
+
+def _write_report(args, payload):
+    if args.report:
+        io.write_report(payload, args.report)
+        print(f"report written to {args.report}")
+
+
 def _defect_payload(args, T, rep, tol):
     commuting = rep.bounds_comm is not None
-    return {
-        "format": "defectseq-report",
-        "kind": "defect",
-        "tool": _tool_stamp(),
-        "input": {"path": str(args.input), "label": T.label,
-                  "d": T.d, "dim": T.h},
-        "flags": {"n_max": args.n_max, "rtol": tol.rtol, "atol": tol.atol},
-        "result": {
+    return _report(
+        "defect", {"n_max": args.n_max, "rtol": tol.rtol, "atol": tol.atol},
+        input=_input(args, T),
+        result={
             "deltas": list(rep.deltas),
             "stabilized_at": rep.stabilized_at,
             "reached_full": rep.reached_full,
@@ -191,8 +179,7 @@ def _defect_payload(args, T, rep, tol):
             "bound_ok_noncomm": list(rep.bound_ok_noncomm),
             "bounds_comm": list(rep.bounds_comm) if commuting else None,
             "bound_ok_comm": list(rep.bound_ok_comm) if commuting else None,
-        },
-    }
+        })
 
 
 def _plot_lines(rep):
@@ -225,9 +212,7 @@ def _cmd_defect(args):
     else:
         print(f"no stabilization within n_max = {args.n_max}")
 
-    if args.report:
-        io.write_report(_defect_payload(args, T, rep, tol), args.report)
-        print(f"report written to {args.report}")
+    _write_report(args, _defect_payload(args, T, rep, tol))
     if args.plot:
         Path(args.plot).write_text(_plot_lines(rep), encoding="utf-8")
         print(f"plot data written to {args.plot}")
@@ -275,16 +260,12 @@ def _cmd_classify(args):
                    eps_pure=args.eps_pure, eps_conv=args.eps_conv)
     margin = rep.contractivity_margin
 
-    payload = {
-        "format": "defectseq-report",
-        "kind": "classify",
-        "tool": _tool_stamp(),
-        "input": {"path": str(args.input), "label": T.label,
-                  "d": T.d, "dim": T.h},
-        "flags": {"rtol": tol.rtol, "atol": tol.atol,
-                  "eps_pure": args.eps_pure, "eps_conv": args.eps_conv,
-                  "max_iter": args.max_iter},
-        "result": {
+    payload = _report(
+        "classify",
+        {"rtol": tol.rtol, "atol": tol.atol, "eps_pure": args.eps_pure,
+         "eps_conv": args.eps_conv, "max_iter": args.max_iter},
+        input=_input(args, T),
+        result={
             "contractive": rep.contractive,
             "contractivity_margin": margin,
             "commuting": rep.commuting,
@@ -295,16 +276,13 @@ def _cmd_classify(args):
             "maximal_comm": _maximality_payload(rep.maximal_comm),
             "commutant_dim": rep.commutant_dim,
             "irreducible": rep.irreducible,
-        },
-    }
+        })
 
     print(_describe(T, args.input))
     if not rep.contractive:
         print(f"contractive: NO (margin {margin:.3e})")
         print("analysis skipped: the tuple is not contractive")
-        if args.report:
-            io.write_report(payload, args.report)
-            print(f"report written to {args.report}")
+        _write_report(args, payload)
         return 1
 
     print(f"contractive: yes (margin {margin:.3e})")
@@ -324,10 +302,7 @@ def _cmd_classify(args):
               f"(checked to n = {mc.horizon})")
     print(f"commutant dimension: {rep.commutant_dim}")
     print(f"irreducible: {'yes' if rep.irreducible else 'no'}")
-
-    if args.report:
-        io.write_report(payload, args.report)
-        print(f"report written to {args.report}")
+    _write_report(args, payload)
     return 0
 
 
@@ -363,18 +338,11 @@ def _cmd_verify(args):
     print("all suites passed" if failed == 0
           else f"{failed} suite(s) failed")
 
-    if args.report:
-        payload = {
-            "format": "defectseq-report",
-            "kind": "verify",
-            "tool": _tool_stamp(),
-            "flags": {"samples": args.samples, "seed": args.seed,
-                      "rtol": tol.rtol, "atol": tol.atol},
-            "suites": [_suite_payload(res) for res in results],
-            "all_passed": failed == 0,
-        }
-        io.write_report(payload, args.report)
-        print(f"report written to {args.report}")
+    _write_report(args, _report(
+        "verify", {"samples": args.samples, "seed": args.seed,
+                   "rtol": tol.rtol, "atol": tol.atol},
+        suites=[_suite_payload(res) for res in results],
+        all_passed=failed == 0))
     return 0 if failed == 0 else 1
 
 
@@ -413,7 +381,7 @@ def build_parser():
 
     model = sub.add_parser(
         "model", help="construct a model tuple and write it to a tuple file")
-    model.add_argument("kind", choices=_MODEL_KINDS)
+    model.add_argument("kind", choices=tuple(_MODELS))
     model.add_argument("--d", type=int,
                        help="alphabet size (number of operators)")
     model.add_argument("--levels", type=int,

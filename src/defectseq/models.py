@@ -38,6 +38,7 @@ from .errors import ArgumentError, ConsistencyError, SizeCapError
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
+    _require_integer,
     _swept_span,
     coordinate_subspace,
     orthonormal_range,
@@ -69,20 +70,10 @@ __all__ = [
 SYMMETRIZER_MAX_FACTORS = 8
 
 
-def _check_alphabet(d):
-    if d < 1:
-        raise ArgumentError("alphabet size d must be at least 1")
-
-
-def _check_levels(L):
-    if L < 1:
-        raise ArgumentError("truncation level must be at least 1")
-
-
 def fock_basis(d, L):
     """Words of length 0..L over {1, ..., d}, by level then lexicographic."""
-    _check_alphabet(d)
-    _check_levels(L)
+    _require_integer(d, "alphabet size d", 1)
+    _require_integer(L, "truncation level", 1)
     words = []
     for k in range(L + 1):
         words.extend(itertools.product(range(1, d + 1), repeat=k))
@@ -99,8 +90,8 @@ def fock_creation(d, L):
     this tuple is an exact 0/1 projection onto an initial segment of
     levels.
     """
-    _check_alphabet(d)
-    _check_levels(L)
+    _require_integer(d, "alphabet size d", 1)
+    _require_integer(L, "truncation level", 1)
     words = fock_basis(d, L)
     h = len(words)
     cap = size_cap()
@@ -128,9 +119,8 @@ def symmetrizer(d, k):
     monomials of degree k in d variables, C(k + d - 1, d - 1).  Factor
     counts above 8 are refused since the permutation sum grows as k!.
     """
-    _check_alphabet(d)
-    if k < 1:
-        raise ArgumentError("tensor factor count must be at least 1")
+    _require_integer(d, "alphabet size d", 1)
+    _require_integer(k, "tensor factor count", 1)
     if k > SYMMETRIZER_MAX_FACTORS:
         raise ArgumentError(
             f"symmetrizer limited to {SYMMETRIZER_MAX_FACTORS} factors, got {k}"
@@ -152,9 +142,8 @@ def symmetrizer(d, k):
 
 def monomial_basis(d, L):
     """Exponent multi-indices with |alpha| <= L, by degree then lexicographic."""
-    _check_alphabet(d)
-    if L < 0:
-        raise ArgumentError("degree bound must be nonnegative")
+    _require_integer(d, "alphabet size d", 1)
+    _require_integer(L, "degree bound", 0)
     out = []
     for k in range(L + 1):
         level = sorted(
@@ -176,8 +165,8 @@ def symmetric_fock_shift(d, L):
     entries commute.  ``symmetric_shift_via_compression`` must reproduce
     these matrices and serves as the independent derivation.
     """
-    _check_alphabet(d)
-    _check_levels(L)
+    _require_integer(d, "alphabet size d", 1)
+    _require_integer(L, "truncation level", 1)
     basis = monomial_basis(d, L)
     m = len(basis)
     cap = size_cap()
@@ -219,8 +208,8 @@ def symmetric_shift_via_compression(d, L):
     which is what makes it an independent oracle for
     ``symmetric_fock_shift``.
     """
-    _check_alphabet(d)
-    _check_levels(L)
+    _require_integer(d, "alphabet size d", 1)
+    _require_integer(L, "truncation level", 1)
     creation = fock_creation(d, L)
     words = fock_basis(d, L)
     word_index = {w: p for p, w in enumerate(words)}
@@ -264,9 +253,11 @@ def right_creation_subspace(d, L, j):
     under every creation operator, since creation prepends letters, so
     the kept span is co-invariant for the creation tuple.
     """
-    _check_alphabet(d)
+    _require_integer(d, "alphabet size d", 1)
+    _require_integer(L, "truncation level")
     if L < 2:
         raise ArgumentError("needs at least two levels to be meaningful")
+    _require_integer(j, "letter j")
     if not 1 <= j <= d:
         raise ArgumentError(f"letter j={j} outside 1..{d}")
     words = fock_basis(d, L)
@@ -305,7 +296,7 @@ def _parse_phi(d, L, phi_coeffs):
     if not support:
         raise ArgumentError("phi must be nonzero")
     norm = math.sqrt(sum(abs(c) ** 2 for c in support.values()))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN norm is refused too
         raise ArgumentError(f"phi must be a unit vector, got norm {norm!r}")
     return support
 
@@ -322,8 +313,8 @@ def finite_phi_subspace(d, L, phi_coeffs):
     entirely beyond the truncation level, nothing is removed and the
     complement is the whole space.
     """
-    _check_alphabet(d)
-    _check_levels(L)
+    _require_integer(d, "alphabet size d", 1)
+    _require_integer(L, "truncation level", 1)
     words = fock_basis(d, L)
     index = {w: p for p, w in enumerate(words)}
     h = len(words)
@@ -377,6 +368,7 @@ def pure_nonmaximal_example(d, L, r):
     below the geometric bound 2(1 + d); purity holds because the Fock
     part is nilpotent and r is strictly inside the disc.
     """
+    _require_integer(d, "alphabet size d")
     if d < 2:
         raise ArgumentError("needs d >= 2 so the Fock part is nonempty")
     if not 0.0 < r < 1.0:
@@ -406,10 +398,9 @@ def scalar_spherical_tuple(lambdas, k):
     weights = [complex(x) for x in lambdas]
     if len(weights) < 1:
         raise ArgumentError("need at least one weight")
-    if k < 1:
-        raise ArgumentError("multiplicity k must be at least 1")
+    _require_integer(k, "multiplicity k", 1)
     total = sum(abs(x) ** 2 for x in weights)
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:  # a NaN total is refused too
         raise ArgumentError(
             f"weights must satisfy sum |lambda|^2 = 1, got {total!r}"
         )
@@ -445,8 +436,7 @@ def haar_unitary(n, rng):
     diagonal divided out; the phase fix is what makes the distribution
     exactly Haar rather than merely orthonormal.
     """
-    if n < 1:
-        raise ArgumentError("unitary dimension must be at least 1")
+    _require_integer(n, "unitary dimension", 1)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r).copy()
@@ -468,9 +458,9 @@ def random_contractive(d, h, defect_rank, seed):
     ``numpy.random.default_rng`` accepts; identical seeds reproduce the
     tuple bit for bit.
     """
-    _check_alphabet(d)
-    if h < 1:
-        raise ArgumentError("space dimension must be at least 1")
+    _require_integer(d, "alphabet size d", 1)
+    _require_integer(h, "space dimension", 1)
+    _require_integer(defect_rank, "defect rank")
     if not 0 <= defect_rank <= h:
         raise ArgumentError(
             f"defect rank must lie in 0..{h}, got {defect_rank}"
@@ -518,8 +508,7 @@ def random_coinvariant_subspace(d, L, n_generators, seed):
     operators.  Returns the pair (creation tuple, subspace); the
     subspace is re-verified co-invariant before being handed out.
     """
-    if n_generators < 1:
-        raise ArgumentError("need at least one generator")
+    _require_integer(n_generators, "generator count", 1)
     creation = fock_creation(d, L)
     rng = np.random.default_rng(seed)
     gens = rng.standard_normal((creation.h, n_generators)) \

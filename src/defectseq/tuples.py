@@ -464,9 +464,7 @@ def tuple_power(T, n):
     ``word_index(w, d)`` equals ``word_apply(T, w)``.  Refuses to
     materialize more than the configured size cap allows.
     """
-    _require_integer(n, "tuple power exponent")
-    if n < 1:
-        raise ArgumentError("tuple power needs n >= 1")
+    _require_integer(n, "tuple power exponent", 1)
     count = T.d ** n
     cap = size_cap()
     if count > cap:

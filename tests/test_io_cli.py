@@ -499,6 +499,77 @@ class TestCliModel:
         assert read_tuple(out).h > 0
 
 
+class TestCliModelKinds:
+    """Every model kind: its meta records the flags it reads, defaulted
+    ones included, and each required flag left out exits 2."""
+
+    # kind -> (required flags, defaulted flags as (default, given)).
+    KINDS = {
+        "fock": ({"d": 2, "levels": 2}, {}),
+        "dshift": ({"d": 2, "degree": 3}, {}),
+        "rj": ({"d": 2, "levels": 3, "j": 2}, {}),
+        "phi": ({"d": 2, "levels": 3, "phi": "1=0.6, 21=0.8j"}, {}),
+        "pure-nonmax": ({"d": 3, "levels": 2}, {"r": (0.5, 0.25)}),
+        "spherical-sum": ({"d": 2, "degree": 3, "lambdas": "0.6,0.8j"},
+                          {"k": (1, 2)}),
+        "random": ({"d": 2, "dim": 5, "defect_rank": 1}, {"seed": (0, 4)}),
+        "random-coinv": ({"d": 2, "levels": 3},
+                         {"generators": (2, 1), "seed": (0, 3)}),
+    }
+    MISSING = [(kind, name) for kind, (required, _) in KINDS.items()
+               for name in required]
+
+    @staticmethod
+    def argv(kind, flags, out):
+        argv = ["model", kind, "-o", str(out)]
+        for name, value in flags.items():
+            argv += [f"--{name.replace('_', '-')}", str(value)]
+        return argv
+
+    def test_kinds_are_the_parser_choices(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["model", "nosuch", "-o", str(tmp_path / "x.json")])
+        choices = ", ".join(repr(kind) for kind in self.KINDS)
+        assert f"(choose from {choices})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", [False, True],
+                             ids=["defaults", "given"])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_meta_records_the_flags(self, kind, given, tmp_path):
+        required, defaulted = self.KINDS[kind]
+        chosen = {name: value if given else default
+                  for name, (default, value) in defaulted.items()}
+        out = tmp_path / "t.json"
+        passed = {**required, **chosen} if given else required
+        assert main(self.argv(kind, passed, out)) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta.pop("label") == read_tuple(out).label
+        assert meta == {"generator": kind, **required, **chosen}
+
+    @pytest.mark.parametrize("kind, name", MISSING,
+                             ids=[f"{k}-{n}" for k, n in MISSING])
+    def test_missing_required_flag_exits_2(self, kind, name, tmp_path,
+                                           capsys):
+        flags = dict(self.KINDS[kind][0])
+        del flags[name]
+        out = tmp_path / "t.json"
+        assert main(self.argv(kind, flags, out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: model {kind} requires --{name.replace('_', '-')}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, flag, text, message", [
+        ("phi", "phi", "1=nan", "phi must be a unit vector, got norm nan"),
+        ("spherical-sum", "lambdas", "nan,0",
+         "weights must satisfy sum |lambda|^2 = 1, got nan"),
+    ])
+    def test_nan_weights_are_not_unit_vectors(self, kind, flag, text,
+                                              message, tmp_path, capsys):
+        flags = {**self.KINDS[kind][0], flag: text}
+        assert main(self.argv(kind, flags, tmp_path / "t.json")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestParserBuiltOnce:
     """``main`` parses with one parser per process.
 

@@ -167,6 +167,11 @@ class TestWordCompressions:
         with pytest.raises(ArgumentError):
             finite_phi_compression(2, 3, {(1,): 0.6, (3,): 0.8})
 
+    def test_nan_norm_is_not_a_unit_vector(self):
+        with pytest.raises(ArgumentError,
+                           match="phi must be a unit vector, got norm nan"):
+            finite_phi_compression(2, 3, {(1,): complex("nan")})
+
     def test_balanced_two_letter_phi_keeps_doubling(self):
         w = 1.0 / math.sqrt(2.0)
         T = finite_phi_compression(2, 3, {(1,): w, (2,): w})
@@ -202,6 +207,10 @@ class TestSphericalModels:
             scalar_spherical_tuple((0.5, 0.5), 1)
         with pytest.raises(ArgumentError):
             scalar_spherical_tuple((), 1)
+
+    def test_nan_weight_is_refused(self):
+        with pytest.raises(ArgumentError, match=r"sum \|lambda\|\^2 = 1, got nan"):
+            scalar_spherical_tuple((float("nan"), 0.0), 1)
 
     def test_sum_requires_matching_lengths(self):
         with pytest.raises(ArgumentError):
@@ -261,3 +270,51 @@ class TestRandomEnsembles:
         _, a = random_coinvariant_subspace(2, 2, 2, 3)
         _, b = random_coinvariant_subspace(2, 2, 2, 3)
         assert np.array_equal(a.basis, b.basis)
+
+
+class TestIntegerArguments:
+    """Sizes, counts and letters must be integers: numpy integers count,
+    a bool or a float does not, and values below the least allowed are
+    refused with the messages the builders have always given."""
+
+    @pytest.mark.parametrize("build, args, message", [
+        (fock_creation, (2.5, 3), "alphabet size d must be an integer"),
+        (fock_creation, (True, 3), "alphabet size d must be an integer"),
+        (fock_creation, (2, 3.0), "truncation level must be an integer"),
+        (fock_creation, (0, 3), "alphabet size d must be at least 1"),
+        (fock_creation, (2, 0), "truncation level must be at least 1"),
+        (fock_basis, (2, False), "truncation level must be an integer"),
+        (symmetric_fock_shift, (2.0, 3), "alphabet size d must be an integer"),
+        (symmetric_shift_via_compression, (2, 1.5),
+         "truncation level must be an integer"),
+        (symmetrizer, (2, 2.0), "tensor factor count must be an integer"),
+        (symmetrizer, (2, 0), "tensor factor count must be at least 1"),
+        (monomial_basis, (2, 1.0), "degree bound must be an integer"),
+        (monomial_basis, (2, -1), "degree bound must be nonnegative"),
+        (right_creation_compression, (2, 3, 1.0), "letter j must be an integer"),
+        (right_creation_subspace, (2, 3.0, 1), "truncation level must be an integer"),
+        (finite_phi_subspace, (2.0, 3, {(1,): 1.0}),
+         "alphabet size d must be an integer"),
+        (pure_nonmaximal_example, (3.0, 2, 0.5),
+         "alphabet size d must be an integer"),
+        (scalar_spherical_tuple, ((1.0,), 1.0),
+         "multiplicity k must be an integer"),
+        (scalar_spherical_tuple, ((1.0,), 0), "multiplicity k must be at least 1"),
+        (haar_unitary, (2.0, np.random.default_rng(0)),
+         "unitary dimension must be an integer"),
+        (random_contractive, (2, 4, 1.5, 0), "defect rank must be an integer"),
+        (random_contractive, (2, 4.0, 1, 0), "space dimension must be an integer"),
+        (random_contractive, (2, 0, 0, 0), "space dimension must be at least 1"),
+        (random_coinvariant_subspace, (2, 3, 1.5, 0),
+         "generator count must be an integer"),
+        (random_coinvariant_subspace, (2, 3, 0, 0),
+         "generator count must be at least 1"),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_refused_with_argument_error(self, build, args, message):
+        with pytest.raises(ArgumentError, match=message):
+            build(*args)
+
+    def test_numpy_integers_count(self):
+        T = fock_creation(np.int64(2), np.int32(2))
+        assert T.label == "fock-creation(d=2, levels=2)"
+        assert np.array_equal(T.ops[1], fock_creation(2, 2).ops[1])

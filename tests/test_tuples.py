@@ -232,7 +232,8 @@ class TestProductsAndPowers:
 
     def test_power_needs_positive_exponent(self):
         T = OperatorTuple((np.eye(2),))
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError,
+                           match="tuple power exponent must be at least 1"):
             tuple_power(T, 0)
 
     @pytest.mark.parametrize("n", [True, 1.5], ids=repr)
