@@ -68,6 +68,10 @@ script), then writes into OUT_DIR:
   steps into its blocks (see ``slow_shift_builders``);
 * ``verify-<S>.json``: ``verify --suite all --samples 40 --seed S
   --report`` for S = 0..3;
+* ``verify-rtol-<R>.json``: ``verify --suite all --samples 10 --seed 0
+  --rtol R --report`` for R = 0.1 and 0.5, loose enough that some suites
+  fail, so the reports pin first-failure records with and without a
+  seed triple;
 * ``model-<label>.json``: the tuple file of ``model -o`` for every
   model kind, with its defaulted flags left out and given, and for calls
   that a missing required flag, a malformed ``--phi`` or ``--lambdas``,
@@ -113,6 +117,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 VERIFY_SEEDS = range(4)
+VERIFY_LOOSE_RTOLS = ("0.1", "0.5")
 N_MAX = "200"
 PURITY_BUDGETS = ("default", "17", "200")
 
@@ -616,6 +621,10 @@ def write_outputs(tree, out_dir, seed, reverse=False):
         calls.append((f"verify-{s}",
                       ["verify", "--suite", "all", "--samples", "40",
                        "--seed", str(s)]))
+    for rtol in VERIFY_LOOSE_RTOLS:
+        calls.append((f"verify-rtol-{rtol}",
+                      ["verify", "--suite", "all", "--samples", "10",
+                       "--seed", "0", "--rtol", rtol]))
     for name, argv in reversed(calls) if reverse else calls:
         _call(cli.main, name, argv)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
