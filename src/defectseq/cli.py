@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -242,15 +243,7 @@ def _purity_payload(verdict):
 
 
 def _maximality_payload(verdict):
-    if verdict is None:
-        return None
-    return {
-        "maximal": verdict.maximal,
-        "horizon": verdict.horizon,
-        "deltas": list(verdict.deltas),
-        "bounds": list(verdict.bounds),
-        "failed_at": verdict.failed_at,
-    }
+    return None if verdict is None else asdict(verdict)
 
 
 def _cmd_classify(args):
@@ -306,21 +299,6 @@ def _cmd_classify(args):
     return 0
 
 
-def _suite_payload(res):
-    return {
-        "name": res.name,
-        "description": res.description,
-        "samples": res.samples,
-        "seed": res.seed,
-        "checks": res.checks,
-        "passes": res.passes,
-        "failures": res.failures,
-        "first_failure": res.first_failure,
-        "notes": list(res.notes),
-        "ok": res.ok,
-    }
-
-
 def _cmd_verify(args):
     tol = RankTolerance(args.rtol, args.atol)
     results = run_suites(args.suite, args.samples, args.seed, tol)
@@ -341,7 +319,7 @@ def _cmd_verify(args):
     _write_report(args, _report(
         "verify", {"samples": args.samples, "seed": args.seed,
                    "rtol": tol.rtol, "atol": tol.atol},
-        suites=[_suite_payload(res) for res in results],
+        suites=[{**asdict(res), "ok": res.ok} for res in results],
         all_passed=failed == 0))
     return 0 if failed == 0 else 1
 

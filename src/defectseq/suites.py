@@ -3,22 +3,26 @@
 Each suite re-checks one structural law of defect sequences on exact
 fixtures, seeded random ensembles, or both, and reports pass/fail
 counts plus the first failing configuration.  The suite names are short
-stable tokens forming the command-line vocabulary; the registry next to
-them says in plain words what each one checks.
+stable tokens forming the command-line vocabulary.  The registry maps
+each token to three parts: a plain-words description of what it checks,
+its fixture checks ``f(rec, tol)`` and its one-sample checks
+``f(rec, i, key, rng, tol)``, either of the last two possibly None.
 
-Reproducibility contract: sample number i of the suite with salt s under
-master seed q draws every random quantity from
+``run_suite`` runs the fixtures first and then draws every sample
+itself.  Reproducibility contract: sample number i of the suite with
+salt s under master seed q draws every random quantity from
 ``numpy.random.default_rng((q, s, i))``, where s is the position of the
 suite in ``SUITE_NAMES``.  The generator is numpy's PCG64 seeded through
 SeedSequence, so one integer seed fans out into independent, platform-
 stable streams, and any failure can be replayed from the (q, s, i)
-triple recorded in the report.
+triple recorded in the report.  A ``ConsistencyError`` raised inside one
+sample fails that sample only.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -104,11 +108,7 @@ class SuiteResult:
 
 
 class _Recorder:
-    def __init__(self, name, description, samples, seed):
-        self.name = name
-        self.description = description
-        self.samples = samples
-        self.seed = seed
+    def __init__(self):
         self.checks = 0
         self.passes = 0
         self.failures = 0
@@ -133,36 +133,6 @@ class _Recorder:
     def note(self, text):
         self.notes.append(text)
 
-    def result(self):
-        return SuiteResult(
-            name=self.name,
-            description=self.description,
-            samples=self.samples,
-            seed=self.seed,
-            checks=self.checks,
-            passes=self.passes,
-            failures=self.failures,
-            first_failure=self.first_failure,
-            notes=tuple(self.notes),
-        )
-
-
-def _seeded_samples(samples, seed, salt):
-    # Sample i of every seeded suite draws from default_rng((seed, salt, i)).
-    for i in range(samples):
-        key = (seed, salt, i)
-        yield i, key, np.random.default_rng(key)
-
-
-@contextmanager
-def _consistency_guard(rec, key):
-    # A ConsistencyError inside one sample fails that sample only.
-    try:
-        yield
-    except ConsistencyError as exc:
-        rec.check("no internal consistency violation", False,
-                  seed=key, detail=str(exc))
-
 
 def _draw_random_tuple(rng, d_max=3, h_max=8, rank_max=3):
     d = int(rng.integers(1, d_max + 1))
@@ -171,13 +141,19 @@ def _draw_random_tuple(rng, d_max=3, h_max=8, rank_max=3):
     return models.random_contractive(d, h, defect_rank, rng)
 
 
+def _draw_compression(rng):
+    # Compression of a depth-2 creation tuple to the co-invariant hull of
+    # one or two random vectors, d in {2, 3}.
+    d = int(rng.integers(2, 4))
+    gens = int(rng.integers(1, 3))
+    return models.random_coinvariant_compression(d, 2, gens, rng)
+
+
 def _draw_mixed_tuple(rng, index):
     # Every fifth sample is a compressed creation tuple instead of a
     # plain random row; compressions carry nontrivial defect growth.
     if index % 5 == 4:
-        d = int(rng.integers(2, 4))
-        gens = int(rng.integers(1, 3))
-        return models.random_coinvariant_compression(d, 2, gens, rng)
+        return _draw_compression(rng)
     return _draw_random_tuple(rng)
 
 
@@ -190,7 +166,7 @@ def _leak(sub, ops):
     return max(float(np.linalg.norm(comp @ op @ p, 2)) for op in ops)
 
 
-def _models_suite(rec, samples, seed, salt, tol):
+def _models_fixtures(rec, tol):
     # Creation tuple: exact defect ladder and exact projections.
     fock = models.fock_creation(2, 6)
     rep = defect_sequence(fock, 8, tol)
@@ -358,256 +334,243 @@ def _models_suite(rec, samples, seed, salt, tol):
               commutant_dimension(zero, tol) == 9)
 
 
-def _monotone_bound_suite(rec, samples, seed, salt, tol):
-    for i, key, rng in _seeded_samples(samples, seed, salt):
-        with _consistency_guard(rec, key):
-            T = _draw_mixed_tuple(rng, i)
-            rep = defect_sequence(T, T.h + 1, tol)
-            rec.check("defect dimensions never decrease",
-                      all(a <= b for a, b in zip(rep.deltas, rep.deltas[1:])),
-                      seed=key, detail=f"{rep.deltas}")
-            rec.check("geometric growth bound holds",
-                      all(delta <= geometric_bound(T.d, n, rep.deltas[0])
-                          for n, delta in enumerate(rep.deltas, start=1)),
-                      seed=key, detail=f"{rep.deltas}")
-            rec.check("defect dimensions stay within the space",
-                      all(delta <= T.h for delta in rep.deltas), seed=key)
+def _monotone_bound_sample(rec, i, key, rng, tol):
+    T = _draw_mixed_tuple(rng, i)
+    rep = defect_sequence(T, T.h + 1, tol)
+    rec.check("defect dimensions never decrease",
+              all(a <= b for a, b in zip(rep.deltas, rep.deltas[1:])),
+              seed=key, detail=f"{rep.deltas}")
+    rec.check("geometric growth bound holds",
+              all(delta <= geometric_bound(T.d, n, rep.deltas[0])
+                  for n, delta in enumerate(rep.deltas, start=1)),
+              seed=key, detail=f"{rep.deltas}")
+    rec.check("defect dimensions stay within the space",
+              all(delta <= T.h for delta in rep.deltas), seed=key)
 
 
-def _word_span_suite(rec, samples, seed, salt, tol):
-    for i, key, rng in _seeded_samples(samples, seed, salt):
-        with _consistency_guard(rec, key):
-            d = int(rng.integers(1, 4))
-            h = int(rng.integers(2, 7))
-            defect_rank = int(rng.integers(1, min(2, h) + 1))
-            T = models.random_contractive(d, h, defect_rank, rng)
-            for n in (1, 2, 3, 4):
-                direct = defect_space(T, n, tol)
-                spanned = defect_space_via_words(T, n, tol)
-                rec.check(f"defect space equals the word span at step {n}",
-                          subspace_equal(direct, spanned, tol), seed=key,
-                          detail=f"dims {direct.dim} vs {spanned.dim}")
+def _word_span_sample(rec, i, key, rng, tol):
+    d = int(rng.integers(1, 4))
+    h = int(rng.integers(2, 7))
+    defect_rank = int(rng.integers(1, min(2, h) + 1))
+    T = models.random_contractive(d, h, defect_rank, rng)
+    for n in (1, 2, 3, 4):
+        direct = defect_space(T, n, tol)
+        spanned = defect_space_via_words(T, n, tol)
+        rec.check(f"defect space equals the word span at step {n}",
+                  subspace_equal(direct, spanned, tol), seed=key,
+                  detail=f"dims {direct.dim} vs {spanned.dim}")
 
 
-def _stabilization_suite(rec, samples, seed, salt, tol):
-    for i, key, rng in _seeded_samples(samples, seed, salt):
-        with _consistency_guard(rec, key):
-            T = _draw_mixed_tuple(rng, i)
-            rep = defect_sequence(T, T.h + 1, tol)
-            found = rec.check("sequence stabilizes within dimension-many steps",
-                              rep.stabilized_at is not None, seed=key,
-                              detail=f"{rep.deltas}")
-            if found:
-                at = rep.stabilized_at
-                value = rep.deltas[at - 1]
-                later = defect_dimension(T, at + 2, tol)
-                rec.check("stabilized value persists two steps later",
-                          later == value, seed=key,
-                          detail=f"{value} then {later}")
-                rec.check("no movement recorded past stabilization",
-                          all(v == value for v in rep.deltas[at - 1:]),
-                          seed=key, detail=f"{rep.deltas}")
-            else:
-                rec.check("stabilized value persists two steps later", False,
-                          seed=key, detail="no stabilization point found")
-                rec.check("no movement recorded past stabilization", False,
-                          seed=key, detail="no stabilization point found")
+def _stabilization_sample(rec, i, key, rng, tol):
+    T = _draw_mixed_tuple(rng, i)
+    rep = defect_sequence(T, T.h + 1, tol)
+    found = rec.check("sequence stabilizes within dimension-many steps",
+                      rep.stabilized_at is not None, seed=key,
+                      detail=f"{rep.deltas}")
+    if found:
+        at = rep.stabilized_at
+        value = rep.deltas[at - 1]
+        later = defect_dimension(T, at + 2, tol)
+        rec.check("stabilized value persists two steps later",
+                  later == value, seed=key,
+                  detail=f"{value} then {later}")
+        rec.check("no movement recorded past stabilization",
+                  all(v == value for v in rep.deltas[at - 1:]),
+                  seed=key, detail=f"{rep.deltas}")
+    else:
+        rec.check("stabilized value persists two steps later", False,
+                  seed=key, detail="no stabilization point found")
+        rec.check("no movement recorded past stabilization", False,
+                  seed=key, detail="no stabilization point found")
 
 
-def _rank_symmetry_suite(rec, samples, seed, salt, tol):
-    for i, key, rng in _seeded_samples(samples, seed, salt):
-        with _consistency_guard(rec, key):
-            T = _draw_random_tuple(rng, 3, 6, 3)
-            choices = (1, 2, 3) if T.d == 1 else (1, 2)
-            n = int(choices[int(rng.integers(0, len(choices)))])
-            verdict = rank_symmetry_check(T, n, tol)
-            square = T.d ** n * T.h == T.h
-            rec.check("rank equality occurs exactly in the square case",
-                      verdict.equal_ranks == square, seed=key,
-                      detail=f"ranks ({verdict.rank_left}, {verdict.rank_right})")
-            rec.check("rank and kernel equalities agree",
-                      verdict.equal_ranks == verdict.equal_kernels, seed=key)
-            rec.check("row defect rank matches the iterate defect rank",
-                      verdict.rank_left == defect_dimension(T, n, tol),
-                      seed=key)
-            rec.check("right spectrum carries the extra exact ones",
-                      verdict.rank_right
-                      == verdict.rank_left + (T.d ** n - 1) * T.h, seed=key)
+def _rank_symmetry_sample(rec, i, key, rng, tol):
+    T = _draw_random_tuple(rng, 3, 6, 3)
+    choices = (1, 2, 3) if T.d == 1 else (1, 2)
+    n = int(choices[int(rng.integers(0, len(choices)))])
+    verdict = rank_symmetry_check(T, n, tol)
+    square = T.d ** n * T.h == T.h
+    rec.check("rank equality occurs exactly in the square case",
+              verdict.equal_ranks == square, seed=key,
+              detail=f"ranks ({verdict.rank_left}, {verdict.rank_right})")
+    rec.check("rank and kernel equalities agree",
+              verdict.equal_ranks == verdict.equal_kernels, seed=key)
+    rec.check("row defect rank matches the iterate defect rank",
+              verdict.rank_left == defect_dimension(T, n, tol),
+              seed=key)
+    rec.check("right spectrum carries the extra exact ones",
+              verdict.rank_right
+              == verdict.rank_left + (T.d ** n - 1) * T.h, seed=key)
 
 
-def _pure_growth_suite(rec, samples, seed, salt, tol):
-    for i, key, rng in _seeded_samples(samples, seed, salt):
-        with _consistency_guard(rec, key):
-            family = i % 3
-            if family == 0:
-                d = int(rng.integers(2, 4))
-                gens = int(rng.integers(1, 3))
-                T = models.random_coinvariant_compression(d, 2, gens, rng)
-            elif family == 1:
-                d = int(rng.integers(2, 4))
-                L = int(rng.integers(2, 4))
-                T = models.pure_nonmaximal_example(d, L, float(rng.uniform(0.3, 0.8)))
-            else:
-                base = _draw_random_tuple(rng)
-                T = OperatorTuple(tuple(0.97 * op for op in base.ops),
-                                  label="damped random row")
-            verdict = purity(T, tol=tol)
-            sure = rec.check("constructed tuple verifies pure",
-                             verdict.status is Purity.PURE, seed=key,
-                             detail=str(verdict.status))
-            if sure:
-                rep = defect_sequence(T, T.h + 1, tol)
-                rec.check("pure tuple fills the space",
-                          rep.reached_full, seed=key, detail=f"{rep.deltas}")
-                top = rep.deltas.index(T.h) if rep.reached_full else len(rep.deltas) - 1
-                rec.check("defects rise strictly until the space is full",
-                          rep.deltas[0] >= 1
-                          and all(rep.deltas[j] < rep.deltas[j + 1]
-                                  for j in range(top)),
-                          seed=key, detail=f"{rep.deltas}")
-            else:
-                rec.check("pure tuple fills the space", False, seed=key,
-                          detail="purity not established")
-                rec.check("defects rise strictly until the space is full",
-                          False, seed=key, detail="purity not established")
+def _pure_growth_sample(rec, i, key, rng, tol):
+    family = i % 3
+    if family == 0:
+        T = _draw_compression(rng)
+    elif family == 1:
+        d = int(rng.integers(2, 4))
+        L = int(rng.integers(2, 4))
+        T = models.pure_nonmaximal_example(d, L, float(rng.uniform(0.3, 0.8)))
+    else:
+        base = _draw_random_tuple(rng)
+        T = OperatorTuple(tuple(0.97 * op for op in base.ops),
+                          label="damped random row")
+    verdict = purity(T, tol=tol)
+    sure = rec.check("constructed tuple verifies pure",
+                     verdict.status is Purity.PURE, seed=key,
+                     detail=str(verdict.status))
+    if sure:
+        rep = defect_sequence(T, T.h + 1, tol)
+        rec.check("pure tuple fills the space",
+                  rep.reached_full, seed=key, detail=f"{rep.deltas}")
+        top = rep.deltas.index(T.h) if rep.reached_full else len(rep.deltas) - 1
+        rec.check("defects rise strictly until the space is full",
+                  rep.deltas[0] >= 1
+                  and all(rep.deltas[j] < rep.deltas[j + 1]
+                          for j in range(top)),
+                  seed=key, detail=f"{rep.deltas}")
+    else:
+        rec.check("pure tuple fills the space", False, seed=key,
+                  detail="purity not established")
+        rec.check("defects rise strictly until the space is full",
+                  False, seed=key, detail="purity not established")
 
 
-def _unit_defect_suite(rec, samples, seed, salt, tol):
+def _unit_defect_fixtures(rec, tol):
     for h in (3, 4, 5, 6):
         ladder = models.fock_creation(1, h - 1)
         rep = defect_sequence(ladder, h + 1, tol)
         rec.check(f"nilpotent shift on dimension {h} climbs one per step",
                   rep.deltas == tuple(range(1, h + 1)), detail=f"{rep.deltas}")
-    for i, key, rng in _seeded_samples(samples, seed, salt):
-        with _consistency_guard(rec, key):
-            if i % 2 == 0:
-                L = int(rng.integers(2, 6))
-                T = models.random_coinvariant_compression(1, L, 1, rng)
-            else:
-                d = int(rng.integers(2, 4))
-                h = int(rng.integers(3, 8))
-                weights = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                weights /= np.linalg.norm(weights)
-                nil = models.fock_creation(1, h - 1).ops[0]
-                T = OperatorTuple(tuple(w * nil for w in weights),
-                                  label="scalar-weighted nilpotent ladder")
-            delta_1 = defect_dimension(T, 1, tol)
-            verdict = purity(T, tol=tol)
-            word_dims = [word_image_dimension(T, n, tol) for n in (1, 2, 3)]
-            hypothesis = (delta_1 == 1 and verdict.status is Purity.PURE
-                          and max(word_dims) <= 1)
-            rec.check("generator satisfies the rank-one pure hypothesis",
-                      hypothesis or delta_1 == 0, seed=key,
-                      detail=(f"defect {delta_1}, purity {verdict.status}, "
-                              f"word image dims {word_dims}"))
-            if hypothesis:
-                rep = defect_sequence(T, T.h + 1, tol)
-                want = tuple(min(n, T.h) for n in range(1, len(rep.deltas) + 1))
-                rec.check("defect ladder climbs exactly one per step",
-                          rep.deltas == want, seed=key, detail=f"{rep.deltas}")
-            else:
-                rec.check("defect ladder claim vacuous for a degenerate draw",
-                          delta_1 == 0, seed=key)
 
 
-def _product_bound_suite(rec, samples, seed, salt, tol):
-    for i, key, rng in _seeded_samples(samples, seed, salt):
-        with _consistency_guard(rec, key):
-            h = int(rng.integers(2, 7))
-            left = models.random_contractive(
-                int(rng.integers(1, 3)), h,
-                int(rng.integers(0, min(2, h) + 1)), rng)
-            right = models.random_contractive(
-                int(rng.integers(1, 3)), h,
-                int(rng.integers(0, min(2, h) + 1)), rng)
-            chk = verify_product_bounds(left, right, tol)
-            rec.check("product defect at least the left factor defect",
-                      chk.lower_ok, seed=key,
-                      detail=f"{chk.delta_b} vs {chk.delta_bc}")
-            rec.check("product defect within the combined bound",
-                      chk.upper_ok, seed=key,
-                      detail=(f"{chk.delta_bc} vs {chk.delta_b} + "
-                              f"{chk.factor_count} * {chk.delta_c}"))
-            lhs = defect_operator(tuple_product(left, right), 1, tol)
-            rhs = defect_operator(left, 1, tol) + apply_cp_map(
-                left, defect_operator(right, 1, tol))
-            gap = float(np.linalg.norm(lhs - rhs, 2))
-            scale = max(1.0, float(np.linalg.norm(rhs, 2)))
-            rec.check("one-step defect identity for products",
-                      gap <= 1e-10 * scale, seed=key, detail=f"gap {gap:.3e}")
+def _unit_defect_sample(rec, i, key, rng, tol):
+    if i % 2 == 0:
+        L = int(rng.integers(2, 6))
+        T = models.random_coinvariant_compression(1, L, 1, rng)
+    else:
+        d = int(rng.integers(2, 4))
+        h = int(rng.integers(3, 8))
+        weights = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        weights /= np.linalg.norm(weights)
+        nil = models.fock_creation(1, h - 1).ops[0]
+        T = OperatorTuple(tuple(w * nil for w in weights),
+                          label="scalar-weighted nilpotent ladder")
+    delta_1 = defect_dimension(T, 1, tol)
+    verdict = purity(T, tol=tol)
+    word_dims = [word_image_dimension(T, n, tol) for n in (1, 2, 3)]
+    hypothesis = (delta_1 == 1 and verdict.status is Purity.PURE
+                  and max(word_dims) <= 1)
+    rec.check("generator satisfies the rank-one pure hypothesis",
+              hypothesis or delta_1 == 0, seed=key,
+              detail=(f"defect {delta_1}, purity {verdict.status}, "
+                      f"word image dims {word_dims}"))
+    if hypothesis:
+        rep = defect_sequence(T, T.h + 1, tol)
+        want = tuple(min(n, T.h) for n in range(1, len(rep.deltas) + 1))
+        rec.check("defect ladder climbs exactly one per step",
+                  rep.deltas == want, seed=key, detail=f"{rep.deltas}")
+    else:
+        rec.check("defect ladder claim vacuous for a degenerate draw",
+                  delta_1 == 0, seed=key)
 
 
-def _reducing_restriction_suite(rec, samples, seed, salt, tol):
-    ladders = {}
-    for i, key, rng in _seeded_samples(samples, seed, salt):
-        with _consistency_guard(rec, key):
-            L = 2 + (i % 2)
-            single = models.fock_creation(2, L)
-            if L not in ladders:
-                ladders[L] = defect_sequence(single, single.h + 1, tol).deltas
-            double = direct_sum(single, single)
-            frame = models.haar_unitary(double.h, rng)
-            T = OperatorTuple(
-                tuple(frame @ op @ frame.conj().T for op in double.ops),
-                label="rotated double creation tuple")
-            summand = Subspace(double.h, frame[:, :single.h], tol)
-            leak = _leak(summand, [a for op in T.ops for a in (op, op.conj().T)])
-            rec.check("summand subspace verifies reducing", leak <= 1e-9,
-                      seed=key, detail=f"leak {leak:.3e}")
-            restriction = compress(T, summand)
-            rep = defect_sequence(restriction, restriction.h + 1, tol)
-            rec.check("restriction reproduces the summand defect ladder",
-                      rep.deltas == ladders[L], seed=key, detail=f"{rep.deltas}")
-            rec.check("restriction meets the growth bound with equality",
-                      is_maximal_noncommutative(restriction, None, tol),
-                      seed=key)
-            rec.check("rotated double sum meets the growth bound with equality",
-                      is_maximal_noncommutative(T, None, tol), seed=key)
+def _product_bound_sample(rec, i, key, rng, tol):
+    h = int(rng.integers(2, 7))
+    left = models.random_contractive(
+        int(rng.integers(1, 3)), h,
+        int(rng.integers(0, min(2, h) + 1)), rng)
+    right = models.random_contractive(
+        int(rng.integers(1, 3)), h,
+        int(rng.integers(0, min(2, h) + 1)), rng)
+    chk = verify_product_bounds(left, right, tol)
+    rec.check("product defect at least the left factor defect",
+              chk.lower_ok, seed=key,
+              detail=f"{chk.delta_b} vs {chk.delta_bc}")
+    rec.check("product defect within the combined bound",
+              chk.upper_ok, seed=key,
+              detail=(f"{chk.delta_bc} vs {chk.delta_b} + "
+                      f"{chk.factor_count} * {chk.delta_c}"))
+    lhs = defect_operator(tuple_product(left, right), 1, tol)
+    rhs = defect_operator(left, 1, tol) + apply_cp_map(
+        left, defect_operator(right, 1, tol))
+    gap = float(np.linalg.norm(lhs - rhs, 2))
+    scale = max(1.0, float(np.linalg.norm(rhs, 2)))
+    rec.check("one-step defect identity for products",
+              gap <= 1e-10 * scale, seed=key, detail=f"gap {gap:.3e}")
 
 
-def _purity_inheritance_suite(rec, samples, seed, salt, tol):
-    for i, key, rng in _seeded_samples(samples, seed, salt):
-        with _consistency_guard(rec, key):
-            family = i % 3
-            if family == 0:
-                d = int(rng.integers(2, 4))
-                gens = int(rng.integers(1, 3))
-                T = models.random_coinvariant_compression(d, 2, gens, rng)
-                what = "co-invariant compression"
-            elif family == 1:
-                d = int(rng.integers(2, 4))
-                L = int(rng.integers(2, 4))
-                base = models.fock_creation(d, L)
-                words = models.fock_basis(d, L)
-                if int(rng.integers(0, 2)):
-                    j = int(rng.integers(1, d + 1))
-                    keep = [p for p, w in enumerate(words)
-                            if len(w) >= 1 and w[-1] == j]
-                else:
-                    k = int(rng.integers(1, L + 1))
-                    keep = [p for p, w in enumerate(words) if len(w) >= k]
-                sub = coordinate_subspace(base.h, keep, tol)
-                rec.check("restriction subspace verifies invariant",
-                          _leak(sub, base.ops) <= 1e-10, seed=key)
-                T = compress(base, sub)
-                what = "invariant restriction"
-            else:
-                base = direct_sum(models.fock_creation(2, 2),
-                                  models.symmetric_fock_shift(2, 3))
-                gens_mat = (rng.standard_normal((base.h, 2))
-                            + 1j * rng.standard_normal((base.h, 2)))
-                hull = models.coinvariant_hull(base, gens_mat, tol)
-                T = compress(base, hull)
-                what = "co-invariant compression of a mixed sum"
-            rec.check("compression stays contractive",
-                      is_contractive(T, tol), seed=key, detail=what)
-            verdict = purity(T, tol=tol)
-            rec.check("compression inherits purity",
-                      verdict.status is Purity.PURE, seed=key,
-                      detail=f"{what}: {verdict.status}")
+@cache
+def _creation_ladder(L, tol):
+    # The defect ladder of fock_creation(2, L), which every rotated
+    # double sum of it must reproduce on a summand.
+    single = models.fock_creation(2, L)
+    return defect_sequence(single, single.h + 1, tol).deltas
 
 
-def _irreducible_purity_suite(rec, samples, seed, salt, tol):
+def _reducing_restriction_sample(rec, i, key, rng, tol):
+    L = 2 + (i % 2)
+    single = models.fock_creation(2, L)
+    double = direct_sum(single, single)
+    frame = models.haar_unitary(double.h, rng)
+    T = OperatorTuple(
+        tuple(frame @ op @ frame.conj().T for op in double.ops),
+        label="rotated double creation tuple")
+    summand = Subspace(double.h, frame[:, :single.h], tol)
+    leak = _leak(summand, [a for op in T.ops for a in (op, op.conj().T)])
+    rec.check("summand subspace verifies reducing", leak <= 1e-9,
+              seed=key, detail=f"leak {leak:.3e}")
+    restriction = compress(T, summand)
+    rep = defect_sequence(restriction, restriction.h + 1, tol)
+    rec.check("restriction reproduces the summand defect ladder",
+              rep.deltas == _creation_ladder(L, tol), seed=key,
+              detail=f"{rep.deltas}")
+    rec.check("restriction meets the growth bound with equality",
+              is_maximal_noncommutative(restriction, None, tol),
+              seed=key)
+    rec.check("rotated double sum meets the growth bound with equality",
+              is_maximal_noncommutative(T, None, tol), seed=key)
+
+
+def _purity_inheritance_sample(rec, i, key, rng, tol):
+    family = i % 3
+    if family == 0:
+        T = _draw_compression(rng)
+        what = "co-invariant compression"
+    elif family == 1:
+        d = int(rng.integers(2, 4))
+        L = int(rng.integers(2, 4))
+        base = models.fock_creation(d, L)
+        words = models.fock_basis(d, L)
+        if int(rng.integers(0, 2)):
+            j = int(rng.integers(1, d + 1))
+            keep = [p for p, w in enumerate(words)
+                    if len(w) >= 1 and w[-1] == j]
+        else:
+            k = int(rng.integers(1, L + 1))
+            keep = [p for p, w in enumerate(words) if len(w) >= k]
+        sub = coordinate_subspace(base.h, keep, tol)
+        rec.check("restriction subspace verifies invariant",
+                  _leak(sub, base.ops) <= 1e-10, seed=key)
+        T = compress(base, sub)
+        what = "invariant restriction"
+    else:
+        base = direct_sum(models.fock_creation(2, 2),
+                          models.symmetric_fock_shift(2, 3))
+        gens_mat = (rng.standard_normal((base.h, 2))
+                    + 1j * rng.standard_normal((base.h, 2)))
+        hull = models.coinvariant_hull(base, gens_mat, tol)
+        T = compress(base, hull)
+        what = "co-invariant compression of a mixed sum"
+    rec.check("compression stays contractive",
+              is_contractive(T, tol), seed=key, detail=what)
+    verdict = purity(T, tol=tol)
+    rec.check("compression inherits purity",
+              verdict.status is Purity.PURE, seed=key,
+              detail=f"{what}: {verdict.status}")
+
+
+def _irreducible_purity_fixtures(rec, tol):
     fixtures = (
         ("creation d=2", models.fock_creation(2, 3)),
         ("creation d=3", models.fock_creation(3, 2)),
@@ -622,31 +585,33 @@ def _irreducible_purity_suite(rec, samples, seed, salt, tol):
         rec.check(f"{label} decays to zero",
                   rep.purity.status is Purity.PURE,
                   detail=str(rep.purity.status))
-    for i, key, rng in _seeded_samples(samples, seed, salt):
-        d = int(rng.integers(2, 4))
-        h = int(rng.integers(2, 6))
-        defect_rank = int(rng.integers(1, min(3, h) + 1))
-        T = models.random_contractive(d, h, defect_rank, rng)
-        try:
-            rep = classify(T, tol)
-        except ConsistencyError as exc:
-            rec.check("classification is internally consistent", False,
-                      seed=key, detail=str(exc))
-            rec.check("irreducible with defect verifies pure", False,
-                      seed=key, detail=str(exc))
-            continue
-        rec.check("classification is internally consistent", True, seed=key)
-        if rep.irreducible and rep.delta_1 > 0:
-            rec.check("irreducible with defect verifies pure",
-                      rep.purity.status is Purity.PURE, seed=key,
-                      detail=str(rep.purity.status))
-        else:
-            rec.check("irreducible with defect verifies pure", True,
-                      seed=key,
-                      detail=f"vacuous: commutant dimension {rep.commutant_dim}")
 
 
-def _compressed_shift_suite(rec, samples, seed, salt, tol):
+def _irreducible_purity_sample(rec, i, key, rng, tol):
+    d = int(rng.integers(2, 4))
+    h = int(rng.integers(2, 6))
+    defect_rank = int(rng.integers(1, min(3, h) + 1))
+    T = models.random_contractive(d, h, defect_rank, rng)
+    try:
+        rep = classify(T, tol)
+    except ConsistencyError as exc:
+        rec.check("classification is internally consistent", False,
+                  seed=key, detail=str(exc))
+        rec.check("irreducible with defect verifies pure", False,
+                  seed=key, detail=str(exc))
+        return
+    rec.check("classification is internally consistent", True, seed=key)
+    if rep.irreducible and rep.delta_1 > 0:
+        rec.check("irreducible with defect verifies pure",
+                  rep.purity.status is Purity.PURE, seed=key,
+                  detail=str(rep.purity.status))
+    else:
+        rec.check("irreducible with defect verifies pure", True,
+                  seed=key,
+                  detail=f"vacuous: commutant dimension {rep.commutant_dim}")
+
+
+def _compressed_shift_fixtures(rec, tol):
     top = 5
     shift = models.symmetric_fock_shift(2, top)
     basis = models.monomial_basis(2, top)
@@ -686,33 +651,33 @@ def _compressed_shift_suite(rec, samples, seed, salt, tol):
 
 
 _SUITES = {
-    "models": (_models_suite,
-               "integer-exact fixture checks for the bundled model tuples"),
-    "lemma21": (_monotone_bound_suite,
-                "defect dimensions never decrease and obey the geometric bound"),
-    "cor23": (_word_span_suite,
-              "defect spaces coincide with accumulated word images of the first"),
-    "thm24": (_stabilization_suite,
-              "a repeated defect dimension stays fixed forever after"),
-    "thm27": (_rank_symmetry_suite,
-              "left and right defect ranks of power rows agree exactly when "
-              "kernel dimensions do"),
-    "lemma25": (_pure_growth_suite,
-                "pure tuples grow strictly until they fill the space"),
-    "lemma26": (_unit_defect_suite,
-                "rank-one defect with pure decay gains one dimension per step"),
-    "product-bounds": (_product_bound_suite,
-                       "product defects obey the two-sided factor bounds"),
-    "lemma34": (_reducing_restriction_suite,
-                "restrictions to reducing summands keep the defect ladder "
-                "extremal"),
-    "lemma51": (_purity_inheritance_suite,
-                "invariant restrictions and co-invariant compressions of pure "
-                "tuples stay pure"),
-    "lemma53": (_irreducible_purity_suite,
-                "irreducible tuples with nonzero defect decay to zero"),
-    "thm44": (_compressed_shift_suite,
-              "a shift-invariant compression whose defect rank jumps above one"),
+    "models": ("integer-exact fixture checks for the bundled model tuples",
+               _models_fixtures, None),
+    "lemma21": ("defect dimensions never decrease and obey the geometric bound",
+                None, _monotone_bound_sample),
+    "cor23": ("defect spaces coincide with accumulated word images of the first",
+              None, _word_span_sample),
+    "thm24": ("a repeated defect dimension stays fixed forever after",
+              None, _stabilization_sample),
+    "thm27": ("left and right defect ranks of power rows agree exactly when "
+              "kernel dimensions do",
+              None, _rank_symmetry_sample),
+    "lemma25": ("pure tuples grow strictly until they fill the space",
+                None, _pure_growth_sample),
+    "lemma26": ("rank-one defect with pure decay gains one dimension per step",
+                _unit_defect_fixtures, _unit_defect_sample),
+    "product-bounds": ("product defects obey the two-sided factor bounds",
+                       None, _product_bound_sample),
+    "lemma34": ("restrictions to reducing summands keep the defect ladder "
+                "extremal",
+                None, _reducing_restriction_sample),
+    "lemma51": ("invariant restrictions and co-invariant compressions of pure "
+                "tuples stay pure",
+                None, _purity_inheritance_sample),
+    "lemma53": ("irreducible tuples with nonzero defect decay to zero",
+                _irreducible_purity_fixtures, _irreducible_purity_sample),
+    "thm44": ("a shift-invariant compression whose defect rank jumps above one",
+              _compressed_shift_fixtures, None),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -720,7 +685,7 @@ SUITE_NAMES = tuple(_SUITES)
 
 def suite_descriptions():
     """Mapping of suite token to its one-line description."""
-    return {name: desc for name, (_, desc) in _SUITES.items()}
+    return {name: desc for name, (desc, _, _) in _SUITES.items()}
 
 
 def expand_suite_names(tokens):
@@ -758,11 +723,22 @@ def run_suite(name, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, tol=None):
     _require_integer(samples, "sample count", 1)
     _require_integer(seed, "seed", 0)
     tol = DEFAULT_TOL if tol is None else tol
-    fn, description = _SUITES[name]
-    salt = SUITE_NAMES.index(name)
-    rec = _Recorder(name, description, samples, seed)
-    fn(rec, samples, seed, salt, tol)
-    return rec.result()
+    description, fixtures, sample = _SUITES[name]
+    rec = _Recorder()
+    if fixtures is not None:
+        fixtures(rec, tol)
+    if sample is not None:
+        salt = SUITE_NAMES.index(name)
+        for i in range(samples):
+            key = (seed, salt, i)
+            try:
+                sample(rec, i, key, np.random.default_rng(key), tol)
+            except ConsistencyError as exc:
+                rec.check("no internal consistency violation", False,
+                          seed=key, detail=str(exc))
+    return SuiteResult(name, description, samples, seed, rec.checks,
+                       rec.passes, rec.failures, rec.first_failure,
+                       tuple(rec.notes))
 
 
 def run_suites(names, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, tol=None):

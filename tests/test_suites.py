@@ -1,8 +1,12 @@
 """Tests for the property-suite runner and its reproducibility contract."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from defectseq.errors import ArgumentError
+from defectseq import suites
+from defectseq.errors import ArgumentError, ConsistencyError
 from defectseq.suites import (
     SUITE_NAMES,
     SuiteResult,
@@ -77,3 +81,61 @@ class TestRunSuites:
         results = run_suites(["cor23", "models"], samples=3)
         assert [r.name for r in results] == ["models", "cor23"]
         assert all(r.ok for r in results)
+
+
+class TestSampleLoop:
+    """``run_suite`` draws every sample and owns its (seed, salt, i) key."""
+
+    def _replace_sample(self, monkeypatch, name, sample):
+        description, fixtures, _ = suites._SUITES[name]
+        monkeypatch.setitem(suites._SUITES, name,
+                            (description, fixtures, sample))
+
+    def test_consistency_error_fails_only_its_sample(self, monkeypatch):
+        seen = []
+
+        def sample(rec, i, key, rng, tol):
+            seen.append(i)
+            if i == 2:
+                raise ConsistencyError("ladder and verdict disagree")
+            rec.check("sample ran", True, seed=key)
+
+        self._replace_sample(monkeypatch, "lemma21", sample)
+        res = run_suite("lemma21", samples=5, seed=7)
+        assert seen == [0, 1, 2, 3, 4]
+        assert (res.checks, res.passes, res.failures) == (5, 4, 1)
+        assert res.first_failure == {
+            "check": "no internal consistency violation",
+            "seed": [7, SUITE_NAMES.index("lemma21"), 2],
+            "detail": "ladder and verdict disagree",
+        }
+
+    @pytest.mark.parametrize("name", ["cor23", "lemma26", "lemma53"])
+    def test_failing_sample_records_its_seed_triple(self, monkeypatch, name):
+        def sample(rec, i, key, rng, tol):
+            rec.check("forced", i != 3, seed=key)
+
+        self._replace_sample(monkeypatch, name, sample)
+        res = run_suite(name, samples=6, seed=4)
+        assert res.failures == 1
+        assert res.first_failure == {
+            "check": "forced", "seed": [4, SUITE_NAMES.index(name), 3]}
+
+    def test_sample_draws_from_its_key(self, monkeypatch):
+        draws = []
+
+        def sample(rec, i, key, rng, tol):
+            draws.append((key, rng.integers(0, 2**62)))
+
+        self._replace_sample(monkeypatch, "thm27", sample)
+        run_suite("thm27", samples=3, seed=2)
+        salt = SUITE_NAMES.index("thm27")
+        assert draws == [((2, salt, i),
+                          np.random.default_rng((2, salt, i)).integers(0, 2**62))
+                         for i in range(3)]
+
+    @pytest.mark.parametrize("name", ["models", "thm44"])
+    def test_fixture_only_suites_ignore_the_sample_count(self, name):
+        one = run_suite(name, samples=1)
+        assert dataclasses.replace(one, samples=40) \
+            == run_suite(name, samples=40)
