@@ -207,14 +207,17 @@ def _v2_entries(payload, d, dim):
 def payload_to_tuple(payload):
     """Validate a parsed tuple-file object and build the OperatorTuple.
 
-    Reads version 1 and version 2 objects.
+    Reads version 1 and version 2 objects.  ``version`` must be the
+    integer 1 or 2; ``true``, ``1.0`` and ``2.0`` are refused, as they
+    are for ``d`` and ``dim``.
     """
     _require(isinstance(payload, dict), "tuple file must hold a JSON object")
     _require(payload.get("format") == TUPLE_FORMAT,
              f"unrecognized format {payload.get('format')!r}, "
              f"expected {TUPLE_FORMAT!r}")
     version = payload.get("version")
-    _require(version in (1, 2),
+    _require(isinstance(version, int) and not isinstance(version, bool)
+             and version in (1, 2),
              f"unsupported version {version!r}, expected 1 or 2")
     d = payload.get("d")
     dim = payload.get("dim")

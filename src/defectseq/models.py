@@ -429,6 +429,18 @@ def spherical_shift_sum(d, L, lambdas, k):
     )
 
 
+def _seeded_rng(seed):
+    # numpy.random.default_rng(seed), with its refusal of a negative or
+    # non-integer seed (ValueError or TypeError) raised as ArgumentError.
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ArgumentError(
+            "seed must be a non-negative integer, a sequence of them or "
+            f"a numpy Generator, got {seed!r}"
+        ) from None
+
+
 def haar_unitary(n, rng):
     """A Haar-distributed n x n unitary drawn from ``rng``.
 
@@ -456,7 +468,7 @@ def random_contractive(d, h, defect_rank, seed):
 
     ``seed`` may be an int, a tuple of ints, or anything else
     ``numpy.random.default_rng`` accepts; identical seeds reproduce the
-    tuple bit for bit.
+    tuple bit for bit.  A seed it refuses raises ``ArgumentError``.
     """
     _require_integer(d, "alphabet size d", 1)
     _require_integer(h, "space dimension", 1)
@@ -465,7 +477,7 @@ def random_contractive(d, h, defect_rank, seed):
         raise ArgumentError(
             f"defect rank must lie in 0..{h}, got {defect_rank}"
         )
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     w = haar_unitary(h, rng)
     big = haar_unitary(d * h, rng)
     u = big[:, :h]
@@ -510,7 +522,7 @@ def random_coinvariant_subspace(d, L, n_generators, seed):
     """
     _require_integer(n_generators, "generator count", 1)
     creation = fock_creation(d, L)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     gens = rng.standard_normal((creation.h, n_generators)) \
         + 1j * rng.standard_normal((creation.h, n_generators))
     hull = coinvariant_hull(creation, gens)

@@ -215,38 +215,48 @@ class TestTuplePayload:
         write_tuple(back, second)
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("mangle", [
-        lambda p: p.update(format="something-else"),
-        lambda p: p.update(version=99),
-        lambda p: p.update(d=3),
-        lambda p: p.update(dim="4"),
-        lambda p: p.update(dim=True),
-        lambda p: p.update(ops=[[[1.0, 2.0]]]),
-        lambda p: p.update(ops="nope"),
-        lambda p: p.update(meta=[1, 2]),
-        lambda p: p.pop("ops"),
-    ])
-    def test_malformed_payloads_rejected(self, mangle):
+    @pytest.mark.parametrize("mangle, match", [
+        (lambda p: p.update(format="something-else"), "format"),
+        (lambda p: p.update(version=99), "version"),
+        (lambda p: p.update(version=True), "version"),
+        (lambda p: p.update(version=1.0), "version"),
+        (lambda p: p.update(version=2.0), "version"),
+        (lambda p: p.update(d=3), "shape"),
+        (lambda p: p.update(dim="4"), "dim"),
+        (lambda p: p.update(dim=True), "dim"),
+        (lambda p: p.update(ops=[[[1.0, 2.0]]]), "shape"),
+        (lambda p: p.update(ops="nope"), "ops"),
+        (lambda p: p.update(meta=[1, 2]), "meta"),
+        (lambda p: p.pop("ops"), "ops"),
+    ], ids=["format", "version-99", "version-true", "version-1.0",
+            "version-2.0", "d", "dim-str", "dim-bool", "ops-shape",
+            "ops-str", "meta", "no-ops"])
+    def test_malformed_payloads_rejected(self, mangle, match):
         p = v1_payload(sample_tuple())
         mangle(p)
-        with pytest.raises(TupleFormatError):
+        with pytest.raises(TupleFormatError, match=match):
             payload_to_tuple(p)
 
-    @pytest.mark.parametrize("mangle", [
-        lambda p: p.update(format="something-else"),
-        lambda p: p.update(version=99),
-        lambda p: p.update(d=3),
-        lambda p: p.update(dim="4"),
-        lambda p: p.update(dim=True),
-        lambda p: p.update(data=_b64(b"\0" * 16)),
-        lambda p: p.update(data="nope"),
-        lambda p: p.update(meta=[1, 2]),
-        lambda p: p.pop("data"),
-    ])
-    def test_malformed_v2_payloads_rejected(self, mangle):
+    @pytest.mark.parametrize("mangle, match", [
+        (lambda p: p.update(format="something-else"), "format"),
+        (lambda p: p.update(version=99), "version"),
+        (lambda p: p.update(version=True), "version"),
+        (lambda p: p.update(version=1.0), "version"),
+        (lambda p: p.update(version=2.0), "version"),
+        (lambda p: p.update(d=3), "data holds"),
+        (lambda p: p.update(dim="4"), "dim"),
+        (lambda p: p.update(dim=True), "dim"),
+        (lambda p: p.update(data=_b64(b"\0" * 16)), "data holds"),
+        (lambda p: p.update(data="nope"), "data holds"),
+        (lambda p: p.update(meta=[1, 2]), "meta"),
+        (lambda p: p.pop("data"), "data"),
+    ], ids=["format", "version-99", "version-true", "version-1.0",
+            "version-2.0", "d", "dim-str", "dim-bool", "data-short",
+            "data-str", "meta", "no-data"])
+    def test_malformed_v2_payloads_rejected(self, mangle, match):
         p = tuple_to_payload(sample_tuple())
         mangle(p)
-        with pytest.raises(TupleFormatError):
+        with pytest.raises(TupleFormatError, match=match):
             payload_to_tuple(p)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_V2))
@@ -484,6 +494,17 @@ class TestCliModel:
         assert main(argv) == 2
         assert ("d * dim**2 = 48 entries, cap is 2 * cap**2 = 32"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["random", "--d", "2", "--dim", "3", "--defect-rank", "1"],
+        ["random-coinv", "--d", "2", "--levels", "2"],
+    ], ids=["random", "random-coinv"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        assert main(["model"] + argv + ["--seed", "-1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be") and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_required_flag_is_a_usage_error(self, tmp_path):

@@ -244,6 +244,21 @@ class TestRandomEnsembles:
         b = random_contractive(2, 5, 2, np.random.default_rng(11))
         assert all(np.array_equal(x, y) for x, y in zip(a.ops, b.ops))
 
+    def test_random_contractive_accepts_a_seed_tuple(self):
+        a = random_contractive(2, 5, 2, (0, 3, 1))
+        b = random_contractive(2, 5, 2, np.random.default_rng((0, 3, 1)))
+        assert all(np.array_equal(x, y) for x, y in zip(a.ops, b.ops))
+
+    @pytest.mark.parametrize("build, args", [
+        (random_contractive, (2, 3, 1)),
+        (random_coinvariant_compression, (2, 2, 1)),
+        (random_coinvariant_subspace, (2, 2, 1)),
+    ])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", (0, -1)])
+    def test_refused_seed_is_an_argument_error(self, build, args, seed):
+        with pytest.raises(ArgumentError, match="seed must be"):
+            build(*args, seed)
+
     def test_coinvariant_hull_of_the_vacuum_is_one_dimensional(self):
         v = fock_creation(2, 2)
         vac = np.eye(7)[:, :1]
