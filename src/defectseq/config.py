@@ -3,9 +3,10 @@
 Several operations materialize word-indexed data whose size grows
 geometrically: tuple powers hold d**n matrices, the commutant solver
 builds a system with up to h**2 unknowns, the model constructors
-allocate spaces graded by words or monomials, and the tuple reader
-fills a COO file's d x dim x dim stack of entries (at most 2 * cap**2
-of them).  Each of them refuses to allocate past a cap.  For the
+allocate spaces graded by words or monomials, whose bases are refused
+before they are enumerated (their level sizes are added up only until
+the sum passes the cap), and the tuple reader fills a COO file's
+d x dim x dim stack of entries (at most 2 * cap**2 of them).  Each of them refuses to allocate past a cap.  For the
 commutant, a tuple with zero entries is bounded by the largest
 connected component of its system.  A tuple without zero entries is
 counted in the eigenbasis of a generic Hermitian element, by the same

@@ -223,10 +223,13 @@ def coordinate_subspace(ambient_dim, indices, tol=None):
     """Span of the standard basis vectors listed in ``indices``.
 
     The basis columns are exact 0/1 vectors in the order given, so
-    compressions to coordinate subspaces stay exact.
+    compressions to coordinate subspaces stay exact.  Every index must
+    be an integer: numpy integers count, a bool or a float does not.
     """
     tol = _resolve(tol)
     indices = list(indices)
+    for idx in indices:
+        _require_integer(idx, "coordinate index")
     if len(set(indices)) != len(indices):
         raise ArgumentError("coordinate indices must be distinct")
     basis = np.zeros((ambient_dim, len(indices)), dtype=np.complex128)

@@ -19,6 +19,14 @@ Two graded spaces carry most of the constructions.
   the plain creation tuple to the symmetric subspace; the two must agree
   entry by entry and the tests gate the formula on that oracle.
 
+One builder, ``_weighted_shift``, makes both shifts: it writes each
+raise with its weight straight into one float64 (d, h, h) stack.  Both
+bases are sized before they are enumerated: ``fock_basis`` and
+``monomial_basis`` add up their level sizes, d**k words and
+C(k + d - 1, k) exponents of degree k, and refuse a space past the size
+cap at the first level that passes it, so a space far past the cap is
+refused at once instead of exhausting time or memory.
+
 Seeded randomness runs on numpy's PCG64 via ``numpy.random.default_rng``;
 a seed may be an int or a tuple of ints (a SeedSequence entropy), which
 is how the verification suites derive one independent stream per sample
@@ -70,14 +78,42 @@ __all__ = [
 SYMMETRIZER_MAX_FACTORS = 8
 
 
+def _require_dimension(space, sizes):
+    # Refuses a model space whose levels, of ``sizes`` basis vectors each,
+    # add up past the size cap.  The sum stops at the first level that
+    # passes it, so no basis vector is enumerated and no count grows far
+    # past the cap, however many levels are asked for.
+    cap = size_cap()
+    for total in itertools.accumulate(sizes):
+        if total > cap:
+            raise SizeCapError(
+                f"{space} needs dimension at least {total}, cap is {cap}")
+
+
 def fock_basis(d, L):
     """Words of length 0..L over {1, ..., d}, by level then lexicographic."""
     _require_integer(d, "alphabet size d", 1)
     _require_integer(L, "truncation level", 1)
-    words = []
-    for k in range(L + 1):
-        words.extend(itertools.product(range(1, d + 1), repeat=k))
-    return words
+    _require_dimension("truncated Fock space",
+                       (d ** k for k in range(L + 1)))
+    return [w for k in range(L + 1)
+            for w in itertools.product(range(1, d + 1), repeat=k)]
+
+
+def _weighted_shift(basis, d, raised, weight, label):
+    # The d-tuple on span(basis) whose entry i sends the basis vector b
+    # to weight(b, i) times the one of raised(b, i), built straight into
+    # one float64 (d, h, h) stack.  A raise that leaves the basis is the
+    # annihilated top level.
+    index = {b: p for p, b in enumerate(basis)}
+    h = len(basis)
+    stack = np.zeros((d, h, h))
+    for i in range(d):
+        for p, b in enumerate(basis):
+            q = index.get(raised(b, i))
+            if q is not None:
+                stack[i, q, p] = weight(b, i)
+    return OperatorTuple(stack, label)
 
 
 def fock_creation(d, L):
@@ -90,24 +126,9 @@ def fock_creation(d, L):
     this tuple is an exact 0/1 projection onto an initial segment of
     levels.
     """
-    _require_integer(d, "alphabet size d", 1)
-    _require_integer(L, "truncation level", 1)
-    words = fock_basis(d, L)
-    h = len(words)
-    cap = size_cap()
-    if h > cap:
-        raise SizeCapError(
-            f"truncated Fock space needs dimension {h}, cap is {cap}"
-        )
-    index = {w: p for p, w in enumerate(words)}
-    ops = []
-    for i in range(1, d + 1):
-        v = np.zeros((h, h), dtype=np.complex128)
-        for w, p in index.items():
-            if len(w) < L:
-                v[index[(i,) + w], p] = 1.0
-        ops.append(v)
-    return OperatorTuple(tuple(ops), label=f"fock-creation(d={d}, levels={L})")
+    return _weighted_shift(fock_basis(d, L), d, lambda w, i: (i + 1,) + w,
+                           lambda w, i: 1.0,
+                           f"fock-creation(d={d}, levels={L})")
 
 
 def symmetrizer(d, k):
@@ -144,15 +165,12 @@ def monomial_basis(d, L):
     """Exponent multi-indices with |alpha| <= L, by degree then lexicographic."""
     _require_integer(d, "alphabet size d", 1)
     _require_integer(L, "degree bound", 0)
-    out = []
-    for k in range(L + 1):
-        level = sorted(
-            alpha
-            for alpha in itertools.product(range(k + 1), repeat=d)
-            if sum(alpha) == k
-        )
-        out.extend(level)
-    return out
+    _require_dimension("symmetric space",
+                       (math.comb(k + d - 1, k) for k in range(L + 1)))
+    # One multiset of k slots per exponent of degree k.
+    return [alpha for k in range(L + 1) for alpha in sorted(
+        tuple(slots.count(i) for i in range(d))
+        for slots in itertools.combinations_with_replacement(range(d), k))]
 
 
 def symmetric_fock_shift(d, L):
@@ -167,25 +185,11 @@ def symmetric_fock_shift(d, L):
     """
     _require_integer(d, "alphabet size d", 1)
     _require_integer(L, "truncation level", 1)
-    basis = monomial_basis(d, L)
-    m = len(basis)
-    cap = size_cap()
-    if m > cap:
-        raise SizeCapError(f"symmetric space needs dimension {m}, cap is {cap}")
-    index = {alpha: p for p, alpha in enumerate(basis)}
-    ops = []
-    for i in range(d):
-        s = np.zeros((m, m), dtype=np.complex128)
-        for alpha, p in index.items():
-            degree = sum(alpha)
-            if degree < L:
-                raised = list(alpha)
-                raised[i] += 1
-                s[index[tuple(raised)], p] = math.sqrt(
-                    (alpha[i] + 1) / (degree + 1)
-                )
-        ops.append(s)
-    return OperatorTuple(tuple(ops), label=f"symmetric-shift(d={d}, degree={L})")
+    return _weighted_shift(
+        monomial_basis(d, L), d,
+        lambda alpha, i: alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:],
+        lambda alpha, i: math.sqrt((alpha[i] + 1) / (sum(alpha) + 1)),
+        f"symmetric-shift(d={d}, degree={L})")
 
 
 def _sorted_word_of_type(alpha):
@@ -208,8 +212,6 @@ def symmetric_shift_via_compression(d, L):
     which is what makes it an independent oracle for
     ``symmetric_fock_shift``.
     """
-    _require_integer(d, "alphabet size d", 1)
-    _require_integer(L, "truncation level", 1)
     creation = fock_creation(d, L)
     words = fock_basis(d, L)
     word_index = {w: p for p, w in enumerate(words)}
@@ -229,11 +231,8 @@ def symmetric_shift_via_compression(d, L):
         sym_col = proj[:, level_words.index(seed_word)]
         vec[level_offset: level_offset + len(level_words)] = sym_col
         iso[:, col] = vec / np.linalg.norm(vec)
-    subspace = Subspace(h, iso)
-    shifted = compress(creation, subspace)
-    return OperatorTuple(
-        shifted.ops, label=f"symmetric-shift-via-compression(d={d}, degree={L})"
-    )
+    return compress(creation, Subspace(h, iso)).relabel(
+        f"symmetric-shift-via-compression(d={d}, degree={L})")
 
 
 def _verify_adjoint_invariance(T, sub, what):
@@ -277,10 +276,8 @@ def right_creation_compression(d, L, j):
     creation = fock_creation(d, L)
     sub = right_creation_subspace(d, L, j)
     _verify_adjoint_invariance(creation, sub, "right-creation subspace")
-    out = compress(creation, sub)
-    return OperatorTuple(
-        out.ops, label=f"right-creation-compression(d={d}, levels={L}, j={j})"
-    )
+    return compress(creation, sub).relabel(
+        f"right-creation-compression(d={d}, levels={L}, j={j})")
 
 
 def _parse_phi(d, L, phi_coeffs):
@@ -313,8 +310,6 @@ def finite_phi_subspace(d, L, phi_coeffs):
     entirely beyond the truncation level, nothing is removed and the
     complement is the whole space.
     """
-    _require_integer(d, "alphabet size d", 1)
-    _require_integer(L, "truncation level", 1)
     words = fock_basis(d, L)
     index = {w: p for p, w in enumerate(words)}
     h = len(words)
@@ -345,15 +340,13 @@ def finite_phi_compression(d, L, phi_coeffs):
     truncation, so the compression is an experiment.
     """
     creation = fock_creation(d, L)
-    sub = finite_phi_subspace(d, L, phi_coeffs)
-    out = compress(creation, sub)
+    out = compress(creation, finite_phi_subspace(d, L, phi_coeffs))
     support = _parse_phi(d, L, phi_coeffs)
     tags = ",".join(
         "".join(map(str, w)) for w in sorted(support, key=lambda w: (len(w), w))
     )
-    return OperatorTuple(
-        out.ops, label=f"finite-phi-compression(d={d}, levels={L}, support=[{tags}])"
-    )
+    return out.relabel(
+        f"finite-phi-compression(d={d}, levels={L}, support=[{tags}])")
 
 
 def pure_nonmaximal_example(d, L, r):
@@ -374,18 +367,11 @@ def pure_nonmaximal_example(d, L, r):
     if not 0.0 < r < 1.0:
         raise ArgumentError(f"r must lie strictly between 0 and 1, got {r}")
     creation = fock_creation(d - 1, L)
-    hh = creation.h + 1
-    ops = []
-    for i in range(d - 1):
-        m = np.zeros((hh, hh), dtype=np.complex128)
-        m[:-1, :-1] = creation.ops[i]
-        ops.append(m)
-    last = np.zeros((hh, hh), dtype=np.complex128)
-    last[-1, -1] = r
-    ops.append(last)
-    return OperatorTuple(
-        tuple(ops), label=f"pure-nonmaximal(d={d}, levels={L}, r={r})"
-    )
+    padded = OperatorTuple(creation.ops + (np.zeros_like(creation.ops[0]),))
+    corner = np.zeros((d, 1, 1))
+    corner[-1] = r
+    return direct_sum(padded, OperatorTuple(corner)).relabel(
+        f"pure-nonmaximal(d={d}, levels={L}, r={r})")
 
 
 def scalar_spherical_tuple(lambdas, k):
@@ -419,14 +405,12 @@ def spherical_shift_sum(d, L, lambdas, k):
     the purity limit becomes the projection onto the spherical block.
     ``lambdas`` must have length d to match the shift.
     """
-    if len(tuple(lambdas)) != d:
+    lambdas = tuple(lambdas)
+    if len(lambdas) != d:
         raise ArgumentError("need exactly d spherical weights")
-    shift = symmetric_fock_shift(d, L)
-    sphere = scalar_spherical_tuple(lambdas, k)
-    out = direct_sum(shift, sphere)
-    return OperatorTuple(
-        out.ops, label=f"spherical-shift-sum(d={d}, degree={L}, k={k})"
-    )
+    return direct_sum(symmetric_fock_shift(d, L),
+                      scalar_spherical_tuple(lambdas, k)).relabel(
+        f"spherical-shift-sum(d={d}, degree={L}, k={k})")
 
 
 def _seeded_rng(seed):
@@ -538,11 +522,6 @@ def random_coinvariant_compression(d, L, n_generators, seed):
     compression exactly.
     """
     creation, hull = random_coinvariant_subspace(d, L, n_generators, seed)
-    out = compress(creation, hull)
-    return OperatorTuple(
-        out.ops,
-        label=(
-            f"random-coinvariant-compression(d={d}, levels={L}, "
-            f"generators={n_generators})"
-        ),
-    )
+    return compress(creation, hull).relabel(
+        f"random-coinvariant-compression(d={d}, levels={L}, "
+        f"generators={n_generators})")

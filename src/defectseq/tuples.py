@@ -241,12 +241,17 @@ def _imag_is_plus_zero(m):
 
 
 def validate_word(word, d):
-    """Normalize a word to a tuple of 1-based letters in range."""
-    w = tuple(int(c) for c in word)
+    """Normalize a word to a tuple of 1-based letters in range.
+
+    Every letter must be an integer: numpy integers count, a bool or a
+    float does not.
+    """
+    w = tuple(word)
     for c in w:
+        _require_integer(c, "word letter")
         if not 1 <= c <= d:
             raise ArgumentError(f"word letter {c} outside 1..{d}")
-    return w
+    return tuple(map(int, w))
 
 
 def words_of_length(d, n):
@@ -488,30 +493,26 @@ def row_operator(T):
     return np.hstack(T.ops)
 
 
-def _block_diag(x, y):
-    rows = x.shape[0] + y.shape[0]
-    cols = x.shape[1] + y.shape[1]
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    out[: x.shape[0], : x.shape[1]] = x
-    out[x.shape[0]:, x.shape[1]:] = y
-    return out
-
-
 def direct_sum(a, b):
     """Entrywise block-diagonal sum of two tuples with equal length.
 
     The cp map splits across the summands, so every defect quantity of
-    the sum decomposes block by block.
+    the sum decomposes block by block.  Both stacks are written into one
+    array of the wider storage type, so the sum of two float64 tuples
+    stays float64.
     """
     if a.d != b.d:
         raise ArgumentError(
             f"direct sum needs equal tuple lengths, got {a.d} and {b.d}"
         )
-    ops = tuple(_block_diag(x, y) for x, y in zip(a.ops, b.ops))
+    n = a.h + b.h
+    stack = np.zeros((a.d, n, n), np.promote_types(a.dtype, b.dtype))
+    stack[:, :a.h, :a.h] = a._stack
+    stack[:, a.h:, a.h:] = b._stack
     label = ""
     if a.label or b.label:
         label = f"({a.label or '?'})(+)({b.label or '?'})"
-    return OperatorTuple(ops, label)
+    return OperatorTuple(stack, label)
 
 
 def compress(T, m):

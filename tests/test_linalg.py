@@ -366,6 +366,20 @@ class TestSubspace:
         with pytest.raises(ArgumentError):
             coordinate_subspace(4, [1, 1])
 
+    def test_coordinate_subspace_rejects_a_float_index(self):
+        with pytest.raises(ArgumentError,
+                           match="coordinate index must be an integer"):
+            coordinate_subspace(3, [1.0])
+
+    def test_coordinate_subspace_rejects_a_bool_index(self):
+        with pytest.raises(ArgumentError,
+                           match="coordinate index must be an integer"):
+            coordinate_subspace(3, [True])
+
+    def test_coordinate_subspace_takes_numpy_integers(self):
+        sub = coordinate_subspace(3, [np.int64(2), np.int32(0)])
+        assert np.array_equal(sub.basis.real, [[0, 1], [0, 0], [1, 0]])
+
     def test_zero_dimensional_subspace_allowed(self):
         sub = Subspace(3, np.zeros((3, 0)))
         assert sub.dim == 0

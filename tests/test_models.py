@@ -1,6 +1,11 @@
 """Tests for the model gallery: shifts, compressions, random ensembles."""
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +34,10 @@ from defectseq.models import (
     symmetric_shift_via_compression,
     symmetrizer,
 )
+from defectseq.io import read_tuple
 from defectseq.tuples import OperatorTuple
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def permutation_operator(d, perm):
@@ -104,6 +112,81 @@ class TestSymmetricShift:
         dev = max(np.abs(x - y).max()
                   for x, y in zip(direct.ops, compressed.ops))
         assert dev <= 1e-10
+
+
+def run_bounded(code):
+    # ``code`` in a fresh process held to 1 GiB of address space and 60 s,
+    # so a size check that enumerates before it counts fails the test
+    # instead of hanging it or exhausting the machine's memory.
+    prelude = ("import resource\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", prelude + code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestSizedBases:
+    """The Fock and monomial bases are sized in closed form before they
+    are enumerated, so a space past the size cap is refused at once."""
+
+    def test_many_variables_within_the_cap(self, tmp_path):
+        path = tmp_path / "dshift.json"
+        done = run_bounded(
+            "import sys\n"
+            "from defectseq.cli import main\n"
+            "sys.exit(main(['model', 'dshift', '--d', '20', '--degree', '2',"
+            f" '-o', {str(path)!r}]))\n")
+        assert done.returncode == 0, done.stderr
+        T = read_tuple(path)
+        assert (T.d, T.h) == (20, 231)
+
+    @pytest.mark.parametrize("argv", [
+        ["dshift", "--d", "12", "--degree", "8"],
+        ["fock", "--d", "2", "--levels", "30"],
+        # Its dimension has over 4300 digits, past what Python converts
+        # to a string.
+        ["fock", "--d", "2", "--levels", "100000"],
+    ], ids=" ".join)
+    def test_past_the_cap_exits_2_at_once(self, argv, tmp_path):
+        done = run_bounded(
+            "import sys\n"
+            "from defectseq.cli import main\n"
+            f"sys.exit(main(['model', *{argv!r},"
+            f" '-o', {str(tmp_path / 'out.json')!r}]))\n")
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "needs dimension" in lines[0]
+
+    @pytest.mark.parametrize("call", [
+        "right_creation_subspace(2, 18, 1)",
+        "finite_phi_subspace(2, 18, {(1,): 1.0})",
+    ])
+    def test_word_subspaces_past_the_cap(self, call):
+        done = run_bounded(
+            "from defectseq import models\n"
+            "from defectseq.errors import SizeCapError\n"
+            "try:\n"
+            f"    models.{call}\n"
+            "except SizeCapError as exc:\n"
+            "    print('SizeCapError', exc)\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(
+            "SizeCapError truncated Fock space needs dimension"), done.stdout
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5])
+    def test_monomial_basis_matches_the_filtered_product(self, d, L):
+        # Every exponent tuple with entries up to k, filtered to degree k.
+        oracle = []
+        for k in range(L + 1):
+            oracle.extend(sorted(
+                alpha for alpha in itertools.product(range(k + 1), repeat=d)
+                if sum(alpha) == k))
+        assert monomial_basis(d, L) == oracle
 
 
 class TestSymmetrizer:
@@ -215,6 +298,11 @@ class TestSphericalModels:
     def test_sum_requires_matching_lengths(self):
         with pytest.raises(ArgumentError):
             spherical_shift_sum(2, 2, (0.6,), 1)
+
+    def test_sum_takes_the_weights_from_a_generator(self):
+        A = spherical_shift_sum(2, 3, (x for x in (0.6, 0.8)), 1)
+        B = spherical_shift_sum(2, 3, (0.6, 0.8), 1)
+        assert A._stack.tobytes() == B._stack.tobytes()
 
     def test_sum_defects_match_the_shift_summand(self):
         w = 1.0 / math.sqrt(2.0)

@@ -21,6 +21,7 @@ from defectseq.linalg import (
     hermitize,
 )
 from defectseq.models import (
+    finite_phi_compression,
     fock_creation,
     haar_unitary,
     random_contractive,
@@ -99,6 +100,19 @@ class TestWords:
         assert validate_word((1, 2, 1), 2) == (1, 2, 1)
         with pytest.raises(ArgumentError):
             validate_word((1, 3), 2)
+        # Numpy integers count, and come back as Python ints.
+        w = validate_word((np.int64(1), np.int32(2)), 2)
+        assert w == (1, 2) and all(type(c) is int for c in w)
+        # A float or a bool letter is refused, not truncated.
+        for word in ((1.5, 2.9), (1.0,), (True,), (np.float64(2.0),)):
+            with pytest.raises(ArgumentError,
+                               match="word letter must be an integer"):
+                validate_word(word, 3)
+        T = fock_creation(2, 2)
+        with pytest.raises(ArgumentError, match="word letter"):
+            word_apply(T, (1.9,))
+        with pytest.raises(ArgumentError, match="word letter"):
+            finite_phi_compression(2, 3, {(1.5,): 1.0})
 
     def test_words_of_length_counts(self):
         assert len(list(words_of_length(3, 2))) == 9
@@ -251,14 +265,30 @@ class TestProductsAndPowers:
 
 
 class TestDirectSumAndCompress:
-    def test_direct_sum_blocks(self):
-        a = OperatorTuple((np.eye(2),))
-        b = OperatorTuple((3 * np.eye(3),))
+    @pytest.mark.parametrize("second, dtype", [
+        (np.array([[3.0, 0.0, -1.5], [0.0, 3.0, 0.0], [2.0, 0.0, 3.0]]),
+         np.float64),
+        (np.array([[3.0, 1j, 0.0], [0.0, -0.5j, 0.0], [0.0, 0.0, 3.0]]),
+         np.complex128),
+    ], ids=["float64", "complex128"])
+    def test_direct_sum_blocks(self, second, dtype):
+        first = np.array([[1.0, -0.0], [0.25, 2.0]])
+        a = OperatorTuple((first, -first))
+        b = OperatorTuple((second, 2 * second))
         s = direct_sum(a, b)
-        assert s.h == 5
-        assert np.allclose(s.ops[0][:2, :2], np.eye(2))
-        assert np.allclose(s.ops[0][2:, 2:], 3 * np.eye(3))
-        assert np.allclose(s.ops[0][:2, 2:], 0)
+        assert s.h == 5 and s.dtype == dtype
+        assert np.signbit(s.ops[0][0, 1].real)
+        # The complex128 block-diagonal construction, whose entries the
+        # tuple stores as float64 when every imaginary part is +0.0.
+        blocks = []
+        for x, y in zip(a.ops, b.ops):
+            out = np.zeros((5, 5), dtype=np.complex128)
+            out[:2, :2] = x
+            out[2:, 2:] = y
+            blocks.append(out)
+        oracle = OperatorTuple(tuple(blocks))
+        assert oracle.dtype == dtype
+        assert s._stack.tobytes() == oracle._stack.tobytes()
 
     def test_direct_sum_requires_equal_lengths(self):
         with pytest.raises(ArgumentError):
