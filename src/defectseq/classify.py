@@ -102,13 +102,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import size_cap
 from .defect import (
+    _derive,
     _ladder,
     _margin_and_deltas,
     _margin_is_contractive,
@@ -127,6 +127,7 @@ from .linalg import (
     _CLUSTER_GAP,
     _count_above,
     _require_integer,
+    _require_real,
     hermitian_norm,
     readonly_copy,
 )
@@ -234,18 +235,10 @@ def _check_budget(max_iter):
 
 
 def _check_thresholds(eps_pure, eps_conv):
-    # Python and numpy floats and integers count; True and "1" do not.
     # Returns both as Python floats, so a numpy float32 threshold does
     # not carry the purity tests into float32 under NumPy 2 promotion.
-    for name, eps in (("eps_pure", eps_pure), ("eps_conv", eps_conv)):
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Real):
-            raise ArgumentError(f"{name} must be a real number, got {eps!r}")
-        try:
-            finite = math.isfinite(eps)
-        except OverflowError:  # an integer past the float range
-            finite = False
-        if not finite or eps < 0.0:
-            raise ArgumentError(f"{name} must be nonnegative and finite, got {eps}")
+    _require_real(eps_pure, "eps_pure")
+    _require_real(eps_conv, "eps_conv")
     return float(eps_pure), float(eps_conv)
 
 
@@ -338,10 +331,11 @@ class MaximalityVerdict:
     default horizon is computed from Delta_1 and recorded here.
     ``deltas`` and ``bounds`` list the compared values; on failure
     ``failed_at`` names the first index where they split and the lists
-    stop there.
+    stop there.  ``maximal`` is derived on construction: no index
+    failed.
     """
 
-    maximal: bool
+    maximal: bool = field(init=False)
     horizon: int
     deltas: tuple
     bounds: tuple
@@ -350,8 +344,7 @@ class MaximalityVerdict:
     def __post_init__(self):
         if len(self.deltas) != len(self.bounds):
             raise ConsistencyError("deltas and bounds must align")
-        if self.maximal and self.failed_at is not None:
-            raise ConsistencyError("maximal verdict cannot carry a failure index")
+        _derive(self, maximal=self.failed_at is None)
 
 
 def _default_horizon(d, h, delta_1, bound_fn):
@@ -387,7 +380,6 @@ def _maximality(deltas, d, h, horizon, bound_fn):
         if delta == h:
             break
     return MaximalityVerdict(
-        maximal=failed_at is None,
         horizon=horizon,
         deltas=tuple(compared),
         bounds=tuple(bounds),
@@ -843,25 +835,33 @@ def is_irreducible(T, tol=None):
 class ClassificationReport:
     """Aggregate structural verdict for one tuple.
 
-    For a non-contractive input only ``contractive``, ``commuting`` and
-    ``contractivity_margin`` are filled; every analysis field is None
-    because the defect machinery is not defined there.  ``maximal_comm``
-    is present exactly when the tuple commutes.  ``contractivity_margin``
-    is the smallest eigenvalue of I - cp(I) that decided ``contractive``.
+    ``contractivity_margin`` is the smallest eigenvalue of I - cp(I),
+    and ``contractive`` is derived from it and ``tol`` on construction,
+    by the rule of ``is_contractive``.  For a non-contractive input the
+    report is built from the margin, ``commuting`` and ``tol`` alone:
+    every analysis field is None because the defect machinery is not
+    defined there.  ``irreducible`` is derived from ``commutant_dim``
+    (only the scalars commute), None with it.  ``maximal_comm`` is
+    present exactly when a contractive tuple commutes, which
+    construction checks.
     """
 
-    contractive: bool
+    contractive: bool = field(init=False)
+    contractivity_margin: float
     commuting: bool
-    purity: PurityVerdict | None
-    delta_1: int | None
-    maximal_noncomm: MaximalityVerdict | None
-    maximal_comm: MaximalityVerdict | None
-    commutant_dim: int | None
-    irreducible: bool | None
     tol: RankTolerance
-    contractivity_margin: float | None = None
+    purity: PurityVerdict | None = None
+    delta_1: int | None = None
+    maximal_noncomm: MaximalityVerdict | None = None
+    maximal_comm: MaximalityVerdict | None = None
+    commutant_dim: int | None = None
+    irreducible: bool | None = field(init=False)
 
     def __post_init__(self):
+        _derive(self, contractive=_margin_is_contractive(
+                    self.contractivity_margin, self.tol),
+                irreducible=None if self.commutant_dim is None
+                else self.commutant_dim == 1)
         if self.contractive and self.commuting and self.maximal_comm is None:
             raise ConsistencyError("commuting tuple classified without its bound")
         if not self.commuting and self.maximal_comm is not None:
@@ -894,25 +894,16 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
     # overflows are refused as such, even where the margin overflows too.
     commuting = is_commuting(T, tol)
     margin, ladder = _margin_and_deltas(T, tol)
-    contractive = _margin_is_contractive(margin, tol)
-    if not contractive:
+    if not _margin_is_contractive(margin, tol):
         return ClassificationReport(
-            contractive=False,
-            commuting=commuting,
-            purity=None,
-            delta_1=None,
-            maximal_noncomm=None,
-            maximal_comm=None,
-            commutant_dim=None,
-            irreducible=None,
-            tol=tol,
             contractivity_margin=margin,
+            commuting=commuting,
+            tol=tol,
         )
     # The commutant count and the ladder go first: they are the steps
     # that may refuse the tuple (the size cap, a falling ladder), and the
     # purity budget should not be spent before that.
     commutant_dim = commutant_dimension(T, tol)
-    irreducible = commutant_dim == 1
     deltas = tuple(_stabilized(ladder, T.h))
     _require_monotone(deltas)
     verdict = _purity(T, max_iter, eps_pure, eps_conv)
@@ -920,20 +911,18 @@ def classify(T, tol=None, max_iter=DEFAULT_MAX_ITER,
     maximal_noncomm = _maximality(deltas, T.d, T.h, None, geometric_bound)
     maximal_comm = (_maximality(deltas, T.d, T.h, None, commuting_bound)
                     if commuting else None)
-    if irreducible and delta_1 > 0 and verdict.status is Purity.NOT_PURE:
+    if commutant_dim == 1 and delta_1 > 0 and verdict.status is Purity.NOT_PURE:
         raise ConsistencyError(
             "irreducible tuple with positive defect came back NotPure; "
             "this contradicts the purity law for irreducible tuples"
         )
     return ClassificationReport(
-        contractive=True,
+        contractivity_margin=margin,
         commuting=commuting,
+        tol=tol,
         purity=verdict,
         delta_1=delta_1,
         maximal_noncomm=maximal_noncomm,
         maximal_comm=maximal_comm,
         commutant_dim=commutant_dim,
-        irreducible=irreducible,
-        tol=tol,
-        contractivity_margin=margin,
     )

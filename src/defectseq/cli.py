@@ -11,7 +11,11 @@ Five subcommands cover the workflow end to end:
 One table, ``_MODELS``, names each model kind with its builder and its
 flags; a tuple file written by ``model`` records the kind and those
 flags' values as its meta.  Every ``--report`` file opens with the same
-header (format, kind, tool, flags) and is written in one place.
+header (format, kind, tool, flags) and is written in one place.  Its
+results are the verdict records as ``dataclasses.asdict`` gives them,
+derived flags included: the ``DefectReport`` without d, h and tol, the
+``ClassificationReport`` without tol and with its purity verdict
+summarized, and one ``SuiteResult`` per suite.
 
 Exit codes follow one contract everywhere: 0 means success (and, for
 ``verify``, that every property passed); 1 means a property failed or
@@ -166,28 +170,22 @@ def _write_report(args, payload):
         print(f"report written to {args.report}")
 
 
+def _result(record, *omitted):
+    # A verdict record as asdict gives it, without the fields ``omitted``
+    # that the report holds elsewhere.
+    return {k: v for k, v in asdict(record).items() if k not in omitted}
+
+
 def _defect_payload(args, T, rep, tol):
-    commuting = rep.bounds_comm is not None
     return _report(
         "defect", {"n_max": args.n_max, "rtol": tol.rtol, "atol": tol.atol},
-        input=_input(args, T),
-        result={
-            "deltas": list(rep.deltas),
-            "stabilized_at": rep.stabilized_at,
-            "reached_full": rep.reached_full,
-            "commuting": commuting,
-            "bounds_noncomm": list(rep.bounds_noncomm),
-            "bound_ok_noncomm": list(rep.bound_ok_noncomm),
-            "bounds_comm": list(rep.bounds_comm) if commuting else None,
-            "bound_ok_comm": list(rep.bound_ok_comm) if commuting else None,
-        })
+        input=_input(args, T), result=_result(rep, "d", "h", "tol"))
 
 
 def _plot_lines(rep):
-    commuting = rep.bounds_comm is not None
     lines = ["n,delta,bound_noncomm,bound_comm"]
     for pos, delta in enumerate(rep.deltas):
-        comm = str(rep.bounds_comm[pos]) if commuting else ""
+        comm = str(rep.bounds_comm[pos]) if rep.commuting else ""
         lines.append(
             f"{pos + 1},{delta},{rep.bounds_noncomm[pos]},{comm}")
     return "\n".join(lines) + "\n"
@@ -197,12 +195,11 @@ def _cmd_defect(args):
     T = io.read_tuple(args.input)
     tol = RankTolerance(args.rtol, args.atol)
     rep = defect_sequence(T, args.n_max, tol)
-    commuting = rep.bounds_comm is not None
 
     print(_describe(T, args.input))
     print(f"{'n':>4}  {'delta':>8}  {'bound(free)':>12}  {'bound(commuting)':>17}")
     for pos, delta in enumerate(rep.deltas):
-        comm = str(rep.bounds_comm[pos]) if commuting else "-"
+        comm = str(rep.bounds_comm[pos]) if rep.commuting else "-"
         print(f"{pos + 1:>4}  {delta:>8}  {rep.bounds_noncomm[pos]:>12}  "
               f"{comm:>17}")
     if rep.reached_full:
@@ -218,10 +215,7 @@ def _cmd_defect(args):
         Path(args.plot).write_text(_plot_lines(rep), encoding="utf-8")
         print(f"plot data written to {args.plot}")
 
-    ok = all(rep.bound_ok_noncomm)
-    if commuting:
-        ok = ok and all(rep.bound_ok_comm)
-    if not ok:
+    if not (all(rep.bound_ok_noncomm) and all(rep.bound_ok_comm or ())):
         print("growth bound violated; see the bound columns", file=sys.stderr)
         return 1
     return 0
@@ -242,10 +236,6 @@ def _purity_payload(verdict):
     return out
 
 
-def _maximality_payload(verdict):
-    return None if verdict is None else asdict(verdict)
-
-
 def _cmd_classify(args):
     T = io.read_tuple(args.input)
     tol = RankTolerance(args.rtol, args.atol)
@@ -258,18 +248,8 @@ def _cmd_classify(args):
         {"rtol": tol.rtol, "atol": tol.atol, "eps_pure": args.eps_pure,
          "eps_conv": args.eps_conv, "max_iter": args.max_iter},
         input=_input(args, T),
-        result={
-            "contractive": rep.contractive,
-            "contractivity_margin": margin,
-            "commuting": rep.commuting,
-            "purity": None if rep.purity is None
-            else _purity_payload(rep.purity),
-            "delta_1": rep.delta_1,
-            "maximal_noncomm": _maximality_payload(rep.maximal_noncomm),
-            "maximal_comm": _maximality_payload(rep.maximal_comm),
-            "commutant_dim": rep.commutant_dim,
-            "irreducible": rep.irreducible,
-        })
+        result={**_result(rep, "tol"), "purity": None if rep.purity is None
+                else _purity_payload(rep.purity)})
 
     print(_describe(T, args.input))
     if not rep.contractive:
@@ -319,7 +299,7 @@ def _cmd_verify(args):
     _write_report(args, _report(
         "verify", {"samples": args.samples, "seed": args.seed,
                    "rtol": tol.rtol, "atol": tol.atol},
-        suites=[{**asdict(res), "ok": res.ok} for res in results],
+        suites=[asdict(res) for res in results],
         all_passed=failed == 0))
     return 0 if failed == 0 else 1
 

@@ -89,7 +89,7 @@ builds the power, because its row operator is the object under study.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -111,7 +111,7 @@ from .linalg import (
     orthonormal_range,
 )
 from .tuples import apply_cp_map, cp_iterate, is_commuting, row_operator
-from .tuples import tuple_power, tuple_product
+from .tuples import _words_past_cap, tuple_power, tuple_product
 
 __all__ = [
     "DefectReport",
@@ -267,50 +267,67 @@ def defect_space(T, n, tol=None):
 class DefectReport:
     """Computed defect sequence of one tuple, with growth-bound flags.
 
-    ``deltas`` holds the computed values Delta_1, Delta_2, ...; the
-    sequence may be shorter than requested when it stabilized or hit the
-    full dimension early.  ``stabilized_at`` is the first index n with
-    Delta_n equal to Delta_{n+1} (reaching the full dimension h also
-    stabilizes, since the sequence cannot move past h).  The bound
-    tuples mirror ``deltas`` index for index; the commuting pair is None
-    for noncommuting tuples.
+    Built from what the ladder measured: ``d``, ``h``, the computed
+    values ``deltas`` = (Delta_1, Delta_2, ...), whether the tuple
+    commutes, and ``tol``.  The sequence may be shorter than requested
+    when it stabilized or hit the full dimension early.  Every other
+    field is derived from those on construction:
+
+    * ``reached_full``: the last value is h;
+    * ``stabilized_at``: the first index n with Delta_n equal to
+      Delta_{n+1}, read off the end of ``deltas``: its length when the
+      space is full (the sequence cannot move past h), one less when the
+      last two values agree, None otherwise;
+    * ``bounds_noncomm``: ``geometric_bound`` at each index, and
+      ``bound_ok_noncomm`` whether each value lies within it;
+    * ``bounds_comm`` and ``bound_ok_comm``: the same for
+      ``commuting_bound``, None for a noncommuting tuple.
+
+    Construction refuses an empty sequence, a falling one and a value
+    above h with ConsistencyError.
     """
 
     d: int
     h: int
     deltas: tuple
-    stabilized_at: int | None
-    reached_full: bool
-    bounds_noncomm: tuple
-    bound_ok_noncomm: tuple
-    bounds_comm: tuple | None
-    bound_ok_comm: tuple | None
+    stabilized_at: int | None = field(init=False)
+    reached_full: bool = field(init=False)
+    commuting: bool
+    bounds_noncomm: tuple = field(init=False)
+    bound_ok_noncomm: tuple = field(init=False)
+    bounds_comm: tuple | None = field(init=False)
+    bound_ok_comm: tuple | None = field(init=False)
     tol: RankTolerance
 
     def __post_init__(self):
-        n = len(self.deltas)
+        deltas, n = self.deltas, len(self.deltas)
         if n < 1:
             raise ConsistencyError("defect report with no computed values")
-        _require_monotone(self.deltas)
-        if any(delta > self.h for delta in self.deltas):
+        _require_monotone(deltas)
+        if any(delta > self.h for delta in deltas):
             raise ConsistencyError(
-                f"defect dimension exceeds the space: {self.deltas} on h={self.h}"
+                f"defect dimension exceeds the space: {deltas} on h={self.h}"
             )
-        if len(self.bounds_noncomm) != n or len(self.bound_ok_noncomm) != n:
-            raise ConsistencyError("bound tuples must mirror the defect sequence")
-        if (self.bounds_comm is None) != (self.bound_ok_comm is None):
-            raise ConsistencyError("commuting bound tuples must come as a pair")
-        if self.stabilized_at is not None:
-            k = self.stabilized_at
-            if not 1 <= k <= n:
-                raise ConsistencyError("stabilization index outside the sequence")
-            tail = self.deltas[k - 1:]
-            if any(v != tail[0] for v in tail):
-                raise ConsistencyError(
-                    "values recorded past the stabilization point moved"
-                )
-        if self.reached_full and self.deltas[-1] != self.h:
-            raise ConsistencyError("reached_full claimed without Delta = h")
+        full = deltas[-1] == self.h
+        stable = n >= 2 and deltas[-1] == deltas[-2]
+        _derive(self, reached_full=full,
+                stabilized_at=n if full else n - 1 if stable else None)
+
+        def bound_columns(bound_fn):
+            bounds = tuple(bound_fn(self.d, k, deltas[0]) for k in range(1, n + 1))
+            return bounds, tuple(a <= b for a, b in zip(deltas, bounds))
+
+        noncomm = bound_columns(geometric_bound)
+        comm = bound_columns(commuting_bound) if self.commuting else (None, None)
+        _derive(self, bounds_noncomm=noncomm[0], bound_ok_noncomm=noncomm[1],
+                bounds_comm=comm[0], bound_ok_comm=comm[1])
+
+
+def _derive(record, **values):
+    # Set the derived fields, declared field(init=False), of a frozen
+    # record from its __post_init__.
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
 
 
 def _require_monotone(deltas):
@@ -607,40 +624,21 @@ def defect_sequence(T, n_max, tol=None):
     """Compute Delta_1 .. Delta_{n_max} with early termination.
 
     Stops as soon as two consecutive values agree (the sequence is then
-    constant forever) or the full dimension h is reached.  Bound flags
-    compare each value against the geometric bound, and additionally
-    against the binomial bound when the tuple commutes.  ``n_max`` must
-    be an integer, as for ``defect_operator``.
+    constant forever) or the full dimension h is reached.  The report is
+    built from those values and one ``is_commuting`` call:
+    ``DefectReport`` derives the stabilization index and the bound
+    flags, which compare each value against the geometric bound, and
+    against the binomial bound too when the tuple commutes.  ``n_max``
+    must be an integer, as for ``defect_operator``.
     """
     _require_integer(n_max, "n_max", 1)
     tol = DEFAULT_TOL if tol is None else tol
     deltas = tuple(islice(_ladder(T, tol), n_max))
-    n = len(deltas)
-    reached_full = deltas[-1] == T.h
-    stabilized_at = None
-    if reached_full:
-        stabilized_at = n
-    elif n >= 2 and deltas[-1] == deltas[-2]:
-        stabilized_at = n - 1
-
-    def bound_columns(bound_fn):
-        bounds = tuple(bound_fn(T.d, k, deltas[0]) for k in range(1, n + 1))
-        return bounds, tuple(a <= b for a, b in zip(deltas, bounds))
-
-    bounds_noncomm, bound_ok_noncomm = bound_columns(geometric_bound)
-    bounds_comm = bound_ok_comm = None
-    if is_commuting(T, tol):
-        bounds_comm, bound_ok_comm = bound_columns(commuting_bound)
     return DefectReport(
         d=T.d,
         h=T.h,
         deltas=deltas,
-        stabilized_at=stabilized_at,
-        reached_full=reached_full,
-        bounds_noncomm=bounds_noncomm,
-        bound_ok_noncomm=bound_ok_noncomm,
-        bounds_comm=bounds_comm,
-        bound_ok_comm=bound_ok_comm,
+        commuting=is_commuting(T, tol),
         tol=tol,
     )
 
@@ -686,8 +684,9 @@ class RankSymmetryVerdict:
     ``rank_left`` is the rank of I - R_n R_n* on the small space,
     ``rank_right`` the rank of I - R_n* R_n on the d**n-fold copy;
     ``ker_dim`` and ``coker_dim`` are the kernel dimensions of R_n and
-    R_n*.  The two equalities stand or fall together, and construction
-    enforces that biconditional.
+    R_n*.  ``equal_ranks`` and ``equal_kernels`` are derived from them
+    on construction.  The two equalities stand or fall together, and
+    construction enforces that biconditional.
     """
 
     n: int
@@ -695,14 +694,12 @@ class RankSymmetryVerdict:
     rank_right: int
     ker_dim: int
     coker_dim: int
-    equal_ranks: bool
-    equal_kernels: bool
+    equal_ranks: bool = field(init=False)
+    equal_kernels: bool = field(init=False)
 
     def __post_init__(self):
-        if self.equal_ranks != (self.rank_left == self.rank_right):
-            raise ConsistencyError("equal_ranks flag contradicts the ranks")
-        if self.equal_kernels != (self.ker_dim == self.coker_dim):
-            raise ConsistencyError("equal_kernels flag contradicts the kernels")
+        _derive(self, equal_ranks=self.rank_left == self.rank_right,
+                equal_kernels=self.ker_dim == self.coker_dim)
         if self.equal_ranks != self.equal_kernels:
             raise ConsistencyError(
                 "rank symmetry broke: ranks "
@@ -722,9 +719,10 @@ def rank_symmetry_check(T, n, tol=None):
     _require_integer(n, "power index", 1)
     tol = DEFAULT_TOL if tol is None else tol
     cap = size_cap()
-    if T.d ** n > cap:
+    count = _words_past_cap(T.d, n, cap)
+    if count is not None:
         raise SizeCapError(
-            f"rank symmetry check needs {T.d ** n} words, cap is {cap}"
+            f"rank symmetry check needs {count} words, cap is {cap}"
         )
     row = row_operator(tuple_power(T, n))
     h, cols = row.shape
@@ -745,8 +743,6 @@ def rank_symmetry_check(T, n, tol=None):
         rank_right=rank_right,
         ker_dim=ker_dim,
         coker_dim=coker_dim,
-        equal_ranks=rank_left == rank_right,
-        equal_kernels=ker_dim == coker_dim,
     )
 
 
@@ -755,15 +751,22 @@ class ProductBoundCheck:
     """Defect dimensions of B, C and BC with the two-sided bound flags.
 
     The product of an m-tuple B with any C obeys
-    Delta_B <= Delta_BC <= Delta_B + m * Delta_C.
+    Delta_B <= Delta_BC <= Delta_B + m * Delta_C, for m the
+    ``factor_count``; ``lower_ok`` and ``upper_ok`` are derived from the
+    three dimensions on construction.
     """
 
     delta_b: int
     delta_c: int
     delta_bc: int
     factor_count: int
-    lower_ok: bool
-    upper_ok: bool
+    lower_ok: bool = field(init=False)
+    upper_ok: bool = field(init=False)
+
+    def __post_init__(self):
+        _derive(self, lower_ok=self.delta_b <= self.delta_bc,
+                upper_ok=(self.delta_bc
+                          <= self.delta_b + self.factor_count * self.delta_c))
 
     @property
     def ok(self):
@@ -791,6 +794,4 @@ def verify_product_bounds(b, c, tol=None):
         delta_c=delta_c,
         delta_bc=delta_bc,
         factor_count=b.d,
-        lower_ok=delta_b <= delta_bc,
-        upper_ok=delta_bc <= delta_b + b.d * delta_c,
     )

@@ -97,23 +97,51 @@ _BOUND_SLACK = 1e-8
 _CLUSTER_GAP = 1e-3
 
 
+def _require_integer(value, name, least=None):
+    # numpy integers count as integers; True and 2.0 do not.  A value
+    # below ``least``, 0 or 1 when given, is refused too.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        bound = "at least 1" if least else "nonnegative"
+        raise ArgumentError(f"{name} must be {bound}")
+
+
+def _require_real(value, name, positive=False):
+    # Python and numpy floats and integers count as real numbers; True
+    # and "1" do not.  A NaN, an infinity, an integer past the float
+    # range and a negative value are refused too, and zero when
+    # ``positive``.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ArgumentError(f"{name} must be a real number, got {value!r}")
+    bound = "positive" if positive else "nonnegative"
+    try:
+        if math.isfinite(value) and (value > 0 if positive else value >= 0):
+            return
+    except OverflowError:
+        # Such an integer may have more digits than Python prints.
+        value = "an integer past the float range"
+    raise ArgumentError(f"{name} must be {bound} and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RankTolerance:
     """Threshold pair deciding numerical rank.
 
     ``rtol`` scales with the largest singular value of the matrix at
     hand, ``atol`` is an absolute floor; they combine as
-    ``max(rtol * sigma_max, atol)``.
+    ``max(rtol * sigma_max, atol)``.  Both must be finite real numbers
+    (Python or numpy floats or integers, not a bool or a string),
+    ``rtol`` positive and ``atol`` nonnegative; anything else raises
+    ArgumentError.  The values are kept as given.
     """
 
     rtol: float = 1e-9
     atol: float = 1e-12
 
     def __post_init__(self):
-        if not np.isfinite(self.rtol) or self.rtol <= 0.0:
-            raise ArgumentError("rtol must be positive and finite")
-        if not np.isfinite(self.atol) or self.atol < 0.0:
-            raise ArgumentError("atol must be nonnegative and finite")
+        _require_real(self.rtol, "rtol", positive=True)
+        _require_real(self.atol, "atol")
 
     def cutoff(self, sigma_max):
         """Singular values at or below this value are treated as zero."""
@@ -125,16 +153,6 @@ DEFAULT_TOL = RankTolerance()
 
 def _resolve(tol):
     return DEFAULT_TOL if tol is None else tol
-
-
-def _require_integer(value, name, least=None):
-    # numpy integers count as integers; True and 2.0 do not.  A value
-    # below ``least``, 0 or 1 when given, is refused too.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ArgumentError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        bound = "at least 1" if least else "nonnegative"
-        raise ArgumentError(f"{name} must be {bound}")
 
 
 def as_operator_matrix(a, name="matrix"):

@@ -218,18 +218,19 @@ def symmetric_shift_via_compression(d, L):
     basis = monomial_basis(d, L)
     h = creation.h
     iso = np.zeros((h, len(basis)), dtype=np.complex128)
+    # The basis runs degree by degree, so one projection serves a level.
+    degree = 0
     for col, alpha in enumerate(basis):
         k = sum(alpha)
         if k == 0:
             iso[word_index[()], col] = 1.0
             continue
-        seed_word = _sorted_word_of_type(alpha)
+        if k != degree:
+            degree, proj = k, symmetrizer(d, k)
+            level_offset = word_index[(1,) * k]
+        seed = word_index[_sorted_word_of_type(alpha)] - level_offset
         vec = np.zeros(h, dtype=np.complex128)
-        proj = symmetrizer(d, k)
-        level_words = list(itertools.product(range(1, d + 1), repeat=k))
-        level_offset = word_index[level_words[0]]
-        sym_col = proj[:, level_words.index(seed_word)]
-        vec[level_offset: level_offset + len(level_words)] = sym_col
+        vec[level_offset: level_offset + proj.shape[0]] = proj[:, seed]
         iso[:, col] = vec / np.linalg.norm(vec)
     return compress(creation, Subspace(h, iso)).relabel(
         f"symmetric-shift-via-compression(d={d}, degree={L})")

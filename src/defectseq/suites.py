@@ -21,7 +21,7 @@ sample fails that sample only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -36,6 +36,7 @@ from .classify import (
     purity,
 )
 from .defect import (
+    _derive,
     defect_dimension,
     defect_operator,
     defect_sequence,
@@ -85,8 +86,9 @@ DEFAULT_SEED = 0
 class SuiteResult:
     """Outcome of one suite run.
 
-    ``checks`` = ``passes`` + ``failures`` counts individual assertions,
-    not samples.  ``first_failure`` reproduces the earliest failing
+    ``passes`` and ``failures`` count individual assertions, not
+    samples; ``checks``, their sum, and ``ok``, no failure, are derived
+    on construction.  ``first_failure`` reproduces the earliest failing
     check: its label, the (seed, salt, sample) triple when the check was
     seeded, and a short detail string.  ``notes`` carries measured
     values that are reported rather than asserted.
@@ -96,27 +98,26 @@ class SuiteResult:
     description: str
     samples: int
     seed: int
-    checks: int
+    checks: int = field(init=False)
     passes: int
     failures: int
     first_failure: dict | None
     notes: tuple = ()
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self):
-        return self.failures == 0
+    def __post_init__(self):
+        _derive(self, checks=self.passes + self.failures,
+                ok=self.failures == 0)
 
 
 class _Recorder:
     def __init__(self):
-        self.checks = 0
         self.passes = 0
         self.failures = 0
         self.first_failure = None
         self.notes = []
 
     def check(self, label, passed, seed=None, detail=None):
-        self.checks += 1
         if passed:
             self.passes += 1
             return True
@@ -736,9 +737,8 @@ def run_suite(name, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, tol=None):
             except ConsistencyError as exc:
                 rec.check("no internal consistency violation", False,
                           seed=key, detail=str(exc))
-    return SuiteResult(name, description, samples, seed, rec.checks,
-                       rec.passes, rec.failures, rec.first_failure,
-                       tuple(rec.notes))
+    return SuiteResult(name, description, samples, seed, rec.passes,
+                       rec.failures, rec.first_failure, tuple(rec.notes))
 
 
 def run_suites(names, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, tol=None):

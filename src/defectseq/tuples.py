@@ -202,7 +202,12 @@ class OperatorTuple:
         return conj.transpose(0, 2, 1)
 
     def op(self, letter):
-        """The entry for a 1-based letter, matching word notation."""
+        """The entry for a 1-based letter, matching word notation.
+
+        The letter must be an integer, as in ``validate_word``: numpy
+        integers count, a bool or a float does not.
+        """
+        _require_integer(letter, "letter")
         if not 1 <= letter <= self.d:
             raise ArgumentError(f"letter {letter} outside 1..{self.d}")
         return self.ops[letter - 1]
@@ -470,9 +475,9 @@ def tuple_power(T, n):
     materialize more than the configured size cap allows.
     """
     _require_integer(n, "tuple power exponent", 1)
-    count = T.d ** n
     cap = size_cap()
-    if count > cap:
+    count = _words_past_cap(T.d, n, cap)
+    if count is not None:
         raise SizeCapError(
             f"tuple power would hold {count} matrices, cap is {cap} "
             f"(set DEFECTSEQ_SIZE_CAP to raise it)"
@@ -482,6 +487,21 @@ def tuple_power(T, n):
         power = tuple_product(T, power)
     label = f"({T.label})^{n}" if T.label else ""
     return OperatorTuple(power.ops, label)
+
+
+def _words_past_cap(d, n, cap):
+    # The count d**n of the words of length n, as text, when it exceeds
+    # ``cap``, else None.  Past cap.bit_length() letters d >= 2 gives
+    # more than cap words, so the power is built only below that or to
+    # be printed; a count Python will not print (past 4300 digits by
+    # default) is written d**n and never built.
+    n = int(n)
+    if d == 1 or (n <= cap.bit_length() and d ** n <= cap):
+        return None
+    try:
+        return str(d ** n) if n * math.log10(d) < 4300 else f"{d}**{n}"
+    except ValueError:  # past a lower limit set for the process
+        return f"{d}**{n}"
 
 
 def row_operator(T):

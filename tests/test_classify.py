@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from dataclasses import asdict
 import tracemalloc
 import weakref
 
@@ -39,6 +40,8 @@ from defectseq.errors import (
     SizeCapError,
 )
 from defectseq.linalg import (
+    DEFAULT_TOL,
+    RankTolerance,
     hermitian_norm,
     hermitize,
     numerical_rank,
@@ -127,6 +130,17 @@ class TestMaximality:
         assert v.deltas == (1, 3, 7, 15)
         assert v.bounds == (1, 3, 7, 15)
         assert v.failed_at is None
+
+    @pytest.mark.parametrize("failed_at", [None, 2])
+    def test_maximal_is_derived_from_the_failure_index(self, failed_at):
+        v = MaximalityVerdict(horizon=3, deltas=(1, 2), bounds=(1, 3),
+                              failed_at=failed_at)
+        assert v.maximal is (failed_at is None)
+        assert list(asdict(v)) == ["maximal", "horizon", "deltas", "bounds",
+                                   "failed_at"]
+        with pytest.raises(ConsistencyError, match="must align"):
+            MaximalityVerdict(horizon=3, deltas=(1, 2), bounds=(1,),
+                              failed_at=failed_at)
 
     def test_compressed_right_shift_fails_at_step_two(self):
         v = maximality_noncommutative(right_creation_compression(2, 3, 2))
@@ -274,16 +288,44 @@ class TestClassify:
     def test_report_invariants(self):
         pure = PurityVerdict(status=Purity.PURE, iterations=1,
                              residual_norm=0.0, limit=None)
-        max_free = MaximalityVerdict(maximal=True, horizon=1, deltas=(1,),
-                                     bounds=(1,), failed_at=None)
-        base = dict(contractive=True, purity=pure, delta_1=1,
-                    maximal_noncomm=max_free, commutant_dim=1,
-                    irreducible=True, tol=None)
-        with pytest.raises(ConsistencyError):
+        max_free = MaximalityVerdict(horizon=1, deltas=(1,), bounds=(1,),
+                                     failed_at=None)
+        base = dict(contractivity_margin=0.0, tol=DEFAULT_TOL, purity=pure,
+                    delta_1=1, maximal_noncomm=max_free, commutant_dim=1)
+        with pytest.raises(ConsistencyError,
+                           match="commuting tuple classified without"):
             ClassificationReport(commuting=True, maximal_comm=None, **base)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError,
+                           match="commuting bound reported for a noncommuting"):
             ClassificationReport(commuting=False, maximal_comm=max_free,
                                  **base)
+
+    @pytest.mark.parametrize("margin, rtol, contractive", [
+        (0.0, 1e-9, True),
+        (-0.9e-8, 1e-9, True),
+        (-1.1e-8, 1e-9, False),
+        (-0.9e-5, 1e-6, True),
+        (-0.5, 1e-9, False),
+    ])
+    def test_contractive_is_derived_from_the_margin(self, margin, rtol,
+                                                     contractive):
+        # The rule of is_contractive: margin >= -10 rtol.
+        rep = ClassificationReport(contractivity_margin=margin,
+                                   commuting=False,
+                                   tol=RankTolerance(rtol=rtol))
+        assert rep.contractive is contractive
+        assert rep.irreducible is None and rep.purity is None
+
+    @pytest.mark.parametrize("dim", [1, 2, 7])
+    def test_irreducible_is_derived_from_the_commutant(self, dim):
+        rep = ClassificationReport(contractivity_margin=0.0, commuting=False,
+                                   tol=DEFAULT_TOL, commutant_dim=dim)
+        assert rep.irreducible is (dim == 1)
+        assert asdict(rep)["irreducible"] is (dim == 1)
+        with pytest.raises(TypeError):
+            ClassificationReport(contractivity_margin=0.0, commuting=False,
+                                 tol=DEFAULT_TOL, commutant_dim=dim,
+                                 irreducible=dim == 1)
 
 
 def slack_tuple(seed, eps=4e-9):

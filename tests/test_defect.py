@@ -1,12 +1,16 @@
 """Unit tests for the defect engine: operators, sequences, bounds."""
 
 import importlib
+import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from defectseq.defect import (
+    DefectReport,
+    ProductBoundCheck,
     RankSymmetryVerdict,
     commuting_bound,
     contractivity_margin,
@@ -22,7 +26,12 @@ from defectseq.defect import (
     verify_product_bounds,
     word_image_dimension,
 )
-from defectseq.errors import ArgumentError, ConsistencyError, ContractivityError
+from defectseq.errors import (
+    ArgumentError,
+    ConsistencyError,
+    ContractivityError,
+    SizeCapError,
+)
 from defectseq.linalg import DEFAULT_TOL, RankTolerance, subspace_equal
 from defectseq.classify import maximality_noncommutative, purity
 from defectseq.models import (
@@ -32,7 +41,7 @@ from defectseq.models import (
     spherical_shift_sum,
     symmetric_fock_shift,
 )
-from defectseq.tuples import OperatorTuple, cp_iterate, words_of_length
+from defectseq.tuples import OperatorTuple, cp_iterate, direct_sum, words_of_length
 from tuple_files import overflowing_pair
 
 
@@ -545,6 +554,99 @@ class TestDefectSequence:
         assert passed, observed
 
 
+class TestDefectReport:
+    """``DefectReport`` derives its flags and bound columns itself."""
+
+    CASES = {
+        "cut-noncommuting": (lambda: fock_creation(2, 4), 2),
+        "cut-commuting": (lambda: symmetric_fock_shift(2, 3), 2),
+        "stabilized-noncommuting": (lambda: direct_sum(
+            fock_creation(2, 2),
+            OperatorTuple((0.6 * np.eye(2), 0.8 * np.eye(2)))), 9),
+        "stabilized-commuting": (
+            lambda: spherical_shift_sum(2, 2, (0.6, 0.8), 1), 9),
+        "full-at-step-1": (lambda: OperatorTuple((np.zeros((3, 3)),)), 5),
+        "full-noncommuting": (lambda: random_contractive(2, 6, 1, 0), 9),
+        "no-defect": (lambda: OperatorTuple((np.eye(2),)), 5),
+    }
+
+    @pytest.mark.parametrize("build, n_max", CASES.values(), ids=CASES)
+    def test_derived_fields_follow_the_old_rules(self, build, n_max):
+        T = build()
+        rep = defect_sequence(T, n_max)
+        d, h, deltas = T.d, T.h, rep.deltas
+        assert rep == DefectReport(d=d, h=h, deltas=deltas,
+                                   commuting=rep.commuting, tol=DEFAULT_TOL)
+        # The rules defect_sequence applied before the report derived
+        # these fields, written out.
+        n = len(deltas)
+        reached_full = deltas[-1] == h
+        stabilized_at = None
+        if reached_full:
+            stabilized_at = n
+        elif n >= 2 and deltas[-1] == deltas[-2]:
+            stabilized_at = n - 1
+        geometric = tuple(sum(d ** k for k in range(m)) * deltas[0]
+                          for m in range(1, n + 1))
+        binomial = tuple(sum(math.comb(k + d - 1, d - 1) for k in range(m))
+                         * deltas[0] for m in range(1, n + 1))
+        assert rep.reached_full is reached_full
+        assert rep.stabilized_at == stabilized_at
+        assert rep.bounds_noncomm == geometric
+        assert rep.bound_ok_noncomm == tuple(
+            a <= b for a, b in zip(deltas, geometric))
+        if rep.commuting:
+            assert rep.bounds_comm == binomial
+            assert rep.bound_ok_comm == tuple(
+                a <= b for a, b in zip(deltas, binomial))
+        else:
+            assert rep.bounds_comm is None and rep.bound_ok_comm is None
+
+    @pytest.mark.parametrize("name, deltas, commuting, stabilized_at, full", [
+        ("cut-noncommuting", (1, 3), False, None, False),
+        ("cut-commuting", (1, 3), True, None, False),
+        ("stabilized-noncommuting", (1, 3, 7, 7), False, 3, False),
+        ("stabilized-commuting", (1, 3, 6, 6), True, 3, False),
+        ("full-at-step-1", (3,), True, 1, True),
+        ("full-noncommuting", (1, 3, 6), False, 3, True),
+        ("no-defect", (0, 0), True, 1, False),
+    ])
+    def test_cases_cover_each_kind_of_ladder(self, name, deltas, commuting,
+                                              stabilized_at, full):
+        build, n_max = self.CASES[name]
+        rep = defect_sequence(build(), n_max)
+        assert (rep.deltas, rep.commuting, rep.stabilized_at,
+                rep.reached_full) == (deltas, commuting, stabilized_at, full)
+
+    def test_derived_fields_are_not_parameters_but_are_fields(self):
+        rep = DefectReport(d=2, h=7, deltas=(1, 3, 7), commuting=False,
+                           tol=DEFAULT_TOL)
+        assert list(asdict(rep)) == [
+            "d", "h", "deltas", "stabilized_at", "reached_full",
+            "commuting", "bounds_noncomm", "bound_ok_noncomm",
+            "bounds_comm", "bound_ok_comm", "tol"]
+        with pytest.raises(TypeError):
+            DefectReport(d=2, h=7, deltas=(1, 3, 7), stabilized_at=3,
+                         commuting=False, tol=DEFAULT_TOL)
+
+    def test_bound_violation_is_flagged(self):
+        # Delta_2 = 4 > 1 + 1 for a 1-tuple with Delta_1 = 1.
+        rep = DefectReport(d=1, h=5, deltas=(1, 4), commuting=True,
+                           tol=DEFAULT_TOL)
+        assert rep.bound_ok_noncomm == (True, False)
+        assert rep.bound_ok_comm == (True, False)
+
+    @pytest.mark.parametrize("deltas, match", [
+        ((), "no computed values"),
+        ((2, 1), "decreased"),
+        ((1, 4), "exceeds the space"),
+    ])
+    def test_construction_checks_the_values(self, deltas, match):
+        with pytest.raises(ConsistencyError, match=match):
+            DefectReport(d=2, h=3, deltas=deltas, commuting=False,
+                         tol=DEFAULT_TOL)
+
+
 class TestDefectSpaces:
     def test_word_construction_matches_direct_on_models(self):
         v = fock_creation(2, 3)
@@ -602,10 +704,39 @@ class TestRankSymmetry:
                     == defect_dimension(T, n)
 
     def test_verdict_construction_rejects_broken_symmetry(self):
-        with pytest.raises(ConsistencyError):
+        # Equal ranks with unequal kernels break the Thm 2.7 biconditional.
+        with pytest.raises(ConsistencyError, match="rank symmetry broke"):
             RankSymmetryVerdict(n=1, rank_left=2, rank_right=2,
-                                ker_dim=1, coker_dim=0,
-                                equal_ranks=True, equal_kernels=False)
+                                ker_dim=1, coker_dim=0)
+
+    @pytest.mark.parametrize("ranks, kernels", [((1, 16), (15, 0)),
+                                                ((3, 3), (0, 0))])
+    def test_verdict_flags_are_derived(self, ranks, kernels):
+        v = RankSymmetryVerdict(n=1, rank_left=ranks[0], rank_right=ranks[1],
+                                ker_dim=kernels[0], coker_dim=kernels[1])
+        assert v.equal_ranks == (ranks[0] == ranks[1])
+        assert v.equal_kernels == (kernels[0] == kernels[1])
+        assert asdict(v)["equal_ranks"] == v.equal_ranks
+        with pytest.raises(TypeError):
+            RankSymmetryVerdict(n=1, rank_left=3, rank_right=3, ker_dim=0,
+                                coker_dim=0, equal_ranks=True,
+                                equal_kernels=True)
+
+    def test_word_count_past_the_printable_limit_is_a_size_cap_error(self):
+        # 2**20000 has more digits than Python prints by default.
+        with pytest.raises(SizeCapError,
+                           match=r"needs 2\*\*20000 words, cap is 4096$"):
+            rank_symmetry_check(fock_creation(2, 1), 20000)
+
+    def test_printable_word_count_keeps_its_message(self):
+        with pytest.raises(SizeCapError,
+                           match="needs 8192 words, cap is 4096$"):
+            rank_symmetry_check(fock_creation(2, 1), 13)
+        # A numpy exponent is counted in Python integers, not wrapped
+        # around in int64.
+        with pytest.raises(SizeCapError,
+                           match="needs 1180591620717411303424 words"):
+            rank_symmetry_check(fock_creation(2, 1), np.int64(70))
 
 
 class TestProductBounds:
@@ -628,6 +759,17 @@ class TestProductBounds:
             chk = verify_product_bounds(b, c)
             assert chk.ok
             assert chk.factor_count == b.d
+
+    @pytest.mark.parametrize("dims, flags", [
+        ((1, 1, 2), (True, True)),
+        ((2, 1, 1), (False, True)),
+        ((0, 1, 3), (True, False)),
+    ])
+    def test_flags_are_derived(self, dims, flags):
+        chk = ProductBoundCheck(delta_b=dims[0], delta_c=dims[1],
+                                delta_bc=dims[2], factor_count=1)
+        assert (chk.lower_ok, chk.upper_ok) == flags
+        assert chk.ok == all(flags)
 
     def test_tolerance_override_threads_through(self):
         v = fock_creation(2, 2)

@@ -55,6 +55,29 @@ class TestRankTolerance:
         with pytest.raises(ArgumentError):
             RankTolerance(atol=-1e-15)
 
+    @pytest.mark.parametrize("bad, match", [
+        (True, "rtol must be a real number, got True"),
+        ("1e-9", "rtol must be a real number, got '1e-9'"),
+        (None, "rtol must be a real number, got None"),
+        (10 ** 400, "rtol must be positive and finite, got an integer past "
+                    "the float range"),
+    ], ids=["bool", "str", "None", "huge-int"])
+    def test_rejects_what_is_not_a_finite_real_rtol(self, bad, match):
+        with pytest.raises(ArgumentError, match=match):
+            RankTolerance(rtol=bad)
+
+    @pytest.mark.parametrize("bad", [False, "0", None, -(10 ** 400)],
+                             ids=["bool", "str", "None", "huge-int"])
+    def test_rejects_what_is_not_a_finite_real_atol(self, bad):
+        with pytest.raises(ArgumentError, match="atol must be"):
+            RankTolerance(atol=bad)
+
+    @pytest.mark.parametrize("rtol", [1e-6, np.float32(1e-6), 1, np.int64(1)],
+                             ids=repr)
+    def test_keeps_the_value_it_is_given(self, rtol):
+        tol = RankTolerance(rtol=rtol, atol=0)
+        assert tol.rtol is rtol and tol.atol == 0
+
 
 class TestAsOperatorMatrix:
     def test_coerces_real_input(self):

@@ -105,6 +105,20 @@ class TestSymmetricShift:
         assert defect_sequence(symmetric_fock_shift(3, 3), 6).deltas \
             == (1, 4, 10, 20)
 
+    @pytest.mark.parametrize("d,L", [(1, 4), (2, 3), (3, 2)])
+    def test_compression_builds_one_projection_per_degree(self, d, L,
+                                                          monkeypatch):
+        import defectseq.models as models_module
+        degrees = []
+
+        def counting(d, k):
+            degrees.append(k)
+            return symmetrizer(d, k)
+
+        monkeypatch.setattr(models_module, "symmetrizer", counting)
+        symmetric_shift_via_compression(d, L)
+        assert degrees == list(range(1, L + 1))
+
     @pytest.mark.parametrize("d,L", [(2, 3), (3, 2)])
     def test_direct_build_matches_compression(self, d, L):
         direct = symmetric_fock_shift(d, L)

@@ -66,6 +66,18 @@ class TestRunSuite:
         assert res.first_failure is None
         assert res.passes == res.checks > 0
 
+    @pytest.mark.parametrize("passes, failures", [(5, 0), (4, 1), (0, 0)])
+    def test_checks_and_ok_are_derived(self, passes, failures):
+        res = SuiteResult("lemma21", "text", 3, 0, passes, failures,
+                          None if failures == 0 else {"check": "x"})
+        assert res.checks == passes + failures
+        assert res.ok is (failures == 0)
+        entry = dataclasses.asdict(res)
+        assert (entry["checks"], entry["ok"]) == (res.checks, res.ok)
+        assert list(entry) == ["name", "description", "samples", "seed",
+                               "checks", "passes", "failures",
+                               "first_failure", "notes", "ok"]
+
     def test_results_are_reproducible(self):
         a = run_suite("lemma21", samples=5, seed=9)
         b = run_suite("lemma21", samples=5, seed=9)

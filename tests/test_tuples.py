@@ -90,6 +90,19 @@ class TestOperatorTuple:
         with pytest.raises(ArgumentError):
             T.op(0)
 
+    @pytest.mark.parametrize("letter", [True, 1.5, 2.0], ids=repr)
+    def test_letter_must_be_an_integer(self, letter):
+        T = OperatorTuple((np.eye(2), 2 * np.eye(2)))
+        with pytest.raises(ArgumentError,
+                           match=f"letter must be an integer, got {letter!r}"):
+            T.op(letter)
+
+    def test_numpy_integer_letter_is_accepted(self):
+        a, b = np.eye(2), 2 * np.eye(2)
+        T = OperatorTuple((a, b))
+        assert np.array_equal(T.op(np.int64(2)), b)
+        assert np.array_equal(T.op(np.uint8(1)), a)
+
     def test_relabel(self):
         T = OperatorTuple((np.eye(2),), label="before")
         assert T.relabel("after").label == "after"
@@ -243,6 +256,21 @@ class TestProductsAndPowers:
         T = OperatorTuple((np.eye(2), np.zeros((2, 2))))
         with pytest.raises(SizeCapError):
             tuple_power(T, 3)
+
+    def test_power_count_past_the_printable_limit_is_a_size_cap_error(self):
+        # 2**20000 has more digits than Python prints by default, so the
+        # message writes the power.
+        with pytest.raises(SizeCapError, match=r"would hold 2\*\*20000 "
+                                               r"matrices, cap is 4096 "):
+            tuple_power(fock_creation(2, 1), 20000)
+        with pytest.raises(SizeCapError, match="would hold 8192 matrices"):
+            tuple_power(fock_creation(2, 1), 13)
+        # A numpy exponent is counted in Python integers; in int64,
+        # 2**70 wraps to 0 and would pass the cap.
+        with pytest.raises(SizeCapError,
+                           match="would hold 1180591620717411303424 matrices"):
+            tuple_power(fock_creation(2, 1), np.int64(70))
+        assert tuple_power(OperatorTuple((0.5 * np.eye(2),)), 20000).d == 1
 
     def test_power_needs_positive_exponent(self):
         T = OperatorTuple((np.eye(2),))
