@@ -763,7 +763,7 @@ class TestProductBounds:
     @pytest.mark.parametrize("dims, flags", [
         ((1, 1, 2), (True, True)),
         ((2, 1, 1), (False, True)),
-        ((0, 1, 3), (True, False)),
+        ((0, 1, 2), (True, False)),
     ])
     def test_flags_are_derived(self, dims, flags):
         chk = ProductBoundCheck(delta_b=dims[0], delta_c=dims[1],
